@@ -24,11 +24,8 @@ from .topology import (
 from .channel import (
     PathlossModel,
     ChannelRealization,
-    EstimateSet,
     pathloss_matrix,
     draw_channel,
-    draw_estimate,
-    estimate_set,
     trial_rng,
 )
 from .allocation import (
@@ -49,7 +46,6 @@ from .precoding import (
     Precoder,
     zf_precoder,
     distributed_precoder,
-    apply_data_mask,
     per_tx_power,
 )
 from .evaluation import (
@@ -60,10 +56,8 @@ from .evaluation import (
     DofEstimate,
     DeviationPoint,
     instantaneous_rates,
-    ergodic_rates,
     evaluate_point,
     evaluate_curves,
-    precoder_deviation,
     dof_slope,
     db_to_linear,
     linear_to_db,

@@ -13,6 +13,7 @@ trials can be re-drawn individually.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +27,9 @@ __all__ = [
     "complex_gaussian",
     "PathlossModel",
     "ChannelRealization",
-    "EstimateSet",
     "pathloss_matrix",
     "draw_channel",
-    "draw_estimate",
     "apply_estimate_noise",
-    "estimate_set",
 ]
 
 # Substream purpose tags. Channel and estimate noise use disjoint streams so
@@ -68,9 +66,12 @@ class PathlossModel:
     def K(self) -> int:
         return int(self.sigma_sq.shape[0])
 
-    @property
+    @cached_property
     def sigma(self) -> np.ndarray:
-        return np.sqrt(self.sigma_sq)
+        """Link standard deviations, computed once per model."""
+        s = np.sqrt(self.sigma_sq)
+        s.setflags(write=False)
+        return s
 
 
 @dataclass(frozen=True)
@@ -79,13 +80,6 @@ class ChannelRealization:
 
     H: np.ndarray        # faded channel, rows are receivers
     H_unit: np.ndarray   # unit-variance fading factors
-
-
-@dataclass(frozen=True)
-class EstimateSet:
-    """Per-transmitter channel estimates, per_tx[j] is TX j's K x K estimate."""
-
-    per_tx: np.ndarray
 
 
 def pathloss_matrix(levels: InterferenceLevelMatrix, p: float) -> PathlossModel:
@@ -105,15 +99,6 @@ def draw_channel(model: PathlossModel, rng: np.random.Generator) -> ChannelReali
     return ChannelRealization(H=model.sigma * h_unit, H_unit=h_unit)
 
 
-def _check_bits(bits: np.ndarray, k: int, ndim: int) -> np.ndarray:
-    b = np.asarray(bits, dtype=float)
-    if b.shape != (k,) * ndim:
-        raise ValueError(f"bits must have shape {(k,) * ndim}, got {b.shape}")
-    if np.any(np.isnan(b)) or np.any(b < 0):
-        raise ValueError("bit counts must be >= 0 (np.inf means perfect knowledge)")
-    return b
-
-
 def apply_estimate_noise(
     chan: ChannelRealization, model: PathlossModel, bits: np.ndarray, noise: np.ndarray
 ) -> np.ndarray:
@@ -126,25 +111,3 @@ def apply_estimate_noise(
     """
     b = np.asarray(bits, dtype=float)
     return chan.H + model.sigma * np.exp2(-0.5 * b) * noise
-
-
-def draw_estimate(
-    chan: ChannelRealization, model: PathlossModel, bits: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """One transmitter's estimate of the whole channel under a K x K bit table.
-
-    The estimation noise is a fresh unit-variance complex Gaussian draw,
-    independent of the channel and of any other transmitter's estimate.
-    """
-    k = model.K
-    b = _check_bits(bits, k, 2)
-    return apply_estimate_noise(chan, model, b, complex_gaussian(rng, (k, k)))
-
-
-def estimate_set(
-    chan: ChannelRealization, model: PathlossModel, bits: np.ndarray, rng: np.random.Generator
-) -> EstimateSet:
-    """All K transmitters' estimates from a (K, K, K) bit tensor indexed [j, k, i]."""
-    k = model.K
-    b = _check_bits(bits, k, 3)
-    return EstimateSet(per_tx=apply_estimate_noise(chan, model, b, complex_gaussian(rng, (k, k, k))))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import PolicySpec, allocation_size, build_allocation, conventional
-from .channel import PURPOSE_LAYOUT, draw_channel, pathloss_matrix, trial_rng
+from .channel import PURPOSE_CHANNEL, PURPOSE_LAYOUT, draw_channel, pathloss_matrix, trial_rng
 from .evaluation import (
     ExperimentResult,
     RejectionRateError,
@@ -43,7 +43,6 @@ __all__ = [
     "ExperimentConfig",
     "resolve_layout",
     "run_experiment",
-    "report_sizes",
     "fig1_desk_config",
     "fig1_full_config",
     "fig2_desk_config",
@@ -81,6 +80,8 @@ class ExperimentConfig:
     output: str = "netmimo-out"
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.layout_kind not in ("grid", "random", "file"):
             raise ValueError(f"unknown layout kind {self.layout_kind!r}")
         if self.layout_kind == "file" and not self.layout_path:
@@ -97,6 +98,10 @@ class ExperimentConfig:
             raise ValueError("at least one policy is required")
         if self.fit_points < 2:
             raise ValueError(f"fit_points must be >= 2, got {self.fit_points}")
+        if not self.cond_threshold > 0.0:
+            raise ValueError(f"cond_threshold must be > 0, got {self.cond_threshold}")
+        if not 0.0 <= self.max_rejection_rate < 1.0:
+            raise ValueError(f"max_rejection_rate must lie in [0, 1), got {self.max_rejection_rate}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -190,12 +195,6 @@ def _size_table_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_sizes(config: ExperimentConfig) -> list[dict]:
-    config.validate()
-    layout = resolve_layout(config)
-    return compute_size_table(layout, config.gamma, config.policies, config.snr_db)
-
-
 def _rates_csv(result: ExperimentResult, policies: list[PolicySpec]) -> str:
     lines = ["policy,alpha,snr_db,user,mean_rate_bits,stderr,trials,rejections"]
     for spec in policies:
@@ -277,7 +276,7 @@ def run_experiment(
         model = pathloss_matrix(
             interference_levels(pairwise_distance(layout), config.gamma), p
         )
-        chan = draw_channel(model, trial_rng(config.seed, 0, 0))
+        chan = draw_channel(model, trial_rng(config.seed, 0, PURPOSE_CHANNEL))
         lines = ["rx,tx,re,im"]
         for k in range(layout.K):
             for i in range(layout.K):
@@ -375,6 +374,22 @@ def parse_policy(token: str) -> PolicySpec:
     return PolicySpec(kind)
 
 
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _validated(parser: argparse.ArgumentParser, cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg itself, or exit with a usage error that names the invalid field."""
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        parser.error(str(exc))
+    return cfg
+
+
 def _add_layout_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--grid-side", type=int, help="square grid side length")
     sp.add_argument("--random-k", type=int, help="number of nodes placed uniformly at random")
@@ -437,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--trials", type=int)
     run_p.add_argument("--fit-points", type=int, dest="fit_points")
     run_p.add_argument("--data-mask", action="store_true", help="zero precoder entries beyond the cooperation radius")
-    run_p.add_argument("--workers", type=int, default=1)
+    run_p.add_argument("--workers", type=_worker_count, default=1)
     run_p.add_argument("--output")
     run_p.add_argument("--dump-channel", help="also dump one channel realization to this CSV")
     run_p.add_argument("--save-config", help="write the effective config JSON here and exit")
@@ -469,20 +484,19 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", type=int)
         p.add_argument("--trials", type=int)
         p.add_argument("--output")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_worker_count, default=1)
 
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        cfg = _config_from_args(args)
+        cfg = _validated(parser, _config_from_args(args))
         if args.save_config:
             Path(args.save_config).write_text(cfg.to_json() + "\n")
             return 0
         return _cmd_run(cfg, args.workers, args.dump_channel)
 
     if args.command == "sizes":
-        cfg = _config_from_args(args)
-        cfg.validate()
+        cfg = _validated(parser, _config_from_args(args))
         layout = resolve_layout(cfg)
         rows = compute_size_table(layout, cfg.gamma, cfg.policies, cfg.snr_db)
         text = _size_table_csv(rows)
@@ -511,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command in _PRESETS:
         kwargs = {k: v for k, v in (("seed", args.seed), ("trials", args.trials), ("output", args.output)) if v is not None}
-        cfg = _PRESETS[args.command](**kwargs)
+        cfg = _validated(parser, _PRESETS[args.command](**kwargs))
         return _cmd_run(cfg, args.workers, None)
 
     parser.error(f"unknown command {args.command!r}")

@@ -3,15 +3,16 @@ high-SNR slope fits, and precoder-deviation statistics.
 
 All policies in a run are evaluated on coupled draws: trial t uses one
 channel draw and one estimation-noise tensor, each policy scaling the same
-noise by its own bit counts. A trial is accepted only if the true channel
-and every policy's estimates pass the conditioning threshold; rejected
-trials are replaced by fresh trial indices and counted. Per-trial results
-depend only on (seed, trial index), so worker scheduling cannot change any
-output.
+noise by its own bit counts. Each trial runs the channel, precoding and rate
+kernels; it is accepted only if the true channel and every policy's
+estimates pass the conditioning threshold, and rejected trials are replaced
+by fresh trial indices and counted. Per-trial results depend only on (seed,
+trial index), so worker scheduling cannot change any output.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 from dataclasses import dataclass, field
 
@@ -21,11 +22,20 @@ from .allocation import PolicySpec, build_allocation
 from .channel import (
     PURPOSE_CHANNEL,
     PURPOSE_ESTIMATE,
+    apply_estimate_noise,
     complex_gaussian,
+    draw_channel,
     pathloss_matrix,
     trial_rng,
 )
-from .precoding import DEFAULT_COND_THRESHOLD, Precoder, mask_from_sets
+from .precoding import (
+    DEFAULT_COND_THRESHOLD,
+    IllConditionedError,
+    Precoder,
+    distributed_precoder,
+    mask_from_sets,
+    zf_precoder,
+)
 from .topology import NodeLayout, data_sharing_sets, interference_levels, pairwise_distance
 
 __all__ = [
@@ -38,10 +48,8 @@ __all__ = [
     "PointResult",
     "ExperimentResult",
     "instantaneous_rates",
-    "ergodic_rates",
     "evaluate_point",
     "evaluate_curves",
-    "precoder_deviation",
     "dof_slope",
     "db_to_linear",
     "linear_to_db",
@@ -151,12 +159,10 @@ def instantaneous_rates(h: np.ndarray, precoder: Precoder | np.ndarray) -> RateS
     user i's beamformer; the unit noise floor is the 1 in the denominator.
     """
     t = precoder.T if isinstance(precoder, Precoder) else np.asarray(precoder, dtype=complex)
-    g = np.asarray(h, dtype=complex) @ t
-    gains = np.abs(g) ** 2
+    gains = np.abs(np.asarray(h, dtype=complex) @ t) ** 2
     signal = np.diagonal(gains).copy()
-    cross = gains.copy()
-    np.fill_diagonal(cross, 0.0)
-    interference = cross.sum(axis=1)
+    np.fill_diagonal(gains, 0.0)
+    interference = gains.sum(axis=1)
     rates = np.log1p(signal / (1.0 + interference)) / LN2
     return RateSample(rates=rates, signal=signal, interference=interference)
 
@@ -178,22 +184,15 @@ def _simulate_trials(
     """Evaluate the given trial indices for all policies on shared draws.
 
     bits_list entries are (K, K, K) bit tensors, or None for perfect CSIT
-    (whose precoder is the reference T* itself). Returns per-trial rates,
+    (whose precoder is the reference T* itself). A trial is rejected when any
+    of its solves raises IllConditionedError. Returns per-trial rates,
     squared precoder deviations (total and per TX row), acceptance flags and
     the worst condition estimate seen per trial; rejected trials carry NaNs.
     """
     layout = NodeLayout(positions)
     k = layout.K
     model = pathloss_matrix(interference_levels(pairwise_distance(layout), gamma), p)
-    sigma = model.sigma
-    sqrt_p = np.sqrt(p)
-    eye = np.eye(k, dtype=complex)
-    diag = np.arange(k)
-    err_scale = [
-        None if b is None else sigma[None, :, :] * np.exp2(-0.5 * np.asarray(b, dtype=float))
-        for b in bits_list
-    ]
-    need_noise = any(s is not None for s in err_scale)
+    need_noise = any(b is not None for b in bits_list)
 
     n = len(trial_indices)
     n_pol = len(bits_list)
@@ -204,48 +203,26 @@ def _simulate_trials(
     worst_cond = np.zeros(n)
 
     for row, trial in enumerate(trial_indices):
-        h = sigma * complex_gaussian(trial_rng(seed, int(trial), PURPOSE_CHANNEL), (k, k))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            worst = float(np.linalg.cond(h))
-        ok = np.isfinite(worst) and worst <= cond_threshold
-        estimates: list[np.ndarray | None] = []
-        if ok and need_noise:
-            noise = complex_gaussian(trial_rng(seed, int(trial), PURPOSE_ESTIMATE), (k, k, k))
-        if ok:
-            for scale in err_scale:
-                if scale is None:
-                    estimates.append(None)
-                    continue
-                est = h[None, :, :] + scale * noise
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    c = float(np.linalg.cond(est).max())
-                worst = max(worst, c)
-                if not np.isfinite(c) or c > cond_threshold:
-                    ok = False
-                    break
-                estimates.append(est)
-        worst_cond[row] = worst
-        if not ok:
+        chan = draw_channel(model, trial_rng(seed, int(trial), PURPOSE_CHANNEL))
+        try:
+            t_star = zf_precoder(chan.H, p, cond_threshold)
+            if need_noise:
+                noise = complex_gaussian(trial_rng(seed, int(trial), PURPOSE_ESTIMATE), (k, k, k))
+            precoders = [
+                t_star if bits is None
+                else distributed_precoder(apply_estimate_noise(chan, model, bits, noise), p, cond_threshold)
+                for bits in bits_list
+            ]
+        except IllConditionedError as exc:
+            # Every earlier condition estimate passed the threshold, so this one is the worst.
+            worst_cond[row] = exc.cond
             continue
-
-        inv_cols = np.linalg.solve(h, eye)
-        t_star = sqrt_p * inv_cols / np.linalg.norm(inv_cols, axis=0, keepdims=True)
-        for pol, est in enumerate(estimates):
-            if est is None:
-                t = t_star
-            else:
-                inv_stack = np.linalg.solve(est, eye)
-                col_norms = np.linalg.norm(inv_stack, axis=1)
-                t = sqrt_p * inv_stack[diag, diag, :] / col_norms
-            diff2 = np.abs(t - t_star) ** 2
-            row_dev[row, pol] = diff2.sum(axis=1)
+        worst_cond[row] = max(prec.max_cond for prec in precoders)
+        for pol, prec in enumerate(precoders):
+            row_dev[row, pol] = (np.abs(prec.T - t_star.T) ** 2).sum(axis=1)
             dev[row, pol] = row_dev[row, pol].sum()
-            if mask is not None:
-                t = t * mask
-            gains = np.abs(h @ t) ** 2
-            signal = np.diagonal(gains).copy()
-            np.fill_diagonal(gains, 0.0)
-            rates[row, pol] = np.log1p(signal / (1.0 + gains.sum(axis=1))) / LN2
+            t = prec.T if mask is None else prec.T * mask
+            rates[row, pol] = instantaneous_rates(chan.H, t).rates
         accepted[row] = True
 
     return rates, dev, row_dev, accepted, worst_cond
@@ -279,17 +256,23 @@ def _run_point(
     mask: np.ndarray | None,
     workers: int,
 ):
-    """Collect exactly `trials` accepted trials, topping up rejected indices."""
+    """Collect exactly `trials` accepted trials, topping up rejected indices.
+
+    More than trials / (1 - max_rejection_rate) attempted indices would put
+    the rejected share over the limit, so the top-ups stop there.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0.0 <= max_rejection_rate < 1.0:
+        raise ValueError(f"max_rejection_rate must lie in [0, 1), got {max_rejection_rate}")
     args = (layout.positions, gamma, p, bits_list, seed, cond_threshold, mask)
     blocks = []
     accepted_total = 0
     next_idx = 0
-    extra_budget = max(20, trials // 10)
+    max_attempts = math.ceil(trials / (1.0 - max_rejection_rate))
     while accepted_total < trials:
         need = trials - accepted_total
-        if next_idx + need > trials + extra_budget:
+        if next_idx + need > max_attempts:
             stats = _cond_stats(blocks)
             raise RejectionRateError(next_idx - accepted_total, next_idx, max_rejection_rate, stats)
         idx = np.arange(next_idx, next_idx + need)
@@ -404,32 +387,6 @@ def evaluate_curves(
             curves[spec].points.append(point.rates[spec])
             deviations[spec].append(point.deviations[spec])
     return ExperimentResult(curves=curves, deviations=deviations)
-
-
-def ergodic_rates(
-    layout: NodeLayout,
-    gamma: float,
-    policy: PolicySpec,
-    p: float,
-    trials: int,
-    seed: int,
-    **opts,
-) -> RatePoint:
-    """Mean and standard error of per-user rates for one policy at one SNR."""
-    return evaluate_point(layout, gamma, [policy], p, trials, seed, **opts).rates[policy]
-
-
-def precoder_deviation(
-    layout: NodeLayout,
-    gamma: float,
-    policy: PolicySpec,
-    p: float,
-    trials: int,
-    seed: int,
-    **opts,
-) -> DeviationPoint:
-    """Deviation statistics ||T - T*||_F^2 for one policy at one SNR."""
-    return evaluate_point(layout, gamma, [policy], p, trials, seed, **opts).deviations[policy]
 
 
 def dof_slope(curve: RateCurve, fit_points: int = 4) -> DofEstimate:

@@ -8,18 +8,16 @@ inconsistent inversions of near-identical matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .channel import EstimateSet
 
 __all__ = [
     "IllConditionedError",
     "Precoder",
     "zf_precoder",
     "distributed_precoder",
-    "apply_data_mask",
     "mask_from_sets",
     "per_tx_power",
 ]
@@ -43,31 +41,31 @@ class IllConditionedError(RuntimeError):
 class Precoder:
     """Precoding matrix T, rows indexed by transmitter, columns by user stream.
 
-    mode records how T was built (perfect, distributed, masked); max_cond is
-    the largest condition estimate among the underlying solves and
-    condition_ok confirms every solve stayed below the rejection threshold.
+    T is read-only; max_cond is the largest condition estimate among the
+    solves it was built from, all of which stayed within the threshold.
     """
 
     T: np.ndarray
-    mode: str
-    condition_ok: bool
     max_cond: float
 
-    def __post_init__(self) -> None:
-        t = np.array(self.T, dtype=complex)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError(f"T must be square, got shape {t.shape}")
-        t.setflags(write=False)
-        object.__setattr__(self, "T", t)
 
-    @property
-    def K(self) -> int:
-        return int(self.T.shape[0])
+def _checked_inverse(matrices: np.ndarray, cond_threshold: float) -> tuple[np.ndarray, float]:
+    """Inverses of one matrix or a stack, and the worst condition estimate.
+
+    Raises IllConditionedError before solving if any condition estimate is
+    non-finite or above the threshold; np.linalg.cond maps singular matrices
+    to inf without a warning. np.linalg.inv is an LU solve against the
+    identity, so its result equals solve(matrices, eye) bit for bit.
+    """
+    worst = float(np.linalg.cond(matrices).max())
+    if not math.isfinite(worst) or worst > cond_threshold:
+        raise IllConditionedError(worst, cond_threshold)
+    return np.linalg.inv(matrices), worst
 
 
-def _cond(matrices: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.linalg.cond(matrices)
+def _readonly(t: np.ndarray) -> np.ndarray:
+    t.setflags(write=False)
+    return t
 
 
 def zf_precoder(
@@ -75,49 +73,41 @@ def zf_precoder(
 ) -> Precoder:
     """Column-normalized zero-forcing from a single channel estimate.
 
-    Column i is sqrt(p) * Hinv e_i / ||Hinv e_i||, computed with a factored
-    solve against the unit vectors rather than an explicit inverse, so each
-    user stream is sent with power exactly p.
+    Column i is sqrt(p) * Hinv e_i / ||Hinv e_i||, so each user stream is
+    sent with power exactly p.
     """
     h = np.asarray(h_est, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"estimate must be square, got shape {h.shape}")
     if p <= 0:
         raise ValueError(f"power must be > 0, got {p}")
-    cond = float(_cond(h))
-    if not np.isfinite(cond) or cond > cond_threshold:
-        raise IllConditionedError(cond, cond_threshold)
-    k = h.shape[0]
-    inv_cols = np.linalg.solve(h, np.eye(k, dtype=complex))
-    t = np.sqrt(p) * inv_cols / np.linalg.norm(inv_cols, axis=0, keepdims=True)
-    return Precoder(T=t, mode="perfect", condition_ok=True, max_cond=cond)
+    inv_cols, cond = _checked_inverse(h, cond_threshold)
+    t = math.sqrt(p) * inv_cols / np.linalg.norm(inv_cols, axis=0, keepdims=True)
+    return Precoder(T=_readonly(t), max_cond=cond)
 
 
 def distributed_precoder(
-    estimates: EstimateSet | np.ndarray, p: float, cond_threshold: float = DEFAULT_COND_THRESHOLD
+    estimates: np.ndarray, p: float, cond_threshold: float = DEFAULT_COND_THRESHOLD
 ) -> Precoder:
     """Row j of the result is row j of the zero-forcing precoder that TX j
     computes from its own estimate.
 
     When all estimates coincide this reproduces zf_precoder on the shared
     matrix exactly; otherwise the rows are mutually inconsistent and the
-    mismatch is what the deviation statistics measure.
+    mismatch is what the deviation statistics measure. estimates[j] is TX
+    j's K x K estimate.
     """
-    stack = estimates.per_tx if isinstance(estimates, EstimateSet) else np.asarray(estimates, dtype=complex)
-    if stack.ndim != 3 or len(set(stack.shape)) != 1:
+    stack = np.asarray(estimates, dtype=complex)
+    if stack.ndim != 3 or not stack.shape[0] == stack.shape[1] == stack.shape[2]:
         raise ValueError(f"estimates must have shape (K, K, K), got {stack.shape}")
     if p <= 0:
         raise ValueError(f"power must be > 0, got {p}")
-    conds = _cond(stack)
-    worst = float(conds.max())
-    if not np.isfinite(worst) or worst > cond_threshold:
-        raise IllConditionedError(worst, cond_threshold)
-    k = stack.shape[0]
-    inv_cols = np.linalg.solve(stack, np.eye(k, dtype=complex))
-    col_norms = np.linalg.norm(inv_cols, axis=1)          # [j, i] = ||TX j's solve, column i||
-    own_rows = inv_cols[np.arange(k), np.arange(k), :]    # [j, i] = row j of TX j's inverse
-    t = np.sqrt(p) * own_rows / col_norms
-    return Precoder(T=t, mode="distributed", condition_ok=True, max_cond=worst)
+    inv_cols, worst = _checked_inverse(stack, cond_threshold)
+    diag = np.arange(stack.shape[0])
+    col_norms = np.linalg.norm(inv_cols, axis=1)  # [j, i] = ||TX j's inverse, column i||
+    own_rows = inv_cols[diag, diag, :]            # [j, i] = row j of TX j's inverse
+    t = math.sqrt(p) * own_rows / col_norms
+    return Precoder(T=_readonly(t), max_cond=worst)
 
 
 def mask_from_sets(sharing_sets: list[set[int]], k: int) -> np.ndarray:
@@ -126,20 +116,6 @@ def mask_from_sets(sharing_sets: list[set[int]], k: int) -> np.ndarray:
     for j, kept in enumerate(sharing_sets):
         mask[j, sorted(kept)] = 1.0
     return mask
-
-
-def apply_data_mask(prec: Precoder, sharing_sets: list[set[int]]) -> Precoder:
-    """Zero T[j, i] for every user i whose data TX j does not hold.
-
-    Models local data sharing: a TX cannot send a stream it never received,
-    whatever its precoder says.
-    """
-    if len(sharing_sets) != prec.K:
-        raise ValueError(f"expected {prec.K} sharing sets, got {len(sharing_sets)}")
-    mask = mask_from_sets(sharing_sets, prec.K)
-    return Precoder(
-        T=prec.T * mask, mode="masked", condition_ok=prec.condition_ok, max_cond=prec.max_cond
-    )
 
 
 def per_tx_power(prec: Precoder) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from netmimo.allocation import (
+    CsitAllocation,
     PolicySpec,
     allocation_size,
     build_allocation,
@@ -239,6 +240,19 @@ def test_zero_and_perfect_tables():
     assert allocation_size(z, 100.0).total_bits == 0.0
     pf = perfect_allocation(4)
     assert np.all(np.isinf(pf.bits))
+
+
+def test_negative_bits_rejected():
+    """Bit tables are validated where they are built, before any estimate."""
+    bits = np.zeros((3, 3, 3))
+    bits[2, 2, 2] = -1.0
+    with pytest.raises(ValueError):
+        CsitAllocation(policy="zero", bits=bits)
+    bits[2, 2, 2] = np.nan
+    with pytest.raises(ValueError):
+        CsitAllocation(policy="zero", bits=bits)
+    with pytest.raises(ValueError):
+        CsitAllocation(policy="zero", bits=np.zeros((3, 3)))
 
 
 def test_policy_spec_validation_and_labels():

@@ -14,7 +14,6 @@ from netmimo.cli import (
     fig2_full_config,
     main,
     parse_policy,
-    report_sizes,
     resolve_layout,
     run_experiment,
 )
@@ -56,6 +55,32 @@ def test_config_validation():
         _tiny_config("out", layout_kind="file").validate()
     with pytest.raises(ValueError):
         _tiny_config("out", policies=[]).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", -1), ("cond_threshold", 0.0), ("max_rejection_rate", -0.1), ("max_rejection_rate", 1.0)],
+)
+def test_config_validation_bounds(field, value):
+    with pytest.raises(ValueError, match=field):
+        _tiny_config("out", **{field: value}).validate()
+
+
+def test_main_negative_seed_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--grid-side", "2", "--seed", "-1", "--output", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["run", "--grid-side", "2"], ["fig1-desk"]])
+def test_main_workers_must_be_positive(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main(command + ["--workers", "-3", "--output", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert "--workers: must be >= 1, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_policy_tokens():
@@ -164,7 +189,7 @@ def test_size_table_single_node_ratio_one():
         layout_kind="grid", grid_side=1, gamma=0.6, snr_db=[40.0],
         policies=[PolicySpec("distance")], trials=1,
     )
-    rows = report_sizes(cfg)
+    rows = compute_size_table(resolve_layout(cfg), cfg.gamma, cfg.policies, cfg.snr_db)
     dist_row = [r for r in rows if r["policy"] == "distance"][0]
     assert dist_row["ratio_to_conventional"] == pytest.approx(1.0)
     assert dist_row["prelog_asymptotic"] == pytest.approx(1.0)

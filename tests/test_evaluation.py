@@ -6,9 +6,9 @@ from netmimo.allocation import PolicySpec, distance_based
 from netmimo.channel import (
     PURPOSE_CHANNEL,
     PURPOSE_ESTIMATE,
+    apply_estimate_noise,
     complex_gaussian,
     draw_channel,
-    estimate_set,
     pathloss_matrix,
     trial_rng,
 )
@@ -18,12 +18,10 @@ from netmimo.evaluation import (
     RejectionRateError,
     db_to_linear,
     dof_slope,
-    ergodic_rates,
     evaluate_curves,
     evaluate_point,
     instantaneous_rates,
     linear_to_db,
-    precoder_deviation,
 )
 from netmimo.precoding import distributed_precoder, zf_precoder
 from netmimo.topology import (
@@ -77,7 +75,8 @@ def test_single_user_ergodic_matches_quadrature():
     )
     assert quad_err < 1e-6
     layout = NodeLayout(np.array([[0.0, 0.0]]))
-    point = ergodic_rates(layout, 0.6, PolicySpec("perfect"), 100.0, 100_000, seed=33)
+    spec = PolicySpec("perfect")
+    point = evaluate_point(layout, 0.6, [spec], 100.0, 100_000, seed=33).rates[spec]
     assert point.mean_avg == pytest.approx(want, rel=0.01)
 
 
@@ -94,7 +93,8 @@ def test_rate_difference_decomposition():
         chan = draw_channel(model, trial_rng(44, t, PURPOSE_CHANNEL))
         if np.linalg.cond(chan.H) > 1e8:
             continue
-        est = estimate_set(chan, model, bits, trial_rng(44, t, PURPOSE_ESTIMATE))
+        noise = complex_gaussian(trial_rng(44, t, PURPOSE_ESTIMATE), (9, 9, 9))
+        est = apply_estimate_noise(chan, model, bits, noise)
         t_star = zf_precoder(chan.H, p).T
         t_dist = distributed_precoder(est, p).T
         r_perf = instantaneous_rates(chan.H, t_star).rates
@@ -179,6 +179,38 @@ def test_rejection_rate_error():
     assert info.value.rejected > 0
 
 
+# At 40 dB on a 3x3 grid, a condition threshold of 60 rejects about one trial
+# in nine: far inside a 50% limit, yet more than the 20 extra indices the
+# top-ups were once capped at.
+_TOPUP_CASE = dict(
+    layout=place_grid(3),
+    gamma=0.6,
+    policies=[PolicySpec("perfect"), PolicySpec("distance")],
+    p=db_to_linear(40.0),
+    trials=200,
+    seed=1,
+    cond_threshold=60.0,
+)
+
+
+def test_topups_follow_rejection_limit():
+    point = evaluate_point(**_TOPUP_CASE, max_rejection_rate=0.5)
+    rp = point.rates[PolicySpec("perfect")]
+    assert rp.trials == 200
+    assert rp.rejections > 20
+    assert rp.rejections / (rp.trials + rp.rejections) < 0.5
+
+
+def test_rejection_just_over_limit_reports_attempts():
+    rejected = evaluate_point(**_TOPUP_CASE, max_rejection_rate=0.5).rates[PolicySpec("perfect")].rejections
+    attempted = 200 + rejected
+    just_under = (rejected - 0.5) / attempted
+    with pytest.raises(RejectionRateError) as info:
+        evaluate_point(**_TOPUP_CASE, max_rejection_rate=just_under)
+    assert (info.value.rejected, info.value.attempted) == (rejected, attempted)
+    assert f"{rejected} of {attempted} trials rejected" in str(info.value)
+
+
 def test_duplicate_policy_rejected():
     layout = place_grid(2)
     with pytest.raises(ValueError):
@@ -195,16 +227,6 @@ def test_evaluate_curves_structure():
         assert [pt.snr_db for pt in curve.points] == pytest.approx(snr)
         assert len(res.deviations[spec]) == 3
         assert all(pt.trials == 30 for pt in curve.points)
-
-
-def test_wrappers_match_joint_run():
-    layout = place_grid(2)
-    spec = PolicySpec("distance")
-    point = evaluate_point(layout, 0.6, [spec], 1e4, 25, seed=13)
-    rp = ergodic_rates(layout, 0.6, spec, 1e4, 25, seed=13)
-    dv = precoder_deviation(layout, 0.6, spec, 1e4, 25, seed=13)
-    np.testing.assert_array_equal(rp.mean_per_user, point.rates[spec].mean_per_user)
-    assert dv.median == point.deviations[spec].median
 
 
 def _synthetic_curve(slope):

@@ -4,15 +4,14 @@ import pytest
 from netmimo.channel import (
     PURPOSE_CHANNEL,
     PURPOSE_ESTIMATE,
+    apply_estimate_noise,
     complex_gaussian,
-    estimate_set,
     draw_channel,
     pathloss_matrix,
     trial_rng,
 )
 from netmimo.precoding import (
     IllConditionedError,
-    apply_data_mask,
     distributed_precoder,
     mask_from_sets,
     per_tx_power,
@@ -72,7 +71,6 @@ def test_distributed_collapse_to_shared_matrix():
     joint = distributed_precoder(stack, p)
     single = zf_precoder(h, p)
     np.testing.assert_array_equal(joint.T, single.T)
-    assert joint.mode == "distributed"
     # shared estimate that is not the channel behaves the same way
     other = h + 0.1 * complex_gaussian(rng, (4, 4))
     np.testing.assert_array_equal(
@@ -85,10 +83,11 @@ def test_distributed_rows_match_per_tx_solves():
     model = pathloss_matrix(interference_levels(pairwise_distance(place_grid(2)), 0.6), 1e4)
     chan = draw_channel(model, trial_rng(21, 0, PURPOSE_CHANNEL))
     bits = distance_based(pairwise_distance(place_grid(2)), 0.6, 1e4).bits
-    est = estimate_set(chan, model, bits, trial_rng(21, 0, PURPOSE_ESTIMATE))
+    noise = complex_gaussian(trial_rng(21, 0, PURPOSE_ESTIMATE), (4, 4, 4))
+    est = apply_estimate_noise(chan, model, bits, noise)
     prec = distributed_precoder(est, 1e4)
     for j in range(4):
-        row = zf_precoder(est.per_tx[j], 1e4).T[j]
+        row = zf_precoder(est[j], 1e4).T[j]
         np.testing.assert_allclose(prec.T[j], row, rtol=1e-12)
 
 
@@ -126,16 +125,10 @@ def test_input_validation():
 def test_mask_patterns():
     rng = np.random.default_rng(20)
     h = complex_gaussian(rng, (4, 4))
-    prec = zf_precoder(h, 9.0)
-    full = apply_data_mask(prec, [set(range(4))] * 4)
-    np.testing.assert_array_equal(full.T, prec.T)
-    assert full.mode == "masked"
-    singletons = apply_data_mask(prec, [{j} for j in range(4)])
-    np.testing.assert_array_equal(np.diagonal(singletons.T), np.diagonal(prec.T))
-    off = singletons.T - np.diag(np.diagonal(singletons.T))
-    np.testing.assert_array_equal(off, np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        apply_data_mask(prec, [set()] * 3)
+    t = zf_precoder(h, 9.0).T
+    np.testing.assert_array_equal(t * mask_from_sets([set(range(4))] * 4, 4), t)
+    singletons = t * mask_from_sets([{j} for j in range(4)], 4)
+    np.testing.assert_array_equal(singletons, np.diag(np.diagonal(t)))
 
 
 def test_mask_matches_radius_on_grid():
