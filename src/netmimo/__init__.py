@@ -46,7 +46,6 @@ from .precoding import (
     Precoder,
     zf_precoder,
     distributed_precoder,
-    per_tx_power,
 )
 from .evaluation import (
     RejectionRateError,

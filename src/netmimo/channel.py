@@ -12,7 +12,7 @@ trials can be re-drawn individually.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -56,6 +56,7 @@ class PathlossModel:
     gamma: float
     p: float
     sigma_sq: np.ndarray
+    _std_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         s = np.array(self.sigma_sq, dtype=float)
@@ -72,6 +73,23 @@ class PathlossModel:
         s = np.sqrt(self.sigma_sq)
         s.setflags(write=False)
         return s
+
+    def _error_std(self, bits: np.ndarray) -> np.ndarray:
+        """Estimation-error standard deviations sigma_ki * 2^(-B_ki / 2).
+
+        Computed once per model for a read-only table that owns its data, as
+        every allocation's bits are: a run applies the same few tables to
+        every trial. Any other table may change between calls.
+        """
+        b = np.asarray(bits, dtype=float)
+        if b.flags.writeable or b.base is not None:
+            return self.sigma * np.exp2(-0.5 * b)
+        hit = self._std_cache.get(id(b))
+        if hit is None or hit[0] is not b:
+            std = self.sigma * np.exp2(-0.5 * b)
+            std.setflags(write=False)
+            hit = self._std_cache[id(b)] = (b, std)  # holding b keeps id(b) unique
+        return hit[1]
 
 
 @dataclass(frozen=True)
@@ -109,5 +127,4 @@ def apply_estimate_noise(
     bit of standard deviation per allocated bit. bits may carry leading axes
     (one noise matrix per transmitter); np.inf yields an exact copy.
     """
-    b = np.asarray(bits, dtype=float)
-    return chan.H + model.sigma * np.exp2(-0.5 * b) * noise
+    return chan.H + model._error_std(bits) * noise

@@ -19,7 +19,6 @@ __all__ = [
     "zf_precoder",
     "distributed_precoder",
     "mask_from_sets",
-    "per_tx_power",
 ]
 
 DEFAULT_COND_THRESHOLD = 1e12
@@ -116,8 +115,3 @@ def mask_from_sets(sharing_sets: list[set[int]], k: int) -> np.ndarray:
     for j, kept in enumerate(sharing_sets):
         mask[j, sorted(kept)] = 1.0
     return mask
-
-
-def per_tx_power(prec: Precoder) -> np.ndarray:
-    """Transmit power spent by each TX: row sums of |T|^2."""
-    return np.sum(np.abs(prec.T) ** 2, axis=1)

@@ -10,6 +10,7 @@ from netmimo.channel import (
     pathloss_matrix,
     trial_rng,
 )
+from netmimo.allocation import distance_based
 from netmimo.topology import interference_levels, pairwise_distance, place_grid
 
 
@@ -122,6 +123,20 @@ def test_estimate_matched_bits_give_one_over_p():
         est = _estimate(chan, model, bits, rng)
         acc += np.abs(est - chan.H) ** 2
     np.testing.assert_allclose(acc[keep] / n, 1.0 / p, rtol=0.10)
+
+
+def test_estimate_same_for_readonly_and_writable_tables():
+    """A model computes a read-only table's error scale once; reusing it
+    must give the same estimate as a fresh writable copy of the table."""
+    d = pairwise_distance(place_grid(2))
+    model = pathloss_matrix(interference_levels(d, 0.6), 1e4)
+    chan = draw_channel(model, np.random.default_rng(9))
+    noise = complex_gaussian(np.random.default_rng(10), (4, 4, 4))
+    table = distance_based(d, 0.6, 1e4).bits
+    assert not table.flags.writeable
+    first = apply_estimate_noise(chan, model, table, noise)
+    np.testing.assert_array_equal(apply_estimate_noise(chan, model, table, noise), first)
+    np.testing.assert_array_equal(apply_estimate_noise(chan, model, table.copy(), noise), first)
 
 
 def test_estimates_independent_across_tx():

@@ -14,7 +14,6 @@ from netmimo.precoding import (
     IllConditionedError,
     distributed_precoder,
     mask_from_sets,
-    per_tx_power,
     zf_precoder,
 )
 from netmimo.allocation import distance_based
@@ -140,14 +139,19 @@ def test_mask_matches_radius_on_grid():
     np.testing.assert_array_equal(mask == 1.0, d <= cooperation_radius(gamma))
 
 
+def _row_power(prec):
+    """Transmit power spent by each TX: row sums of |T|^2."""
+    return np.sum(np.abs(prec.T) ** 2, axis=1)
+
+
 def test_per_tx_power_accounting():
     rng = np.random.default_rng(22)
     p = 36.0
     prec = zf_precoder(np.array([[2.0 + 0j]]), p)
-    np.testing.assert_allclose(per_tx_power(prec), [p], rtol=1e-12)
+    np.testing.assert_allclose(_row_power(prec), [p], rtol=1e-12)
     h = complex_gaussian(rng, (5, 5))
     prec5 = zf_precoder(h, p)
-    assert per_tx_power(prec5).sum() == pytest.approx(5 * p, rel=1e-12)
+    assert _row_power(prec5).sum() == pytest.approx(5 * p, rel=1e-12)
 
 
 def test_per_tx_power_near_perfect_most_trials():
@@ -166,8 +170,8 @@ def test_per_tx_power_near_perfect_most_trials():
         if np.linalg.cond(h) > 1e12:
             continue
         noise = complex_gaussian(trial_rng(23, t, PURPOSE_ESTIMATE), (16, 16, 16))
-        ref = per_tx_power(zf_precoder(h, p))
-        got = per_tx_power(distributed_precoder(h[None] + scale * noise, p))
+        ref = _row_power(zf_precoder(h, p))
+        got = _row_power(distributed_precoder(h[None] + scale * noise, p))
         ratio = got / ref
         ok += int(((ratio >= 0.5) & (ratio <= 2.0)).sum())
         total += 16
