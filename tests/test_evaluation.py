@@ -204,9 +204,9 @@ def test_topups_follow_rejection_limit():
 def test_rejection_just_over_limit_reports_attempts():
     rejected = evaluate_point(**_TOPUP_CASE, max_rejection_rate=0.5).rates[PolicySpec("perfect")].rejections
     attempted = 200 + rejected
-    just_under = (rejected - 0.5) / attempted
+    limit = (rejected - 0.5) / attempted  # just under the share this case rejects
     with pytest.raises(RejectionRateError) as info:
-        evaluate_point(**_TOPUP_CASE, max_rejection_rate=just_under)
+        evaluate_point(**_TOPUP_CASE, max_rejection_rate=limit)
     assert (info.value.rejected, info.value.attempted) == (rejected, attempted)
     assert f"{rejected} of {attempted} trials rejected" in str(info.value)
 
