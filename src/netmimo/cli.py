@@ -374,10 +374,17 @@ def parse_policy(token: str) -> PolicySpec:
     return PolicySpec(kind)
 
 
-def _worker_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -391,8 +398,8 @@ def _validated(parser: argparse.ArgumentParser, cfg: ExperimentConfig) -> Experi
 
 
 def _add_layout_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--grid-side", type=int, help="square grid side length")
-    sp.add_argument("--random-k", type=int, help="number of nodes placed uniformly at random")
+    sp.add_argument("--grid-side", type=_positive_int, help="square grid side length")
+    sp.add_argument("--random-k", type=_positive_int, help="number of nodes placed uniformly at random")
     sp.add_argument("--random-side", type=float, default=4.0, help="side of the random square")
     sp.add_argument("--layout-file", help="load node positions from a layout file")
 
@@ -452,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--trials", type=int)
     run_p.add_argument("--fit-points", type=int, dest="fit_points")
     run_p.add_argument("--data-mask", action="store_true", help="zero precoder entries beyond the cooperation radius")
-    run_p.add_argument("--workers", type=_worker_count, default=1)
+    run_p.add_argument("--workers", type=_positive_int, default=1)
     run_p.add_argument("--output")
     run_p.add_argument("--dump-channel", help="also dump one channel realization to this CSV")
     run_p.add_argument("--save-config", help="write the effective config JSON here and exit")
@@ -468,13 +475,13 @@ def main(argv: list[str] | None = None) -> int:
     sizes_p.add_argument("--export-bits", help="directory for per-policy (j,k,i,bits) CSV dumps")
 
     ver_p = sub.add_parser("verify", help="numerical verification suite")
-    ver_p.add_argument("--seed", type=int, default=7)
-    ver_p.add_argument("--trials", type=int, default=800)
+    ver_p.add_argument("--seed", type=_nonnegative_int, default=7)
+    ver_p.add_argument("--trials", type=_positive_int, default=800)
     ver_p.add_argument("--output", help="write the check table CSV here")
 
     lay_p = sub.add_parser("layout", help="emit or inspect node layouts")
     _add_layout_args(lay_p)
-    lay_p.add_argument("--seed", type=int, default=1)
+    lay_p.add_argument("--seed", type=_nonnegative_int, default=1)
     lay_p.add_argument("--gamma", type=float, default=0.6)
     lay_p.add_argument("--out", help="write the layout file here")
     lay_p.add_argument("--show", help="print a summary of an existing layout file")
@@ -484,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", type=int)
         p.add_argument("--trials", type=int)
         p.add_argument("--output")
-        p.add_argument("--workers", type=_worker_count, default=1)
+        p.add_argument("--workers", type=_positive_int, default=1)
 
     args = parser.parse_args(argv)
 

@@ -230,7 +230,16 @@ def _simulate_trials(
 
 def _block_call(payload):
     args, idx = payload
-    positions, gamma, p, bits_list, seed, cond_threshold, mask = args
+    positions, gamma, p, received, seed, cond_threshold, mask = args
+    # A pool worker unpickles each table as a writable array whose dtype object
+    # np.asarray(bits, dtype=float) only views, so the model's error-scale
+    # cache would miss on every trial. A read-only copy per chunk hits it.
+    bits_list = []
+    for bits in received:
+        if bits is not None:
+            bits = bits.astype(float)
+            bits.setflags(write=False)
+        bits_list.append(bits)
     return _simulate_trials(positions, gamma, p, bits_list, seed, idx, cond_threshold, mask)
 
 

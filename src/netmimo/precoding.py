@@ -4,6 +4,11 @@ The distributed precoder models transmitters that cannot exchange their
 channel estimates: TX j inverts its own estimate and applies only row j of
 the resulting matrix, so the rows of the effective precoder come from K
 inconsistent inversions of near-identical matrices.
+
+Every solve is gated by its 2-norm condition number kappa_2. The bound
+kappa_2 <= ||A||_F ||A^-1||_F, read from the inverse the precoder needs
+anyway, clears well-conditioned solves without an SVD; only the rest run
+np.linalg.cond.
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ DEFAULT_COND_THRESHOLD = 1e12
 
 
 class IllConditionedError(RuntimeError):
-    """A solve was rejected because the condition estimate crossed the threshold.
+    """A solve was rejected because its 2-norm condition number crossed the threshold.
 
+    cond is the largest kappa_2 of the rejected matrix or stack, as
+    np.linalg.cond computes it (inf for an exactly singular matrix).
     Callers are expected to resample the trial and count the rejection.
     """
 
@@ -40,26 +47,59 @@ class IllConditionedError(RuntimeError):
 class Precoder:
     """Precoding matrix T, rows indexed by transmitter, columns by user stream.
 
-    T is read-only; max_cond is the largest condition estimate among the
-    solves it was built from, all of which stayed within the threshold.
+    T is read-only. max_cond is the condition estimate the acceptance of its
+    solves rested on: the worst Frobenius bound kappa_F = ||A||_F ||A^-1||_F
+    when that bound cleared them, otherwise the worst 2-norm kappa_2. Either
+    way every solve had kappa_2 within the threshold, and kappa_2 <= kappa_F
+    <= K kappa_2.
     """
 
     T: np.ndarray
     max_cond: float
 
 
-def _checked_inverse(matrices: np.ndarray, cond_threshold: float) -> tuple[np.ndarray, float]:
-    """Inverses of one matrix or a stack, and the worst condition estimate.
+# Above about this condition number the computed inverse carries a relative
+# error near cond * eps, so ||A^-1||_F read from it no longer bounds the true
+# one and the SVD decides.
+_SCREEN_CAP = 1e10
+# The screen clears a solve only with this margin below the threshold, so
+# rounding in either estimate cannot flip a kappa_2 decision.
+_SCREEN_MARGIN = 4.0
 
-    Raises IllConditionedError before solving if any condition estimate is
-    non-finite or above the threshold; np.linalg.cond maps singular matrices
-    to inf without a warning. np.linalg.inv is an LU solve against the
-    identity, so its result equals solve(matrices, eye) bit for bit.
+
+def _checked_inverse(
+    matrices: np.ndarray, cond_threshold: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Inverses of one matrix or a stack, their column norms, and the worst
+    condition estimate.
+
+    A solve is rejected iff kappa_2 (np.linalg.cond) of some matrix is
+    non-finite or above the threshold, and IllConditionedError then carries
+    the worst kappa_2. The inverse is formed first: kappa_2 <= kappa_F =
+    ||A||_F ||A^-1||_F, so when every kappa_F lies a safe margin below the
+    threshold no kappa_2 can cross it and no SVD runs. Otherwise, or if the
+    LU factorization hits an exact zero pivot, np.linalg.cond decides.
+
+    np.linalg.inv is an LU solve against the identity, so its result equals
+    solve(matrices, eye) bit for bit. Column norms are taken over axis -2
+    exactly as np.linalg.norm(inverse, axis=-2) takes them.
     """
+    try:
+        inv = np.linalg.inv(matrices)
+    except np.linalg.LinAlgError:
+        inv = None  # an exact zero pivot
+    else:
+        col_sq = (inv.conj() * inv).real.sum(axis=-2)
+        a_sq = (matrices.conj() * matrices).real.sum(axis=(-2, -1))
+        kappa_f = math.sqrt(float((a_sq * col_sq.sum(axis=-1)).max()))
+        if kappa_f < min(cond_threshold, _SCREEN_CAP) / _SCREEN_MARGIN:
+            return inv, np.sqrt(col_sq), kappa_f
     worst = float(np.linalg.cond(matrices).max())
     if not math.isfinite(worst) or worst > cond_threshold:
         raise IllConditionedError(worst, cond_threshold)
-    return np.linalg.inv(matrices), worst
+    if inv is None:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return inv, np.sqrt(col_sq), worst
 
 
 def _readonly(t: np.ndarray) -> np.ndarray:
@@ -80,8 +120,8 @@ def zf_precoder(
         raise ValueError(f"estimate must be square, got shape {h.shape}")
     if p <= 0:
         raise ValueError(f"power must be > 0, got {p}")
-    inv_cols, cond = _checked_inverse(h, cond_threshold)
-    t = math.sqrt(p) * inv_cols / np.linalg.norm(inv_cols, axis=0, keepdims=True)
+    inv_cols, col_norms, cond = _checked_inverse(h, cond_threshold)
+    t = math.sqrt(p) * inv_cols / col_norms
     return Precoder(T=_readonly(t), max_cond=cond)
 
 
@@ -101,10 +141,10 @@ def distributed_precoder(
         raise ValueError(f"estimates must have shape (K, K, K), got {stack.shape}")
     if p <= 0:
         raise ValueError(f"power must be > 0, got {p}")
-    inv_cols, worst = _checked_inverse(stack, cond_threshold)
+    inv_cols, col_norms, worst = _checked_inverse(stack, cond_threshold)
     diag = np.arange(stack.shape[0])
-    col_norms = np.linalg.norm(inv_cols, axis=1)  # [j, i] = ||TX j's inverse, column i||
-    own_rows = inv_cols[diag, diag, :]            # [j, i] = row j of TX j's inverse
+    # col_norms[j, i] = ||TX j's inverse, column i||; own_rows[j, i] = row j of TX j's inverse
+    own_rows = inv_cols[diag, diag, :]
     t = math.sqrt(p) * own_rows / col_norms
     return Precoder(T=_readonly(t), max_cond=worst)
 

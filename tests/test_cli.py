@@ -83,6 +83,26 @@ def test_main_workers_must_be_positive(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+        (["verify", "--trials", "0"], "--trials: must be >= 1, got 0"),
+        (["layout", "--random-k", "4", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+        (["layout", "--random-k", "0"], "--random-k: must be >= 1, got 0"),
+        (["layout", "--grid-side", "0"], "--grid-side: must be >= 1, got 0"),
+    ],
+    ids=["verify-seed", "verify-trials", "layout-seed", "layout-random-k", "layout-grid-side"],
+)
+def test_main_bad_verify_and_layout_flags_are_usage_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--output" if argv[0] == "verify" else "--out", str(out)])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_policy_tokens():
     assert parse_policy("perfect") == PolicySpec("perfect")
     assert parse_policy("distance:0.75") == PolicySpec("distance", alpha=0.75)

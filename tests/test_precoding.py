@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmimo.channel import (
     PURPOSE_CHANNEL,
@@ -110,6 +114,69 @@ def test_ill_conditioned_raises():
         distributed_precoder(stack, 10.0)
     with pytest.raises(IllConditionedError):
         zf_precoder(good, 10.0, cond_threshold=1e-3)
+
+
+def _condition_first_t(a, p, thr):
+    """T as the SVD-first check built it: np.linalg.cond, then inv, then the
+    column norms; None where that check rejected the solve."""
+    worst = float(np.linalg.cond(a).max())
+    if not math.isfinite(worst) or worst > thr:
+        return None
+    inv = np.linalg.inv(a)
+    if a.ndim == 2:
+        return math.sqrt(p) * inv / np.linalg.norm(inv, axis=0, keepdims=True)
+    diag = np.arange(a.shape[0])
+    return math.sqrt(p) * inv[diag, diag, :] / np.linalg.norm(inv, axis=1)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 8),
+    stacked=st.booleans(),
+    decades=st.integers(0, 17),
+)
+def test_screen_keeps_condition_number_decisions(seed, k, stacked, decades):
+    """Rejection is kappa_2 > threshold, whether or not the kappa_F screen
+    cleared the solve, and accepted T is byte-identical to the SVD-first T."""
+    rng = np.random.default_rng(seed)
+    a = complex_gaussian(rng, (k, k, k) if stacked else (k, k))
+    u, _, vh = np.linalg.svd(a)
+    a = (u * np.logspace(0, -decades, k)) @ vh  # singular values over `decades` decades
+    kappa_2 = float(np.linalg.cond(a).max())
+    inv_f = np.linalg.norm(np.linalg.inv(a), axis=(-2, -1))
+    kappa_f = float((np.linalg.norm(a, axis=(-2, -1)) * inv_f).max())
+    precode = distributed_precoder if stacked else zf_precoder
+    p = 10.0
+    for thr in (
+        kappa_2 * (1 - 1e-6),
+        kappa_2 * (1 + 1e-6),
+        4 * kappa_f * (1 - 1e-6),
+        4 * kappa_f * (1 + 1e-6),
+        1e12,
+    ):
+        expected = _condition_first_t(a, p, thr)
+        if expected is None:
+            with pytest.raises(IllConditionedError) as info:
+                precode(a, p, thr)
+            assert info.value.cond == kappa_2
+            continue
+        prec = precode(a, p, thr)
+        assert prec.T.tobytes() == expected.tobytes()
+        # kappa_2 <= kappa_F <= K kappa_2, up to rounding of order K kappa eps
+        # in either computed value; the screen only clears kappa_F < 2.5e9.
+        assert kappa_2 * (1 - 1e-4) <= prec.max_cond <= k * kappa_2 * (1 + 1e-4)
+
+
+def test_exactly_singular_reports_infinite_condition():
+    singular = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(IllConditionedError) as info:
+        zf_precoder(singular, 10.0)
+    assert info.value.cond == math.inf
+    good = np.eye(2, dtype=complex)
+    with pytest.raises(IllConditionedError) as info:
+        distributed_precoder(np.stack([good, singular]), 10.0, cond_threshold=math.inf)
+    assert info.value.cond == math.inf
 
 
 def test_input_validation():
