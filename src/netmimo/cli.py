@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,15 +145,14 @@ def compute_size_table(
     no finite size and is skipped.
     """
     rows = []
-    dist = pairwise_distance(layout)
-    levels = interference_levels(dist, gamma)
-    specs = [PolicySpec("conventional")]
-    specs += [s for s in policies if s.kind not in ("perfect", "conventional")]
+    levels = interference_levels(pairwise_distance(layout), gamma)
+    specs = [s for s in policies if s.kind not in ("perfect", "conventional")]
     for db in snr_db:
         p = db_to_linear(db)
         ref = allocation_size(conventional(levels, p), p)
-        for spec in specs:
-            size = allocation_size(build_allocation(spec, layout, gamma, p), p)
+        sizes = [(PolicySpec("conventional"), ref)]
+        sizes += [(s, allocation_size(build_allocation(s, layout, gamma, p), p)) for s in specs]
+        for spec, size in sizes:
             rows.append(
                 {
                     "policy": spec.kind,
@@ -397,47 +396,22 @@ def _validated(parser: argparse.ArgumentParser, cfg: ExperimentConfig) -> Experi
     return cfg
 
 
-def _add_layout_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--grid-side", type=_positive_int, help="square grid side length")
-    sp.add_argument("--random-k", type=_positive_int, help="number of nodes placed uniformly at random")
-    sp.add_argument("--random-side", type=float, default=4.0, help="side of the random square")
-    sp.add_argument("--layout-file", help="load node positions from a layout file")
+_CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
-def _layout_from_args(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
-    if args.layout_file:
-        cfg.layout_kind = "file"
-        cfg.layout_path = args.layout_file
-    elif args.random_k:
-        cfg.layout_kind = "random"
-        cfg.random_k = args.random_k
-        cfg.random_side = args.random_side
-    elif args.grid_side:
-        cfg.layout_kind = "grid"
-        cfg.grid_side = args.grid_side
+def _config_from_args(base: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
+    """base with every flag given applied on top of it.
 
-
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-    elif getattr(args, "from_metadata", None):
-        meta = json.loads(Path(args.from_metadata).read_text())
-        cfg = ExperimentConfig.from_dict(meta["config"])
-    else:
-        cfg = ExperimentConfig()
-        _layout_from_args(cfg, args)
-        if args.policies:
-            cfg.policies = [parse_policy(t) for t in args.policies]
-    # Flag overrides apply on top of any config file.
-    for name in ("seed", "gamma", "trials", "fit_points", "output"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "snr_db", None):
-        cfg.snr_db = [float(s) for s in args.snr_db]
-    if getattr(args, "data_mask", False):
-        cfg.data_mask = True
-    return cfg
+    A flag whose destination names a config field sets that field; flags
+    not given are None and leave the base alone. The layout flags also set
+    the layout kind, --layout-file before --random-k before --grid-side.
+    """
+    given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None}
+    for flag, kind in (("layout_path", "file"), ("random_k", "random"), ("grid_side", "grid")):
+        if flag in given:
+            given["layout_kind"] = kind
+            break
+    return replace(base, **given)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -448,29 +422,42 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--version", action="version", version=f"netmimo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a rate experiment")
-    run_p.add_argument("--config", help="JSON experiment config")
+    # Flags shared by several subcommands, declared once. Every flag that
+    # feeds the config defaults to None, so only the flags given override it.
+    seed_args = argparse.ArgumentParser(add_help=False)
+    seed_args.add_argument("--seed", type=int)
+    layout_args = argparse.ArgumentParser(add_help=False)
+    layout_args.add_argument("--grid-side", type=_positive_int, help="square grid side length")
+    layout_args.add_argument("--random-k", type=_positive_int, help="number of nodes placed uniformly at random")
+    layout_args.add_argument("--random-side", type=float, help="side of the random square")
+    layout_args.add_argument(
+        "--layout-file", dest="layout_path", metavar="LAYOUT_FILE", help="load node positions from a layout file"
+    )
+    model_args = argparse.ArgumentParser(add_help=False)
+    model_args.add_argument("--config", help="JSON experiment config")
+    model_args.add_argument(
+        "--policies", nargs="+", type=parse_policy, help="policy specs, e.g. perfect distance:1.25 cluster:4"
+    )
+    model_args.add_argument("--gamma", type=float)
+    model_args.add_argument("--snr-db", nargs="+", type=float)
+    run_args = argparse.ArgumentParser(add_help=False)
+    run_args.add_argument("--trials", type=int)
+    run_args.add_argument("--output")
+    run_args.add_argument("--workers", type=_positive_int, default=1)
+
+    run_p = sub.add_parser(
+        "run", parents=[seed_args, layout_args, model_args, run_args], help="run a rate experiment"
+    )
     run_p.add_argument("--from-metadata", help="re-run the config embedded in a metadata.json")
-    _add_layout_args(run_p)
-    run_p.add_argument("--policies", nargs="+", help="policy specs, e.g. perfect distance:1.25 cluster:4")
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--gamma", type=float)
-    run_p.add_argument("--snr-db", nargs="+", type=float)
-    run_p.add_argument("--trials", type=int)
-    run_p.add_argument("--fit-points", type=int, dest="fit_points")
-    run_p.add_argument("--data-mask", action="store_true", help="zero precoder entries beyond the cooperation radius")
-    run_p.add_argument("--workers", type=_positive_int, default=1)
-    run_p.add_argument("--output")
+    run_p.add_argument("--fit-points", type=int)
+    run_p.add_argument(
+        "--data-mask", action="store_true", default=None,
+        help="zero precoder entries beyond the cooperation radius",
+    )
     run_p.add_argument("--dump-channel", help="also dump one channel realization to this CSV")
     run_p.add_argument("--save-config", help="write the effective config JSON here and exit")
 
-    sizes_p = sub.add_parser("sizes", help="allocation size table")
-    sizes_p.add_argument("--config", help="JSON experiment config")
-    _add_layout_args(sizes_p)
-    sizes_p.add_argument("--policies", nargs="+")
-    sizes_p.add_argument("--seed", type=int)
-    sizes_p.add_argument("--gamma", type=float)
-    sizes_p.add_argument("--snr-db", nargs="+", type=float)
+    sizes_p = sub.add_parser("sizes", parents=[seed_args, layout_args, model_args], help="allocation size table")
     sizes_p.add_argument("--output", help="write the table CSV here instead of stdout")
     sizes_p.add_argument("--export-bits", help="directory for per-policy (j,k,i,bits) CSV dumps")
 
@@ -479,41 +466,16 @@ def main(argv: list[str] | None = None) -> int:
     ver_p.add_argument("--trials", type=_positive_int, default=800)
     ver_p.add_argument("--output", help="write the check table CSV here")
 
-    lay_p = sub.add_parser("layout", help="emit or inspect node layouts")
-    _add_layout_args(lay_p)
-    lay_p.add_argument("--seed", type=_nonnegative_int, default=1)
-    lay_p.add_argument("--gamma", type=float, default=0.6)
+    lay_p = sub.add_parser("layout", parents=[layout_args], help="emit or inspect node layouts")
+    lay_p.add_argument("--seed", type=_nonnegative_int, help="seed of a random layout (default 1)")
+    lay_p.add_argument("--gamma", type=float, help="gamma for --show (default 0.6)")
     lay_p.add_argument("--out", help="write the layout file here")
     lay_p.add_argument("--show", help="print a summary of an existing layout file")
 
-    for name in _PRESETS:
-        p = sub.add_parser(name, help=f"preset: {_PRESETS[name].__doc__.splitlines()[0]}")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--output")
-        p.add_argument("--workers", type=_positive_int, default=1)
+    for name, factory in _PRESETS.items():
+        sub.add_parser(name, parents=[seed_args, run_args], help=f"preset: {factory.__doc__.splitlines()[0]}")
 
     args = parser.parse_args(argv)
-
-    if args.command == "run":
-        cfg = _validated(parser, _config_from_args(args))
-        if args.save_config:
-            Path(args.save_config).write_text(cfg.to_json() + "\n")
-            return 0
-        return _cmd_run(cfg, args.workers, args.dump_channel)
-
-    if args.command == "sizes":
-        cfg = _validated(parser, _config_from_args(args))
-        layout = resolve_layout(cfg)
-        rows = compute_size_table(layout, cfg.gamma, cfg.policies, cfg.snr_db)
-        text = _size_table_csv(rows)
-        if args.output:
-            Path(args.output).write_text(text)
-        else:
-            sys.stdout.write(text)
-        if args.export_bits:
-            _export_bits(cfg, layout, Path(args.export_bits))
-        return 0
 
     if args.command == "verify":
         results = run_verification(seed=args.seed, trials=args.trials)
@@ -531,12 +493,31 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_layout(args)
 
     if args.command in _PRESETS:
-        kwargs = {k: v for k, v in (("seed", args.seed), ("trials", args.trials), ("output", args.output)) if v is not None}
-        cfg = _validated(parser, _PRESETS[args.command](**kwargs))
-        return _cmd_run(cfg, args.workers, None)
+        base = _PRESETS[args.command]()
+    elif args.config:
+        base = ExperimentConfig.from_json(Path(args.config).read_text())
+    elif args.command == "run" and args.from_metadata:
+        base = ExperimentConfig.from_dict(json.loads(Path(args.from_metadata).read_text())["config"])
+    else:
+        base = ExperimentConfig()
+    cfg = _validated(parser, _config_from_args(base, args))
 
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    if args.command == "sizes":
+        layout = resolve_layout(cfg)
+        text = _size_table_csv(compute_size_table(layout, cfg.gamma, cfg.policies, cfg.snr_db))
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
+        if args.export_bits:
+            _export_bits(cfg, layout, Path(args.export_bits))
+        return 0
+    if args.command in _PRESETS:
+        return _cmd_run(cfg, args.workers, None)
+    if args.save_config:
+        Path(args.save_config).write_text(cfg.to_json() + "\n")
+        return 0
+    return _cmd_run(cfg, args.workers, args.dump_channel)
 
 
 def _cmd_run(cfg: ExperimentConfig, workers: int, dump_channel: str | None) -> int:
@@ -579,6 +560,7 @@ def _export_bits(cfg: ExperimentConfig, layout: NodeLayout, outdir: Path) -> Non
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
+    cfg = _config_from_args(ExperimentConfig(), args)
     if args.show:
         layout = load_layout(args.show)
         dist = pairwise_distance(layout)
@@ -589,27 +571,20 @@ def _cmd_layout(args: argparse.Namespace) -> int:
         if off.size:
             print(f"pair distance: min {off.min():.4g} max {off.max():.4g}")
         try:
-            d0 = cooperation_radius(args.gamma)
-            sizes = [len(s) for s in data_sharing_sets(layout, args.gamma)]
-            print(f"cooperation radius at gamma {args.gamma:g}: {d0:g}; "
+            d0 = cooperation_radius(cfg.gamma)
+            sizes = [len(s) for s in data_sharing_sets(layout, cfg.gamma)]
+            print(f"cooperation radius at gamma {cfg.gamma:g}: {d0:g}; "
                   f"sharing set sizes min {min(sizes)} max {max(sizes)}")
         except ValueError:
             pass
         return 0
-    if args.layout_file:
-        layout = load_layout(args.layout_file)
-    elif args.random_k:
-        layout = place_uniform_random(
-            args.random_k, args.random_side, trial_rng(args.seed, 0, PURPOSE_LAYOUT)
-        )
-    elif args.grid_side:
-        layout = place_grid(args.grid_side)
-    else:
+    if not (args.layout_path or args.random_k or args.grid_side):
         print("error: nothing to emit, pass --grid-side or --random-k or --layout-file", file=sys.stderr)
         return 2
     if not args.out:
         print("error: --out is required to emit a layout", file=sys.stderr)
         return 2
+    layout = resolve_layout(cfg)
     save_layout(layout, args.out)
     print(f"wrote {args.out} ({layout.K} nodes)")
     return 0

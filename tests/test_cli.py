@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from netmimo.allocation import PolicySpec
+from netmimo.allocation import PolicySpec, build_allocation
 from netmimo.cli import (
     ExperimentConfig,
     compute_size_table,
@@ -300,3 +300,75 @@ def test_preset_subcommand_runs(tmp_path):
     meta = json.loads((out / "metadata.json").read_text())
     assert len(meta["sizes"]) > 0
     assert "dof" in meta
+
+
+def test_flags_override_a_config_file(tmp_path):
+    base = tmp_path / "base.json"
+    base.write_text(_tiny_config(tmp_path / "out").to_json())
+    saved = tmp_path / "saved.json"
+    rc = main(
+        [
+            "run", "--config", str(base), "--grid-side", "3", "--policies", "distance", "zero",
+            "--trials", "7", "--save-config", str(saved),
+        ]
+    )
+    assert rc == 0
+    cfg = ExperimentConfig.from_json(saved.read_text())
+    assert (cfg.layout_kind, cfg.grid_side, cfg.trials) == ("grid", 3, 7)
+    assert cfg.policies == [PolicySpec("distance"), PolicySpec("zero")]
+    assert cfg.seed == 77 and cfg.snr_db == [30.0, 50.0]
+
+
+def test_random_k_keeps_the_config_random_side(tmp_path):
+    base = tmp_path / "base.json"
+    base.write_text(_tiny_config("out", layout_kind="random", random_k=6, random_side=6.5).to_json())
+    saved = tmp_path / "saved.json"
+    assert main(["run", "--config", str(base), "--random-k", "5", "--save-config", str(saved)]) == 0
+    cfg = ExperimentConfig.from_json(saved.read_text())
+    assert (cfg.layout_kind, cfg.random_k, cfg.random_side) == ("random", 5, 6.5)
+
+
+@pytest.mark.parametrize(
+    "flags, fields",
+    [
+        (["--grid-side", "3"], {"layout_kind": "grid", "grid_side": 3}),
+        (["--random-k", "6", "--random-side", "2.5", "--seed", "9"],
+         {"layout_kind": "random", "random_k": 6, "random_side": 2.5, "seed": 9}),
+        (["--layout-file", "{src}"], {"layout_kind": "file", "layout_path": "{src}"}),
+    ],
+    ids=["grid", "random", "file"],
+)
+def test_layout_emits_resolve_layout_of_the_same_config(tmp_path, capsys, flags, fields):
+    src = tmp_path / "src.txt"
+    src.write_text("0.25 1\n3 0.5\n1.125 2\n")
+    fields = {k: v.format(src=src) if isinstance(v, str) else v for k, v in fields.items()}
+    flags = [f.format(src=src) for f in flags]
+    out = tmp_path / "emitted.txt"
+    assert main(["layout", *flags, "--out", str(out)]) == 0
+    expected = resolve_layout(ExperimentConfig(**fields))
+    np.testing.assert_array_equal(load_layout(out).positions, expected.positions)
+
+
+def test_preset_subcommand_equals_run_experiment(tmp_path):
+    cli_out = tmp_path / "cli"
+    assert main(["fig2-desk", "--seed", "5", "--trials", "2", "--output", str(cli_out)]) == 0
+    api_out = tmp_path / "api"
+    run_experiment(fig2_desk_config(seed=5, trials=2, output=str(api_out)))
+    assert (cli_out / "rates.csv").read_bytes() == (api_out / "rates.csv").read_bytes()
+
+
+def test_size_table_builds_each_policy_table_once(monkeypatch):
+    import netmimo.cli as cli
+
+    calls = []
+
+    def counting_build(spec, *args):
+        calls.append(spec)
+        return build_allocation(spec, *args)
+
+    monkeypatch.setattr(cli, "build_allocation", counting_build)
+    policies = [PolicySpec("perfect"), PolicySpec("conventional"), PolicySpec("distance"), PolicySpec("uniform")]
+    snr_db = [30.0, 50.0, 70.0]
+    rows = compute_size_table(place_grid(2), 0.6, policies, snr_db)
+    assert calls == [PolicySpec("distance"), PolicySpec("uniform")] * len(snr_db)
+    assert [r["policy"] for r in rows] == ["conventional", "distance", "uniform"] * len(snr_db)
