@@ -255,6 +255,8 @@ class PolicySpec:
             raise ValueError(f"unknown policy kind {self.kind!r}, expected one of {POLICY_KINDS}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if self.cluster_size < 1 or isqrt(int(self.cluster_size)) ** 2 != self.cluster_size:
+            raise ValueError(f"cluster_size must be a positive perfect square, got {self.cluster_size}")
         if self.uniform_support not in ("all", "conventional"):
             raise ValueError(f"uniform_support must be 'all' or 'conventional', got {self.uniform_support!r}")
 

@@ -31,6 +31,7 @@ from .topology import (
     NodeLayout,
     cooperation_radius,
     data_sharing_sets,
+    format_layout,
     interference_levels,
     load_layout,
     pairwise_distance,
@@ -96,6 +97,9 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.policies:
             raise ValueError("at least one policy is required")
+        for i, spec in enumerate(self.policies):
+            if spec in self.policies[:i]:
+                raise ValueError(f"policies must be distinct, got {spec.label()} twice")
         if self.fit_points < 2:
             raise ValueError(f"fit_points must be >= 2, got {self.fit_points}")
         if not self.cond_threshold > 0.0:
@@ -145,14 +149,18 @@ def compute_size_table(
     no finite size and is skipped.
     """
     rows = []
-    levels = interference_levels(pairwise_distance(layout), gamma)
-    specs = [s for s in policies if s.kind not in ("perfect", "conventional")]
+    dist = pairwise_distance(layout)
+    levels = interference_levels(dist, gamma)
+    specs = [PolicySpec("conventional")]
+    specs += [s for s in policies if s.kind not in ("perfect", "conventional")]
     for db in snr_db:
         p = db_to_linear(db)
         ref = allocation_size(conventional(levels, p), p)
-        sizes = [(PolicySpec("conventional"), ref)]
-        sizes += [(s, allocation_size(build_allocation(s, layout, gamma, p), p)) for s in specs]
-        for spec, size in sizes:
+        for spec in specs:
+            if spec.kind == "conventional":  # the reference table itself
+                size = ref
+            else:
+                size = allocation_size(build_allocation(spec, layout, gamma, p), p)
             rows.append(
                 {
                     "policy": spec.kind,
@@ -216,11 +224,12 @@ def _rates_csv(result: ExperimentResult, policies: list[PolicySpec]) -> str:
 def run_experiment(
     config: ExperimentConfig, workers: int = 1, dump_channel: str | None = None
 ) -> ExperimentResult:
-    """Run a config end to end and write rates.csv, metadata.json, layout.txt.
+    """Run a config end to end and write rates.csv, metadata.json, layout.txt
+    (and the channel dump, if asked for).
 
-    All outputs are assembled in memory first, so a failing run writes
-    nothing. The metadata embeds the config and suffices to re-run the
-    experiment exactly.
+    All outputs are assembled in memory and written together by _write_all,
+    so a failing run writes no file. The metadata embeds the config and
+    suffices to re-run the experiment exactly.
     """
     config.validate()
     layout = resolve_layout(config)
@@ -266,24 +275,49 @@ def run_experiment(
     }
 
     out = Path(config.output)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "rates.csv").write_text(csv_text)
-    (out / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
-    save_layout(layout, out / "layout.txt")
+    files = {
+        out / "rates.csv": csv_text,
+        out / "metadata.json": json.dumps(metadata, indent=2, sort_keys=True) + "\n",
+        out / "layout.txt": format_layout(layout),
+    }
     if dump_channel:
-        p = db_to_linear(config.snr_db[0])
-        model = pathloss_matrix(
-            interference_levels(pairwise_distance(layout), config.gamma), p
-        )
-        chan = draw_channel(model, trial_rng(config.seed, 0, PURPOSE_CHANNEL))
-        lines = ["rx,tx,re,im"]
-        for k in range(layout.K):
-            for i in range(layout.K):
-                lines.append(
-                    f"{k + 1},{i + 1},{chan.H[k, i].real:.17g},{chan.H[k, i].imag:.17g}"
-                )
-        Path(dump_channel).write_text("\n".join(lines) + "\n")
+        files[Path(dump_channel)] = _channel_csv(config, layout)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_all(files)
     return result
+
+
+def _channel_csv(config: ExperimentConfig, layout: NodeLayout) -> str:
+    """The trial-0 channel draw at the first SNR point, one (rx, tx) entry per row."""
+    p = db_to_linear(config.snr_db[0])
+    model = pathloss_matrix(interference_levels(pairwise_distance(layout), config.gamma), p)
+    chan = draw_channel(model, trial_rng(config.seed, 0, PURPOSE_CHANNEL))
+    lines = ["rx,tx,re,im"]
+    for k in range(layout.K):
+        for i in range(layout.K):
+            lines.append(f"{k + 1},{i + 1},{chan.H[k, i].real:.17g},{chan.H[k, i].imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def _write_all(files: dict[Path, str]) -> None:
+    """Write every file or none of them.
+
+    Each text goes to a temporary sibling first; the temporaries replace
+    their targets only after every write succeeded, and a failed write
+    removes them all.
+    """
+    temps = {path: path.with_name(f".{path.name}.tmp") for path in files}
+    try:
+        for path, text in files.items():
+            temps[path].write_text(text)
+    except BaseException as exc:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
+    for path, tmp in temps.items():
+        tmp.replace(path)
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +526,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "layout":
         return _cmd_layout(args)
 
+    meta = None
     if args.command in _PRESETS:
         base = _PRESETS[args.command]()
     elif args.config:
         base = ExperimentConfig.from_json(Path(args.config).read_text())
     elif args.command == "run" and args.from_metadata:
-        base = ExperimentConfig.from_dict(json.loads(Path(args.from_metadata).read_text())["config"])
+        meta = json.loads(Path(args.from_metadata).read_text())
+        base = ExperimentConfig.from_dict(meta["config"])
     else:
         base = ExperimentConfig()
     cfg = _validated(parser, _config_from_args(base, args))
@@ -514,16 +550,29 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command in _PRESETS:
         return _cmd_run(cfg, args.workers, None)
+    if meta is not None and args.layout_path is None and cfg.layout_kind == "file":
+        _check_rerun_layout(parser, cfg.layout_path, meta, args.from_metadata)
     if args.save_config:
         Path(args.save_config).write_text(cfg.to_json() + "\n")
         return 0
     return _cmd_run(cfg, args.workers, args.dump_channel)
 
 
+def _check_rerun_layout(parser: argparse.ArgumentParser, path: str, meta: dict, meta_path: str) -> None:
+    """Exit with a usage error unless the layout file still holds exactly the
+    positions the metadata recorded (save_layout writes them bit-exact)."""
+    try:
+        positions = load_layout(path).positions
+    except (OSError, ValueError) as exc:
+        parser.error(f"--from-metadata: cannot load layout file {path}: {exc}")
+    if not np.array_equal(positions, np.asarray(meta["layout_positions"])):
+        parser.error(f"--from-metadata: layout file {path} differs from the layout_positions in {meta_path}")
+
+
 def _cmd_run(cfg: ExperimentConfig, workers: int, dump_channel: str | None) -> int:
     try:
         result = run_experiment(cfg, workers=workers, dump_channel=dump_channel)
-    except RejectionRateError as exc:
+    except (RejectionRateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for spec in cfg.policies:

@@ -25,6 +25,7 @@ __all__ = [
     "cooperation_radius",
     "data_sharing_sets",
     "grid_side",
+    "format_layout",
     "save_layout",
     "load_layout",
 ]
@@ -161,10 +162,15 @@ def grid_side(layout: NodeLayout) -> int | None:
     return None
 
 
+def format_layout(layout: NodeLayout) -> str:
+    """One `x y` pair per line, exact to the bit; the 1-based line number is
+    the node index."""
+    return "".join(f"{x:.17g} {y:.17g}\n" for x, y in layout.positions)
+
+
 def save_layout(layout: NodeLayout, path: str | Path) -> None:
-    """Write one `x y` pair per line; the 1-based line number is the node index."""
-    lines = [f"{x:.17g} {y:.17g}" for x, y in layout.positions]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write format_layout(layout) to path."""
+    Path(path).write_text(format_layout(layout))
 
 
 def load_layout(path: str | Path) -> NodeLayout:

@@ -328,25 +328,21 @@ def test_random_k_keeps_the_config_random_side(tmp_path):
     assert (cfg.layout_kind, cfg.random_k, cfg.random_side) == ("random", 5, 6.5)
 
 
-@pytest.mark.parametrize(
-    "flags, fields",
-    [
-        (["--grid-side", "3"], {"layout_kind": "grid", "grid_side": 3}),
-        (["--random-k", "6", "--random-side", "2.5", "--seed", "9"],
-         {"layout_kind": "random", "random_k": 6, "random_side": 2.5, "seed": 9}),
-        (["--layout-file", "{src}"], {"layout_kind": "file", "layout_path": "{src}"}),
-    ],
-    ids=["grid", "random", "file"],
-)
-def test_layout_emits_resolve_layout_of_the_same_config(tmp_path, capsys, flags, fields):
+@pytest.mark.parametrize("kind", ["grid", "random", "file"])
+def test_layout_emits_resolve_layout_of_the_same_config(tmp_path, kind):
     src = tmp_path / "src.txt"
     src.write_text("0.25 1\n3 0.5\n1.125 2\n")
-    fields = {k: v.format(src=src) if isinstance(v, str) else v for k, v in fields.items()}
-    flags = [f.format(src=src) for f in flags]
+    flags, cfg = {
+        "grid": (["--grid-side", "3"], ExperimentConfig(grid_side=3)),
+        "random": (
+            ["--random-k", "6", "--random-side", "2.5", "--seed", "9"],
+            ExperimentConfig(layout_kind="random", random_k=6, random_side=2.5, seed=9),
+        ),
+        "file": (["--layout-file", str(src)], ExperimentConfig(layout_kind="file", layout_path=str(src))),
+    }[kind]
     out = tmp_path / "emitted.txt"
     assert main(["layout", *flags, "--out", str(out)]) == 0
-    expected = resolve_layout(ExperimentConfig(**fields))
-    np.testing.assert_array_equal(load_layout(out).positions, expected.positions)
+    np.testing.assert_array_equal(load_layout(out).positions, resolve_layout(cfg).positions)
 
 
 def test_preset_subcommand_equals_run_experiment(tmp_path):
@@ -358,17 +354,77 @@ def test_preset_subcommand_equals_run_experiment(tmp_path):
 
 
 def test_size_table_builds_each_policy_table_once(monkeypatch):
-    import netmimo.cli as cli
-
     calls = []
 
     def counting_build(spec, *args):
         calls.append(spec)
         return build_allocation(spec, *args)
 
-    monkeypatch.setattr(cli, "build_allocation", counting_build)
+    monkeypatch.setattr("netmimo.cli.build_allocation", counting_build)
     policies = [PolicySpec("perfect"), PolicySpec("conventional"), PolicySpec("distance"), PolicySpec("uniform")]
     snr_db = [30.0, 50.0, 70.0]
     rows = compute_size_table(place_grid(2), 0.6, policies, snr_db)
     assert calls == [PolicySpec("distance"), PolicySpec("uniform")] * len(snr_db)
     assert [r["policy"] for r in rows] == ["conventional", "distance", "uniform"] * len(snr_db)
+
+
+def test_failed_run_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["run", "--grid-side", "2", "--trials", "5", "--snr-db", "30", "--output", str(out)]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    missing = tmp_path / "missing" / "x.csv"
+    assert main(argv + ["--seed", "2", "--dump-channel", str(missing)]) == 2
+    assert f"error: [Errno 2] No such file or directory: '{missing}'" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # Rerunning into the existing directory replaces every file and leaves no temporary behind.
+    assert main(argv + ["--seed", "2", "--dump-channel", str(tmp_path / "chan.csv")]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["layout.txt", "metadata.json", "rates.csv"]
+    assert (out / "rates.csv").read_bytes() != before["rates.csv"]
+    assert (tmp_path / "chan.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "tokens, message",
+    [
+        (["nearest"], "argument --policies: invalid parse_policy value: 'nearest'"),
+        (["distance:-1"], "argument --policies: invalid parse_policy value: 'distance:-1'"),
+        (["cluster:3"], "argument --policies: invalid parse_policy value: 'cluster:3'"),
+        (["perfect", "perfect"], "policies must be distinct, got perfect twice"),
+    ],
+    ids=["unknown-kind", "negative-alpha", "cluster-not-square", "duplicate"],
+)
+def test_bad_policies_are_usage_errors(tmp_path, capsys, tokens, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--grid-side", "2", "--trials", "5", "--output", str(out), "--policies", *tokens])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change", ["keep", "edit", "delete", "override"])
+def test_from_metadata_checks_its_layout_file(tmp_path, capsys, change):
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("0.1 0.7\n1.3 0.2\n0.4 1.9\n")
+    first = tmp_path / "first"
+    argv = ["run", "--layout-file", str(nodes), "--trials", "3", "--snr-db", "30", "--output", str(first)]
+    assert main(argv) == 0
+    if change == "edit":  # one ulp away from 1.9
+        nodes.write_text("0.1 0.7\n1.3 0.2\n0.4 1.9000000000000001\n")
+    elif change in ("delete", "override"):
+        nodes.unlink()
+    rerun = tmp_path / "rerun"
+    argv = ["run", "--from-metadata", str(first / "metadata.json"), "--output", str(rerun)]
+    if change == "override":
+        argv += ["--grid-side", "2"]
+    if change in ("keep", "override"):
+        assert main(argv) == 0
+        if change == "keep":
+            assert (rerun / "rates.csv").read_bytes() == (first / "rates.csv").read_bytes()
+        return
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"layout file {nodes}" in capsys.readouterr().err
+    assert not rerun.exists()
