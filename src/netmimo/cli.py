@@ -9,6 +9,7 @@ worker count. Nothing is written unless the whole run succeeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocation import PolicySpec, allocation_size, build_allocation, conventional
+from .allocation import PolicySpec, allocation_size, build_allocation, clustered_matched, conventional
 from .channel import PURPOSE_CHANNEL, PURPOSE_LAYOUT, draw_channel, pathloss_matrix, trial_rng
 from .evaluation import (
     ExperimentResult,
@@ -228,8 +229,9 @@ def run_experiment(
     (and the channel dump, if asked for).
 
     All outputs are assembled in memory and written together by _write_all,
-    so a failing run writes no file. The metadata embeds the config and
-    suffices to re-run the experiment exactly.
+    so a failing run writes no file, and output directories it created are
+    removed again. The metadata embeds the config and suffices to re-run the
+    experiment exactly.
     """
     config.validate()
     layout = resolve_layout(config)
@@ -282,8 +284,15 @@ def run_experiment(
     }
     if dump_channel:
         files[Path(dump_channel)] = _channel_csv(config, layout)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_all(files)
+    new_dirs = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_all(files)
+    except BaseException:
+        for d in new_dirs:
+            with contextlib.suppress(OSError):  # rmdir removes only empty directories
+                d.rmdir()
+        raise
     return result
 
 
@@ -530,16 +539,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in _PRESETS:
         base = _PRESETS[args.command]()
     elif args.config:
-        base = ExperimentConfig.from_json(Path(args.config).read_text())
+        base = _read_input(parser, "--config", args.config, ExperimentConfig.from_json)
     elif args.command == "run" and args.from_metadata:
-        meta = json.loads(Path(args.from_metadata).read_text())
+        meta = _read_input(parser, "--from-metadata", args.from_metadata, json.loads)
         base = ExperimentConfig.from_dict(meta["config"])
     else:
         base = ExperimentConfig()
     cfg = _validated(parser, _config_from_args(base, args))
 
     if args.command == "sizes":
-        layout = resolve_layout(cfg)
+        layout = _resolved_layout(parser, cfg)
         text = _size_table_csv(compute_size_table(layout, cfg.gamma, cfg.policies, cfg.snr_db))
         if args.output:
             Path(args.output).write_text(text)
@@ -555,7 +564,33 @@ def main(argv: list[str] | None = None) -> int:
     if args.save_config:
         Path(args.save_config).write_text(cfg.to_json() + "\n")
         return 0
+    _resolved_layout(parser, cfg)
     return _cmd_run(cfg, args.workers, args.dump_channel)
+
+
+def _read_input(parser: argparse.ArgumentParser, flag: str, path: str, parse):
+    """parse(text of the file at path), or exit with a usage error naming the
+    flag and the file."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        parser.error(f"{flag}: cannot read {path}: {exc}")
+
+
+def _resolved_layout(parser: argparse.ArgumentParser, cfg: ExperimentConfig) -> NodeLayout:
+    """The config's layout, or exit with a usage error if its file cannot be
+    loaded or a cluster policy does not fit it; checked before any trial."""
+    try:
+        layout = resolve_layout(cfg)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot load layout file {cfg.layout_path}: {exc}")
+    for spec in cfg.policies:
+        if spec.kind == "cluster":
+            try:
+                clustered_matched(0.0, layout, spec.cluster_size)  # the checks build_allocation makes
+            except ValueError as exc:
+                parser.error(f"policy {spec.label()}: {exc}")
+    return layout
 
 
 def _check_rerun_layout(parser: argparse.ArgumentParser, path: str, meta: dict, meta_path: str) -> None:

@@ -7,13 +7,16 @@ noise by its own bit counts. Each trial runs the channel, precoding and rate
 kernels; it is accepted only if the true channel and every policy's
 estimates pass the conditioning threshold, and rejected trials are replaced
 by fresh trial indices and counted. Per-trial results depend only on (seed,
-trial index), so worker scheduling cannot change any output.
+trial index), so worker scheduling cannot change any output. With more than
+one worker, a sweep forks one pool and keeps it warm for every SNR point and
+top-up; the pool is reaped before the sweep returns or raises.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,14 +246,36 @@ def _block_call(payload):
     return _simulate_trials(positions, gamma, p, bits_list, seed, idx, cond_threshold, mask)
 
 
-def _map_trials(args: tuple, idx: np.ndarray, workers: int):
-    """Run _simulate_trials over idx, split across workers, results in index order."""
-    if workers <= 1 or len(idx) < 2 * workers:
+@contextmanager
+def _worker_pool(workers: int, trials: int):
+    """A fork pool of `workers` processes, or None when there is one worker
+    or _map_trials would run every batch of at most `trials` indices inline.
+
+    The workers are closed and joined on a normal exit, terminated and
+    joined when the body raises, so none outlives the block.
+    """
+    if workers <= 1 or trials < 2 * workers:
+        yield None
+        return
+    pool = multiprocessing.get_context("fork").Pool(processes=workers)
+    try:
+        yield pool
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+
+
+def _map_trials(args: tuple, idx: np.ndarray, pool, workers: int):
+    """Run _simulate_trials over idx, split across the pool's workers (inline
+    when pool is None or idx is short), results in index order."""
+    if pool is None or len(idx) < 2 * workers:
         return [_block_call((args, idx))]
     chunks = [c for c in np.array_split(idx, workers) if len(c)]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=workers) as pool:
-        return pool.map(_block_call, [(args, c) for c in chunks])
+    return pool.map(_block_call, [(args, c) for c in chunks])
 
 
 def _run_point(
@@ -263,6 +288,7 @@ def _run_point(
     cond_threshold: float,
     max_rejection_rate: float,
     mask: np.ndarray | None,
+    pool,
     workers: int,
 ):
     """Collect exactly `trials` accepted trials, topping up rejected indices.
@@ -285,7 +311,7 @@ def _run_point(
             stats = _cond_stats(blocks)
             raise RejectionRateError(next_idx - accepted_total, next_idx, max_rejection_rate, stats)
         idx = np.arange(next_idx, next_idx + need)
-        blocks.extend(_map_trials(args, idx, workers))
+        blocks.extend(_map_trials(args, idx, pool, workers))
         next_idx += need
         accepted_total = int(sum(b[3].sum() for b in blocks))
 
@@ -330,12 +356,15 @@ def evaluate_point(
     data_mask: bool = False,
     workers: int = 1,
     keep_samples: bool = False,
+    _pool=None,
 ) -> PointResult:
     """Coupled Monte-Carlo evaluation of several policies at one SNR point.
 
     Every policy sees the same channel and the same estimation-noise draws
     (scaled by its own bit counts), so cross-policy comparisons share their
     randomness. Means and standard errors run over accepted trials only.
+    With workers > 1 the point forks its own pool unless evaluate_curves
+    passes the sweep's pool as _pool.
     """
     if len(policies) != len(set(policies)):
         raise ValueError("duplicate policy specs in one run")
@@ -344,9 +373,11 @@ def evaluate_point(
     mask = None
     if data_mask:
         mask = mask_from_sets(data_sharing_sets(layout, gamma), layout.K)
-    rates, dev, row_dev, rejections = _run_point(
-        layout, gamma, p, bits_list, seed, trials, cond_threshold, max_rejection_rate, mask, workers
-    )
+    with _worker_pool(workers, trials) if _pool is None else nullcontext(_pool) as pool:
+        rates, dev, row_dev, rejections = _run_point(
+            layout, gamma, p, bits_list, seed, trials, cond_threshold, max_rejection_rate, mask,
+            pool, workers,
+        )
     snr_db = linear_to_db(p)
     rate_points: dict[PolicySpec, RatePoint] = {}
     dev_points: dict[PolicySpec, DeviationPoint] = {}
@@ -387,14 +418,22 @@ def evaluate_curves(
     seed: int,
     **opts,
 ) -> ExperimentResult:
-    """Sweep evaluate_point over an SNR grid, one coupled run per point."""
+    """Sweep evaluate_point over an SNR grid, one coupled run per point.
+
+    With workers > 1, one pool serves every point of the sweep: workers
+    forked once stay warm across points, instead of each point paying for
+    cold ones.
+    """
     curves = {spec: RateCurve(policy=spec) for spec in policies}
     deviations: dict[PolicySpec, list[DeviationPoint]] = {spec: [] for spec in policies}
-    for db in snr_db:
-        point = evaluate_point(layout, gamma, policies, db_to_linear(db), trials, seed, **opts)
-        for spec in policies:
-            curves[spec].points.append(point.rates[spec])
-            deviations[spec].append(point.deviations[spec])
+    with _worker_pool(opts.get("workers", 1), trials) as pool:
+        for db in snr_db:
+            point = evaluate_point(
+                layout, gamma, policies, db_to_linear(db), trials, seed, **opts, _pool=pool
+            )
+            for spec in policies:
+                curves[spec].points.append(point.rates[spec])
+                deviations[spec].append(point.deviations[spec])
     return ExperimentResult(curves=curves, deviations=deviations)
 
 

@@ -428,3 +428,62 @@ def test_from_metadata_checks_its_layout_file(tmp_path, capsys, change):
     assert info.value.code == 2
     assert f"layout file {nodes}" in capsys.readouterr().err
     assert not rerun.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sizes"])
+@pytest.mark.parametrize(
+    "layout, message",
+    [
+        ("file", "policy cluster(size=4): regular clustering is defined for square grid layouts only"),
+        ("grid3", "policy cluster(size=4): grid side 3 is not divisible by block side 2"),
+    ],
+    ids=["random-file", "grid3"],
+)
+def test_cluster_policy_must_fit_the_layout(tmp_path, capsys, monkeypatch, command, layout, message):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr("netmimo.evaluation._simulate_trials", no_trials)
+    nodes = tmp_path / "l5.txt"
+    nodes.write_text("0.1 0.7\n1.3 0.2\n0.4 1.9\n2.2 3.1\n3.5 0.4\n")
+    out = tmp_path / "out"
+    argv = [command, "--policies", "perfect", "cluster:4", "--output", str(out)]
+    argv += ["--layout-file", str(nodes)] if layout == "file" else ["--grid-side", "3"]
+    with pytest.raises(SystemExit) as info:
+        main(argv + (["--trials", "3"] if command == "run" else []))
+    assert info.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--config"], "--config"),
+        (["run", "--from-metadata"], "--from-metadata"),
+        (["sizes", "--config"], "--config"),
+        (["sizes", "--layout-file"], "cannot load layout file"),
+        (["run", "--trials", "3", "--layout-file"], "cannot load layout file"),
+    ],
+    ids=["run-config", "run-from-metadata", "sizes-config", "sizes-layout", "run-layout"],
+)
+def test_missing_input_file_is_a_usage_error(tmp_path, capsys, argv, flag):
+    missing = tmp_path / "nope"
+    with pytest.raises(SystemExit) as info:
+        main(argv + [str(missing), "--output", str(tmp_path / "out")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag}" in err and f"No such file or directory: '{missing}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_run_removes_only_the_directories_it_created(tmp_path, capsys):
+    out = tmp_path / "new" / "deeper"
+    argv = ["run", "--grid-side", "2", "--trials", "5", "--snr-db", "30", "--output", str(out)]
+    assert main(argv + ["--dump-channel", str(tmp_path / "missing" / "x.csv")]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+    # An output directory that already existed stays, even when empty.
+    out.mkdir(parents=True)
+    assert main(argv + ["--dump-channel", str(tmp_path / "missing" / "x.csv")]) == 2
+    assert out.is_dir() and not any(out.iterdir())

@@ -1,3 +1,4 @@
+import multiprocessing
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy import integrate
 
 from netmimo import evaluation
 from netmimo.allocation import PolicySpec, distance_based
+from netmimo.cli import ExperimentConfig, run_experiment
 from netmimo.channel import (
     PURPOSE_CHANNEL,
     PURPOSE_ESTIMATE,
@@ -210,6 +212,60 @@ def test_rejection_just_over_limit_reports_attempts():
         evaluate_point(**_TOPUP_CASE, max_rejection_rate=limit)
     assert (info.value.rejected, info.value.attempted) == (rejected, attempted)
     assert f"{rejected} of {attempted} trials rejected" in str(info.value)
+
+
+def test_sweep_forks_one_pool(monkeypatch):
+    """Every SNR point and top-up of a sweep runs on the same pool."""
+    ctx = multiprocessing.get_context("fork")
+    real_pool = ctx.Pool
+    started = []
+
+    def counting_pool(*args, **kwargs):
+        started.append(kwargs)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(ctx, "Pool", counting_pool)
+    case = {k: v for k, v in _TOPUP_CASE.items() if k != "p"}
+    res = evaluate_curves(
+        **case, snr_db=[30.0, 40.0, 60.0, 80.0], max_rejection_rate=0.5, workers=2
+    )
+    assert started == [{"processes": 2}]
+    assert res.curves[PolicySpec("perfect")].points[1].rejections == 26  # topped up in the pool
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_failed_call():
+    """A rejection error partway through a sweep, or in a standalone point,
+    still reaps every pool worker."""
+    case = {k: v for k, v in _TOPUP_CASE.items() if k not in ("p", "trials")}
+    # 80 and 60 dB pass; 10 dB rejects more than half of its trials at threshold 60.
+    with pytest.raises(RejectionRateError):
+        evaluate_curves(**case, snr_db=[80.0, 60.0, 10.0], trials=40, max_rejection_rate=0.3, workers=2)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(RejectionRateError):
+        evaluate_point(**case, p=db_to_linear(10.0), trials=40, max_rejection_rate=0.3, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_rates_csv_identical_for_any_worker_count(tmp_path):
+    """Top-ups of rejected trials go through the shared pool without moving a byte."""
+    texts = []
+    for workers in (1, 2, 3):
+        cfg = ExperimentConfig(
+            seed=1,
+            grid_side=3,
+            gamma=0.6,
+            snr_db=[30.0, 40.0],
+            trials=200,
+            policies=_TOPUP_CASE["policies"],
+            cond_threshold=60.0,
+            max_rejection_rate=0.5,
+            output=str(tmp_path / f"w{workers}"),
+        )
+        result = run_experiment(cfg, workers=workers)
+        texts.append((tmp_path / f"w{workers}" / "rates.csv").read_bytes())
+    assert result.curves[PolicySpec("perfect")].points[1].rejections == 26
+    assert texts[1] == texts[0] and texts[2] == texts[0]
 
 
 def test_default_threshold_clears_without_svd(monkeypatch):
