@@ -12,6 +12,7 @@ trials can be re-drawn individually.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,8 +46,15 @@ def trial_rng(seed: int, trial: int, purpose: int) -> np.random.Generator:
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian, unit total variance per entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Circularly-symmetric complex Gaussian, unit total variance per entry.
+
+    The real parts are drawn first, then the imaginary parts.
+    """
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z /= np.sqrt(2.0)
+    return z
 
 
 @dataclass(frozen=True)
@@ -111,9 +119,21 @@ def pathloss_matrix(levels: InterferenceLevelMatrix, p: float) -> PathlossModel:
     return PathlossModel(gamma=levels.gamma, p=float(p), sigma_sq=float(p) ** (levels.entries - 1.0))
 
 
-def draw_channel(model: PathlossModel, rng: np.random.Generator) -> ChannelRealization:
-    """One Rayleigh draw: entries H_ki = sigma_ki * CN(0, 1), independent."""
-    h_unit = complex_gaussian(rng, (model.K, model.K))
+def draw_channel(
+    model: PathlossModel, rng: np.random.Generator | Sequence[np.random.Generator]
+) -> ChannelRealization:
+    """One Rayleigh draw: entries H_ki = sigma_ki * CN(0, 1), independent.
+
+    Given a sequence of generators, one draw from each, stacked along a
+    leading axis: entry t equals the draw from generator t alone.
+    """
+    shape = (model.K, model.K)
+    if isinstance(rng, np.random.Generator):
+        h_unit = complex_gaussian(rng, shape)
+    else:
+        h_unit = np.empty((len(rng),) + shape, dtype=complex)
+        for i, r in enumerate(rng):
+            h_unit[i] = complex_gaussian(r, shape)
     return ChannelRealization(H=model.sigma * h_unit, H_unit=h_unit)
 
 
@@ -124,7 +144,11 @@ def apply_estimate_noise(
 
     Entry (k, i) of the result is H_ki + sigma_ki * 2^(-B_ki / 2) * noise_ki,
     so the estimation error keeps the link's own scale and shrinks by half a
-    bit of standard deviation per allocated bit. bits may carry leading axes
-    (one noise matrix per transmitter); np.inf yields an exact copy.
+    bit of standard deviation per allocated bit; np.inf yields an exact copy.
+    bits is (K, K), or (K, K, K) for one estimate per transmitter. A batch of
+    channels (..., K, K) takes noise (..., K, K) or (..., K, K, K) with the
+    same leading axes, and gives one estimate (stack) per channel.
     """
-    return chan.H + model._error_std(bits) * noise
+    std = model._error_std(bits)
+    h = chan.H if std.ndim == 2 else chan.H[..., None, :, :]
+    return h + std * noise

@@ -14,6 +14,8 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -113,11 +115,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        data["policies"] = [
-            p if isinstance(p, PolicySpec) else PolicySpec(**p) for p in data.get("policies", [])
-        ]
-        return cls(**data)
+        """The config of a to_dict form, as read back from JSON.
+
+        Policies may be PolicySpec objects or dicts of their fields. Raises
+        ValueError naming the first key that is not a field, or whose value
+        does not have the field's type.
+        """
+        if isinstance(data, dict) and isinstance(data.get("policies", []), list):
+            data = {**data, "policies": [
+                p if isinstance(p, PolicySpec) else PolicySpec(**_field_values(PolicySpec, p, f"policies[{i}]"))
+                for i, p in enumerate(data.get("policies", []))
+            ]}
+        return cls(**_field_values(cls, data, "config"))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -125,6 +134,35 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         return cls.from_dict(json.loads(text))
+
+
+def _field_values(cls, data, where: str) -> dict:
+    """data, checked to be keyword arguments of the dataclass cls: every key
+    a field, every value of the field's type (a float field takes an int);
+    ValueError names the first bad key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
+    hints = get_type_hints(cls)
+    for key, value in data.items():
+        if key not in hints:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        hint = hints[key]
+        if not _has_type(value, hint):
+            name = hint.__name__ if type(hint) is type else str(hint)
+            raise ValueError(f"{where}: key {key!r} must be {name}, got {value!r}")
+    return data
+
+
+def _has_type(value, hint) -> bool:
+    if hint in (int, float):
+        # bool is an int subclass, never a count or a measure here.
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    if isinstance(hint, UnionType):
+        return any(_has_type(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        (item,) = get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    return isinstance(value, hint)
 
 
 def resolve_layout(config: ExperimentConfig) -> NodeLayout:
@@ -541,8 +579,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.config:
         base = _read_input(parser, "--config", args.config, ExperimentConfig.from_json)
     elif args.command == "run" and args.from_metadata:
-        meta = _read_input(parser, "--from-metadata", args.from_metadata, json.loads)
-        base = ExperimentConfig.from_dict(meta["config"])
+        base, meta = _read_input(parser, "--from-metadata", args.from_metadata, _metadata_config)
     else:
         base = ExperimentConfig()
     cfg = _validated(parser, _config_from_args(base, args))
@@ -574,7 +611,15 @@ def _read_input(parser: argparse.ArgumentParser, flag: str, path: str, parse):
     try:
         return parse(Path(path).read_text())
     except (OSError, ValueError) as exc:
-        parser.error(f"{flag}: cannot read {path}: {exc}")
+        parser.error(f"{flag}: {path}: {exc}")
+
+
+def _metadata_config(text: str) -> tuple[ExperimentConfig, dict]:
+    """The config a metadata.json embeds, and the whole metadata."""
+    meta = json.loads(text)
+    if not isinstance(meta, dict) or "config" not in meta:
+        raise ValueError("no 'config' key; not a run's metadata.json")
+    return ExperimentConfig.from_dict(meta["config"]), meta
 
 
 def _resolved_layout(parser: argparse.ArgumentParser, cfg: ExperimentConfig) -> NodeLayout:
@@ -600,7 +645,7 @@ def _check_rerun_layout(parser: argparse.ArgumentParser, path: str, meta: dict, 
         positions = load_layout(path).positions
     except (OSError, ValueError) as exc:
         parser.error(f"--from-metadata: cannot load layout file {path}: {exc}")
-    if not np.array_equal(positions, np.asarray(meta["layout_positions"])):
+    if not np.array_equal(positions, np.asarray(meta.get("layout_positions"))):
         parser.error(f"--from-metadata: layout file {path} differs from the layout_positions in {meta_path}")
 
 

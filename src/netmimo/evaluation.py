@@ -3,13 +3,22 @@ high-SNR slope fits, and precoder-deviation statistics.
 
 All policies in a run are evaluated on coupled draws: trial t uses one
 channel draw and one estimation-noise tensor, each policy scaling the same
-noise by its own bit counts. Each trial runs the channel, precoding and rate
-kernels; it is accepted only if the true channel and every policy's
-estimates pass the conditioning threshold, and rejected trials are replaced
-by fresh trial indices and counted. Per-trial results depend only on (seed,
-trial index), so worker scheduling cannot change any output. With more than
-one worker, a sweep forks one pool and keeps it warm for every SNR point and
-top-up; the pool is reaped before the sweep returns or raises.
+noise by its own bit counts. A trial is accepted only if the true channel and
+every policy's estimates pass the conditioning threshold, and rejected trials
+are replaced by fresh trial indices and counted.
+
+Trials run in chunks: each trial is drawn from its own substreams, the draws
+are stacked, and the channel, precoding and rate kernels run once per chunk
+over a leading trial axis, one policy at a time. The chunk size is capped by
+the bytes of one policy's estimate stack, so it shrinks as K grows (8 trials
+at K = 8, one at K = 16). A chunk in which any trial is rejected is rerun one
+trial at a time through the same kernels, so each trial's acceptance and
+condition estimate are its own. A kernel call over a batch equals the calls
+on its elements bit for bit, so per-trial results depend only on (seed,
+trial index): neither the chunking nor worker scheduling can change any
+output. With more than one worker, a sweep forks one pool and keeps it warm
+for every SNR point and top-up; the pool is reaped before the sweep returns
+or raises.
 """
 
 from __future__ import annotations
@@ -25,6 +34,8 @@ from .allocation import PolicySpec, build_allocation
 from .channel import (
     PURPOSE_CHANNEL,
     PURPOSE_ESTIMATE,
+    ChannelRealization,
+    PathlossModel,
     apply_estimate_noise,
     complex_gaussian,
     draw_channel,
@@ -160,12 +171,16 @@ def instantaneous_rates(h: np.ndarray, precoder: Precoder | np.ndarray) -> RateS
 
     Row i of h is receiver i's channel, column i of the precoding matrix is
     user i's beamformer; the unit noise floor is the 1 in the denominator.
+    Leading axes of h and the precoder (..., K, K) are batch axes, and the
+    results gain them: (..., K).
     """
     t = precoder.T if isinstance(precoder, Precoder) else np.asarray(precoder, dtype=complex)
     gains = np.abs(np.asarray(h, dtype=complex) @ t) ** 2
-    signal = np.diagonal(gains).copy()
-    np.fill_diagonal(gains, 0.0)
-    interference = gains.sum(axis=1)
+    k = gains.shape[-1]
+    diag = gains.reshape(gains.shape[:-2] + (k * k,))[..., :: k + 1]  # a view of each diagonal
+    signal = diag.copy()
+    diag[...] = 0.0
+    interference = gains.sum(axis=-1)
     rates = np.log1p(signal / (1.0 + interference)) / LN2
     return RateSample(rates=rates, signal=signal, interference=interference)
 
@@ -173,6 +188,11 @@ def instantaneous_rates(h: np.ndarray, precoder: Precoder | np.ndarray) -> RateS
 # ---------------------------------------------------------------------------
 # trial engine
 # ---------------------------------------------------------------------------
+
+# Trials per chunk are capped so that one policy's (trials, K, K, K) complex
+# estimate stack stays within this many bytes; its inverses take as much again.
+_CHUNK_BYTES = 1 << 16
+
 
 def _simulate_trials(
     positions: np.ndarray,
@@ -191,6 +211,11 @@ def _simulate_trials(
     of its solves raises IllConditionedError. Returns per-trial rates,
     squared precoder deviations (total and per TX row), acceptance flags and
     the worst condition estimate seen per trial; rejected trials carry NaNs.
+
+    Trials run in chunks of at most _CHUNK_BYTES / (16 K^3), each one batch
+    through the kernels. A chunk with a rejected trial is rerun as chunks of
+    one trial, so acceptance and worst_cond are decided per trial, exactly as
+    for a lone trial.
     """
     layout = NodeLayout(positions)
     k = layout.K
@@ -200,35 +225,72 @@ def _simulate_trials(
     n = len(trial_indices)
     n_pol = len(bits_list)
     rates = np.full((n, n_pol, k), np.nan)
-    dev = np.full((n, n_pol), np.nan)
     row_dev = np.full((n, n_pol, k), np.nan)
     accepted = np.zeros(n, dtype=bool)
     worst_cond = np.zeros(n)
 
-    for row, trial in enumerate(trial_indices):
-        chan = draw_channel(model, trial_rng(seed, int(trial), PURPOSE_CHANNEL))
-        try:
-            t_star = zf_precoder(chan.H, p, cond_threshold)
-            if need_noise:
-                noise = complex_gaussian(trial_rng(seed, int(trial), PURPOSE_ESTIMATE), (k, k, k))
-            precoders = [
-                t_star if bits is None
-                else distributed_precoder(apply_estimate_noise(chan, model, bits, noise), p, cond_threshold)
-                for bits in bits_list
-            ]
-        except IllConditionedError as exc:
-            # Every earlier condition estimate passed the threshold, so this one is the worst.
-            worst_cond[row] = exc.cond
-            continue
-        worst_cond[row] = max(prec.max_cond for prec in precoders)
-        for pol, prec in enumerate(precoders):
-            row_dev[row, pol] = (np.abs(prec.T - t_star.T) ** 2).sum(axis=1)
-            dev[row, pol] = row_dev[row, pol].sum()
-            t = prec.T if mask is None else prec.T * mask
-            rates[row, pol] = instantaneous_rates(chan.H, t).rates
-        accepted[row] = True
+    chunk = max(1, _CHUNK_BYTES // (16 * k**3))
+    for start in range(0, n, chunk):
+        trials = [int(t) for t in trial_indices[start:start + chunk]]
+        chan = draw_channel(model, [trial_rng(seed, t, PURPOSE_CHANNEL) for t in trials])
+        noise = None
+        if need_noise:
+            noise = np.empty((len(trials), k, k, k), dtype=complex)
+            for i, t in enumerate(trials):
+                noise[i] = complex_gaussian(trial_rng(seed, t, PURPOSE_ESTIMATE), (k, k, k))
+        parts = [(start, chan, noise)]
+        while parts:
+            row, chan, noise = parts.pop()
+            rows = slice(row, row + len(chan.H))
+            try:
+                rates[rows], row_dev[rows], worst_cond[rows] = _solve_chunk(
+                    chan, noise, model, bits_list, p, cond_threshold, mask
+                )
+            except IllConditionedError as exc:
+                if len(chan.H) == 1:
+                    # Every earlier condition estimate passed the threshold, so this one is the worst.
+                    worst_cond[row] = exc.cond
+                else:
+                    parts += [
+                        (row + i, ChannelRealization(H=chan.H[i:i + 1], H_unit=chan.H_unit[i:i + 1]),
+                         None if noise is None else noise[i:i + 1])
+                        for i in range(len(chan.H))
+                    ]
+                continue
+            accepted[rows] = True
 
-    return rates, dev, row_dev, accepted, worst_cond
+    return rates, row_dev.sum(axis=-1), row_dev, accepted, worst_cond
+
+
+def _solve_chunk(
+    chan: ChannelRealization,
+    noise: np.ndarray | None,
+    model: PathlossModel,
+    bits_list: list[np.ndarray | None],
+    p: float,
+    cond_threshold: float,
+    mask: np.ndarray | None,
+):
+    """Rates (m, P, K), squared deviations per TX row (m, P, K) and the worst
+    policy condition estimate (m,) of m trials, one policy at a time.
+
+    chan holds the m channels, noise the (m, K, K, K) estimation noise.
+    Raises IllConditionedError if any solve of any trial is rejected.
+    """
+    t_star = zf_precoder(chan.H, p, cond_threshold)
+    rates = np.empty(chan.H.shape[:1] + (len(bits_list),) + chan.H.shape[-1:])
+    row_dev = np.empty_like(rates)
+    worst = None
+    for pol, bits in enumerate(bits_list):
+        if bits is None:
+            prec = t_star
+        else:
+            prec = distributed_precoder(apply_estimate_noise(chan, model, bits, noise), p, cond_threshold)
+        worst = prec.max_cond if worst is None else np.maximum(worst, prec.max_cond)
+        row_dev[:, pol] = (np.abs(prec.T - t_star.T) ** 2).sum(axis=-1)
+        t = prec.T if mask is None else prec.T * mask
+        rates[:, pol] = instantaneous_rates(chan.H, t).rates
+    return rates, row_dev, worst
 
 
 def _block_call(payload):

@@ -9,6 +9,10 @@ Every solve is gated by its 2-norm condition number kappa_2. The bound
 kappa_2 <= ||A||_F ||A^-1||_F, read from the inverse the precoder needs
 anyway, clears well-conditioned solves without an SVD; only the rest run
 np.linalg.cond.
+
+Both precoders take leading batch axes, one solve per element. A batched
+call equals the stacked calls on its elements bit for bit; when the screen
+misses any element, it makes exactly those calls.
 """
 
 from __future__ import annotations
@@ -51,11 +55,12 @@ class Precoder:
     solves rested on: the worst Frobenius bound kappa_F = ||A||_F ||A^-1||_F
     when that bound cleared them, otherwise the worst 2-norm kappa_2. Either
     way every solve had kappa_2 within the threshold, and kappa_2 <= kappa_F
-    <= K kappa_2.
+    <= K kappa_2. A batched call gives T (..., K, K) and a read-only
+    max_cond array with one value per batch element.
     """
 
     T: np.ndarray
-    max_cond: float
+    max_cond: float | np.ndarray
 
 
 # Above about this condition number the computed inverse carries a relative
@@ -68,22 +73,29 @@ _SCREEN_MARGIN = 4.0
 
 
 def _checked_inverse(
-    matrices: np.ndarray, cond_threshold: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Inverses of one matrix or a stack, their column norms, and the worst
-    condition estimate.
+    matrices: np.ndarray, cond_threshold: float, core: int
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray] | None:
+    """Inverses of one solve or a batch of solves, their column norms, and
+    the condition estimate of each solve.
 
-    A solve is rejected iff kappa_2 (np.linalg.cond) of some matrix is
-    non-finite or above the threshold, and IllConditionedError then carries
-    the worst kappa_2. The inverse is formed first: kappa_2 <= kappa_F =
-    ||A||_F ||A^-1||_F, so when every kappa_F lies a safe margin below the
-    threshold no kappa_2 can cross it and no SVD runs. Otherwise, or if the
-    LU factorization hits an exact zero pivot, np.linalg.cond decides.
+    A solve is the square matrix or stack of matrices on the trailing `core`
+    axes; leading axes are batch axes. A solve is rejected iff kappa_2
+    (np.linalg.cond) of one of its matrices is non-finite or above the
+    threshold, and IllConditionedError then carries its worst kappa_2. The
+    inverse is formed first: kappa_2 <= kappa_F = ||A||_F ||A^-1||_F, so when
+    every kappa_F of a solve lies a safe margin below the threshold no
+    kappa_2 can cross it and no SVD runs. Otherwise, or if the LU
+    factorization hits an exact zero pivot, np.linalg.cond decides. It only
+    ever sees one solve: with batch axes, a miss returns None and the caller
+    solves one batch element at a time.
 
-    np.linalg.inv is an LU solve against the identity, so its result equals
-    solve(matrices, eye) bit for bit. Column norms are taken over axis -2
+    The condition estimate is a float for a call without batch axes, else a
+    read-only array over the batch axes. np.linalg.inv is an LU solve against
+    the identity, matrix by matrix, so its result equals solve(matrices, eye)
+    bit for bit whatever the batch. Column norms are taken over axis -2
     exactly as np.linalg.norm(inverse, axis=-2) takes them.
     """
+    batch_ndim = matrices.ndim - core
     try:
         inv = np.linalg.inv(matrices)
     except np.linalg.LinAlgError:
@@ -91,9 +103,16 @@ def _checked_inverse(
     else:
         col_sq = (inv.conj() * inv).real.sum(axis=-2)
         a_sq = (matrices.conj() * matrices).real.sum(axis=(-2, -1))
-        kappa_f = math.sqrt(float((a_sq * col_sq.sum(axis=-1)).max()))
-        if kappa_f < min(cond_threshold, _SCREEN_CAP) / _SCREEN_MARGIN:
-            return inv, np.sqrt(col_sq), kappa_f
+        kappa_f_sq = a_sq * col_sq.sum(axis=-1)  # one per matrix
+        # sqrt is monotone, so the worst kappa_F of the call decides for all.
+        worst = math.sqrt(float(kappa_f_sq.max()))
+        if worst < min(cond_threshold, _SCREEN_CAP) / _SCREEN_MARGIN:
+            if not batch_ndim:
+                return inv, np.sqrt(col_sq), worst
+            kappa_f = np.sqrt(kappa_f_sq.reshape(matrices.shape[:batch_ndim] + (-1,)).max(axis=-1))
+            return inv, np.sqrt(col_sq), _readonly(kappa_f)
+    if batch_ndim:
+        return None
     worst = float(np.linalg.cond(matrices).max())
     if not math.isfinite(worst) or worst > cond_threshold:
         raise IllConditionedError(worst, cond_threshold)
@@ -107,21 +126,36 @@ def _readonly(t: np.ndarray) -> np.ndarray:
     return t
 
 
+def _one_at_a_time(kernel, stack: np.ndarray, core: int, p: float, cond_threshold: float) -> Precoder:
+    """A batched call whose screen missed: each batch element solved as a
+    call without batch axes, results stacked; the first rejection raises."""
+    batch = stack.shape[: stack.ndim - core]
+    precs = [kernel(a, p, cond_threshold) for a in stack.reshape((-1,) + stack.shape[-core:])]
+    t = np.stack([prec.T for prec in precs]).reshape(batch + precs[0].T.shape)
+    cond = np.array([prec.max_cond for prec in precs]).reshape(batch)
+    return Precoder(T=_readonly(t), max_cond=_readonly(cond))
+
+
 def zf_precoder(
     h_est: np.ndarray, p: float, cond_threshold: float = DEFAULT_COND_THRESHOLD
 ) -> Precoder:
     """Column-normalized zero-forcing from a single channel estimate.
 
     Column i is sqrt(p) * Hinv e_i / ||Hinv e_i||, so each user stream is
-    sent with power exactly p.
+    sent with power exactly p. Leading axes of h_est (..., K, K) are batch
+    axes: element b of the result equals zf_precoder(h_est[b]) bit for bit,
+    max_cond included, and a rejected element raises as its own call would.
     """
     h = np.asarray(h_est, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ValueError(f"estimate must be square, got shape {h.shape}")
     if p <= 0:
         raise ValueError(f"power must be > 0, got {p}")
-    inv_cols, col_norms, cond = _checked_inverse(h, cond_threshold)
-    t = math.sqrt(p) * inv_cols / col_norms
+    solved = _checked_inverse(h, cond_threshold, core=2)
+    if solved is None:
+        return _one_at_a_time(zf_precoder, h, 2, p, cond_threshold)
+    inv_cols, col_norms, cond = solved
+    t = math.sqrt(p) * inv_cols / col_norms[..., None, :]
     return Precoder(T=_readonly(t), max_cond=cond)
 
 
@@ -134,17 +168,21 @@ def distributed_precoder(
     When all estimates coincide this reproduces zf_precoder on the shared
     matrix exactly; otherwise the rows are mutually inconsistent and the
     mismatch is what the deviation statistics measure. estimates[j] is TX
-    j's K x K estimate.
+    j's K x K estimate. Leading axes of estimates (..., K, K, K) are batch
+    axes, with the same contract as in zf_precoder.
     """
     stack = np.asarray(estimates, dtype=complex)
-    if stack.ndim != 3 or not stack.shape[0] == stack.shape[1] == stack.shape[2]:
-        raise ValueError(f"estimates must have shape (K, K, K), got {stack.shape}")
+    if stack.ndim < 3 or not stack.shape[-3] == stack.shape[-2] == stack.shape[-1]:
+        raise ValueError(f"estimates must have shape (..., K, K, K), got {stack.shape}")
     if p <= 0:
         raise ValueError(f"power must be > 0, got {p}")
-    inv_cols, col_norms, worst = _checked_inverse(stack, cond_threshold)
-    diag = np.arange(stack.shape[0])
-    # col_norms[j, i] = ||TX j's inverse, column i||; own_rows[j, i] = row j of TX j's inverse
-    own_rows = inv_cols[diag, diag, :]
+    solved = _checked_inverse(stack, cond_threshold, core=3)
+    if solved is None:
+        return _one_at_a_time(distributed_precoder, stack, 3, p, cond_threshold)
+    inv_cols, col_norms, worst = solved
+    diag = np.arange(stack.shape[-1])
+    # col_norms[..., j, i] = ||TX j's inverse, column i||; own_rows[..., j, i] = row j of TX j's inverse
+    own_rows = inv_cols[..., diag, diag, :]
     t = math.sqrt(p) * own_rows / col_norms
     return Precoder(T=_readonly(t), max_cond=worst)
 

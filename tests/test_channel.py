@@ -182,3 +182,37 @@ def test_trial_rng_streams_disjoint():
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     np.testing.assert_array_equal(a, trial_rng(9, 0, PURPOSE_CHANNEL).standard_normal(8))
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (8, 8, 8), (16, 16, 16), (3, 9, 9, 9)])
+def test_complex_gaussian_equals_its_sum_formula(shape):
+    """Filling real and imaginary parts in place gives the bytes of
+    (x + 1j y) / sqrt(2) over the same two draws."""
+    for seed in range(5):
+        ref = np.random.default_rng(seed)
+        want = (ref.standard_normal(shape) + 1j * ref.standard_normal(shape)) / np.sqrt(2.0)
+        assert complex_gaussian(np.random.default_rng(seed), shape).tobytes() == want.tobytes()
+
+
+def test_draw_channel_batch_stacks_single_draws():
+    model = _model()
+    rngs = [trial_rng(3, t, PURPOSE_CHANNEL) for t in range(4)]
+    batch = draw_channel(model, rngs)
+    assert batch.H.shape == (4, 9, 9)
+    for t in range(4):
+        one = draw_channel(model, trial_rng(3, t, PURPOSE_CHANNEL))
+        assert batch.H[t].tobytes() == one.H.tobytes()
+        assert batch.H_unit[t].tobytes() == one.H_unit.tobytes()
+
+
+@pytest.mark.parametrize("per_tx", [False, True], ids=["shared", "per-tx"])
+def test_estimate_batch_stacks_single_estimates(per_tx):
+    model = _model(side=2, p=1e4)
+    chans = draw_channel(model, [trial_rng(4, t, PURPOSE_CHANNEL) for t in range(3)])
+    bits = np.arange(64 if per_tx else 16, dtype=float).reshape((4,) * (3 if per_tx else 2)) % 7
+    noise = complex_gaussian(np.random.default_rng(5), (3,) + bits.shape)
+    est = apply_estimate_noise(chans, model, bits, noise)
+    assert est.shape == (3,) + bits.shape
+    for t in range(3):
+        one = draw_channel(model, trial_rng(4, t, PURPOSE_CHANNEL))
+        assert est[t].tobytes() == apply_estimate_noise(one, model, bits, noise[t]).tobytes()

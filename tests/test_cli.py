@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -487,3 +489,72 @@ def test_failed_run_removes_only_the_directories_it_created(tmp_path, capsys):
     out.mkdir(parents=True)
     assert main(argv + ["--dump-channel", str(tmp_path / "missing" / "x.csv")]) == 2
     assert out.is_dir() and not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"trials": 3, "bogus": 1}, "config: unknown key 'bogus'"),
+        ({"trials": "3"}, "config: key 'trials' must be int, got '3'"),
+        ({"trials": True}, "config: key 'trials' must be int, got True"),
+        ({"gamma": "0.6"}, "config: key 'gamma' must be float, got '0.6'"),
+        ({"snr_db": [30, "40"]}, "config: key 'snr_db' must be list[float]"),
+        ({"layout_path": 3}, "config: key 'layout_path' must be str | None, got 3"),
+        ({"policies": [{"kind": "distance", "beta": 1}]}, "policies[0]: unknown key 'beta'"),
+        ({"policies": [{"kind": "distance", "alpha": "1"}]}, "policies[0]: key 'alpha' must be float"),
+        ([3], "config must be a JSON object, got [3]"),
+    ],
+    ids=["unknown", "str-int", "bool-int", "str-float", "list-item", "optional", "policy-key",
+         "policy-type", "not-object"],
+)
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys, data, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--config", str(path), "--output", str(out)])
+    assert info.value.code == 2
+    assert f"error: --config: {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig.from_dict(data)
+
+
+def test_config_fields_keep_their_defaults_and_accept_ints_for_floats():
+    cfg = ExperimentConfig.from_dict({"trials": 3, "gamma": 1, "policies": [{"kind": "zero"}]})
+    assert cfg == replace(ExperimentConfig(), trials=3, gamma=1, policies=[PolicySpec("zero")])
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ({"layout_positions": [[0.0, 0.0]]}, "no 'config' key"),
+        ([1, 2], "no 'config' key"),
+        ({"config": {"trials": 3, "bogus": 1}}, "config: unknown key 'bogus'"),
+    ],
+    ids=["no-config", "not-object", "bad-config"],
+)
+def test_bad_metadata_is_a_usage_error(tmp_path, capsys, meta, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(meta))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--from-metadata", str(path), "--output", str(out)])
+    assert info.value.code == 2
+    assert f"error: --from-metadata: {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_metadata_without_layout_positions_is_a_usage_error(tmp_path, capsys):
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("0.1 0.7\n1.3 0.2\n")
+    first = tmp_path / "first"
+    assert main(["run", "--layout-file", str(nodes), "--trials", "2", "--snr-db", "30", "--output", str(first)]) == 0
+    meta = json.loads((first / "metadata.json").read_text())
+    del meta["layout_positions"]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(meta))
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--from-metadata", str(path), "--output", str(tmp_path / "rerun")])
+    assert info.value.code == 2
+    assert f"differs from the layout_positions in {path}" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from scipy import integrate
 
 from netmimo import evaluation
 from netmimo.allocation import PolicySpec, distance_based
-from netmimo.cli import ExperimentConfig, run_experiment
+from netmimo.cli import ExperimentConfig, fig2_desk_config, run_experiment
 from netmimo.channel import (
     PURPOSE_CHANNEL,
     PURPOSE_ESTIMATE,
@@ -266,6 +266,53 @@ def test_rates_csv_identical_for_any_worker_count(tmp_path):
         texts.append((tmp_path / f"w{workers}" / "rates.csv").read_bytes())
     assert result.curves[PolicySpec("perfect")].points[1].rejections == 26
     assert texts[1] == texts[0] and texts[2] == texts[0]
+
+
+# Chunk budgets that make every chunk one trial, and one chunk hold a whole point.
+_ONE_TRIAL, _WHOLE_POINT = 1, 1 << 40
+
+
+@pytest.mark.parametrize("budget", [_ONE_TRIAL, _WHOLE_POINT], ids=["one-trial", "whole-point"])
+def test_rates_csv_identical_for_any_chunk_size(tmp_path, monkeypatch, budget):
+    """A K=8 random layout with the data mask: the default chunks of 8 trials,
+    chunks of one and one chunk per point write the same bytes."""
+    cfg = fig2_desk_config(seed=3, trials=21, output=str(tmp_path / "default"))
+    cfg.snr_db = [20.0, 50.0, 80.0]
+    cfg.data_mask = True
+    run_experiment(cfg)
+    monkeypatch.setattr(evaluation, "_CHUNK_BYTES", budget)
+    cfg.output = str(tmp_path / "budget")
+    run_experiment(cfg)
+    assert (tmp_path / "budget" / "rates.csv").read_bytes() == (tmp_path / "default" / "rates.csv").read_bytes()
+
+
+def test_rejections_identical_for_any_chunk_size(monkeypatch):
+    """Rejection, top-ups and the error text do not depend on the chunking."""
+    outcomes = []
+    for budget in (_ONE_TRIAL, _WHOLE_POINT):
+        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", budget)
+        rp = evaluate_point(**_TOPUP_CASE, max_rejection_rate=0.5).rates[PolicySpec("perfect")]
+        assert (rp.rejections, rp.trials + rp.rejections) == (26, 226)
+        with pytest.raises(RejectionRateError) as info:
+            evaluate_point(**_TOPUP_CASE, max_rejection_rate=25.5 / 226)
+        outcomes.append((rp.mean_per_user.tobytes(), str(info.value)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1].startswith("26 of 226 trials rejected")
+
+
+def test_condition_number_sees_one_trial_at_a_time(monkeypatch):
+    """Chunks of several trials are screened by kappa_F only; np.linalg.cond
+    runs on one trial's channel or estimate stack."""
+    shapes = set()
+    real_cond = np.linalg.cond
+
+    def recording_cond(a, *args):
+        shapes.add(a.shape)
+        return real_cond(a, *args)
+
+    monkeypatch.setattr(np.linalg, "cond", recording_cond)
+    evaluate_point(**_TOPUP_CASE, max_rejection_rate=0.5)
+    assert shapes == {(9, 9), (9, 9, 9)}
 
 
 def test_default_threshold_clears_without_svd(monkeypatch):

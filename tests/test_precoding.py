@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from netmimo.channel import (
     PURPOSE_CHANNEL,
     PURPOSE_ESTIMATE,
+    ChannelRealization,
     apply_estimate_noise,
     complex_gaussian,
     draw_channel,
@@ -21,12 +22,14 @@ from netmimo.precoding import (
     zf_precoder,
 )
 from netmimo.allocation import distance_based
+from netmimo.evaluation import instantaneous_rates
 from netmimo.topology import (
     cooperation_radius,
     data_sharing_sets,
     interference_levels,
     pairwise_distance,
     place_grid,
+    place_uniform_random,
 )
 
 
@@ -166,6 +169,98 @@ def test_screen_keeps_condition_number_decisions(seed, k, stacked, decades):
         # kappa_2 <= kappa_F <= K kappa_2, up to rounding of order K kappa eps
         # in either computed value; the screen only clears kappa_F < 2.5e9.
         assert kappa_2 * (1 - 1e-4) <= prec.max_cond <= k * kappa_2 * (1 + 1e-4)
+
+
+def _each(fn, stack, batch):
+    """fn applied to every batch element of stack: its result or its IllConditionedError."""
+    out = {}
+    for idx in np.ndindex(batch):
+        try:
+            out[idx] = fn(stack[idx])
+        except IllConditionedError as exc:
+            out[idx] = exc
+    return out
+
+
+def _assert_batch_matches(batched_call, singles, batch):
+    """A batched precoder call equals its one-element calls: the stacked T and
+    max_cond bytes when all pass, else the first element's rejection."""
+    failed = [r for r in singles.values() if isinstance(r, IllConditionedError)]
+    if failed:
+        with pytest.raises(IllConditionedError) as info:
+            batched_call()
+        assert info.value.cond == failed[0].cond
+        return None
+    prec = batched_call()
+    assert prec.max_cond.shape == batch
+    for idx, one in singles.items():
+        assert prec.T[idx].tobytes() == one.T.tobytes()
+        assert prec.max_cond[idx] == one.max_cond
+    return prec
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 6),
+    batch=st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple),
+    thr=st.sampled_from([1e12, 40.0, 10.0]),
+)
+def test_batched_kernels_equal_stacked_single_calls(seed, k, batch, thr):
+    """Every kernel with leading batch axes equals its one-trial calls byte
+    for byte. The lower thresholds make the kappa_F screen miss some
+    elements and reject some."""
+    rng = np.random.default_rng(seed)
+    layout = place_uniform_random(k, 3.0, rng)
+    p = 1e4
+    model = pathloss_matrix(interference_levels(pairwise_distance(layout), 0.6), p)
+    h_unit = complex_gaussian(rng, batch + (k, k))
+    chan = ChannelRealization(H=model.sigma * h_unit, H_unit=h_unit)
+    bits = rng.integers(0, 12, (k, k, k)).astype(float)
+    noise = complex_gaussian(rng, batch + (k, k, k))
+
+    est = apply_estimate_noise(chan, model, bits, noise)
+    for idx in np.ndindex(batch):
+        one = ChannelRealization(H=chan.H[idx], H_unit=chan.H_unit[idx])
+        assert est[idx].tobytes() == apply_estimate_noise(one, model, bits, noise[idx]).tobytes()
+
+    zf_singles = _each(lambda h: zf_precoder(h, p, thr), chan.H, batch)
+    zf = _assert_batch_matches(lambda: zf_precoder(chan.H, p, thr), zf_singles, batch)
+    _assert_batch_matches(
+        lambda: distributed_precoder(est, p, thr),
+        _each(lambda e: distributed_precoder(e, p, thr), est, batch),
+        batch,
+    )
+    if zf is not None:
+        sample = instantaneous_rates(chan.H, zf)
+        for idx, one in zf_singles.items():
+            want = instantaneous_rates(chan.H[idx], one)
+            assert sample.rates[idx].tobytes() == want.rates.tobytes()
+            assert sample.signal[idx].tobytes() == want.signal.tobytes()
+            assert sample.interference[idx].tobytes() == want.interference.tobytes()
+
+
+def test_batched_call_solves_a_screen_miss_one_element_at_a_time(monkeypatch):
+    """np.linalg.cond only ever sees one element of a batch: the one the
+    kappa_F screen missed."""
+    seen = []
+    real_cond = np.linalg.cond
+
+    def recording_cond(a, *args):
+        seen.append(a.shape)
+        return real_cond(a, *args)
+
+    monkeypatch.setattr(np.linalg, "cond", recording_cond)
+    rng = np.random.default_rng(22)
+    good = complex_gaussian(rng, (3, 3))
+    near_singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-9, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    prec = zf_precoder(np.stack([good, near_singular, good]), 10.0, cond_threshold=1e12)
+    assert seen == [(3, 3)]
+    assert prec.max_cond[1] == real_cond(near_singular)
+    assert prec.max_cond[0] == prec.max_cond[2] == zf_precoder(good, 10.0).max_cond
+    seen.clear()
+    assert zf_precoder(np.stack([good, good]), 10.0).max_cond.shape == (2,)
+    assert seen == []
 
 
 def test_exactly_singular_reports_infinite_condition():
