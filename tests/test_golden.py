@@ -1,8 +1,10 @@
-"""Golden rates.csv files: the engine's output pinned byte for byte.
+"""Golden files: the engine's and the oracle's output pinned byte for byte.
 
-Each file under tests/data is the rates.csv of one tiny config. A change that
-moves a single byte of it is a numerical change and has to be declared as
-one. To regenerate the files after such a change, run
+Each *_rates.csv file under tests/data is the rates.csv of one tiny config;
+verify_seed7_trials200.csv holds every verify check's measured value and
+bound in repr, so a last-bit move shows. A change that moves a single byte
+of either is a numerical change and has to be declared as one. To regenerate
+the files after such a change, run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,6 +15,7 @@ import pytest
 
 from netmimo.allocation import PolicySpec
 from netmimo.cli import ExperimentConfig, run_experiment
+from netmimo.oracle import run_verification
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -65,6 +68,18 @@ def test_rates_csv_matches_golden(name, tmp_path):
     assert _rates_csv(name, tmp_path) == (DATA / f"{name}_rates.csv").read_bytes()
 
 
+VERIFY_GOLDEN = DATA / "verify_seed7_trials200.csv"
+
+
+def _verify_csv() -> str:
+    rows = [f"{r.name},{r.measured!r},{r.bound!r}\n" for r in run_verification(seed=7, trials=200)]
+    return "check,measured,bound\n" + "".join(rows)
+
+
+def test_verify_checks_match_golden():
+    assert _verify_csv() == VERIFY_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -73,3 +88,5 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             (DATA / f"{golden}_rates.csv").write_bytes(_rates_csv(golden, Path(tmp)))
         print(f"wrote {DATA / f'{golden}_rates.csv'}")
+    VERIFY_GOLDEN.write_text(_verify_csv())
+    print(f"wrote {VERIFY_GOLDEN}")
