@@ -13,13 +13,7 @@ from math import isqrt
 
 import numpy as np
 
-from .topology import (
-    InterferenceLevelMatrix,
-    NodeLayout,
-    grid_side,
-    interference_levels,
-    pairwise_distance,
-)
+from .topology import NodeLayout, grid_side, interference_levels, pairwise_distance
 
 __all__ = [
     "CsitAllocation",
@@ -95,15 +89,16 @@ def _check_p(p: float) -> float:
     return float(np.log2(p))
 
 
-def conventional(levels: InterferenceLevelMatrix, p: float) -> CsitAllocation:
+def conventional(levels: np.ndarray, p: float) -> CsitAllocation:
     """Every TX quantizes link (k, i) with ceil([Gamma_ki]+ * log2(p)) bits.
 
-    This is the allocation that hands each transmitter the same full-network
-    knowledge it would need in a centralized design.
+    levels is the (K, K) interference_levels matrix. This is the allocation
+    that hands each transmitter the same full-network knowledge it would
+    need in a centralized design.
     """
     log2_p = _check_p(p)
-    k = levels.entries.shape[0]
-    expo = np.maximum(levels.entries, 0.0)
+    k = levels.shape[0]
+    expo = np.maximum(levels, 0.0)
     bits = np.ceil(expo * log2_p)
     return CsitAllocation(
         policy="conventional",

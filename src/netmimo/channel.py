@@ -18,8 +18,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .topology import InterferenceLevelMatrix
-
 __all__ = [
     "PURPOSE_CHANNEL",
     "PURPOSE_ESTIMATE",
@@ -61,8 +59,6 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 class PathlossModel:
     """Link variances sigma_ki^2 = P^(Gamma_ki - 1) at nominal SNR P > 1."""
 
-    gamma: float
-    p: float
     sigma_sq: np.ndarray
     _std_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -102,21 +98,20 @@ class PathlossModel:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One fading draw: H = sigma * H_unit entrywise."""
+    """One fading draw, or a stack of them along leading axes."""
 
-    H: np.ndarray        # faded channel, rows are receivers
-    H_unit: np.ndarray   # unit-variance fading factors
+    H: np.ndarray  # faded channel, rows are receivers
 
 
-def pathloss_matrix(levels: InterferenceLevelMatrix, p: float) -> PathlossModel:
-    """Link variances at nominal SNR p.
+def pathloss_matrix(levels: np.ndarray, p: float) -> PathlossModel:
+    """Link variances at nominal SNR p for the (K, K) interference_levels matrix.
 
     p must exceed 1: the allocation formulas scale with log2(p) and the
     parameterization degenerates at log p <= 0.
     """
     if p <= 1.0:
         raise ValueError(f"nominal SNR must exceed 1 (0 dB), got {p}")
-    return PathlossModel(gamma=levels.gamma, p=float(p), sigma_sq=float(p) ** (levels.entries - 1.0))
+    return PathlossModel(sigma_sq=float(p) ** (levels - 1.0))
 
 
 def draw_channel(
@@ -134,7 +129,7 @@ def draw_channel(
         h_unit = np.empty((len(rng),) + shape, dtype=complex)
         for i, r in enumerate(rng):
             h_unit[i] = complex_gaussian(r, shape)
-    return ChannelRealization(H=model.sigma * h_unit, H_unit=h_unit)
+    return ChannelRealization(H=model.sigma * h_unit)
 
 
 def apply_estimate_noise(

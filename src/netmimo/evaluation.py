@@ -252,8 +252,7 @@ def _simulate_trials(
                     worst_cond[row] = exc.cond
                 else:
                     parts += [
-                        (row + i, ChannelRealization(H=chan.H[i:i + 1], H_unit=chan.H_unit[i:i + 1]),
-                         None if noise is None else noise[i:i + 1])
+                        (row + i, ChannelRealization(H=chan.H[i:i + 1]), None if noise is None else noise[i:i + 1])
                         for i in range(len(chan.H))
                     ]
                 continue

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "NodeLayout",
-    "InterferenceLevelMatrix",
     "UnboundedRadiusError",
     "place_grid",
     "place_uniform_random",
@@ -58,23 +57,6 @@ class NodeLayout:
         return int(self.positions.shape[0])
 
 
-@dataclass(frozen=True)
-class InterferenceLevelMatrix:
-    """Per-link interference levels, entries[k, i] = 1 + (gamma - 1) * dist(k, i).
-
-    Direct links sit at level exactly 1, every entry is <= 1 for gamma <= 1,
-    and the matrix inherits the symmetry of the distance matrix.
-    """
-
-    gamma: float
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        ent = np.array(self.entries, dtype=float)
-        ent.setflags(write=False)
-        object.__setattr__(self, "entries", ent)
-
-
 def place_grid(side: int) -> NodeLayout:
     """Regular side x side grid at integer coordinates (1..side, 1..side).
 
@@ -107,11 +89,13 @@ def pairwise_distance(layout: NodeLayout) -> np.ndarray:
     return np.hypot(diff[..., 0], diff[..., 1])
 
 
-def interference_levels(distances: np.ndarray, gamma: float) -> InterferenceLevelMatrix:
-    """Map distances to interference levels 1 + (gamma - 1) * dist.
+def interference_levels(distances: np.ndarray, gamma: float) -> np.ndarray:
+    """Read-only (K, K) per-link interference levels 1 + (gamma - 1) * dist(k, i).
 
     gamma in (0, 1] controls how fast cross links weaken relative to the
-    direct ones; gamma = 1 collapses the geometry (all links equal).
+    direct ones; gamma = 1 collapses the geometry (all links equal). Direct
+    links sit at level exactly 1, and the matrix inherits the symmetry of
+    the distance matrix.
     """
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -120,7 +104,9 @@ def interference_levels(distances: np.ndarray, gamma: float) -> InterferenceLeve
         raise ValueError("distances must be finite and nonnegative")
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    return InterferenceLevelMatrix(gamma=float(gamma), entries=1.0 + (gamma - 1.0) * d)
+    levels = 1.0 + (gamma - 1.0) * d
+    levels.setflags(write=False)
+    return levels
 
 
 def cooperation_radius(gamma: float) -> float:

@@ -215,13 +215,13 @@ def test_batched_kernels_equal_stacked_single_calls(seed, k, batch, thr):
     p = 1e4
     model = pathloss_matrix(interference_levels(pairwise_distance(layout), 0.6), p)
     h_unit = complex_gaussian(rng, batch + (k, k))
-    chan = ChannelRealization(H=model.sigma * h_unit, H_unit=h_unit)
+    chan = ChannelRealization(H=model.sigma * h_unit)
     bits = rng.integers(0, 12, (k, k, k)).astype(float)
     noise = complex_gaussian(rng, batch + (k, k, k))
 
     est = apply_estimate_noise(chan, model, bits, noise)
     for idx in np.ndindex(batch):
-        one = ChannelRealization(H=chan.H[idx], H_unit=chan.H_unit[idx])
+        one = ChannelRealization(H=chan.H[idx])
         assert est[idx].tobytes() == apply_estimate_noise(one, model, bits, noise[idx]).tobytes()
 
     zf_singles = _each(lambda h: zf_precoder(h, p, thr), chan.H, batch)

@@ -69,9 +69,11 @@ def test_distance_is_a_metric():
 def test_interference_levels_basic():
     d = pairwise_distance(place_grid(3))
     lv = interference_levels(d, 0.6)
-    assert lv.entries[0, 0] == 1.0
-    assert lv.entries[0, 1] == pytest.approx(0.6)
-    np.testing.assert_array_equal(interference_levels(d, 1.0).entries, np.ones((9, 9)))
+    assert lv[0, 0] == 1.0
+    assert lv[0, 1] == pytest.approx(0.6)
+    with pytest.raises(ValueError):
+        lv[0, 1] = 1.0  # read-only
+    np.testing.assert_array_equal(interference_levels(d, 1.0), np.ones((9, 9)))
     with pytest.raises(ValueError):
         interference_levels(d, 0.0)
     with pytest.raises(ValueError):
