@@ -117,14 +117,14 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config of a to_dict form, as read back from JSON.
 
-        Policies may be PolicySpec objects or dicts of their fields. Raises
-        ValueError naming the first key that is not a field, or whose value
-        does not have the field's type.
+        Policies may be PolicySpec objects or dicts of their fields; a missing
+        key keeps the default policies. Raises ValueError naming the first key
+        that is not a field, or whose value does not have the field's type.
         """
-        if isinstance(data, dict) and isinstance(data.get("policies", []), list):
+        if isinstance(data, dict) and isinstance(data.get("policies"), list):
             data = {**data, "policies": [
                 p if isinstance(p, PolicySpec) else PolicySpec(**_field_values(PolicySpec, p, f"policies[{i}]"))
-                for i, p in enumerate(data.get("policies", []))
+                for i, p in enumerate(data["policies"])
             ]}
         return cls(**_field_values(cls, data, "config"))
 

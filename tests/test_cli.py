@@ -523,6 +523,7 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys, data, message):
 def test_config_fields_keep_their_defaults_and_accept_ints_for_floats():
     cfg = ExperimentConfig.from_dict({"trials": 3, "gamma": 1, "policies": [{"kind": "zero"}]})
     assert cfg == replace(ExperimentConfig(), trials=3, gamma=1, policies=[PolicySpec("zero")])
+    assert ExperimentConfig.from_dict({"trials": 3}) == replace(ExperimentConfig(), trials=3)
 
 
 @pytest.mark.parametrize(
