@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmimo.allocation import distance_exponents
 from netmimo.channel import PURPOSE_CHANNEL, complex_gaussian, pathloss_matrix, trial_rng
@@ -155,13 +157,18 @@ def test_truncation_tail_within_bound():
     assert measured > 0.0
 
 
-def test_proof_exponent_table_matches_policy():
-    rng = np.random.default_rng(8)
-    layout = place_uniform_random(10, 6.0, rng)
-    d = pairwise_distance(layout)
-    for gamma in (0.5, 0.7, 0.9):
-        table = proof_exponent_table(d, gamma)
-        np.testing.assert_allclose(table, distance_exponents(d, gamma), atol=1e-12)
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 10),
+    side=st.floats(0.1, 10.0),
+    gamma=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_proof_exponent_table_matches_policy(seed, k, side, gamma):
+    """The case-by-case bookkeeping reproduces the policy's exponent tensor
+    exactly on any layout."""
+    d = pairwise_distance(place_uniform_random(k, side, np.random.default_rng(seed)))
+    np.testing.assert_array_equal(proof_exponent_table(d, gamma), distance_exponents(d, gamma))
 
 
 def test_proof_exponent_special_cases():
