@@ -23,6 +23,7 @@ __all__ = [
     "distance_based",
     "distance_exponents",
     "uniform_matched",
+    "cluster_fit",
     "clustered_matched",
     "perfect_allocation",
     "zero_allocation",
@@ -166,18 +167,12 @@ def uniform_matched(
     return CsitAllocation(policy="uniform", bits=bits)
 
 
-def clustered_matched(
-    budget_total_bits: float, layout: NodeLayout, cluster_size: int
-) -> CsitAllocation:
-    """Spread a total budget over non-overlapping square grid clusters.
+def cluster_fit(layout: NodeLayout, cluster_size: int) -> tuple[int, int]:
+    """Grid side and block side sqrt(C) of a regular clustering of the layout.
 
-    The grid is partitioned into square blocks of cluster_size nodes; TX j
-    spends budget / (K * C^2) bits on every intra-cluster link (k, i) of its
-    own block and nothing elsewhere. Requires a grid layout whose side is
-    divisible by the block side sqrt(C).
+    Raises ValueError unless the layout is a square grid whose side is
+    divisible by the block side of a positive perfect-square cluster_size.
     """
-    if budget_total_bits < 0:
-        raise ValueError(f"budget must be >= 0, got {budget_total_bits}")
     side = grid_side(layout)
     if side is None:
         raise ValueError("regular clustering is defined for square grid layouts only")
@@ -186,6 +181,22 @@ def clustered_matched(
         raise ValueError(f"cluster_size must be a positive perfect square, got {cluster_size}")
     if side % c != 0:
         raise ValueError(f"grid side {side} is not divisible by block side {c}")
+    return side, c
+
+
+def clustered_matched(
+    budget_total_bits: float, layout: NodeLayout, cluster_size: int
+) -> CsitAllocation:
+    """Spread a total budget over non-overlapping square grid clusters.
+
+    The grid is partitioned into square blocks of cluster_size nodes; TX j
+    spends budget / (K * C^2) bits on every intra-cluster link (k, i) of its
+    own block and nothing elsewhere. Requires a layout that cluster_fit
+    accepts.
+    """
+    if budget_total_bits < 0:
+        raise ValueError(f"budget must be >= 0, got {budget_total_bits}")
+    side, c = cluster_fit(layout, cluster_size)
     k = layout.K
     x = layout.positions[:, 0].astype(int)
     y = layout.positions[:, 1].astype(int)

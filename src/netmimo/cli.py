@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .allocation import PolicySpec, allocation_size, build_allocation, clustered_matched, conventional
+from .allocation import PolicySpec, allocation_size, build_allocation, cluster_fit, conventional
 from .channel import PURPOSE_CHANNEL, PURPOSE_LAYOUT, draw_channel, pathloss_matrix, trial_rng
 from .evaluation import (
     ExperimentResult,
@@ -632,7 +632,7 @@ def _resolved_layout(parser: argparse.ArgumentParser, cfg: ExperimentConfig) -> 
     for spec in cfg.policies:
         if spec.kind == "cluster":
             try:
-                clustered_matched(0.0, layout, spec.cluster_size)  # the checks build_allocation makes
+                cluster_fit(layout, spec.cluster_size)
             except ValueError as exc:
                 parser.error(f"policy {spec.label()}: {exc}")
     return layout

@@ -5,6 +5,13 @@ identity used to bound precoder deviations, the diagonal-anchored Neumann
 expansion of the channel inverse, the distance-driven decay of the inverse's
 off-diagonal entries, and the case-by-case exponent bookkeeping that must
 reproduce the policy formula entry by entry.
+
+The Monte-Carlo checks draw each trial's unit-variance channel once and scale
+it by the link standard deviations of every SNR point; the inverses, powers,
+eigenvalues and condition numbers then run on stacks of trials (or pairs) of
+at most _STACK_BYTES each. Every result is bit-identical to drawing and
+solving one trial at a time: draw_channel multiplies the same unit draw by
+the same sigma, and each LAPACK and BLAS call sees the same matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import distance_exponents
-from .channel import PURPOSE_CHANNEL, complex_gaussian, draw_channel, pathloss_matrix, trial_rng
+from .channel import (
+    PURPOSE_CHANNEL,
+    PathlossModel,
+    complex_gaussian,
+    draw_channel,
+    pathloss_matrix,
+    trial_rng,
+)
 from .topology import NodeLayout, interference_levels, pairwise_distance
 
 __all__ = [
@@ -33,6 +47,25 @@ __all__ = [
     "proof_exponent_table",
     "run_verification",
 ]
+
+
+# One (n, K, K) complex stack of trials or pairs stays under this many bytes,
+# so the working set does not grow with the trials. Half the engine's chunk
+# cap: a partial sum keeps about ten such stacks alive at once.
+_STACK_BYTES = 1 << 15
+
+# The tail check replaces divergent draws from a spare budget of one draw per
+# _TAIL_TRIALS_PER_SPARE trials, and never fewer than _TAIL_MIN_SPARE draws.
+_TAIL_TRIALS_PER_SPARE = 10
+_TAIL_MIN_SPARE = 20
+
+# Trial generators alive at once while drawing; each holds about 2.6 KB.
+_DRAW_GROUP = 16
+
+
+def _stack_len(k: int, per_item: int = 1) -> int:
+    """Items per stack when each item holds per_item complex (k, k) matrices."""
+    return max(1, _STACK_BYTES // (16 * per_item * k * k))
 
 
 class DivergentSeriesError(RuntimeError):
@@ -102,76 +135,168 @@ def resolvent_check(a: np.ndarray, b: np.ndarray) -> float:
 def resolvent_max_error(
     pairs: int, size: int, seed: int, cond_limit: float = 100.0
 ) -> float:
-    """Worst resolvent_check over random well-conditioned complex pairs."""
+    """Worst resolvent_check over random well-conditioned complex pairs.
+
+    Pairs (a, b) are drawn one matrix after another from one generator; a
+    pair is rejected when cond(a) > cond_limit or cond(b) > cond_limit. The
+    draws, the screen and the identity run on stacks of pairs.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     done = 0
     while done < pairs:
-        a = complex_gaussian(rng, (size, size))
-        b = complex_gaussian(rng, (size, size))
-        if np.linalg.cond(a) > cond_limit or np.linalg.cond(b) > cond_limit:
-            continue
-        worst = max(worst, resolvent_check(a, b))
-        done += 1
+        n = min(_stack_len(size, 2), pairs - done)
+        ab = np.empty((n, 2, size, size), dtype=complex)
+        for i in range(n):
+            ab[i, 0] = complex_gaussian(rng, (size, size))
+            ab[i, 1] = complex_gaussian(rng, (size, size))
+        cond = np.linalg.cond(ab)
+        kept = ab[~((cond[:, 0] > cond_limit) | (cond[:, 1] > cond_limit))]
+        a, b = kept[:, 0], kept[:, 1]
+        a_inv = np.linalg.inv(a)
+        b_inv = np.linalg.inv(b)
+        err = a_inv - b_inv - b_inv @ (b - a) @ a_inv
+        worst = max([worst, *np.max(np.abs(err), axis=(-2, -1)).tolist()])
+        done += len(kept)
     return worst
 
 
+def _diag_embed(d: np.ndarray) -> np.ndarray:
+    """np.diag(d) for every vector of a (..., K) stack."""
+    out = np.zeros(d.shape + d.shape[-1:], dtype=d.dtype)
+    i = np.arange(d.shape[-1])
+    out[..., i, i] = d
+    return out
+
+
 def _iteration_matrix(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dinv (D - h) and the diagonal D of h, or of every element of a stack."""
     h = np.asarray(h, dtype=complex)
-    d = np.diagonal(h)
+    d = np.diagonal(h, axis1=-2, axis2=-1)
     if np.any(d == 0):
         raise np.linalg.LinAlgError("zero diagonal entry, expansion undefined")
-    return (np.diag(d) - h) / d[:, None], d
+    return (_diag_embed(d) - h) / d[..., :, None], d
 
 
 def neumann_term_matrix(h: np.ndarray, n: int) -> np.ndarray:
     """All (j, i) entries of the order-n expansion term of inv(h).
 
     Term n is (Dinv (D - h))^n Dinv with D = diag(h); order 0 is Dinv itself
-    and every term with n >= 1 has an exactly zero diagonal at n = 1.
+    and every term with n >= 1 has an exactly zero diagonal at n = 1. h may
+    carry leading batch axes; each element's term equals its own call.
     """
     if n < 0:
         raise ValueError(f"term order must be >= 0, got {n}")
     m, d = _iteration_matrix(h)
-    return np.linalg.matrix_power(m, n) / d[None, :]
+    return np.linalg.matrix_power(m, n) / d[..., None, :]
 
 
-def neumann_partial_sum(h: np.ndarray, n_max: int) -> tuple[np.ndarray, float]:
+def _each_on_failure(fn, stack: np.ndarray, fill) -> np.ndarray:
+    """fn on a stack; if LAPACK fails on it, fn on one element at a time, with
+    fill for each element it fails on."""
+    try:
+        return fn(stack)
+    except np.linalg.LinAlgError:
+        out = []
+        for x in stack:
+            try:
+                out.append(fn(x))
+            except np.linalg.LinAlgError:
+                out.append(fill)
+        return np.array(out).reshape(len(stack), *np.shape(fill))
+
+
+def _partial_sums(h: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expansion of every element of an (n, K, K) complex stack up to order n_max.
+
+    Returns the partial sums, their Frobenius residuals against the inverse,
+    and the spectral radii of the iteration matrices. The radius is NaN where
+    the expansion is undefined: a zero diagonal entry, or a LAPACK failure on
+    that element. Only the sums and residuals of elements whose radius is
+    below 1 are meaningful.
+    """
+    n, k = h.shape[0], h.shape[-1]
+    radius = np.full(n, np.nan)
+    total = np.full(h.shape, np.nan, dtype=complex)
+    resid = np.full(n, np.nan)
+    defined = np.flatnonzero(np.all(np.diagonal(h, axis1=-2, axis2=-1) != 0, axis=-1))
+    m, d = _iteration_matrix(h[defined])
+    radius[defined] = _each_on_failure(
+        lambda x: np.max(np.abs(np.linalg.eigvals(x)), axis=-1), m, np.nan
+    )
+    conv = radius[defined] < 1.0
+    ok, m, d = defined[conv], m[conv], d[conv]
+    term = _diag_embed(1.0 / d)
+    sums = term.copy()
+    for _ in range(n_max):
+        term = m @ term
+        sums += term
+    inv = _each_on_failure(np.linalg.inv, h[ok], np.full((k, k), np.nan))
+    radius[ok[np.all(np.isnan(inv), axis=(-2, -1))]] = np.nan
+    total[ok] = sums
+    resid[ok] = [np.linalg.norm(x) for x in sums - inv]
+    return total, resid, radius
+
+
+def neumann_partial_sum(h: np.ndarray, n_max: int) -> tuple[np.ndarray, float | np.ndarray]:
     """Partial sum of the expansion up to order n_max and its Frobenius residual.
 
     Raises DivergentSeriesError when the spectral radius of the iteration
-    matrix reaches 1; the residual is measured against np.linalg.inv(h).
+    matrix reaches 1, and LinAlgError when the expansion is undefined; the
+    residual is measured against np.linalg.inv(h). h may carry leading batch
+    axes: the residuals then form an array, and the first element that fails
+    raises.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    m, d = _iteration_matrix(h)
-    radius = float(np.max(np.abs(np.linalg.eigvals(m))))
-    if radius >= 1.0:
-        raise DivergentSeriesError(f"spectral radius {radius:.6g} >= 1")
-    term = np.diag(1.0 / d)
-    total = term.copy()
-    for _ in range(n_max):
-        term = m @ term
-        total += term
-    return total, float(np.linalg.norm(total - np.linalg.inv(h)))
+    h = np.asarray(h, dtype=complex)
+    batch = h.shape[:-2]
+    total, resid, radius = _partial_sums(h.reshape((-1,) + h.shape[-2:]), n_max)
+    for r in radius:
+        if np.isnan(r):
+            raise np.linalg.LinAlgError("zero diagonal entry or LAPACK failure, expansion undefined")
+        if r >= 1.0:
+            raise DivergentSeriesError(f"spectral radius {r:.6g} >= 1")
+    if not batch:
+        return total[0], float(resid[0])
+    return total.reshape(h.shape), resid.reshape(batch)
+
+
+def _unit_draws(seed: int, trials: range, k: int) -> np.ndarray:
+    """Unit-variance (len(trials), k, k) channel draws of the given trials.
+
+    sigma * draw t equals draw_channel(model, trial_rng(seed, t, ...)).H byte
+    for byte for any model, since the unit model's sigma is exactly 1.0.
+    """
+    unit = PathlossModel(np.ones((k, k)))
+    out = np.empty((len(trials), k, k), dtype=complex)
+    for s in range(0, len(trials), _DRAW_GROUP):
+        rngs = [trial_rng(seed, t, PURPOSE_CHANNEL) for t in trials[s:s + _DRAW_GROUP]]
+        out[s:s + len(rngs)] = draw_channel(unit, rngs).H
+    return out
 
 
 def _median_decay_slopes(
     layout: NodeLayout, gamma: float, p_list, trials: int, seed: int, entry_fn
 ) -> np.ndarray:
-    """Medians of |entry_fn(h)|^2 per link across trials, slope vs log2(P)."""
+    """Medians of |entry_fn(h)|^2 per link across trials, slope vs log2(P).
+
+    entry_fn takes a stack of channels. Every SNR point scales the same unit
+    draws, so each trial is drawn once.
+    """
     k = layout.K
     dist = pairwise_distance(layout)
     p_arr = [float(p) for p in p_list]
     if len(p_arr) < 2:
         raise ValueError("need at least two SNR points for a slope")
+    unit = _unit_draws(seed, range(trials), k)
+    step = _stack_len(k)
     meds = np.empty((len(p_arr), k, k))
+    acc = np.empty((trials, k, k))
     for pi, p in enumerate(p_arr):
-        model = pathloss_matrix(interference_levels(dist, gamma), p)
-        acc = np.empty((trials, k, k))
-        for t in range(trials):
-            h = draw_channel(model, trial_rng(seed, t, PURPOSE_CHANNEL)).H
-            acc[t] = np.abs(entry_fn(h)) ** 2
+        sigma = pathloss_matrix(interference_levels(dist, gamma), p).sigma
+        for s in range(0, trials, step):
+            acc[s:s + step] = np.abs(entry_fn(sigma * unit[s:s + step])) ** 2
         meds[pi] = np.median(acc, axis=0)
     x = np.log2(p_arr)
     slopes = np.full((k, k), np.nan)
@@ -231,24 +356,26 @@ def truncation_tail_check(
     that carries the P^((gamma_min - 1)(n0 + 1)) scaling (term_decay_check
     pins the exponent itself). The residual must stay within `factor` of the
     median squared Frobenius size of that term. Returns (measured median,
-    factor * prediction); rare divergent draws are skipped and replaced.
+    factor * prediction); divergent draws are skipped and replaced, up to
+    _TAIL_MIN_SPARE or one per _TAIL_TRIALS_PER_SPARE trials, whichever is
+    more. Draws are made and expanded in stacks, in trial order.
     """
     dist = pairwise_distance(layout)
     order = truncation_order(dist, gamma)
-    model = pathloss_matrix(interference_levels(dist, gamma), p)
+    sigma = pathloss_matrix(interference_levels(dist, gamma), p).sigma
+    k = layout.K
     resid_sq = []
     next_term_sq = []
     t = 0
-    budget = trials + max(20, trials // 10)
+    budget = trials + max(_TAIL_MIN_SPARE, trials // _TAIL_TRIALS_PER_SPARE)
     while len(resid_sq) < trials and t < budget:
-        h = draw_channel(model, trial_rng(seed, t, PURPOSE_CHANNEL)).H
-        t += 1
-        try:
-            _, resid = neumann_partial_sum(h, order.n0)
-        except (DivergentSeriesError, np.linalg.LinAlgError):
-            continue
-        resid_sq.append(resid**2)
-        next_term_sq.append(np.linalg.norm(neumann_term_matrix(h, order.n0 + 1)) ** 2)
+        n = min(_stack_len(k), trials - len(resid_sq), budget - t)
+        h = sigma * _unit_draws(seed, range(t, t + n), k)
+        t += n
+        _, resid, radius = _partial_sums(h, order.n0)
+        ok = radius < 1.0
+        resid_sq += [float(r) ** 2 for r in resid[ok]]
+        next_term_sq += [np.linalg.norm(x) ** 2 for x in neumann_term_matrix(h[ok], order.n0 + 1)]
     if len(resid_sq) < trials:
         raise RuntimeError(f"only {len(resid_sq)} convergent draws out of {t}")
     predicted = float(np.median(next_term_sq))
@@ -321,11 +448,10 @@ def run_verification(
             )
         )
 
-    diag_max = 0.0
     model = pathloss_matrix(interference_levels(pairwise_distance(line3), gamma), p_list[0])
-    for t in range(min(trials, 200)):
-        h = draw_channel(model, trial_rng(seed, t, PURPOSE_CHANNEL)).H
-        diag_max = max(diag_max, float(np.max(np.abs(np.diagonal(neumann_term_matrix(h, 1))))))
+    h = model.sigma * _unit_draws(seed, range(min(trials, 200)), line3.K)  # 29 KB at most
+    diag = np.abs(np.diagonal(neumann_term_matrix(h, 1), axis1=-2, axis2=-1))
+    diag_max = max([0.0, *np.max(diag, axis=-1).tolist()])
     results.append(
         CheckResult("term_n1_zero_diagonal", diag_max, 0.0, diag_max == 0.0, "exact zeros")
     )

@@ -6,6 +6,7 @@ from netmimo.allocation import (
     PolicySpec,
     allocation_size,
     build_allocation,
+    cluster_fit,
     clustered_matched,
     conventional,
     distance_based,
@@ -188,6 +189,18 @@ def test_cluster_errors():
     random_layout = place_uniform_random(9, 4.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         clustered_matched(1.0, random_layout, 1)
+
+
+def test_cluster_fit_names_the_blocks_and_the_misfit():
+    assert cluster_fit(_grid(6)[0], 4) == (6, 2)
+    assert cluster_fit(_grid(3)[0], 9) == (3, 3)
+    with pytest.raises(ValueError, match="grid side 3 is not divisible by block side 2"):
+        cluster_fit(_grid(3)[0], 4)
+    with pytest.raises(ValueError, match="positive perfect square, got 0"):
+        cluster_fit(_grid(3)[0], 0)
+    random_layout = place_uniform_random(9, 4.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="square grid layouts only"):
+        cluster_fit(random_layout, 1)
 
 
 def test_size_matching_within_tolerance():

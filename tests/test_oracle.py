@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netmimo import oracle
 from netmimo.allocation import distance_exponents
-from netmimo.channel import PURPOSE_CHANNEL, complex_gaussian, pathloss_matrix, trial_rng
+from netmimo.channel import PURPOSE_CHANNEL, complex_gaussian, draw_channel, pathloss_matrix, trial_rng
 from netmimo.oracle import (
     DivergentSeriesError,
+    _partial_sums,
     neumann_partial_sum,
     neumann_term_matrix,
     proof_exponent_table,
@@ -157,6 +159,173 @@ def test_truncation_tail_within_bound():
     assert measured > 0.0
 
 
+def _one_trial_expansion(h, n_max):
+    """(order-n_max partial sum, its residual) of one channel, computed the
+    way a single 2-D trial is: the reference the batched helpers reproduce."""
+    d = np.diagonal(h)
+    if np.any(d == 0):
+        raise np.linalg.LinAlgError("zero diagonal entry")
+    m = (np.diag(d) - h) / d[:, None]
+    radius = float(np.max(np.abs(np.linalg.eigvals(m))))
+    if radius >= 1.0:
+        raise DivergentSeriesError(radius)
+    term = np.diag(1.0 / d)
+    total = term.copy()
+    for _ in range(n_max):
+        term = m @ term
+        total += term
+    return total, float(np.linalg.norm(total - np.linalg.inv(h)))
+
+
+def _one_trial_term(h, n):
+    d = np.diagonal(h)
+    if np.any(d == 0):
+        raise np.linalg.LinAlgError("zero diagonal entry")
+    return np.linalg.matrix_power((np.diag(d) - h) / d[:, None], n) / d[None, :]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DivergentSeriesError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 9),
+    kinds=st.lists(st.sampled_from(["convergent", "divergent", "zero_diagonal"]), min_size=1, max_size=4),
+    n=st.integers(0, 4),
+)
+def test_batched_neumann_helpers_equal_stacked_single_calls(seed, k, kinds, n):
+    """On a stack that mixes convergent, divergent and zero-diagonal elements,
+    every element's term, partial sum and residual equal its one-trial
+    computation byte for byte, and a failing element fails as it does alone."""
+    rng = np.random.default_rng(seed)
+    h = complex_gaussian(rng, (len(kinds), k, k))
+    diag = np.diag_indices(k)
+    for x, kind in zip(h, kinds):
+        if kind == "convergent":
+            x[diag] += 2.0 * k
+        elif kind == "divergent":
+            x[diag] *= 1e-3
+        else:
+            x[(rng.integers(k),) * 2] = 0.0
+    sums = [_outcome(_one_trial_expansion, x, n) for x in h]
+    terms = [_outcome(_one_trial_term, x, n) for x in h]
+
+    total, resid, radius = _partial_sums(h, n)
+    for i, want in enumerate(sums):
+        if want is np.linalg.LinAlgError:
+            assert np.isnan(radius[i])
+        elif want is DivergentSeriesError:
+            assert radius[i] >= 1.0
+        else:
+            assert radius[i] < 1.0
+            assert total[i].tobytes() == want[0].tobytes()
+            assert resid[i] == want[1]
+            one_total, one_resid = neumann_partial_sum(h[i], n)
+            assert one_total.tobytes() == want[0].tobytes() and one_resid == want[1]
+
+    failed = [w for w in sums if isinstance(w, type)]
+    if failed:
+        with pytest.raises(failed[0]):
+            neumann_partial_sum(h, n)
+    else:
+        batch_total, batch_resid = neumann_partial_sum(h, n)
+        assert batch_total.tobytes() == np.stack([w[0] for w in sums]).tobytes()
+        assert batch_resid.tolist() == [w[1] for w in sums]
+
+    if any(w is np.linalg.LinAlgError for w in terms):
+        with pytest.raises(np.linalg.LinAlgError):
+            neumann_term_matrix(h, n)
+    else:
+        assert neumann_term_matrix(h, n).tobytes() == np.stack(terms).tobytes()
+        for x, want in zip(h, terms):
+            assert neumann_term_matrix(x, n).tobytes() == want.tobytes()
+
+
+def test_lapack_failure_marks_only_its_element(monkeypatch):
+    """When eigvals fails on a stack, the elements are redone one at a time:
+    the failing one is undefined and the others keep their one-trial bytes."""
+    real_eigvals = np.linalg.eigvals
+
+    def eigvals_failing_on_zero_corner(a):
+        if np.any(a[..., 0, 1] == 0):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigvals(a)
+
+    h = complex_gaussian(np.random.default_rng(8), (3, 4, 4)) + 8.0 * np.eye(4)
+    h[1, 0, 1] = 0.0
+    want = [_one_trial_expansion(x, 2) for x in h]
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals_failing_on_zero_corner)
+    total, resid, radius = _partial_sums(h, 2)
+    assert np.isnan(radius[1])
+    for i in (0, 2):
+        assert total[i].tobytes() == want[i][0].tobytes()
+        assert resid[i] == want[i][1]
+    with pytest.raises(np.linalg.LinAlgError):
+        neumann_partial_sum(h, 2)
+
+
+def _counting_trial_rng(monkeypatch):
+    """Replace oracle.trial_rng with a wrapper that records every set-up."""
+    calls = []
+
+    def counting(seed, trial, purpose):
+        calls.append((seed, trial, purpose))
+        return trial_rng(seed, trial, purpose)
+
+    monkeypatch.setattr(oracle, "trial_rng", counting)
+    return calls
+
+
+def _one_trial_tail(layout, gamma, p, seed, draws):
+    """Squared residuals and squared next-term norms of the convergent draws
+    among the first `draws` trials, one draw and one expansion at a time."""
+    dist = pairwise_distance(layout)
+    n0 = truncation_order(dist, gamma).n0
+    model = pathloss_matrix(interference_levels(dist, gamma), p)
+    resid_sq, next_sq = [], []
+    for t in range(draws):
+        h = draw_channel(model, trial_rng(seed, t, PURPOSE_CHANNEL)).H
+        try:
+            _, resid = _one_trial_expansion(h, n0)
+        except (DivergentSeriesError, np.linalg.LinAlgError):
+            continue
+        resid_sq.append(resid**2)
+        next_sq.append(np.linalg.norm(_one_trial_term(h, n0 + 1)) ** 2)
+    return resid_sq, next_sq
+
+
+def test_truncation_tail_replaces_divergent_draws(monkeypatch):
+    """At 10 dB a few draws of the two-node line diverge: each is skipped and
+    the next trial drawn, and the medians are those of the first 40
+    convergent draws in trial order."""
+    calls = _counting_trial_rng(monkeypatch)
+    measured, bound = truncation_tail_check(_line(2), 0.5, 10.0, 40, seed=3)
+    resid_sq, next_sq = _one_trial_tail(_line(2), 0.5, 10.0, 3, len(calls))
+    assert len(calls) > 40
+    assert len(resid_sq) == 40
+    assert [c[1] for c in calls] == list(range(len(calls)))
+    assert measured == float(np.median(resid_sq))
+    assert bound == float(10.0 * float(np.median(next_sq)))
+
+
+@pytest.mark.parametrize("trials, budget", [(40, 60), (300, 330)])
+def test_truncation_tail_reports_the_draws_it_attempted(monkeypatch, trials, budget):
+    """Too many divergent draws raise after trials + max(20, trials // 10)
+    attempts, and the message counts both the convergent and the attempted
+    draws."""
+    calls = _counting_trial_rng(monkeypatch)
+    convergent = len(_one_trial_tail(place_grid(3), 0.5, 30.0, 3, budget)[0])
+    assert convergent < trials
+    with pytest.raises(RuntimeError, match=rf"^only {convergent} convergent draws out of {budget}$"):
+        truncation_tail_check(place_grid(3), 0.5, 30.0, trials, seed=3)
+    assert len(calls) == budget
+
+
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -203,3 +372,19 @@ def test_run_verification_all_pass():
     assert len(names) == len(set(names)) == 7
     for r in results:
         assert r.passed, f"{r.name}: measured {r.measured} vs bound {r.bound}"
+
+
+def test_run_verification_draws_each_trial_once_per_check(monkeypatch):
+    """Each Monte-Carlo check draws its trials once and scales them per SNR
+    point: the three decay checks, the zero-diagonal check and the tail
+    check draw 200 trials each (none of the tail's diverges at seed 7),
+    where drawing per SNR point took 3 * 5 * 200 + 200 + 200 = 3400."""
+    calls = _counting_trial_rng(monkeypatch)
+    run_verification(seed=7, trials=200)
+    assert len(calls) == 1000
+
+
+def test_run_verification_keeps_no_state_between_calls():
+    first = run_verification(seed=7, trials=120)
+    run_verification(seed=1, trials=120)
+    assert repr(run_verification(seed=7, trials=120)) == repr(first)
