@@ -48,7 +48,6 @@ class CsitAllocation:
     bits: np.ndarray
     exponents: np.ndarray | None = None
     log2_p: float | None = None
-    alpha: float | None = None
 
     def __post_init__(self) -> None:
         b = np.array(self.bits, dtype=float)
@@ -64,10 +63,6 @@ class CsitAllocation:
                 raise ValueError("exponents must match bits in shape")
             e.setflags(write=False)
             object.__setattr__(self, "exponents", e)
-
-    @property
-    def K(self) -> int:
-        return int(self.bits.shape[0])
 
 
 @dataclass(frozen=True)
@@ -138,7 +133,6 @@ def distance_based(
         bits=np.ceil(expo * log2_p),
         exponents=expo,
         log2_p=log2_p,
-        alpha=float(alpha),
     )
 
 

@@ -38,9 +38,9 @@ from .topology import (
     interference_levels,
     load_layout,
     pairwise_distance,
+    parse_layout,
     place_grid,
     place_uniform_random,
-    save_layout,
 )
 
 __all__ = [
@@ -90,6 +90,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown layout kind {self.layout_kind!r}")
         if self.layout_kind == "file" and not self.layout_path:
             raise ValueError("layout_kind 'file' needs layout_path")
+        if self.layout_kind == "grid" and self.grid_side < 1:
+            raise ValueError(f"grid_side must be >= 1, got {self.grid_side}")
+        if self.layout_kind == "random" and not (self.random_k >= 1 and 0.0 < self.random_side < float("inf")):
+            raise ValueError(f"a random layout needs random_k >= 1 and a finite random_side > 0, "
+                             f"got {self.random_k} and {self.random_side}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
         if not self.snr_db:
@@ -220,24 +225,11 @@ def compute_size_table(
 
 
 def _size_table_csv(rows: list[dict]) -> str:
-    header = "policy,alpha,snr_db,total_bits,prelog,prelog_asymptotic,ratio_to_conventional,ratio_asymptotic"
-    lines = [header]
+    cols = ("snr_db", "total_bits", "prelog", "prelog_asymptotic", "ratio_to_conventional", "ratio_asymptotic")
+    lines = [",".join(("policy", "alpha") + cols)]
     for r in rows:
         alpha = "" if r["alpha"] is None else _fmt(r["alpha"])
-        lines.append(
-            ",".join(
-                [
-                    r["policy"],
-                    alpha,
-                    _fmt(r["snr_db"]),
-                    _fmt(r["total_bits"]),
-                    _fmt(r["prelog"]),
-                    _fmt(r["prelog_asymptotic"]),
-                    _fmt(r["ratio_to_conventional"]),
-                    _fmt(r["ratio_asymptotic"]),
-                ]
-            )
-        )
+        lines.append(",".join([r["policy"], alpha, *(_fmt(r[c]) for c in cols)]))
     return "\n".join(lines) + "\n"
 
 
@@ -267,8 +259,8 @@ def run_experiment(
     (and the channel dump, if asked for).
 
     All outputs are assembled in memory and written together by _write_all,
-    so a failing run writes no file, and output directories it created are
-    removed again. The metadata embeds the config and suffices to re-run the
+    so a failing run writes no file and leaves no output directory it
+    created. The metadata embeds the config and suffices to re-run the
     experiment exactly.
     """
     config.validate()
@@ -322,15 +314,7 @@ def run_experiment(
     }
     if dump_channel:
         files[Path(dump_channel)] = _channel_csv(config, layout)
-    new_dirs = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        _write_all(files)
-    except BaseException:
-        for d in new_dirs:
-            with contextlib.suppress(OSError):  # rmdir removes only empty directories
-                d.rmdir()
-        raise
+    _write_all(files, out)
     return result
 
 
@@ -340,31 +324,39 @@ def _channel_csv(config: ExperimentConfig, layout: NodeLayout) -> str:
     model = pathloss_matrix(interference_levels(pairwise_distance(layout), config.gamma), p)
     chan = draw_channel(model, trial_rng(config.seed, 0, PURPOSE_CHANNEL))
     lines = ["rx,tx,re,im"]
-    for k in range(layout.K):
-        for i in range(layout.K):
-            lines.append(f"{k + 1},{i + 1},{chan.H[k, i].real:.17g},{chan.H[k, i].imag:.17g}")
+    lines += [f"{k + 1},{i + 1},{h.real:.17g},{h.imag:.17g}" for (k, i), h in np.ndenumerate(chan.H)]
     return "\n".join(lines) + "\n"
 
 
-def _write_all(files: dict[Path, str]) -> None:
-    """Write every file or none of them.
+def _write_all(files: dict[Path, str], directory: Path | None = None) -> None:
+    """Write every file or none of them; the only place the CLI writes.
 
-    Each text goes to a temporary sibling first; the temporaries replace
-    their targets only after every write succeeded, and a failed write
-    removes them all.
+    directory, with its missing parents, is created first. Each text then
+    goes to a temporary sibling, and the temporaries replace their targets
+    only after every write succeeded. A failure removes the temporaries and
+    the directories this call created, and raises an OSError that names the
+    path at fault.
     """
     temps = {path: path.with_name(f".{path.name}.tmp") for path in files}
+    created = [d for d in (directory, *directory.parents) if not d.exists()] if directory else []
     try:
+        if directory:
+            directory.mkdir(parents=True, exist_ok=True)
         for path, text in files.items():
-            temps[path].write_text(text)
-    except BaseException as exc:
+            try:
+                temps[path].write_text(text)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        for path, tmp in temps.items():
+            tmp.replace(path)
+    except BaseException:
         for tmp in temps.values():
-            tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+        for d in created:  # deepest first; rmdir removes only empty directories
+            with contextlib.suppress(OSError):
+                d.rmdir()
         raise
-    for path, tmp in temps.items():
-        tmp.replace(path)
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +460,16 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _validated(parser: argparse.ArgumentParser, cfg: ExperimentConfig) -> ExperimentConfig:
-    """cfg itself, or exit with a usage error that names the invalid field."""
+class _UsageError(Exception):
+    """Bad input, found before any output; main exits with a usage error."""
+
+
+def _validated(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg itself, or a usage error that names the invalid field."""
     try:
         cfg.validate()
     except ValueError as exc:
-        parser.error(str(exc))
+        raise _UsageError(str(exc)) from None
     return cfg
 
 
@@ -557,19 +553,19 @@ def main(argv: list[str] | None = None) -> int:
         sub.add_parser(name, parents=[seed_args, run_args], help=f"preset: {factory.__doc__.splitlines()[0]}")
 
     args = parser.parse_args(argv)
+    try:
+        return _command(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
+    except OSError as exc:  # _write_all names the file it could not write, and wrote none
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _command(args: argparse.Namespace) -> int:
+    """Run the subcommand args names; its exit code."""
     if args.command == "verify":
-        results = run_verification(seed=args.seed, trials=args.trials)
-        width = max(len(r.name) for r in results)
-        lines = ["check,measured,bound,passed"]
-        for r in results:
-            verdict = "PASS" if r.passed else "FAIL"
-            print(f"{r.name:<{width}}  measured {r.measured:>12.4e}  bound {r.bound:>12.4e}  {verdict}  {r.note}")
-            lines.append(f"{r.name},{r.measured:.10g},{r.bound:.10g},{str(r.passed).lower()}")
-        if args.output:
-            Path(args.output).write_text("\n".join(lines) + "\n")
-        return 0 if all(r.passed for r in results) else 1
-
+        return _cmd_verify(args)
     if args.command == "layout":
         return _cmd_layout(args)
 
@@ -577,41 +573,45 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in _PRESETS:
         base = _PRESETS[args.command]()
     elif args.config:
-        base = _read_input(parser, "--config", args.config, ExperimentConfig.from_json)
+        base = _read_input("--config:", args.config, ExperimentConfig.from_json)
     elif args.command == "run" and args.from_metadata:
-        base, meta = _read_input(parser, "--from-metadata", args.from_metadata, _metadata_config)
+        base, meta = _read_input("--from-metadata:", args.from_metadata, _metadata_config)
     else:
         base = ExperimentConfig()
-    cfg = _validated(parser, _config_from_args(base, args))
+    cfg = _validated(_config_from_args(base, args))
 
     if args.command == "sizes":
-        layout = _resolved_layout(parser, cfg)
+        layout = _resolved_layout(cfg)
         text = _size_table_csv(compute_size_table(layout, cfg.gamma, cfg.policies, cfg.snr_db))
+        bits_dir = Path(args.export_bits) if args.export_bits else None
+        files = _export_bits(cfg, layout, bits_dir) if bits_dir else {}
         if args.output:
-            Path(args.output).write_text(text)
-        else:
+            files[Path(args.output)] = text
+        _write_all(files, bits_dir)
+        if not args.output:
             sys.stdout.write(text)
-        if args.export_bits:
-            _export_bits(cfg, layout, Path(args.export_bits))
         return 0
     if args.command in _PRESETS:
         return _cmd_run(cfg, args.workers, None)
     if meta is not None and args.layout_path is None and cfg.layout_kind == "file":
-        _check_rerun_layout(parser, cfg.layout_path, meta, args.from_metadata)
+        _check_rerun_layout(cfg.layout_path, meta, args.from_metadata)
     if args.save_config:
-        Path(args.save_config).write_text(cfg.to_json() + "\n")
+        _write_all({Path(args.save_config): cfg.to_json() + "\n"})
         return 0
-    _resolved_layout(parser, cfg)
+    _resolved_layout(cfg)
     return _cmd_run(cfg, args.workers, args.dump_channel)
 
 
-def _read_input(parser: argparse.ArgumentParser, flag: str, path: str, parse):
-    """parse(text of the file at path), or exit with a usage error naming the
-    flag and the file."""
+def _read_input(label: str, path: str, parse):
+    """parse(text of the file at path); the only place the CLI reads a file.
+
+    A file that cannot be read or parsed is a usage error,
+    `{label} {path}: {reason}`.
+    """
     try:
         return parse(Path(path).read_text())
     except (OSError, ValueError) as exc:
-        parser.error(f"{flag}: {path}: {exc}")
+        raise _UsageError(f"{label} {path}: {exc}") from None
 
 
 def _metadata_config(text: str) -> tuple[ExperimentConfig, dict]:
@@ -622,37 +622,34 @@ def _metadata_config(text: str) -> tuple[ExperimentConfig, dict]:
     return ExperimentConfig.from_dict(meta["config"]), meta
 
 
-def _resolved_layout(parser: argparse.ArgumentParser, cfg: ExperimentConfig) -> NodeLayout:
-    """The config's layout, or exit with a usage error if its file cannot be
-    loaded or a cluster policy does not fit it; checked before any trial."""
-    try:
+def _resolved_layout(cfg: ExperimentConfig) -> NodeLayout:
+    """The config's layout, a layout file read by _read_input; a cluster
+    policy that does not fit it is a usage error, found before any trial."""
+    if cfg.layout_kind == "file":
+        layout = _read_input("cannot load layout file", cfg.layout_path, parse_layout)
+    else:
         layout = resolve_layout(cfg)
-    except (OSError, ValueError) as exc:
-        parser.error(f"cannot load layout file {cfg.layout_path}: {exc}")
     for spec in cfg.policies:
         if spec.kind == "cluster":
             try:
                 cluster_fit(layout, spec.cluster_size)
             except ValueError as exc:
-                parser.error(f"policy {spec.label()}: {exc}")
+                raise _UsageError(f"policy {spec.label()}: {exc}") from None
     return layout
 
 
-def _check_rerun_layout(parser: argparse.ArgumentParser, path: str, meta: dict, meta_path: str) -> None:
-    """Exit with a usage error unless the layout file still holds exactly the
-    positions the metadata recorded (save_layout writes them bit-exact)."""
-    try:
-        positions = load_layout(path).positions
-    except (OSError, ValueError) as exc:
-        parser.error(f"--from-metadata: cannot load layout file {path}: {exc}")
+def _check_rerun_layout(path: str, meta: dict, meta_path: str) -> None:
+    """A usage error unless the layout file still holds exactly the positions
+    the metadata recorded (format_layout writes them bit-exact)."""
+    positions = _read_input("--from-metadata: cannot load layout file", path, parse_layout).positions
     if not np.array_equal(positions, np.asarray(meta.get("layout_positions"))):
-        parser.error(f"--from-metadata: layout file {path} differs from the layout_positions in {meta_path}")
+        raise _UsageError(f"--from-metadata: layout file {path} differs from the layout_positions in {meta_path}")
 
 
 def _cmd_run(cfg: ExperimentConfig, workers: int, dump_channel: str | None) -> int:
     try:
         result = run_experiment(cfg, workers=workers, dump_channel=dump_channel)
-    except (RejectionRateError, OSError) as exc:
+    except RejectionRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for spec in cfg.policies:
@@ -668,30 +665,38 @@ def _cmd_run(cfg: ExperimentConfig, workers: int, dump_channel: str | None) -> i
     return 0
 
 
-def _export_bits(cfg: ExperimentConfig, layout: NodeLayout, outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
+def _export_bits(cfg: ExperimentConfig, layout: NodeLayout, outdir: Path) -> dict[Path, str]:
+    """One (j, k, i, bits) CSV per policy and SNR point, keyed by its path in outdir."""
+    files = {}
     for spec in cfg.policies:
         if spec.kind == "perfect":
             continue
         for db in cfg.snr_db:
-            alloc = build_allocation(spec, layout, cfg.gamma, db_to_linear(db))
+            bits = build_allocation(spec, layout, cfg.gamma, db_to_linear(db)).bits
             lines = ["j,k,i,bits"]
-            k = layout.K
-            for j in range(k):
-                for kk in range(k):
-                    for i in range(k):
-                        lines.append(f"{j + 1},{kk + 1},{i + 1},{alloc.bits[j, kk, i]:.10g}")
-            name = f"bits_{spec.kind}"
-            if spec.kind == "distance":
-                name += f"_a{spec.alpha:g}"
-            name += f"_{db:g}dB.csv"
-            (outdir / name).write_text("\n".join(lines) + "\n")
+            lines += [f"{j + 1},{k + 1},{i + 1},{b:.10g}" for (j, k, i), b in np.ndenumerate(bits)]
+            alpha = f"_a{spec.alpha:g}" if spec.kind == "distance" else ""
+            files[outdir / f"bits_{spec.kind}{alpha}_{db:g}dB.csv"] = "\n".join(lines) + "\n"
+    return files
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    results = run_verification(seed=args.seed, trials=args.trials)
+    width = max(len(r.name) for r in results)
+    lines = ["check,measured,bound,passed"]
+    for r in results:
+        verdict = "PASS" if r.passed else "FAIL"
+        print(f"{r.name:<{width}}  measured {r.measured:>12.4e}  bound {r.bound:>12.4e}  {verdict}  {r.note}")
+        lines.append(f"{r.name},{r.measured:.10g},{r.bound:.10g},{str(r.passed).lower()}")
+    if args.output:
+        _write_all({Path(args.output): "\n".join(lines) + "\n"})
+    return 0 if all(r.passed for r in results) else 1
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
     cfg = _config_from_args(ExperimentConfig(), args)
     if args.show:
-        layout = load_layout(args.show)
+        layout = _read_input("--show:", args.show, parse_layout)
         dist = pairwise_distance(layout)
         print(f"nodes: {layout.K}")
         print(f"bounding box: x [{layout.positions[:, 0].min():g}, {layout.positions[:, 0].max():g}]"
@@ -713,8 +718,8 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     if not args.out:
         print("error: --out is required to emit a layout", file=sys.stderr)
         return 2
-    layout = resolve_layout(cfg)
-    save_layout(layout, args.out)
+    layout = _resolved_layout(_validated(cfg))
+    _write_all({Path(args.out): format_layout(layout)})
     print(f"wrote {args.out} ({layout.K} nodes)")
     return 0
 

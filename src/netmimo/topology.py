@@ -25,7 +25,7 @@ __all__ = [
     "data_sharing_sets",
     "grid_side",
     "format_layout",
-    "save_layout",
+    "parse_layout",
     "load_layout",
 ]
 
@@ -154,15 +154,10 @@ def format_layout(layout: NodeLayout) -> str:
     return "".join(f"{x:.17g} {y:.17g}\n" for x, y in layout.positions)
 
 
-def save_layout(layout: NodeLayout, path: str | Path) -> None:
-    """Write format_layout(layout) to path."""
-    Path(path).write_text(format_layout(layout))
-
-
-def load_layout(path: str | Path) -> NodeLayout:
-    """Read a layout file written by save_layout (blank lines ignored)."""
+def parse_layout(text: str) -> NodeLayout:
+    """The layout in the text of a layout file (blank lines ignored)."""
     rows = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -171,5 +166,10 @@ def load_layout(path: str | Path) -> NodeLayout:
             raise ValueError(f"line {ln}: expected `x y`, got {line!r}")
         rows.append((float(parts[0]), float(parts[1])))
     if not rows:
-        raise ValueError(f"no nodes found in {path}")
+        raise ValueError("no nodes found")
     return NodeLayout(np.array(rows))
+
+
+def load_layout(path: str | Path) -> NodeLayout:
+    """Read a layout file in the format_layout format."""
+    return parse_layout(Path(path).read_text())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netmimo.allocation import (
     CsitAllocation,
@@ -86,10 +88,20 @@ def test_distance_gamma_one_equals_conventional():
         np.testing.assert_array_equal(dist_alloc.bits, conv_alloc.bits)
 
 
-def test_distance_dominated_by_conventional():
-    _, d = _grid(3)
-    dist_alloc = distance_based(d, 0.6, 1e5)
-    conv_alloc = conventional(interference_levels(d, 0.6), 1e5)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    layout=st.builds(
+        lambda seed, k, side: place_uniform_random(k, side, np.random.default_rng(seed)),
+        st.integers(0, 2**32 - 1), st.integers(1, 9), st.floats(0.1, 10.0),
+    ),
+    gamma=st.floats(0.0, 1.0, exclude_min=True),
+    p=st.floats(1.0, 1e12, exclude_min=True),
+)
+@example(layout=place_grid(3), gamma=0.6, p=1e5)
+def test_distance_dominated_by_conventional(layout, gamma, p):
+    d = pairwise_distance(layout)
+    dist_alloc = distance_based(d, gamma, p)
+    conv_alloc = conventional(interference_levels(d, gamma), p)
     assert np.all(dist_alloc.bits <= conv_alloc.bits)
 
 

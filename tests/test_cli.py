@@ -559,3 +559,55 @@ def test_metadata_without_layout_positions_is_a_usage_error(tmp_path, capsys):
         main(["run", "--from-metadata", str(path), "--output", str(tmp_path / "rerun")])
     assert info.value.code == 2
     assert f"differs from the layout_positions in {path}" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """main's exit code, whether it returns it or exits with a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["sizes", "--grid-side", "2", "--snr-db", "40", "--output", "{missing}/x.csv"], "{missing}/x.csv"),
+        (["sizes", "--grid-side", "2", "--snr-db", "40", "--export-bits", "{file}/bits"], "{file}/bits"),
+        (["verify", "--trials", "20", "--output", "{missing}/v.csv"], "{missing}/v.csv"),
+        (["run", "--grid-side", "2", "--save-config", "{missing}/c.json"], "{missing}/c.json"),
+        (["layout", "--grid-side", "2", "--out", "{missing}/l.txt"], "{missing}/l.txt"),
+        (["layout", "--show", "{missing}/l.txt"], "--show: {missing}/l.txt"),
+        (["layout", "--layout-file", "{missing}/l.txt", "--out", "{tmp}/x.txt"], "layout file {missing}/l.txt"),
+    ],
+    ids=["sizes-output", "sizes-export-bits", "verify-output", "run-save-config", "layout-out", "layout-show",
+         "layout-layout-file"],
+)
+def test_unreadable_input_or_unwritable_output_exits_2(tmp_path, capsys, argv, named):
+    regular = tmp_path / "F"
+    regular.write_text("")
+    paths = {"missing": tmp_path / "missing", "file": regular, "tmp": tmp_path}
+    assert _exit_code([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and named.format(**paths) in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [regular]
+
+
+@pytest.mark.parametrize("unwritable", ["table", "table-existing-dir", "bits"])
+def test_sizes_writes_the_table_and_the_bit_dumps_together_or_not_at_all(tmp_path, capsys, unwritable):
+    regular = tmp_path / "F"
+    regular.write_text("")
+    table = tmp_path / ("missing" if unwritable.startswith("table") else ".") / "sizes.csv"
+    bits = regular / "bits" if unwritable == "bits" else tmp_path / "new" / "bits"
+    if unwritable == "table-existing-dir":
+        bits.mkdir(parents=True)
+    argv = ["sizes", "--grid-side", "2", "--snr-db", "40", "60", "--policies", "distance", "uniform",
+            "--output", str(table), "--export-bits", str(bits)]
+    assert main(argv) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not table.exists()
+    if unwritable == "table-existing-dir":
+        assert bits.is_dir() and not any(bits.iterdir())
+    else:
+        assert list(tmp_path.iterdir()) == [regular]

@@ -21,9 +21,10 @@ from netmimo.precoding import (
     mask_from_sets,
     zf_precoder,
 )
-from netmimo.allocation import distance_based
+from netmimo.allocation import PolicySpec, build_allocation, distance_based
 from netmimo.evaluation import instantaneous_rates
 from netmimo.topology import (
+    NodeLayout,
     cooperation_radius,
     data_sharing_sets,
     interference_levels,
@@ -238,6 +239,50 @@ def test_batched_kernels_equal_stacked_single_calls(seed, k, batch, thr):
             assert sample.rates[idx].tobytes() == want.rates.tobytes()
             assert sample.signal[idx].tobytes() == want.signal.tobytes()
             assert sample.interference[idx].tobytes() == want.interference.tobytes()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 8),
+    side=st.floats(0.1, 10.0),
+    gamma=st.floats(0.0, 1.0, exclude_min=True),
+    snr_db=st.floats(5.0, 80.0),
+)
+def test_relabelling_nodes_permutes_every_index(seed, k, side, gamma, snr_db):
+    """Relabelling the nodes by pi permutes the distances, the interference
+    levels and all three bit-table axes exactly, and the precoders' rows and
+    columns and the per-user rates up to LAPACK's pivoting."""
+    rng = np.random.default_rng(seed)
+    layout = place_uniform_random(k, side, rng)
+    pi = rng.permutation(k)
+    moved = NodeLayout(layout.positions[pi])
+    ix2, ix3 = np.ix_(pi, pi), np.ix_(pi, pi, pi)
+    p = 10.0 ** (snr_db / 10.0)
+
+    d, d_moved = pairwise_distance(layout), pairwise_distance(moved)
+    assert d_moved.tobytes() == d[ix2].tobytes()
+    levels, levels_moved = interference_levels(d, gamma), interference_levels(d_moved, gamma)
+    assert levels_moved.tobytes() == levels[ix2].tobytes()
+    tables = {}
+    for spec in (PolicySpec("distance", alpha=0.75), PolicySpec("distance"), PolicySpec("conventional")):
+        tables[spec] = build_allocation(spec, layout, gamma, p).bits
+        assert build_allocation(spec, moved, gamma, p).bits.tobytes() == tables[spec][ix3].tobytes()
+
+    model, model_moved = pathloss_matrix(levels, p), pathloss_matrix(levels_moved, p)
+    h = model.sigma * complex_gaussian(rng, (k, k))
+    noise = complex_gaussian(rng, (k, k, k))
+    bits = tables[PolicySpec("distance")]
+    est = apply_estimate_noise(ChannelRealization(H=h), model, bits, noise)
+    est_moved = apply_estimate_noise(ChannelRealization(H=h[ix2]), model_moved, bits[ix3], noise[ix3])
+    assert est_moved.tobytes() == est[ix3].tobytes()
+
+    for kernel, h_in, h_in_moved in ((zf_precoder, h, h[ix2]), (distributed_precoder, est, est_moved)):
+        prec, prec_moved = kernel(h_in, p), kernel(h_in_moved, p)
+        # Every column has norm sqrt(p), so the tolerance is relative to it.
+        np.testing.assert_allclose(prec_moved.T, prec.T[ix2], rtol=1e-9, atol=1e-9 * math.sqrt(p))
+        rates = instantaneous_rates(h, prec).rates
+        np.testing.assert_allclose(instantaneous_rates(h[ix2], prec_moved).rates, rates[pi], rtol=1e-9, atol=1e-12)
 
 
 def test_batched_call_solves_a_screen_miss_one_element_at_a_time(monkeypatch):

@@ -6,13 +6,13 @@ from netmimo.topology import (
     UnboundedRadiusError,
     cooperation_radius,
     data_sharing_sets,
+    format_layout,
     grid_side,
     interference_levels,
     load_layout,
     pairwise_distance,
     place_grid,
     place_uniform_random,
-    save_layout,
 )
 
 
@@ -148,7 +148,7 @@ def test_layout_file_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     layout = place_uniform_random(7, 4.0, rng)
     path = tmp_path / "nodes.txt"
-    save_layout(layout, path)
+    path.write_text(format_layout(layout))
     back = load_layout(path)
     np.testing.assert_array_equal(back.positions, layout.positions)
 
