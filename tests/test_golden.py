@@ -54,6 +54,25 @@ GOLDEN = {
         ),
         2,
     ),
+    # K = 16 with the fig1-desk policies: the largest matrices of any golden
+    # file, and enough trials per point to fill several trial chunks.
+    "grid4_fig1": (
+        dict(
+            seed=11,
+            layout_kind="grid",
+            grid_side=4,
+            gamma=0.6,
+            snr_db=[30.0, 70.0],
+            trials=10,
+            policies=[
+                PolicySpec("perfect"),
+                PolicySpec("distance"),
+                PolicySpec("uniform"),
+                PolicySpec("cluster", cluster_size=4),
+            ],
+        ),
+        1,
+    ),
 }
 
 
