@@ -43,12 +43,14 @@ def trial_rng(seed: int, trial: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(trial), int(purpose))))
 
 
-def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+def complex_gaussian(rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
     """Circularly-symmetric complex Gaussian, unit total variance per entry.
 
-    The real parts are drawn first, then the imaginary parts.
+    The real parts are drawn first, then the imaginary parts. Given out, a
+    complex array of that shape, the draw is written into it and out is
+    returned, with the same values as a fresh draw.
     """
-    z = np.empty(shape, dtype=complex)
+    z = np.empty(shape, dtype=complex) if out is None else out
     z.real = rng.standard_normal(shape)
     z.imag = rng.standard_normal(shape)
     z /= np.sqrt(2.0)
@@ -128,12 +130,17 @@ def draw_channel(
     else:
         h_unit = np.empty((len(rng),) + shape, dtype=complex)
         for i, r in enumerate(rng):
-            h_unit[i] = complex_gaussian(r, shape)
+            complex_gaussian(r, shape, out=h_unit[i])
     return ChannelRealization(H=model.sigma * h_unit)
 
 
 def apply_estimate_noise(
-    chan: ChannelRealization, model: PathlossModel, bits: np.ndarray, noise: np.ndarray
+    chan: ChannelRealization,
+    model: PathlossModel,
+    bits: np.ndarray,
+    noise: np.ndarray,
+    *,
+    _out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Dress a channel with quantization-grade noise for the given bit counts.
 
@@ -143,7 +150,13 @@ def apply_estimate_noise(
     bits is (K, K), or (K, K, K) for one estimate per transmitter. A batch of
     channels (..., K, K) takes noise (..., K, K) or (..., K, K, K) with the
     same leading axes, and gives one estimate (stack) per channel.
+
+    The result is a fresh array. The trial engine passes _out, a complex
+    array of the result's shape, to have the estimates written into it with
+    the same bits.
     """
     std = model._error_std(bits)
     h = chan.H if std.ndim == 2 else chan.H[..., None, :, :]
-    return h + std * noise
+    if _out is None:
+        return h + std * noise
+    return np.add(h, np.multiply(std, noise, out=_out), out=_out)

@@ -10,15 +10,17 @@ are replaced by fresh trial indices and counted.
 Trials run in chunks: each trial is drawn from its own substreams, the draws
 are stacked, and the channel, precoding and rate kernels run once per chunk
 over a leading trial axis, one policy at a time. The chunk size is capped by
-the bytes of one policy's estimate stack, so it shrinks as K grows (8 trials
-at K = 8, one at K = 16). A chunk in which any trial is rejected is rerun one
-trial at a time through the same kernels, so each trial's acceptance and
-condition estimate are its own. A kernel call over a batch equals the calls
-on its elements bit for bit, so per-trial results depend only on (seed,
-trial index): neither the chunking nor worker scheduling can change any
-output. With more than one worker, a sweep forks one pool and keeps it warm
-for every SNR point and top-up; the pool is reaped before the sweep returns
-or raises.
+the bytes of one policy's estimate stack, so it shrinks as K grows (24 trials
+at K = 8, 3 at K = 16, one from K = 19 up). Each call holds one workspace for
+its chunks' noise, estimate and squared-magnitude stacks, which the kernels
+write into instead of allocating them per chunk and policy. A chunk in which
+any trial is rejected is rerun one trial at a time through the same kernels,
+so each trial's acceptance and condition estimate are its own. A kernel
+call over a batch equals the calls on its elements bit for bit, so
+per-trial results depend only on (seed, trial index): neither the chunking
+nor worker scheduling can change any output. With more than one worker, a
+sweep forks one pool and keeps it warm for every SNR point and top-up; the
+pool is reaped before the sweep returns or raises.
 """
 
 from __future__ import annotations
@@ -190,8 +192,10 @@ def instantaneous_rates(h: np.ndarray, precoder: Precoder | np.ndarray) -> RateS
 # ---------------------------------------------------------------------------
 
 # Trials per chunk are capped so that one policy's (trials, K, K, K) complex
-# estimate stack stays within this many bytes; its inverses take as much again.
-_CHUNK_BYTES = 1 << 16
+# estimate stack stays within this many bytes. A call's workspace holds three
+# such stacks and each solve's inverses one more, so the cap trades the
+# per-chunk overhead at K = 16 (3 trials a chunk) against peak memory.
+_CHUNK_BYTES = 3 << 16
 
 
 def _simulate_trials(
@@ -230,21 +234,26 @@ def _simulate_trials(
     worst_cond = np.zeros(n)
 
     chunk = max(1, _CHUNK_BYTES // (16 * k**3))
+    # The call's workspace: the noise stack, the estimate stack and the
+    # condition screen's squared magnitudes, each sized for one chunk. Every
+    # chunk and policy writes into it, instead of allocating and freeing
+    # stacks this large once per chunk and policy.
+    work = np.empty((3, min(chunk, n) * k**3 if need_noise else 0), dtype=complex)
     for start in range(0, n, chunk):
         trials = [int(t) for t in trial_indices[start:start + chunk]]
         chan = draw_channel(model, [trial_rng(seed, t, PURPOSE_CHANNEL) for t in trials])
         noise = None
         if need_noise:
-            noise = np.empty((len(trials), k, k, k), dtype=complex)
+            noise = work[0, : len(trials) * k**3].reshape(len(trials), k, k, k)
             for i, t in enumerate(trials):
-                noise[i] = complex_gaussian(trial_rng(seed, t, PURPOSE_ESTIMATE), (k, k, k))
+                complex_gaussian(trial_rng(seed, t, PURPOSE_ESTIMATE), (k, k, k), out=noise[i])
         parts = [(start, chan, noise)]
         while parts:
             row, chan, noise = parts.pop()
             rows = slice(row, row + len(chan.H))
             try:
                 rates[rows], row_dev[rows], worst_cond[rows] = _solve_chunk(
-                    chan, noise, model, bits_list, p, cond_threshold, mask
+                    chan, noise, work, model, bits_list, p, cond_threshold, mask
                 )
             except IllConditionedError as exc:
                 if len(chan.H) == 1:
@@ -264,6 +273,7 @@ def _simulate_trials(
 def _solve_chunk(
     chan: ChannelRealization,
     noise: np.ndarray | None,
+    work: np.ndarray,
     model: PathlossModel,
     bits_list: list[np.ndarray | None],
     p: float,
@@ -274,7 +284,9 @@ def _solve_chunk(
     policy condition estimate (m,) of m trials, one policy at a time.
 
     chan holds the m channels, noise the (m, K, K, K) estimation noise.
-    Raises IllConditionedError if any solve of any trial is rejected.
+    Rows 1 and 2 of work, the call's workspace, take each policy's estimate
+    stack and the condition screen's scratch. Raises IllConditionedError if
+    any solve of any trial is rejected.
     """
     t_star = zf_precoder(chan.H, p, cond_threshold)
     rates = np.empty(chan.H.shape[:1] + (len(bits_list),) + chan.H.shape[-1:])
@@ -284,7 +296,8 @@ def _solve_chunk(
         if bits is None:
             prec = t_star
         else:
-            prec = distributed_precoder(apply_estimate_noise(chan, model, bits, noise), p, cond_threshold)
+            est = apply_estimate_noise(chan, model, bits, noise, _out=work[1, : noise.size].reshape(noise.shape))
+            prec = distributed_precoder(est, p, cond_threshold, _scratch=work[2])
         worst = prec.max_cond if worst is None else np.maximum(worst, prec.max_cond)
         row_dev[:, pol] = (np.abs(prec.T - t_star.T) ** 2).sum(axis=-1)
         t = prec.T if mask is None else prec.T * mask

@@ -72,8 +72,25 @@ _SCREEN_CAP = 1e10
 _SCREEN_MARGIN = 4.0
 
 
+def _sq_magnitude(a: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
+    """(a.conj() * a).real, bit for bit.
+
+    scratch is None or a flat complex array of at least a.size entries,
+    which then takes the conjugate and the product in place. A one-element
+    array keeps a fresh product: numpy multiplies it in place in another
+    loop, which rounds differently.
+    """
+    if scratch is None:
+        return (a.conj() * a).real
+    conj = np.conjugate(a, out=scratch[: a.size].reshape(a.shape))
+    return np.multiply(conj, a, out=conj if a.size > 1 else None).real
+
+
 def _checked_inverse(
-    matrices: np.ndarray, cond_threshold: float, core: int
+    matrices: np.ndarray,
+    cond_threshold: float,
+    core: int,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray] | None:
     """Inverses of one solve or a batch of solves, their column norms, and
     the condition estimate of each solve.
@@ -93,7 +110,9 @@ def _checked_inverse(
     read-only array over the batch axes. np.linalg.inv is an LU solve against
     the identity, matrix by matrix, so its result equals solve(matrices, eye)
     bit for bit whatever the batch. Column norms are taken over axis -2
-    exactly as np.linalg.norm(inverse, axis=-2) takes them.
+    exactly as np.linalg.norm(inverse, axis=-2) takes them. Given scratch
+    (see _sq_magnitude), the squared magnitudes are formed in it instead of
+    in fresh arrays.
     """
     batch_ndim = matrices.ndim - core
     try:
@@ -101,8 +120,8 @@ def _checked_inverse(
     except np.linalg.LinAlgError:
         inv = None  # an exact zero pivot
     else:
-        col_sq = (inv.conj() * inv).real.sum(axis=-2)
-        a_sq = (matrices.conj() * matrices).real.sum(axis=(-2, -1))
+        col_sq = _sq_magnitude(inv, scratch).sum(axis=-2)
+        a_sq = _sq_magnitude(matrices, scratch).sum(axis=(-2, -1))
         kappa_f_sq = a_sq * col_sq.sum(axis=-1)  # one per matrix
         # sqrt is monotone, so the worst kappa_F of the call decides for all.
         worst = math.sqrt(float(kappa_f_sq.max()))
@@ -160,7 +179,11 @@ def zf_precoder(
 
 
 def distributed_precoder(
-    estimates: np.ndarray, p: float, cond_threshold: float = DEFAULT_COND_THRESHOLD
+    estimates: np.ndarray,
+    p: float,
+    cond_threshold: float = DEFAULT_COND_THRESHOLD,
+    *,
+    _scratch: np.ndarray | None = None,
 ) -> Precoder:
     """Row j of the result is row j of the zero-forcing precoder that TX j
     computes from its own estimate.
@@ -169,14 +192,16 @@ def distributed_precoder(
     matrix exactly; otherwise the rows are mutually inconsistent and the
     mismatch is what the deviation statistics measure. estimates[j] is TX
     j's K x K estimate. Leading axes of estimates (..., K, K, K) are batch
-    axes, with the same contract as in zf_precoder.
+    axes, with the same contract as in zf_precoder. The trial engine passes
+    _scratch, the working memory of the condition screen (see
+    _sq_magnitude); the result never refers to it.
     """
     stack = np.asarray(estimates, dtype=complex)
     if stack.ndim < 3 or not stack.shape[-3] == stack.shape[-2] == stack.shape[-1]:
         raise ValueError(f"estimates must have shape (..., K, K, K), got {stack.shape}")
     if p <= 0:
         raise ValueError(f"power must be > 0, got {p}")
-    solved = _checked_inverse(stack, cond_threshold, core=3)
+    solved = _checked_inverse(stack, cond_threshold, core=3, scratch=_scratch)
     if solved is None:
         return _one_at_a_time(distributed_precoder, stack, 3, p, cond_threshold)
     inv_cols, col_norms, worst = solved

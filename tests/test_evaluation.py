@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from netmimo import evaluation
-from netmimo.allocation import PolicySpec, distance_based
+from netmimo.allocation import PolicySpec, build_allocation, distance_based
 from netmimo.cli import ExperimentConfig, fig2_desk_config, run_experiment
 from netmimo.channel import (
     PURPOSE_CHANNEL,
@@ -28,7 +28,7 @@ from netmimo.evaluation import (
     instantaneous_rates,
     linear_to_db,
 )
-from netmimo.precoding import distributed_precoder, zf_precoder
+from netmimo.precoding import IllConditionedError, distributed_precoder, zf_precoder
 from netmimo.topology import (
     NodeLayout,
     interference_levels,
@@ -298,6 +298,97 @@ def test_rejections_identical_for_any_chunk_size(monkeypatch):
         outcomes.append((rp.mean_per_user.tobytes(), str(info.value)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1].startswith("26 of 226 trials rejected")
+
+
+_FIG1_POLICIES = [
+    PolicySpec("perfect"), PolicySpec("distance"), PolicySpec("uniform"), PolicySpec("cluster", cluster_size=4)
+]
+
+
+def _engine_args(grid_side, db, trials, cond_threshold=1e12, seed=3):
+    """_simulate_trials arguments for a grid at gamma 0.6; cluster:4 only
+    where the grid takes it."""
+    layout = place_grid(grid_side)
+    p = db_to_linear(db)
+    specs = _FIG1_POLICIES if grid_side % 2 == 0 else _FIG1_POLICIES[:3]
+    bits = [None if s.kind == "perfect" else build_allocation(s, layout, 0.6, p).bits for s in specs]
+    return (layout.positions, 0.6, p, bits, seed, np.arange(trials), cond_threshold, None)
+
+
+def _replayed(positions, gamma, p, bits_list, seed, trial_indices, cond_threshold, mask):
+    """What _simulate_trials returns, from one public kernel call per trial
+    and policy, none of them sharing memory with another."""
+    k = len(positions)
+    model = pathloss_matrix(interference_levels(pairwise_distance(NodeLayout(positions)), gamma), p)
+    n, n_pol = len(trial_indices), len(bits_list)
+    rates, row_dev = np.full((n, n_pol, k), np.nan), np.full((n, n_pol, k), np.nan)
+    accepted, worst = np.zeros(n, dtype=bool), np.zeros(n)
+    for row, t in enumerate(trial_indices):
+        chan = draw_channel(model, trial_rng(seed, t, PURPOSE_CHANNEL))
+        noise = complex_gaussian(trial_rng(seed, t, PURPOSE_ESTIMATE), (k, k, k))
+        try:
+            t_star = zf_precoder(chan.H, p, cond_threshold)
+            precs = [
+                t_star if b is None
+                else distributed_precoder(apply_estimate_noise(chan, model, b, noise), p, cond_threshold)
+                for b in bits_list
+            ]
+        except IllConditionedError as exc:
+            worst[row] = exc.cond
+            continue
+        for pol, prec in enumerate(precs):
+            rates[row, pol] = instantaneous_rates(chan.H, prec).rates
+            row_dev[row, pol] = (np.abs(prec.T - t_star.T) ** 2).sum(axis=-1)
+        accepted[row] = True
+        worst[row] = max(prec.max_cond for prec in precs)
+    return rates, row_dev.sum(axis=-1), row_dev, accepted, worst
+
+
+def _same_bytes(got, want):
+    return [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("db", [20.0, 60.0])
+def test_k16_chunks_with_rejected_trials_equal_one_trial_calls(db):
+    """At K = 16 a chunk holds several trials. A low threshold rejects a few
+    of them (one trial in twelve at 60 dB, a third at 20 dB) and makes the
+    kappa_F screen miss on most others; every per-trial output still equals
+    the kernel calls of that trial alone."""
+    assert evaluation._CHUNK_BYTES // (16 * 16**3) >= 2
+    args = _engine_args(4, db, 24, cond_threshold=300.0)
+    got = evaluation._simulate_trials(*args)
+    assert 0 < (~got[3]).sum() < 12
+    assert _same_bytes(got, _replayed(*args))
+
+
+@pytest.mark.parametrize("budget", [None, _ONE_TRIAL], ids=["default", "one-trial"])
+def test_k1_engine_equals_one_trial_calls(monkeypatch, budget):
+    """A one-node layout: every stack has one entry per trial, and a chunk of
+    one trial makes one-element arrays, on which numpy runs other loops."""
+    if budget is not None:
+        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", budget)
+    args = _engine_args(1, 30.0, 40)
+    assert _same_bytes(evaluation._simulate_trials(*args), _replayed(*args))
+
+
+def test_interleaved_engine_calls_equal_fresh_calls(monkeypatch):
+    """A K = 3 call made in the middle of a K = 16 call's chunk, between two
+    of its noise draws, changes neither call's output."""
+    big, small = _engine_args(4, 40.0, 9, seed=5), _engine_args(3, 40.0, 11, cond_threshold=60.0, seed=6)
+    fresh_big, fresh_small = evaluation._simulate_trials(*big), evaluation._simulate_trials(*small)
+    real_draw = evaluation.complex_gaussian
+    nested = []
+
+    def draw_with_a_nested_call(*a, **kw):
+        out = real_draw(*a, **kw)
+        if a[1] == (16, 16, 16) and not nested:
+            nested.append(evaluation._simulate_trials(*small))
+        return out
+
+    monkeypatch.setattr(evaluation, "complex_gaussian", draw_with_a_nested_call)
+    assert _same_bytes(evaluation._simulate_trials(*big), fresh_big)
+    assert _same_bytes(nested[0], fresh_small)
+    assert _same_bytes(evaluation._simulate_trials(*small), fresh_small)
 
 
 def test_condition_number_sees_one_trial_at_a_time(monkeypatch):
