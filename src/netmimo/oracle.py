@@ -24,7 +24,6 @@ from .allocation import distance_exponents
 from .channel import (
     PURPOSE_CHANNEL,
     PathlossModel,
-    complex_gaussian,
     draw_channel,
     pathloss_matrix,
     trial_rng,
@@ -146,10 +145,13 @@ def resolvent_max_error(
     done = 0
     while done < pairs:
         n = min(_stack_len(size, 2), pairs - done)
+        # One draw per stack, in the order of complex_gaussian calls on a, then
+        # b, of each pair: axes (pair, matrix, real or imaginary part, row, column).
+        parts = rng.standard_normal((n, 2, 2, size, size))
         ab = np.empty((n, 2, size, size), dtype=complex)
-        for i in range(n):
-            ab[i, 0] = complex_gaussian(rng, (size, size))
-            ab[i, 1] = complex_gaussian(rng, (size, size))
+        ab.real = parts[:, :, 0]
+        ab.imag = parts[:, :, 1]
+        ab /= np.sqrt(2.0)
         cond = np.linalg.cond(ab)
         kept = ab[~((cond[:, 0] > cond_limit) | (cond[:, 1] > cond_limit))]
         a, b = kept[:, 0], kept[:, 1]
