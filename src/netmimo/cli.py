@@ -253,7 +253,10 @@ def _rates_csv(result: ExperimentResult, policies: list[PolicySpec]) -> str:
 
 
 def run_experiment(
-    config: ExperimentConfig, workers: int = 1, dump_channel: str | None = None
+    config: ExperimentConfig,
+    workers: int = 1,
+    dump_channel: str | None = None,
+    layout: NodeLayout | None = None,
 ) -> ExperimentResult:
     """Run a config end to end and write rates.csv, metadata.json, layout.txt
     (and the channel dump, if asked for).
@@ -261,10 +264,12 @@ def run_experiment(
     All outputs are assembled in memory and written together by _write_all,
     so a failing run writes no file and leaves no output directory it
     created. The metadata embeds the config and suffices to re-run the
-    experiment exactly.
+    experiment exactly. layout, if given, is the config's layout as the
+    caller already resolved it, so a layout file is not read again.
     """
     config.validate()
-    layout = resolve_layout(config)
+    if layout is None:
+        layout = resolve_layout(config)
     result = evaluate_curves(
         layout,
         config.gamma,
@@ -333,12 +338,15 @@ def _write_all(files: dict[Path, str], directory: Path | None = None) -> None:
 
     directory, with its missing parents, is created first. Each text then
     goes to a temporary sibling, and the temporaries replace their targets
-    only after every write succeeded. A failure removes the temporaries and
-    the directories this call created, and raises an OSError that names the
-    path at fault.
+    only after every write succeeded. A target that is not a directory is
+    first moved aside to another sibling, so that a failed replacement can
+    put back every target replaced before it. A failure removes the
+    temporaries and the directories this call created, and raises an
+    OSError that names the path at fault.
     """
     temps = {path: path.with_name(f".{path.name}.tmp") for path in files}
     created = [d for d in (directory, *directory.parents) if not d.exists()] if directory else []
+    replaced: list[tuple[Path, Path | None]] = []  # (target, its old entry moved aside, if any)
     try:
         if directory:
             directory.mkdir(parents=True, exist_ok=True)
@@ -348,8 +356,18 @@ def _write_all(files: dict[Path, str], directory: Path | None = None) -> None:
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, str(path)) from exc
         for path, tmp in temps.items():
+            old = path.with_name(f".{path.name}.old") if path.is_symlink() or path.is_file() else None
+            if old:
+                path.replace(old)
+            replaced.append((path, old))
             tmp.replace(path)
     except BaseException:
+        for path, old in reversed(replaced):
+            with contextlib.suppress(OSError):
+                if old:
+                    old.replace(path)
+                elif not path.is_dir():
+                    path.unlink()
         for tmp in temps.values():
             with contextlib.suppress(OSError):
                 tmp.unlink()
@@ -357,6 +375,10 @@ def _write_all(files: dict[Path, str], directory: Path | None = None) -> None:
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
+    for _, old in replaced:
+        if old:
+            with contextlib.suppress(OSError):
+                old.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -592,14 +614,16 @@ def _command(args: argparse.Namespace) -> int:
             sys.stdout.write(text)
         return 0
     if args.command in _PRESETS:
-        return _cmd_run(cfg, args.workers, None)
+        return _cmd_run(cfg, args.workers, None, _resolved_layout(cfg))
+    layout = None
     if meta is not None and args.layout_path is None and cfg.layout_kind == "file":
-        _check_rerun_layout(cfg.layout_path, meta, args.from_metadata)
+        layout = _rerun_layout(cfg, meta, args.from_metadata)
     if args.save_config:
         _write_all({Path(args.save_config): cfg.to_json() + "\n"})
         return 0
-    _resolved_layout(cfg)
-    return _cmd_run(cfg, args.workers, args.dump_channel)
+    if layout is None:
+        layout = _resolved_layout(cfg)
+    return _cmd_run(cfg, args.workers, args.dump_channel, layout)
 
 
 def _read_input(label: str, path: str, parse):
@@ -622,11 +646,12 @@ def _metadata_config(text: str) -> tuple[ExperimentConfig, dict]:
     return ExperimentConfig.from_dict(meta["config"]), meta
 
 
-def _resolved_layout(cfg: ExperimentConfig) -> NodeLayout:
-    """The config's layout, a layout file read by _read_input; a cluster
-    policy that does not fit it is a usage error, found before any trial."""
+def _resolved_layout(cfg: ExperimentConfig, label: str = "cannot load layout file") -> NodeLayout:
+    """The config's layout, a layout file read by _read_input with label; a
+    cluster policy that does not fit it is a usage error, found before any
+    trial."""
     if cfg.layout_kind == "file":
-        layout = _read_input("cannot load layout file", cfg.layout_path, parse_layout)
+        layout = _read_input(label, cfg.layout_path, parse_layout)
     else:
         layout = resolve_layout(cfg)
     for spec in cfg.policies:
@@ -638,17 +663,21 @@ def _resolved_layout(cfg: ExperimentConfig) -> NodeLayout:
     return layout
 
 
-def _check_rerun_layout(path: str, meta: dict, meta_path: str) -> None:
-    """A usage error unless the layout file still holds exactly the positions
-    the metadata recorded (format_layout writes them bit-exact)."""
-    positions = _read_input("--from-metadata: cannot load layout file", path, parse_layout).positions
-    if not np.array_equal(positions, np.asarray(meta.get("layout_positions"))):
-        raise _UsageError(f"--from-metadata: layout file {path} differs from the layout_positions in {meta_path}")
+def _rerun_layout(cfg: ExperimentConfig, meta: dict, meta_path: str) -> NodeLayout:
+    """The layout of a --from-metadata rerun, its layout file read once; a
+    usage error unless the file still holds exactly the positions the
+    metadata recorded (format_layout writes them bit-exact)."""
+    layout = _resolved_layout(cfg, "--from-metadata: cannot load layout file")
+    if not np.array_equal(layout.positions, np.asarray(meta.get("layout_positions"))):
+        raise _UsageError(
+            f"--from-metadata: layout file {cfg.layout_path} differs from the layout_positions in {meta_path}"
+        )
+    return layout
 
 
-def _cmd_run(cfg: ExperimentConfig, workers: int, dump_channel: str | None) -> int:
+def _cmd_run(cfg: ExperimentConfig, workers: int, dump_channel: str | None, layout: NodeLayout) -> int:
     try:
-        result = run_experiment(cfg, workers=workers, dump_channel=dump_channel)
+        result = run_experiment(cfg, workers=workers, dump_channel=dump_channel, layout=layout)
     except RejectionRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,6 +385,43 @@ def test_failed_run_writes_no_file(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["layout.txt", "metadata.json", "rates.csv"]
     assert (out / "rates.csv").read_bytes() != before["rates.csv"]
     assert (tmp_path / "chan.csv").exists()
+
+
+def test_failed_replacement_puts_back_every_replaced_file(tmp_path, capsys):
+    """chan.csv is a directory, so its replacement fails after the run's
+    other outputs were replaced: every one of them is put back."""
+    out = tmp_path / "out"
+    argv = ["run", "--grid-side", "2", "--trials", "5", "--snr-db", "30", "--output", str(out)]
+    assert main(argv + ["--seed", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    chan = tmp_path / "chan.csv"
+    chan.mkdir()
+    assert main(argv + ["--seed", "9", "--dump-channel", str(chan)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert chan.is_dir() and not any(chan.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chan.csv", "out"]
+
+
+def test_rerun_reads_its_layout_file_once(tmp_path, monkeypatch):
+    """A --from-metadata rerun runs on the very positions it checked."""
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("0.1 0.7\n1.3 0.2\n0.4 1.9\n")
+    first = tmp_path / "first"
+    assert main(["run", "--layout-file", str(nodes), "--trials", "3", "--snr-db", "30", "--output", str(first)]) == 0
+    reads = []
+    real_read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self)
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    rerun = tmp_path / "rerun"
+    assert main(["run", "--from-metadata", str(first / "metadata.json"), "--output", str(rerun)]) == 0
+    assert reads == [first / "metadata.json", nodes]
+    monkeypatch.undo()
+    assert (rerun / "rates.csv").read_bytes() == (first / "rates.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
