@@ -152,11 +152,9 @@ def apply_estimate_noise(
     same leading axes, and gives one estimate (stack) per channel.
 
     The result is a fresh array. The trial engine passes _out, a complex
-    array of the result's shape, to have the estimates written into it with
-    the same bits.
+    array of the result's shape, to have the estimates written into it.
     """
     std = model._error_std(bits)
     h = chan.H if std.ndim == 2 else chan.H[..., None, :, :]
-    if _out is None:
-        return h + std * noise
-    return np.add(h, np.multiply(std, noise, out=_out), out=_out)
+    out = np.empty(np.broadcast_shapes(h.shape, std.shape, noise.shape), dtype=complex) if _out is None else _out
+    return np.add(h, np.multiply(std, noise, out=out), out=out)

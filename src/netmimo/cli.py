@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -256,7 +257,8 @@ def run_experiment(
     config: ExperimentConfig,
     workers: int = 1,
     dump_channel: str | None = None,
-    layout: NodeLayout | None = None,
+    *,
+    _layout: NodeLayout | None = None,
 ) -> ExperimentResult:
     """Run a config end to end and write rates.csv, metadata.json, layout.txt
     (and the channel dump, if asked for).
@@ -264,12 +266,12 @@ def run_experiment(
     All outputs are assembled in memory and written together by _write_all,
     so a failing run writes no file and leaves no output directory it
     created. The metadata embeds the config and suffices to re-run the
-    experiment exactly. layout, if given, is the config's layout as the
-    caller already resolved it, so a layout file is not read again.
+    experiment exactly. _layout exists only so that the CLI, which has
+    already read and checked the config's layout file, does not read it
+    again; it must be the layout resolve_layout(config) gives.
     """
     config.validate()
-    if layout is None:
-        layout = resolve_layout(config)
+    layout = resolve_layout(config) if _layout is None else _layout
     result = evaluate_curves(
         layout,
         config.gamma,
@@ -339,14 +341,14 @@ def _write_all(files: dict[Path, str], directory: Path | None = None) -> None:
     directory, with its missing parents, is created first. Each text then
     goes to a temporary sibling, and the temporaries replace their targets
     only after every write succeeded. A target that is not a directory is
-    first moved aside to another sibling, so that a failed replacement can
-    put back every target replaced before it. A failure removes the
-    temporaries and the directories this call created, and raises an
-    OSError that names the path at fault.
+    first hard-linked to another sibling, so that each replacement stays one
+    atomic rename and a failed one can put back every target replaced before
+    it. A failure removes the temporaries and the directories this call
+    created, and raises an OSError that names the path at fault.
     """
     temps = {path: path.with_name(f".{path.name}.tmp") for path in files}
     created = [d for d in (directory, *directory.parents) if not d.exists()] if directory else []
-    replaced: list[tuple[Path, Path | None]] = []  # (target, its old entry moved aside, if any)
+    replaced: list[tuple[Path, Path | None]] = []  # (target, the link to its old entry, if any)
     try:
         if directory:
             directory.mkdir(parents=True, exist_ok=True)
@@ -358,7 +360,9 @@ def _write_all(files: dict[Path, str], directory: Path | None = None) -> None:
         for path, tmp in temps.items():
             old = path.with_name(f".{path.name}.old") if path.is_symlink() or path.is_file() else None
             if old:
-                path.replace(old)
+                with contextlib.suppress(FileNotFoundError):
+                    old.unlink()  # left by a run that was killed
+                os.link(path, old, follow_symlinks=False)
             replaced.append((path, old))
             tmp.replace(path)
     except BaseException:
@@ -621,9 +625,7 @@ def _command(args: argparse.Namespace) -> int:
     if args.save_config:
         _write_all({Path(args.save_config): cfg.to_json() + "\n"})
         return 0
-    if layout is None:
-        layout = _resolved_layout(cfg)
-    return _cmd_run(cfg, args.workers, args.dump_channel, layout)
+    return _cmd_run(cfg, args.workers, args.dump_channel, _resolved_layout(cfg, layout))
 
 
 def _read_input(label: str, path: str, parse):
@@ -646,13 +648,13 @@ def _metadata_config(text: str) -> tuple[ExperimentConfig, dict]:
     return ExperimentConfig.from_dict(meta["config"]), meta
 
 
-def _resolved_layout(cfg: ExperimentConfig, label: str = "cannot load layout file") -> NodeLayout:
-    """The config's layout, a layout file read by _read_input with label; a
-    cluster policy that does not fit it is a usage error, found before any
-    trial."""
-    if cfg.layout_kind == "file":
-        layout = _read_input(label, cfg.layout_path, parse_layout)
-    else:
+def _resolved_layout(cfg: ExperimentConfig, layout: NodeLayout | None = None) -> NodeLayout:
+    """The config's layout, a layout file read by _read_input unless layout
+    already holds it; a cluster policy that does not fit it is a usage
+    error, found before any trial."""
+    if layout is None and cfg.layout_kind == "file":
+        layout = _read_input("cannot load layout file", cfg.layout_path, parse_layout)
+    elif layout is None:
         layout = resolve_layout(cfg)
     for spec in cfg.policies:
         if spec.kind == "cluster":
@@ -664,10 +666,10 @@ def _resolved_layout(cfg: ExperimentConfig, label: str = "cannot load layout fil
 
 
 def _rerun_layout(cfg: ExperimentConfig, meta: dict, meta_path: str) -> NodeLayout:
-    """The layout of a --from-metadata rerun, its layout file read once; a
-    usage error unless the file still holds exactly the positions the
-    metadata recorded (format_layout writes them bit-exact)."""
-    layout = _resolved_layout(cfg, "--from-metadata: cannot load layout file")
+    """The layout file of a --from-metadata rerun, read once; a usage error
+    unless it still holds exactly the positions the metadata recorded
+    (format_layout writes them bit-exact)."""
+    layout = _read_input("--from-metadata: cannot load layout file", cfg.layout_path, parse_layout)
     if not np.array_equal(layout.positions, np.asarray(meta.get("layout_positions"))):
         raise _UsageError(
             f"--from-metadata: layout file {cfg.layout_path} differs from the layout_positions in {meta_path}"
@@ -677,7 +679,7 @@ def _rerun_layout(cfg: ExperimentConfig, meta: dict, meta_path: str) -> NodeLayo
 
 def _cmd_run(cfg: ExperimentConfig, workers: int, dump_channel: str | None, layout: NodeLayout) -> int:
     try:
-        result = run_experiment(cfg, workers=workers, dump_channel=dump_channel, layout=layout)
+        result = run_experiment(cfg, workers=workers, dump_channel=dump_channel, _layout=layout)
     except RejectionRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

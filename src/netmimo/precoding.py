@@ -76,12 +76,11 @@ def _sq_magnitude(a: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
     """(a.conj() * a).real, bit for bit.
 
     scratch is None or a flat complex array of at least a.size entries,
-    which then takes the conjugate and the product in place. A one-element
-    array keeps a fresh product: numpy multiplies it in place in another
-    loop, which rounds differently.
+    which takes the conjugate and the product in place. A one-element array
+    keeps a fresh product: numpy multiplies it in place in another loop,
+    which rounds differently.
     """
-    if scratch is None:
-        return (a.conj() * a).real
+    scratch = np.empty(a.size, dtype=complex) if scratch is None else scratch
     conj = np.conjugate(a, out=scratch[: a.size].reshape(a.shape))
     return np.multiply(conj, a, out=conj if a.size > 1 else None).real
 

@@ -403,6 +403,54 @@ def test_failed_replacement_puts_back_every_replaced_file(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chan.csv", "out"]
 
 
+def test_every_target_exists_while_its_replacement_is_pending(tmp_path, monkeypatch):
+    """A target is backed up by a hard link, not moved aside, so a run killed
+    between the backup and the replacement still leaves every output in
+    place; a backup such a run left behind does not stop the next one."""
+    out = tmp_path / "out"
+    argv = ["run", "--grid-side", "2", "--trials", "5", "--snr-db", "30", "--output", str(out)]
+    assert main(argv + ["--seed", "1"]) == 0
+    old = {p.name: p.read_bytes() for p in out.iterdir()}
+    (out / ".rates.csv.old").write_text("left by a killed run\n")
+    seen = []
+    real_replace = Path.replace
+
+    def checking_replace(self, target):
+        if self.name.endswith(".tmp"):  # a temporary about to replace its target
+            seen.append(Path(target).name)
+            assert sorted(p.name for p in out.iterdir() if not p.name.startswith(".")) == sorted(old)
+            assert Path(target).read_bytes() == old[Path(target).name]
+        return real_replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", checking_replace)
+    assert main(argv + ["--seed", "9"]) == 0
+    monkeypatch.undo()
+    assert sorted(seen) == sorted(old)
+    assert sorted(p.name for p in out.iterdir()) == sorted(old)
+    assert (out / "rates.csv").read_bytes() != old["rates.csv"]
+
+
+def test_rerun_checks_its_layout_file_before_the_policies(tmp_path, capsys):
+    """A rerun compares its layout file with the metadata first, and only a
+    rerun that goes on to run checks that a cluster policy fits."""
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("0.1 0.7\n1.3 0.2\n0.4 1.9\n1.1 1.4\n")
+    first = tmp_path / "first"
+    assert main(["run", "--layout-file", str(nodes), "--trials", "2", "--snr-db", "30", "--output", str(first)]) == 0
+    rerun = ["run", "--from-metadata", str(first / "metadata.json"), "--policies", "perfect", "cluster:4"]
+    saved = tmp_path / "c.json"
+    assert main(rerun + ["--save-config", str(saved)]) == 0
+    policies = ExperimentConfig.from_json(saved.read_text()).policies
+    assert policies == [PolicySpec("perfect"), PolicySpec("cluster", cluster_size=4)]
+    capsys.readouterr()
+    assert _exit_code(rerun + ["--output", str(tmp_path / "rerun")]) == 2
+    assert "policy cluster(size=4): regular clustering" in capsys.readouterr().err
+    nodes.write_text("0.1 0.7\n1.3 0.2\n0.4 1.9\n1.1 1.5\n")
+    assert _exit_code(rerun + ["--save-config", str(tmp_path / "d.json")]) == 2
+    assert f"layout file {nodes} differs from the layout_positions" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "first", "nodes.txt"]
+
+
 def test_rerun_reads_its_layout_file_once(tmp_path, monkeypatch):
     """A --from-metadata rerun runs on the very positions it checked."""
     nodes = tmp_path / "nodes.txt"
