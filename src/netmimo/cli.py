@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -37,7 +38,6 @@ from .topology import (
     data_sharing_sets,
     format_layout,
     interference_levels,
-    load_layout,
     pairwise_distance,
     parse_layout,
     place_grid,
@@ -60,18 +60,20 @@ DEFAULT_SNR_DB = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0]
 
 @dataclass
 class ExperimentConfig:
-    """Everything needed to reproduce a rate experiment exactly.
+    """Everything needed to reproduce a rate experiment exactly, a layout
+    file's node positions included, so a saved config or a run's metadata
+    reruns without any other file.
 
     The worker count is deliberately not part of the config: it affects
     scheduling only, never results.
     """
 
     seed: int = 1
-    layout_kind: str = "grid"          # grid | random | file
+    layout_kind: str = "grid"          # grid | random | positions
     grid_side: int = 4
     random_k: int = 8
     random_side: float = 4.0
-    layout_path: str | None = None
+    positions: list[list[float]] | None = None  # one [x, y] per node; only for layout_kind "positions"
     gamma: float = 0.6
     snr_db: list[float] = field(default_factory=lambda: list(DEFAULT_SNR_DB))
     trials: int = 500
@@ -85,12 +87,20 @@ class ExperimentConfig:
     output: str = "netmimo-out"
 
     def validate(self) -> None:
+        """Raise ValueError naming the first invalid field; a cluster policy
+        that does not fit the layout is invalid too."""
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.layout_kind not in ("grid", "random", "file"):
+        if self.layout_kind not in ("grid", "random", "positions"):
             raise ValueError(f"unknown layout kind {self.layout_kind!r}")
-        if self.layout_kind == "file" and not self.layout_path:
-            raise ValueError("layout_kind 'file' needs layout_path")
+        if (self.positions is not None) != (self.layout_kind == "positions"):
+            raise ValueError(f"positions must be set exactly when layout_kind is 'positions', "
+                             f"got {self.layout_kind!r}")
+        if self.layout_kind == "positions":
+            try:
+                NodeLayout(self.positions)
+            except ValueError as exc:
+                raise ValueError(f"layout_kind 'positions': {exc}") from None
         if self.layout_kind == "grid" and self.grid_side < 1:
             raise ValueError(f"grid_side must be >= 1, got {self.grid_side}")
         if self.layout_kind == "random" and not (self.random_k >= 1 and 0.0 < self.random_side < float("inf")):
@@ -115,6 +125,12 @@ class ExperimentConfig:
             raise ValueError(f"cond_threshold must be > 0, got {self.cond_threshold}")
         if not 0.0 <= self.max_rejection_rate < 1.0:
             raise ValueError(f"max_rejection_rate must lie in [0, 1), got {self.max_rejection_rate}")
+        for spec in self.policies:
+            if spec.kind == "cluster":
+                try:
+                    cluster_fit(resolve_layout(self), spec.cluster_size)
+                except ValueError as exc:
+                    raise ValueError(f"policy {spec.label()}: {exc}") from None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -172,13 +188,13 @@ def _has_type(value, hint) -> bool:
 
 
 def resolve_layout(config: ExperimentConfig) -> NodeLayout:
-    """Build the layout a config describes; random layouts derive from the seed."""
+    """The layout a config describes; random layouts derive from the seed."""
     if config.layout_kind == "grid":
         return place_grid(config.grid_side)
     if config.layout_kind == "random":
         rng = trial_rng(config.seed, 0, PURPOSE_LAYOUT)
         return place_uniform_random(config.random_k, config.random_side, rng)
-    return load_layout(config.layout_path)
+    return NodeLayout(config.positions)
 
 
 def _fmt(x: float) -> str:
@@ -253,25 +269,17 @@ def _rates_csv(result: ExperimentResult, policies: list[PolicySpec]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    workers: int = 1,
-    dump_channel: str | None = None,
-    *,
-    _layout: NodeLayout | None = None,
-) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, workers: int = 1, dump_channel: str | None = None) -> ExperimentResult:
     """Run a config end to end and write rates.csv, metadata.json, layout.txt
     (and the channel dump, if asked for).
 
     All outputs are assembled in memory and written together by _write_all,
     so a failing run writes no file and leaves no output directory it
-    created. The metadata embeds the config and suffices to re-run the
-    experiment exactly. _layout exists only so that the CLI, which has
-    already read and checked the config's layout file, does not read it
-    again; it must be the layout resolve_layout(config) gives.
+    created. The metadata embeds the config, which suffices to re-run the
+    experiment exactly.
     """
     config.validate()
-    layout = resolve_layout(config) if _layout is None else _layout
+    layout = resolve_layout(config)
     result = evaluate_curves(
         layout,
         config.gamma,
@@ -286,16 +294,6 @@ def run_experiment(
     )
     csv_text = _rates_csv(result, config.policies)
     size_rows = compute_size_table(layout, config.gamma, config.policies, config.snr_db)
-    dof = {}
-    for spec in config.policies:
-        curve = result.curves[spec]
-        if len(curve.points) >= 2:
-            est = dof_slope(curve, min(config.fit_points, len(curve.points)))
-            dof[spec.label()] = {
-                "slope": est.slope,
-                "residual": est.residual,
-                "fit_snr_db": list(est.fit_snr_db),
-            }
     try:
         d0 = cooperation_radius(config.gamma)
     except ValueError:
@@ -303,10 +301,9 @@ def run_experiment(
     metadata = {
         "tool": {"name": "netmimo", "version": __version__},
         "config": config.to_dict(),
-        "layout_positions": layout.positions.tolist(),
         "cooperation_radius": d0,
         "sizes": size_rows,
-        "dof": dof,
+        "dof": _dof_fits(config, result),
         "rejections": {
             spec.label(): [pt.rejections for pt in result.curves[spec].points]
             for spec in config.policies
@@ -323,6 +320,23 @@ def run_experiment(
         files[Path(dump_channel)] = _channel_csv(config, layout)
     _write_all(files, out)
     return result
+
+
+def _dof_fits(config: ExperimentConfig, result: ExperimentResult) -> dict:
+    """The metadata's dof block, the only place slopes are fitted: per policy
+    label, the fit over the last fit_points SNR points (all of them, if
+    fewer); a policy with fewer than 2 points has no entry."""
+    dof = {}
+    for spec in config.policies:
+        curve = result.curves[spec]
+        if len(curve.points) >= 2:
+            est = dof_slope(curve, min(config.fit_points, len(curve.points)))
+            dof[spec.label()] = {
+                "slope": est.slope,
+                "residual": est.residual,
+                "fit_snr_db": list(est.fit_snr_db),
+            }
+    return dof
 
 
 def _channel_csv(config: ExperimentConfig, layout: NodeLayout) -> str:
@@ -507,14 +521,20 @@ def _config_from_args(base: ExperimentConfig, args: argparse.Namespace) -> Exper
 
     A flag whose destination names a config field sets that field; flags
     not given are None and leave the base alone. The layout flags also set
-    the layout kind, --layout-file before --random-k before --grid-side.
+    the layout kind, --layout-file before --random-k before --grid-side; the
+    file is read here, once, into the positions, and the others clear them.
     """
     given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None}
-    for flag, kind in (("layout_path", "file"), ("random_k", "random"), ("grid_side", "grid")):
-        if flag in given:
-            given["layout_kind"] = kind
-            break
+    if getattr(args, "layout_file", None) is not None:
+        given.update(layout_kind="positions", positions=_read_layout_file(args.layout_file))
+    elif "random_k" in given or "grid_side" in given:
+        given.update(layout_kind="random" if "random_k" in given else "grid", positions=None)
     return replace(base, **given)
+
+
+def _read_layout_file(path: str) -> list[list[float]]:
+    """The positions in a layout file, as a config holds them."""
+    return _read_input("cannot load layout file", path, parse_layout).positions.tolist()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -533,9 +553,7 @@ def main(argv: list[str] | None = None) -> int:
     layout_args.add_argument("--grid-side", type=_positive_int, help="square grid side length")
     layout_args.add_argument("--random-k", type=_positive_int, help="number of nodes placed uniformly at random")
     layout_args.add_argument("--random-side", type=float, help="side of the random square")
-    layout_args.add_argument(
-        "--layout-file", dest="layout_path", metavar="LAYOUT_FILE", help="load node positions from a layout file"
-    )
+    layout_args.add_argument("--layout-file", help="take the node positions from a layout file")
     model_args = argparse.ArgumentParser(add_help=False)
     model_args.add_argument("--config", help="JSON experiment config")
     model_args.add_argument(
@@ -595,19 +613,18 @@ def _command(args: argparse.Namespace) -> int:
     if args.command == "layout":
         return _cmd_layout(args)
 
-    meta = None
     if args.command in _PRESETS:
         base = _PRESETS[args.command]()
     elif args.config:
-        base = _read_input("--config:", args.config, ExperimentConfig.from_json)
+        base = _read_input("--config:", args.config, _parse_config)
     elif args.command == "run" and args.from_metadata:
-        base, meta = _read_input("--from-metadata:", args.from_metadata, _metadata_config)
+        base = _read_input("--from-metadata:", args.from_metadata, lambda text: _parse_config(text, metadata=True))
     else:
         base = ExperimentConfig()
     cfg = _validated(_config_from_args(base, args))
 
     if args.command == "sizes":
-        layout = _resolved_layout(cfg)
+        layout = resolve_layout(cfg)
         text = _size_table_csv(compute_size_table(layout, cfg.gamma, cfg.policies, cfg.snr_db))
         bits_dir = Path(args.export_bits) if args.export_bits else None
         files = _export_bits(cfg, layout, bits_dir) if bits_dir else {}
@@ -618,14 +635,11 @@ def _command(args: argparse.Namespace) -> int:
             sys.stdout.write(text)
         return 0
     if args.command in _PRESETS:
-        return _cmd_run(cfg, args.workers, None, _resolved_layout(cfg))
-    layout = None
-    if meta is not None and args.layout_path is None and cfg.layout_kind == "file":
-        layout = _rerun_layout(cfg, meta, args.from_metadata)
+        return _cmd_run(cfg, args.workers, None)
     if args.save_config:
         _write_all({Path(args.save_config): cfg.to_json() + "\n"})
         return 0
-    return _cmd_run(cfg, args.workers, args.dump_channel, _resolved_layout(cfg, layout))
+    return _cmd_run(cfg, args.workers, args.dump_channel)
 
 
 def _read_input(label: str, path: str, parse):
@@ -640,54 +654,41 @@ def _read_input(label: str, path: str, parse):
         raise _UsageError(f"{label} {path}: {exc}") from None
 
 
-def _metadata_config(text: str) -> tuple[ExperimentConfig, dict]:
-    """The config a metadata.json embeds, and the whole metadata."""
-    meta = json.loads(text)
-    if not isinstance(meta, dict) or "config" not in meta:
-        raise ValueError("no 'config' key; not a run's metadata.json")
-    return ExperimentConfig.from_dict(meta["config"]), meta
+def _parse_config(text: str, metadata: bool = False) -> ExperimentConfig:
+    """The valid config in the text of a --config file, or the one a
+    metadata.json embeds. A config from before the positions moved into it
+    (layout_kind "file", layout_path) is translated here, once: metadata
+    gives the layout_positions it recorded beside the config, without the
+    file; a config file has its layout file read, as --layout-file does.
+    """
+    data = json.loads(text)
+    if metadata:
+        if not isinstance(data, dict) or "config" not in data:
+            raise ValueError("no 'config' key; not a run's metadata.json")
+        meta, data = data, data["config"]
+    if isinstance(data, dict) and data.get("layout_kind") == "file":
+        if metadata and "layout_positions" not in meta:
+            raise ValueError("no 'layout_positions' key beside a config with layout_kind 'file'")
+        if not metadata and not isinstance(data.get("layout_path"), str):
+            raise ValueError("layout_kind 'file' needs a layout_path string")
+        positions = meta["layout_positions"] if metadata else _read_layout_file(data["layout_path"])
+        data = {k: v for k, v in data.items() if k != "layout_path"}
+        data.update(layout_kind="positions", positions=positions)
+    cfg = ExperimentConfig.from_dict(data)
+    cfg.validate()
+    return cfg
 
 
-def _resolved_layout(cfg: ExperimentConfig, layout: NodeLayout | None = None) -> NodeLayout:
-    """The config's layout, a layout file read by _read_input unless layout
-    already holds it; a cluster policy that does not fit it is a usage
-    error, found before any trial."""
-    if layout is None and cfg.layout_kind == "file":
-        layout = _read_input("cannot load layout file", cfg.layout_path, parse_layout)
-    elif layout is None:
-        layout = resolve_layout(cfg)
-    for spec in cfg.policies:
-        if spec.kind == "cluster":
-            try:
-                cluster_fit(layout, spec.cluster_size)
-            except ValueError as exc:
-                raise _UsageError(f"policy {spec.label()}: {exc}") from None
-    return layout
-
-
-def _rerun_layout(cfg: ExperimentConfig, meta: dict, meta_path: str) -> NodeLayout:
-    """The layout file of a --from-metadata rerun, read once; a usage error
-    unless it still holds exactly the positions the metadata recorded
-    (format_layout writes them bit-exact)."""
-    layout = _read_input("--from-metadata: cannot load layout file", cfg.layout_path, parse_layout)
-    if not np.array_equal(layout.positions, np.asarray(meta.get("layout_positions"))):
-        raise _UsageError(
-            f"--from-metadata: layout file {cfg.layout_path} differs from the layout_positions in {meta_path}"
-        )
-    return layout
-
-
-def _cmd_run(cfg: ExperimentConfig, workers: int, dump_channel: str | None, layout: NodeLayout) -> int:
+def _cmd_run(cfg: ExperimentConfig, workers: int, dump_channel: str | None) -> int:
     try:
-        result = run_experiment(cfg, workers=workers, dump_channel=dump_channel, _layout=layout)
+        result = run_experiment(cfg, workers=workers, dump_channel=dump_channel)
     except RejectionRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    dof = _dof_fits(cfg, result)
     for spec in cfg.policies:
-        curve = result.curves[spec]
-        top = curve.points[-1]
-        n_fit = min(cfg.fit_points, len(curve.points))
-        slope = dof_slope(curve, n_fit).slope if len(curve.points) >= 2 else float("nan")
+        top = result.curves[spec].points[-1]
+        slope = dof[spec.label()]["slope"] if spec.label() in dof else float("nan")
         print(
             f"{spec.label():<22} top {top.snr_db:g} dB: "
             f"{top.mean_avg:.3f} bits/user (slope {slope:.3f})"
@@ -712,6 +713,8 @@ def _export_bits(cfg: ExperimentConfig, layout: NodeLayout, outdir: Path) -> dic
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.output and not Path(args.output).parent.is_dir():  # found before the suite runs, not after it
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
     results = run_verification(seed=args.seed, trials=args.trials)
     width = max(len(r.name) for r in results)
     lines = ["check,measured,bound,passed"]
@@ -743,13 +746,13 @@ def _cmd_layout(args: argparse.Namespace) -> int:
         except ValueError:
             pass
         return 0
-    if not (args.layout_path or args.random_k or args.grid_side):
+    if not (args.layout_file or args.random_k or args.grid_side):
         print("error: nothing to emit, pass --grid-side or --random-k or --layout-file", file=sys.stderr)
         return 2
     if not args.out:
         print("error: --out is required to emit a layout", file=sys.stderr)
         return 2
-    layout = _resolved_layout(_validated(cfg))
+    layout = resolve_layout(_validated(cfg))
     _write_all({Path(args.out): format_layout(layout)})
     print(f"wrote {args.out} ({layout.K} nodes)")
     return 0

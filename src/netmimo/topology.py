@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "grid_side",
     "format_layout",
     "parse_layout",
-    "load_layout",
 ]
 
 
@@ -168,8 +166,3 @@ def parse_layout(text: str) -> NodeLayout:
     if not rows:
         raise ValueError("no nodes found")
     return NodeLayout(np.array(rows))
-
-
-def load_layout(path: str | Path) -> NodeLayout:
-    """Read a layout file in the format_layout format."""
-    return parse_layout(Path(path).read_text())

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmimo.allocation import PolicySpec, build_allocation
 from netmimo.cli import (
@@ -20,7 +22,7 @@ from netmimo.cli import (
     resolve_layout,
     run_experiment,
 )
-from netmimo.topology import load_layout, place_grid
+from netmimo.topology import format_layout, parse_layout, place_grid
 
 
 def _tiny_config(output, **overrides):
@@ -55,7 +57,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _tiny_config("out", snr_db=[0.0, 30.0]).validate()
     with pytest.raises(ValueError):
-        _tiny_config("out", layout_kind="file").validate()
+        _tiny_config("out", layout_kind="positions").validate()
     with pytest.raises(ValueError):
         _tiny_config("out", policies=[]).validate()
 
@@ -140,7 +142,7 @@ def test_run_experiment_outputs(tmp_path):
     for entry in meta["dof"].values():
         assert np.isfinite(entry["slope"])
         assert len(entry["fit_snr_db"]) == 2
-    layout = load_layout(tmp_path / "out" / "layout.txt")
+    layout = parse_layout((tmp_path / "out" / "layout.txt").read_text())
     np.testing.assert_array_equal(layout.positions, place_grid(2).positions)
 
 
@@ -243,7 +245,7 @@ def test_main_sizes_and_export(tmp_path, capsys):
 def test_main_layout_emit_and_show(tmp_path, capsys):
     path = tmp_path / "nodes.txt"
     assert main(["layout", "--random-k", "5", "--random-side", "3", "--seed", "4", "--out", str(path)]) == 0
-    layout = load_layout(path)
+    layout = parse_layout(path.read_text())
     assert layout.K == 5
     assert np.all(layout.positions >= 0.0) and np.all(layout.positions <= 3.0)
     assert main(["layout", "--show", str(path)]) == 0
@@ -341,11 +343,14 @@ def test_layout_emits_resolve_layout_of_the_same_config(tmp_path, kind):
             ["--random-k", "6", "--random-side", "2.5", "--seed", "9"],
             ExperimentConfig(layout_kind="random", random_k=6, random_side=2.5, seed=9),
         ),
-        "file": (["--layout-file", str(src)], ExperimentConfig(layout_kind="file", layout_path=str(src))),
+        "file": (
+            ["--layout-file", str(src)],
+            ExperimentConfig(layout_kind="positions", positions=[[0.25, 1.0], [3.0, 0.5], [1.125, 2.0]]),
+        ),
     }[kind]
     out = tmp_path / "emitted.txt"
     assert main(["layout", *flags, "--out", str(out)]) == 0
-    np.testing.assert_array_equal(load_layout(out).positions, resolve_layout(cfg).positions)
+    np.testing.assert_array_equal(parse_layout(out.read_text()).positions, resolve_layout(cfg).positions)
 
 
 def test_preset_subcommand_equals_run_experiment(tmp_path):
@@ -430,33 +435,8 @@ def test_every_target_exists_while_its_replacement_is_pending(tmp_path, monkeypa
     assert (out / "rates.csv").read_bytes() != old["rates.csv"]
 
 
-def test_rerun_checks_its_layout_file_before_the_policies(tmp_path, capsys):
-    """A rerun compares its layout file with the metadata first, and only a
-    rerun that goes on to run checks that a cluster policy fits."""
-    nodes = tmp_path / "nodes.txt"
-    nodes.write_text("0.1 0.7\n1.3 0.2\n0.4 1.9\n1.1 1.4\n")
-    first = tmp_path / "first"
-    assert main(["run", "--layout-file", str(nodes), "--trials", "2", "--snr-db", "30", "--output", str(first)]) == 0
-    rerun = ["run", "--from-metadata", str(first / "metadata.json"), "--policies", "perfect", "cluster:4"]
-    saved = tmp_path / "c.json"
-    assert main(rerun + ["--save-config", str(saved)]) == 0
-    policies = ExperimentConfig.from_json(saved.read_text()).policies
-    assert policies == [PolicySpec("perfect"), PolicySpec("cluster", cluster_size=4)]
-    capsys.readouterr()
-    assert _exit_code(rerun + ["--output", str(tmp_path / "rerun")]) == 2
-    assert "policy cluster(size=4): regular clustering" in capsys.readouterr().err
-    nodes.write_text("0.1 0.7\n1.3 0.2\n0.4 1.9\n1.1 1.5\n")
-    assert _exit_code(rerun + ["--save-config", str(tmp_path / "d.json")]) == 2
-    assert f"layout file {nodes} differs from the layout_positions" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "first", "nodes.txt"]
-
-
-def test_rerun_reads_its_layout_file_once(tmp_path, monkeypatch):
-    """A --from-metadata rerun runs on the very positions it checked."""
-    nodes = tmp_path / "nodes.txt"
-    nodes.write_text("0.1 0.7\n1.3 0.2\n0.4 1.9\n")
-    first = tmp_path / "first"
-    assert main(["run", "--layout-file", str(nodes), "--trials", "3", "--snr-db", "30", "--output", str(first)]) == 0
+def _counted_reads(monkeypatch) -> list[Path]:
+    """The paths Path.read_text reads from now on, in order."""
     reads = []
     real_read_text = Path.read_text
 
@@ -465,9 +445,19 @@ def test_rerun_reads_its_layout_file_once(tmp_path, monkeypatch):
         return real_read_text(self, *args, **kwargs)
 
     monkeypatch.setattr(Path, "read_text", counting_read_text)
+    return reads
+
+
+def test_rerun_reads_only_its_metadata(tmp_path, monkeypatch):
+    """A --from-metadata rerun takes its positions from the embedded config."""
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("0.1 0.7\n1.3 0.2\n0.4 1.9\n")
+    first = tmp_path / "first"
+    assert main(["run", "--layout-file", str(nodes), "--trials", "3", "--snr-db", "30", "--output", str(first)]) == 0
+    reads = _counted_reads(monkeypatch)
     rerun = tmp_path / "rerun"
     assert main(["run", "--from-metadata", str(first / "metadata.json"), "--output", str(rerun)]) == 0
-    assert reads == [first / "metadata.json", nodes]
+    assert reads == [first / "metadata.json"]
     monkeypatch.undo()
     assert (rerun / "rates.csv").read_bytes() == (first / "rates.csv").read_bytes()
 
@@ -492,7 +482,9 @@ def test_bad_policies_are_usage_errors(tmp_path, capsys, tokens, message):
 
 
 @pytest.mark.parametrize("change", ["keep", "edit", "delete", "override"])
-def test_from_metadata_checks_its_layout_file(tmp_path, capsys, change):
+def test_from_metadata_checks_its_layout_file(tmp_path, change):
+    """A rerun does not need its layout file: kept, edited or deleted, the
+    rerun gives the same bytes, and a layout flag still replaces it."""
     nodes = tmp_path / "nodes.txt"
     nodes.write_text("0.1 0.7\n1.3 0.2\n0.4 1.9\n")
     first = tmp_path / "first"
@@ -506,19 +498,12 @@ def test_from_metadata_checks_its_layout_file(tmp_path, capsys, change):
     argv = ["run", "--from-metadata", str(first / "metadata.json"), "--output", str(rerun)]
     if change == "override":
         argv += ["--grid-side", "2"]
-    if change in ("keep", "override"):
-        assert main(argv) == 0
-        if change == "keep":
-            assert (rerun / "rates.csv").read_bytes() == (first / "rates.csv").read_bytes()
-        return
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
-    assert f"layout file {nodes}" in capsys.readouterr().err
-    assert not rerun.exists()
+    assert main(argv) == 0
+    same = (rerun / "rates.csv").read_bytes() == (first / "rates.csv").read_bytes()
+    assert same == (change != "override")
 
 
-@pytest.mark.parametrize("command", ["run", "sizes"])
+@pytest.mark.parametrize("command", ["run", "sizes", "save-config"])
 @pytest.mark.parametrize(
     "layout, message",
     [
@@ -535,10 +520,15 @@ def test_cluster_policy_must_fit_the_layout(tmp_path, capsys, monkeypatch, comma
     nodes = tmp_path / "l5.txt"
     nodes.write_text("0.1 0.7\n1.3 0.2\n0.4 1.9\n2.2 3.1\n3.5 0.4\n")
     out = tmp_path / "out"
-    argv = [command, "--policies", "perfect", "cluster:4", "--output", str(out)]
+    argv = {
+        "run": ["run", "--trials", "3", "--output", str(out)],
+        "sizes": ["sizes", "--output", str(out)],
+        "save-config": ["run", "--save-config", str(out)],
+    }[command]
+    argv += ["--policies", "perfect", "cluster:4"]
     argv += ["--layout-file", str(nodes)] if layout == "file" else ["--grid-side", "3"]
     with pytest.raises(SystemExit) as info:
-        main(argv + (["--trials", "3"] if command == "run" else []))
+        main(argv)
     assert info.value.code == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
@@ -585,7 +575,7 @@ def test_failed_run_removes_only_the_directories_it_created(tmp_path, capsys):
         ({"trials": True}, "config: key 'trials' must be int, got True"),
         ({"gamma": "0.6"}, "config: key 'gamma' must be float, got '0.6'"),
         ({"snr_db": [30, "40"]}, "config: key 'snr_db' must be list[float]"),
-        ({"layout_path": 3}, "config: key 'layout_path' must be str | None, got 3"),
+        ({"positions": 3}, "config: key 'positions' must be list[list[float]] | None, got 3"),
         ({"policies": [{"kind": "distance", "beta": 1}]}, "policies[0]: unknown key 'beta'"),
         ({"policies": [{"kind": "distance", "alpha": "1"}]}, "policies[0]: key 'alpha' must be float"),
         ([3], "config must be a JSON object, got [3]"),
@@ -632,19 +622,95 @@ def test_bad_metadata_is_a_usage_error(tmp_path, capsys, meta, message):
     assert not out.exists()
 
 
+def _old_format(meta: dict, layout_path: Path) -> dict:
+    """A current run's metadata as it was written before the positions moved
+    into the config: layout kind "file", and the positions beside the config."""
+    config = {k: v for k, v in meta["config"].items() if k != "positions"}
+    config.update(layout_kind="file", layout_path=str(layout_path))
+    return {**meta, "config": config, "layout_positions": meta["config"]["positions"]}
+
+
 def test_metadata_without_layout_positions_is_a_usage_error(tmp_path, capsys):
     nodes = tmp_path / "nodes.txt"
     nodes.write_text("0.1 0.7\n1.3 0.2\n")
     first = tmp_path / "first"
     assert main(["run", "--layout-file", str(nodes), "--trials", "2", "--snr-db", "30", "--output", str(first)]) == 0
-    meta = json.loads((first / "metadata.json").read_text())
+    meta = _old_format(json.loads((first / "metadata.json").read_text()), nodes)
     del meta["layout_positions"]
     path = tmp_path / "m.json"
     path.write_text(json.dumps(meta))
     with pytest.raises(SystemExit) as info:
         main(["run", "--from-metadata", str(path), "--output", str(tmp_path / "rerun")])
     assert info.value.code == 2
-    assert f"differs from the layout_positions in {path}" in capsys.readouterr().err
+    assert f"error: --from-metadata: {path}: no 'layout_positions' key" in capsys.readouterr().err
+    assert not (tmp_path / "rerun").exists()
+
+
+@pytest.mark.parametrize("source", ["metadata", "config"])
+def test_old_format_inputs_still_rerun(tmp_path, monkeypatch, source):
+    """Old metadata reruns on the positions it recorded, without its layout
+    file; an old config file has its layout file read once."""
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("0.1 0.7\n1.3 0.2\n0.4 1.9\n")
+    first = tmp_path / "first"
+    assert main(["run", "--layout-file", str(nodes), "--trials", "3", "--snr-db", "30", "--output", str(first)]) == 0
+    meta = _old_format(json.loads((first / "metadata.json").read_text()), nodes)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(meta if source == "metadata" else meta["config"]))
+    if source == "metadata":
+        nodes.unlink()
+    reads = _counted_reads(monkeypatch)
+    rerun = tmp_path / "rerun"
+    flag = "--from-metadata" if source == "metadata" else "--config"
+    assert main(["run", flag, str(path), "--output", str(rerun)]) == 0
+    monkeypatch.undo()
+    assert reads == ([path] if source == "metadata" else [path, nodes])
+    assert (rerun / "rates.csv").read_bytes() == (first / "rates.csv").read_bytes()
+    assert json.loads((rerun / "metadata.json").read_text())["config"]["positions"] == meta["layout_positions"]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"layout_kind": "positions", "positions": []}, "positions must have shape (K, 2) with K >= 1"),
+        ({"layout_kind": "positions", "positions": [[0, 1, 2]]}, "positions must have shape (K, 2) with K >= 1"),
+        ({"layout_kind": "positions", "positions": [[math.nan, 0]]}, "positions must be finite"),
+        ({"layout_kind": "grid", "positions": [[0, 1]]}, "positions must be set exactly when layout_kind"),
+    ],
+    ids=["empty", "three-columns", "nan", "grid-kind"],
+)
+def test_bad_positions_fail_at_once(tmp_path, capsys, config, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))  # json writes and reads NaN
+    argv = ["run", "--config", str(path), "--output", str(tmp_path / "out")]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: --config: {path}: " in err and message in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+_coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300]),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),  # subnormals
+    st.floats(min_value=1e299, max_value=1e301),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.lists(_coordinate, min_size=2, max_size=2), min_size=1, max_size=6))
+def test_positions_round_trip_bit_exact(positions):
+    """The positions survive the config JSON, and the layout file a
+    --layout-file run reads, to the bit: -0.0, subnormals and 1e300 included."""
+    cfg = ExperimentConfig(layout_kind="positions", positions=positions)
+    cfg.validate()
+    back = ExperimentConfig.from_json(cfg.to_json())
+    assert back == cfg
+    want = resolve_layout(cfg).positions.tobytes()
+    assert resolve_layout(back).positions.tobytes() == want
+    from_file = parse_layout(format_layout(resolve_layout(cfg))).positions.tolist()
+    assert resolve_layout(replace(cfg, positions=from_file)).positions.tobytes() == want
 
 
 def _exit_code(argv):
@@ -669,11 +735,14 @@ def _exit_code(argv):
     ids=["sizes-output", "sizes-export-bits", "verify-output", "run-save-config", "layout-out", "layout-show",
          "layout-layout-file"],
 )
-def test_unreadable_input_or_unwritable_output_exits_2(tmp_path, capsys, argv, named):
+def test_unreadable_input_or_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, argv, named):
+    suites = []
+    monkeypatch.setattr("netmimo.cli.run_verification", lambda **kwargs: suites.append(kwargs))
     regular = tmp_path / "F"
     regular.write_text("")
     paths = {"missing": tmp_path / "missing", "file": regular, "tmp": tmp_path}
     assert _exit_code([arg.format(**paths) for arg in argv]) == 2
+    assert suites == []  # verify finds an unwritable output before the suite runs
     err = capsys.readouterr().err
     assert "error: " in err and named.format(**paths) in err
     assert "Traceback" not in err

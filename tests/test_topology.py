@@ -9,8 +9,8 @@ from netmimo.topology import (
     format_layout,
     grid_side,
     interference_levels,
-    load_layout,
     pairwise_distance,
+    parse_layout,
     place_grid,
     place_uniform_random,
 )
@@ -149,7 +149,7 @@ def test_layout_file_round_trip(tmp_path):
     layout = place_uniform_random(7, 4.0, rng)
     path = tmp_path / "nodes.txt"
     path.write_text(format_layout(layout))
-    back = load_layout(path)
+    back = parse_layout(path.read_text())
     np.testing.assert_array_equal(back.positions, layout.positions)
 
 
@@ -157,8 +157,8 @@ def test_layout_file_errors(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1.0 2.0\n3.0\n")
     with pytest.raises(ValueError):
-        load_layout(path)
+        parse_layout(path.read_text())
     empty = tmp_path / "empty.txt"
     empty.write_text("\n\n")
     with pytest.raises(ValueError):
-        load_layout(empty)
+        parse_layout(empty.read_text())
