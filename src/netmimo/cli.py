@@ -60,9 +60,8 @@ DEFAULT_SNR_DB = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0]
 
 @dataclass
 class ExperimentConfig:
-    """Everything needed to reproduce a rate experiment exactly, a layout
-    file's node positions included, so a saved config or a run's metadata
-    reruns without any other file.
+    """Everything needed to reproduce a rate experiment exactly, node
+    positions included, so a saved config or a run's metadata reruns alone.
 
     The worker count is deliberately not part of the config: it affects
     scheduling only, never results.
@@ -87,20 +86,12 @@ class ExperimentConfig:
     output: str = "netmimo-out"
 
     def validate(self) -> None:
-        """Raise ValueError naming the first invalid field; a cluster policy
-        that does not fit the layout is invalid too."""
+        """Raise ValueError naming the first invalid field, a misfit cluster policy included."""
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.layout_kind not in ("grid", "random", "positions"):
             raise ValueError(f"unknown layout kind {self.layout_kind!r}")
-        if (self.positions is not None) != (self.layout_kind == "positions"):
-            raise ValueError(f"positions must be set exactly when layout_kind is 'positions', "
-                             f"got {self.layout_kind!r}")
-        if self.layout_kind == "positions":
-            try:
-                NodeLayout(self.positions)
-            except ValueError as exc:
-                raise ValueError(f"layout_kind 'positions': {exc}") from None
+        self._check_positions()
         if self.layout_kind == "grid" and self.grid_side < 1:
             raise ValueError(f"grid_side must be >= 1, got {self.grid_side}")
         if self.layout_kind == "random" and not (self.random_k >= 1 and 0.0 < self.random_side < float("inf")):
@@ -131,6 +122,14 @@ class ExperimentConfig:
                     cluster_fit(resolve_layout(self), spec.cluster_size)
                 except ValueError as exc:
                     raise ValueError(f"policy {spec.label()}: {exc}") from None
+
+    def _check_positions(self) -> None:
+        """Raise ValueError unless positions are set exactly for layout_kind
+        "positions", and then make a valid NodeLayout."""
+        if (self.positions is not None) != (self.layout_kind == "positions"):
+            raise ValueError("positions must be set exactly when layout_kind is 'positions'")
+        if self.positions is not None:
+            NodeLayout(self.positions)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -331,11 +330,7 @@ def _dof_fits(config: ExperimentConfig, result: ExperimentResult) -> dict:
         curve = result.curves[spec]
         if len(curve.points) >= 2:
             est = dof_slope(curve, min(config.fit_points, len(curve.points)))
-            dof[spec.label()] = {
-                "slope": est.slope,
-                "residual": est.residual,
-                "fit_snr_db": list(est.fit_snr_db),
-            }
+            dof[spec.label()] = {"slope": est.slope, "residual": est.residual, "fit_snr_db": list(est.fit_snr_db)}
     return dof
 
 
@@ -618,7 +613,7 @@ def _command(args: argparse.Namespace) -> int:
     elif args.config:
         base = _read_input("--config:", args.config, _parse_config)
     elif args.command == "run" and args.from_metadata:
-        base = _read_input("--from-metadata:", args.from_metadata, lambda text: _parse_config(text, metadata=True))
+        base = _read_input("--from-metadata:", args.from_metadata, _parse_metadata)
     else:
         base = ExperimentConfig()
     cfg = _validated(_config_from_args(base, args))
@@ -654,28 +649,37 @@ def _read_input(label: str, path: str, parse):
         raise _UsageError(f"{label} {path}: {exc}") from None
 
 
-def _parse_config(text: str, metadata: bool = False) -> ExperimentConfig:
-    """The valid config in the text of a --config file, or the one a
-    metadata.json embeds. A config from before the positions moved into it
-    (layout_kind "file", layout_path) is translated here, once: metadata
-    gives the layout_positions it recorded beside the config, without the
-    file; a config file has its layout file read, as --layout-file does.
-    """
+def _parse_config(text: str) -> ExperimentConfig:
+    """The config of a --config file; an old one of kind "file" reads its layout_path."""
     data = json.loads(text)
-    if metadata:
-        if not isinstance(data, dict) or "config" not in data:
-            raise ValueError("no 'config' key; not a run's metadata.json")
-        meta, data = data, data["config"]
-    if isinstance(data, dict) and data.get("layout_kind") == "file":
-        if metadata and "layout_positions" not in meta:
-            raise ValueError("no 'layout_positions' key beside a config with layout_kind 'file'")
-        if not metadata and not isinstance(data.get("layout_path"), str):
-            raise ValueError("layout_kind 'file' needs a layout_path string")
-        positions = meta["layout_positions"] if metadata else _read_layout_file(data["layout_path"])
+    return _translated(data, lambda: _read_layout_file(_old_value(data, "layout_path", str)))
+
+
+def _parse_metadata(text: str) -> ExperimentConfig:
+    """The config a metadata.json embeds; an old one of kind "file" takes its layout_positions."""
+    meta = json.loads(text)
+    if not isinstance(meta, dict) or "config" not in meta:
+        raise ValueError("no 'config' key; not a run's metadata.json")
+    return _translated(meta["config"], lambda: _old_value(meta, "layout_positions", list))
+
+
+def _old_value(data: dict, key: str, kind: type):
+    """data[key], which an old config of layout_kind "file" needs."""
+    if not isinstance(data.get(key), kind):
+        raise ValueError(f"no {key!r} key of type {kind.__name__} for a config with layout_kind 'file'")
+    return data[key]
+
+
+def _translated(data, old_positions) -> ExperimentConfig:
+    """The config of a JSON value, only its positions checked, so a flag can
+    still repair any other field. An old config loses its layout_path key,
+    and its layout_kind "file" becomes "positions", at old_positions()."""
+    if isinstance(data, dict):
         data = {k: v for k, v in data.items() if k != "layout_path"}
-        data.update(layout_kind="positions", positions=positions)
+        if data.get("layout_kind") == "file":
+            data.update(layout_kind="positions", positions=old_positions())
     cfg = ExperimentConfig.from_dict(data)
-    cfg.validate()
+    cfg._check_positions()
     return cfg
 
 
@@ -689,10 +693,7 @@ def _cmd_run(cfg: ExperimentConfig, workers: int, dump_channel: str | None) -> i
     for spec in cfg.policies:
         top = result.curves[spec].points[-1]
         slope = dof[spec.label()]["slope"] if spec.label() in dof else float("nan")
-        print(
-            f"{spec.label():<22} top {top.snr_db:g} dB: "
-            f"{top.mean_avg:.3f} bits/user (slope {slope:.3f})"
-        )
+        print(f"{spec.label():<22} top {top.snr_db:g} dB: {top.mean_avg:.3f} bits/user (slope {slope:.3f})")
     print(f"wrote {Path(cfg.output) / 'rates.csv'}")
     return 0
 

@@ -622,12 +622,18 @@ def test_bad_metadata_is_a_usage_error(tmp_path, capsys, meta, message):
     assert not out.exists()
 
 
-def _old_format(meta: dict, layout_path: Path) -> dict:
+def _old_format(meta: dict, layout_path: Path | None = None) -> dict:
     """A current run's metadata as it was written before the positions moved
-    into the config: layout kind "file", and the positions beside the config."""
+    into the config: a layout_path in the config (the layout file of a
+    layout-file run, of kind "file", and null for any other run), and the
+    positions of every run beside the config."""
     config = {k: v for k, v in meta["config"].items() if k != "positions"}
-    config.update(layout_kind="file", layout_path=str(layout_path))
-    return {**meta, "config": config, "layout_positions": meta["config"]["positions"]}
+    if config["layout_kind"] == "positions":
+        config.update(layout_kind="file", layout_path=str(layout_path))
+    else:
+        config.update(layout_path=None)
+    positions = resolve_layout(ExperimentConfig.from_dict(meta["config"])).positions.tolist()
+    return {**meta, "config": config, "layout_positions": positions}
 
 
 def test_metadata_without_layout_positions_is_a_usage_error(tmp_path, capsys):
@@ -646,14 +652,17 @@ def test_metadata_without_layout_positions_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "rerun").exists()
 
 
+@pytest.mark.parametrize("layout", ["file", "grid", "random"])
 @pytest.mark.parametrize("source", ["metadata", "config"])
-def test_old_format_inputs_still_rerun(tmp_path, monkeypatch, source):
+def test_old_format_inputs_still_rerun(tmp_path, monkeypatch, source, layout):
     """Old metadata reruns on the positions it recorded, without its layout
-    file; an old config file has its layout file read once."""
+    file; an old config file has its layout file read once. A grid or random
+    run's old input, with its null layout_path, reruns without reading one."""
     nodes = tmp_path / "nodes.txt"
     nodes.write_text("0.1 0.7\n1.3 0.2\n0.4 1.9\n")
     first = tmp_path / "first"
-    assert main(["run", "--layout-file", str(nodes), "--trials", "3", "--snr-db", "30", "--output", str(first)]) == 0
+    flags = {"file": ["--layout-file", str(nodes)], "grid": ["--grid-side", "2"], "random": ["--random-k", "3"]}
+    assert main(["run", *flags[layout], "--trials", "3", "--snr-db", "30", "--output", str(first)]) == 0
     meta = _old_format(json.loads((first / "metadata.json").read_text()), nodes)
     path = tmp_path / "old.json"
     path.write_text(json.dumps(meta if source == "metadata" else meta["config"]))
@@ -664,9 +673,37 @@ def test_old_format_inputs_still_rerun(tmp_path, monkeypatch, source):
     flag = "--from-metadata" if source == "metadata" else "--config"
     assert main(["run", flag, str(path), "--output", str(rerun)]) == 0
     monkeypatch.undo()
-    assert reads == ([path] if source == "metadata" else [path, nodes])
+    assert reads == ([path, nodes] if (source, layout) == ("config", "file") else [path])
     assert (rerun / "rates.csv").read_bytes() == (first / "rates.csv").read_bytes()
-    assert json.loads((rerun / "metadata.json").read_text())["config"]["positions"] == meta["layout_positions"]
+    config = json.loads((rerun / "metadata.json").read_text())["config"]
+    assert config["positions"] == (meta["layout_positions"] if layout == "file" else None)
+    assert "layout_path" not in config
+
+
+def test_a_flag_can_repair_a_config_file(tmp_path):
+    """Only the positions of a --config file are checked on read; the other
+    checks, the cluster fit included, apply to the config with the flags."""
+    base = tmp_path / "base.json"
+    base.write_text(_tiny_config("out", grid_side=3, policies=[PolicySpec("cluster", cluster_size=4)]).to_json())
+    saved = tmp_path / "saved.json"
+    assert main(["run", "--config", str(base), "--grid-side", "4", "--save-config", str(saved)]) == 0
+    assert ExperimentConfig.from_json(saved.read_text()).grid_side == 4
+
+
+def test_old_config_file_reads_its_layout_file_even_when_replaced(tmp_path, capsys):
+    """An old config file's layout file is read when the config is, so it
+    must exist even when --layout-file replaces it."""
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("0.1 0.7\n1.3 0.2\n")
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"layout_kind": "file", "layout_path": str(tmp_path / "gone.txt")}))
+    saved = tmp_path / "saved.json"
+    argv = ["run", "--config", str(old), "--layout-file", str(nodes), "--save-config", str(saved)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"error: cannot load layout file {tmp_path / 'gone.txt'}" in capsys.readouterr().err
+    assert not saved.exists()
 
 
 @pytest.mark.parametrize(
