@@ -7,12 +7,17 @@ so cross links fade as P grows and the direct links keep unit variance.
 
 Randomness is organized as substreams keyed by (master seed, trial index,
 purpose tag), so Monte-Carlo results do not depend on worker scheduling and
-trials can be re-drawn individually.
+trials can be re-drawn individually. Each stream is still defined by
+default_rng(SeedSequence(seed, spawn_key=(trial, purpose))), trial_rng, but
+trial_streams computes the streams of many cells in bulk: the SeedSequence
+hash and the PCG64 seeding run as integer arithmetic over all cells at once,
+and each cell's state is loaded into one reused generator.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,6 +28,7 @@ __all__ = [
     "PURPOSE_ESTIMATE",
     "PURPOSE_LAYOUT",
     "trial_rng",
+    "trial_streams",
     "complex_gaussian",
     "PathlossModel",
     "ChannelRealization",
@@ -41,6 +47,121 @@ PURPOSE_LAYOUT = 2
 def trial_rng(seed: int, trial: int, purpose: int) -> np.random.Generator:
     """Independent generator for one (trial, purpose) cell of a master seed."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(trial), int(purpose))))
+
+
+# numpy's SeedSequence hash and PCG64 seeding constants (numpy/random/
+# bit_generator.pyx and pcg64.h); test_trial_streams_equal_trial_rng pins them.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, n: int) -> list[int]:
+    """The first n + 1 values of a SeedSequence hash constant."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _M32)
+    return out
+
+
+# The entropy hash runs 16 steps on a seed's pool, then 4 per spawn-key word
+# (one per pool word): the key words' XOR and multiply constants, (2, 1, 4).
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, 24)
+_KEY_XOR = np.array(_HASH_A[16:24], dtype=np.uint32).reshape(2, 1, 4)
+_KEY_MUL = np.array(_HASH_A[17:25], dtype=np.uint32).reshape(2, 1, 4)
+# generate_state hashes the pool twice over into eight uint32 words, (2, 4).
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)
+_OUT_XOR = np.array(_HASH_B[:8], dtype=np.uint32).reshape(2, 4)
+_OUT_MUL = np.array(_HASH_B[1:], dtype=np.uint32).reshape(2, 4)
+
+# Fewer cells than this take trial_rng: a bulk pass has a fixed cost of a few
+# trial_rng calls, and pays for itself only past it.
+_BULK_MIN_CELLS = 5
+
+
+def _seed_pool(seed: int) -> list[int]:
+    """SeedSequence's four pool words after mixing in a seed below 2^128.
+
+    The seed's words, zero-padded to the pool size, fill the pool, which is
+    then mixed word against word: the step every cell of a seed shares.
+    """
+    h = iter(zip(_HASH_A, _HASH_A[1:]))
+
+    def hashmix(value: int) -> int:
+        xor, mul = next(h)
+        value = (value ^ xor) * mul & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(seed >> 32 * i & _M32) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    return pool
+
+
+def _pcg64_words(seed: int, trials: np.ndarray, purposes: np.ndarray) -> np.ndarray:
+    """generate_state(4, np.uint64) of SeedSequence(seed, spawn_key=(trial,
+    purpose)) for each cell, one row of four little-endian uint64 words.
+
+    seed is below 2^128 and every trial and purpose below 2^32, so each
+    cell's entropy is the zero-padded seed followed by two words. Those two
+    words are mixed into the seed's shared pool for all cells at once.
+    """
+    key = np.array([trials, purposes], dtype=np.uint32)[:, :, None] ^ _KEY_XOR
+    key *= _KEY_MUL
+    key ^= key >> 16
+    pool = np.array(_seed_pool(seed), dtype=np.uint32)
+    for word in key:
+        pool = _MIX_L * pool - _MIX_R * word
+        pool ^= pool >> 16
+    out = pool[:, None, :] ^ _OUT_XOR
+    out *= _OUT_MUL
+    out ^= out >> 16
+    return out.reshape(-1, 8).astype("<u4", copy=False).view("<u8")
+
+
+def trial_streams(seed: int, trials, purposes) -> Iterator[np.random.Generator]:
+    """Yield the generator of each cell (trials[i], purposes[i]), in order.
+
+    trials and purposes are integer sequences of one length. Each generator
+    draws the stream of trial_rng(seed, trial, purpose), the reference
+    definition, but the cells' states are derived in one pass. The
+    generator may be one object reloaded for every cell, so draw from each
+    before taking the next (islice takes a chunk's worth); never list() the
+    result. Calls of few cells, and cells outside the bulk derivation (a
+    seed of 2^128 or more, a trial or purpose of 2^32 or more), take
+    trial_rng itself.
+    """
+    seed = operator.index(seed)
+    if len(trials) < _BULK_MIN_CELLS or not 0 <= seed < 1 << 128:
+        for t, p in zip(trials, purposes, strict=True):
+            yield trial_rng(seed, t, p)
+        return
+    trials, purposes = np.asarray(trials), np.asarray(purposes)
+    bulk = ((trials >= 0) & (trials <= _M32) & (purposes >= 0) & (purposes <= _M32)).astype(bool)
+    words = iter(_pcg64_words(seed, trials[bulk], purposes[bulk]))
+    bit_gen = np.random.PCG64(0)  # any seed: each cell loads its own state
+    gen = np.random.Generator(bit_gen)
+    inner = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    for t, p, b in zip(trials.tolist(), purposes.tolist(), bulk.tolist(), strict=True):
+        if not b:
+            yield trial_rng(seed, t, p)
+            continue
+        # PCG64 seeding: inc = 2 * seq + 1, then two LCG steps around the state word.
+        s0, s1, i0, i1 = next(words).tolist()  # one row at a time: a list of all rows costs RSS
+        inc = (i0 << 65 | i1 << 1 | 1) & _M128
+        inner["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+        inner["inc"] = inc
+        bit_gen.state = state
+        yield gen
 
 
 def complex_gaussian(rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
@@ -117,20 +238,20 @@ def pathloss_matrix(levels: np.ndarray, p: float) -> PathlossModel:
 
 
 def draw_channel(
-    model: PathlossModel, rng: np.random.Generator | Sequence[np.random.Generator]
+    model: PathlossModel, rng: np.random.Generator | Iterable[np.random.Generator]
 ) -> ChannelRealization:
     """One Rayleigh draw: entries H_ki = sigma_ki * CN(0, 1), independent.
 
-    Given a sequence of generators, one draw from each, stacked along a
-    leading axis: entry t equals the draw from generator t alone.
+    Given an iterable of generators, one draw from each, stacked along a
+    leading axis: entry t equals the draw from generator t alone. Each
+    generator is drawn from before the next is taken, so the iterable may
+    be trial_streams' reloaded generator.
     """
     shape = (model.K, model.K)
     if isinstance(rng, np.random.Generator):
         h_unit = complex_gaussian(rng, shape)
     else:
-        h_unit = np.empty((len(rng),) + shape, dtype=complex)
-        for i, r in enumerate(rng):
-            complex_gaussian(r, shape, out=h_unit[i])
+        h_unit = np.array([complex_gaussian(r, shape) for r in rng], dtype=complex).reshape((-1,) + shape)
     return ChannelRealization(H=model.sigma * h_unit)
 
 

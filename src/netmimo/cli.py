@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import errno
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -58,6 +59,11 @@ __all__ = [
 DEFAULT_SNR_DB = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0]
 
 
+# Two nodes of a random layout lie at most the square's diagonal apart, and
+# the diagonal of a larger square overflows.
+_MAX_RANDOM_SIDE = sys.float_info.max / math.sqrt(2.0)
+
+
 @dataclass
 class ExperimentConfig:
     """Everything needed to reproduce a rate experiment exactly, node
@@ -94,8 +100,8 @@ class ExperimentConfig:
         self._check_positions()
         if self.layout_kind == "grid" and self.grid_side < 1:
             raise ValueError(f"grid_side must be >= 1, got {self.grid_side}")
-        if self.layout_kind == "random" and not (self.random_k >= 1 and 0.0 < self.random_side < float("inf")):
-            raise ValueError(f"a random layout needs random_k >= 1 and a finite random_side > 0, "
+        if self.layout_kind == "random" and not (self.random_k >= 1 and 0.0 < self.random_side <= _MAX_RANDOM_SIDE):
+            raise ValueError(f"a random layout needs random_k >= 1 and 0 < random_side <= {_MAX_RANDOM_SIDE:.6g}, "
                              f"got {self.random_k} and {self.random_side}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")

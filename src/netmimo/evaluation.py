@@ -7,9 +7,10 @@ noise by its own bit counts. A trial is accepted only if the true channel and
 every policy's estimates pass the conditioning threshold, and rejected trials
 are replaced by fresh trial indices and counted.
 
-Trials run in chunks: each trial is drawn from its own substreams, the draws
-are stacked, and the channel, precoding and rate kernels run once per chunk
-over a leading trial axis, one policy at a time. The chunk size is capped by
+Trials run in chunks: each trial is drawn from its own substreams, whose
+states the call derives in one trial_streams pass, the draws are stacked,
+and the channel, precoding and rate kernels run once per chunk over a
+leading trial axis, one policy at a time. The chunk size is capped by
 the bytes of one policy's estimate stack, so it shrinks as K grows (24 trials
 at K = 8, 3 at K = 16, one from K = 19 up). Each call holds one workspace for
 its chunks' noise, estimate and squared-magnitude stacks, which the kernels
@@ -29,6 +30,7 @@ import math
 import multiprocessing
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .channel import (
     complex_gaussian,
     draw_channel,
     pathloss_matrix,
-    trial_rng,
+    trial_streams,
 )
 from .precoding import (
     DEFAULT_COND_THRESHOLD,
@@ -239,14 +241,20 @@ def _simulate_trials(
     # chunk and policy writes into it, instead of allocating and freeing
     # stacks this large once per chunk and policy.
     work = np.empty((3, min(chunk, n) * k**3 if need_noise else 0), dtype=complex)
-    for start in range(0, n, chunk):
-        trials = [int(t) for t in trial_indices[start:start + chunk]]
-        chan = draw_channel(model, [trial_rng(seed, t, PURPOSE_CHANNEL) for t in trials])
+    # Every stream of the call is derived in one pass, in the order the
+    # chunks draw them: each chunk's channels, then its estimation noise.
+    starts = range(0, n, chunk)
+    purposes = [PURPOSE_CHANNEL, PURPOSE_ESTIMATE] if need_noise else [PURPOSE_CHANNEL]
+    cells = [(t, pur) for s in starts for pur in purposes for t in trial_indices[s:s + chunk].tolist()]
+    streams = trial_streams(seed, [t for t, _ in cells], [pur for _, pur in cells])
+    for start in starts:
+        m = min(chunk, n - start)
+        chan = draw_channel(model, islice(streams, m))
         noise = None
         if need_noise:
-            noise = work[0, : len(trials) * k**3].reshape(len(trials), k, k, k)
-            for i, t in enumerate(trials):
-                complex_gaussian(trial_rng(seed, t, PURPOSE_ESTIMATE), (k, k, k), out=noise[i])
+            noise = work[0, : m * k**3].reshape(m, k, k, k)
+            for i, rng in enumerate(islice(streams, m)):
+                complex_gaussian(rng, (k, k, k), out=noise[i])
         parts = [(start, chan, noise)]
         while parts:
             row, chan, noise = parts.pop()

@@ -16,18 +16,14 @@ the same sigma, and each LAPACK and BLAS call sees the same matrix.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .allocation import distance_exponents
-from .channel import (
-    PURPOSE_CHANNEL,
-    PathlossModel,
-    draw_channel,
-    pathloss_matrix,
-    trial_rng,
-)
+from .channel import PURPOSE_CHANNEL, PathlossModel, draw_channel, pathloss_matrix, trial_streams
 from .topology import NodeLayout, interference_levels, pairwise_distance
 
 __all__ = [
@@ -58,7 +54,7 @@ _STACK_BYTES = 1 << 15
 _TAIL_TRIALS_PER_SPARE = 10
 _TAIL_MIN_SPARE = 20
 
-# Trial generators alive at once while drawing; each holds about 2.6 KB.
+# Draws stacked at once before they are copied into place.
 _DRAW_GROUP = 16
 
 
@@ -264,17 +260,22 @@ def neumann_partial_sum(h: np.ndarray, n_max: int) -> tuple[np.ndarray, float | 
     return total.reshape(h.shape), resid.reshape(batch)
 
 
-def _unit_draws(seed: int, trials: range, k: int) -> np.ndarray:
-    """Unit-variance (len(trials), k, k) channel draws of the given trials.
+def _channel_streams(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """The channel streams of trials 0, 1, ..., trials - 1, derived in one pass."""
+    return trial_streams(seed, range(trials), [PURPOSE_CHANNEL] * trials)
+
+
+def _unit_draws(streams: Iterator[np.random.Generator], n: int, k: int) -> np.ndarray:
+    """Unit-variance (n, k, k) channel draws from the next n streams.
 
     sigma * draw t equals draw_channel(model, trial_rng(seed, t, ...)).H byte
     for byte for any model, since the unit model's sigma is exactly 1.0.
     """
     unit = PathlossModel(np.ones((k, k)))
-    out = np.empty((len(trials), k, k), dtype=complex)
-    for s in range(0, len(trials), _DRAW_GROUP):
-        rngs = [trial_rng(seed, t, PURPOSE_CHANNEL) for t in trials[s:s + _DRAW_GROUP]]
-        out[s:s + len(rngs)] = draw_channel(unit, rngs).H
+    out = np.empty((n, k, k), dtype=complex)
+    for s in range(0, n, _DRAW_GROUP):
+        m = min(_DRAW_GROUP, n - s)
+        out[s:s + m] = draw_channel(unit, islice(streams, m)).H
     return out
 
 
@@ -291,7 +292,7 @@ def _median_decay_slopes(
     p_arr = [float(p) for p in p_list]
     if len(p_arr) < 2:
         raise ValueError("need at least two SNR points for a slope")
-    unit = _unit_draws(seed, range(trials), k)
+    unit = _unit_draws(_channel_streams(seed, trials), trials, k)
     step = _stack_len(k)
     meds = np.empty((len(p_arr), k, k))
     acc = np.empty((trials, k, k))
@@ -360,7 +361,8 @@ def truncation_tail_check(
     median squared Frobenius size of that term. Returns (measured median,
     factor * prediction); divergent draws are skipped and replaced, up to
     _TAIL_MIN_SPARE or one per _TAIL_TRIALS_PER_SPARE trials, whichever is
-    more. Draws are made and expanded in stacks, in trial order.
+    more. The whole budget's streams are derived in one pass; draws are made
+    and expanded in stacks, in trial order.
     """
     dist = pairwise_distance(layout)
     order = truncation_order(dist, gamma)
@@ -370,9 +372,10 @@ def truncation_tail_check(
     next_term_sq = []
     t = 0
     budget = trials + max(_TAIL_MIN_SPARE, trials // _TAIL_TRIALS_PER_SPARE)
+    streams = _channel_streams(seed, budget)
     while len(resid_sq) < trials and t < budget:
         n = min(_stack_len(k), trials - len(resid_sq), budget - t)
-        h = sigma * _unit_draws(seed, range(t, t + n), k)
+        h = sigma * _unit_draws(streams, n, k)
         t += n
         _, resid, radius = _partial_sums(h, order.n0)
         ok = radius < 1.0
@@ -451,7 +454,8 @@ def run_verification(
         )
 
     model = pathloss_matrix(interference_levels(pairwise_distance(line3), gamma), p_list[0])
-    h = model.sigma * _unit_draws(seed, range(min(trials, 200)), line3.K)  # 29 KB at most
+    n = min(trials, 200)
+    h = model.sigma * _unit_draws(_channel_streams(seed, n), n, line3.K)  # 29 KB at most
     diag = np.abs(np.diagonal(neumann_term_matrix(h, 1), axis1=-2, axis2=-1))
     diag_max = max([0.0, *np.max(diag, axis=-1).tolist()])
     results.append(

@@ -37,6 +37,7 @@ class NodeLayout:
     """2-D positions of the K TX/RX pairs, shape (K, 2), in grid units.
 
     Positions may coincide; co-located pairs model a multi-antenna site.
+    Every pairwise distance must be finite as well as every coordinate.
     """
 
     positions: np.ndarray
@@ -47,6 +48,9 @@ class NodeLayout:
             raise ValueError(f"positions must have shape (K, 2) with K >= 1, got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(_distances(pos))):
+                raise ValueError("pairwise distances must be finite, but some positions lie too far apart")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
@@ -82,7 +86,10 @@ def place_uniform_random(k: int, side: float, rng: np.random.Generator) -> NodeL
 
 def pairwise_distance(layout: NodeLayout) -> np.ndarray:
     """K x K matrix of Euclidean distances; exact zeros on the diagonal."""
-    pos = layout.positions
+    return _distances(layout.positions)
+
+
+def _distances(pos: np.ndarray) -> np.ndarray:
     diff = pos[:, None, :] - pos[None, :, :]
     return np.hypot(diff[..., 0], diff[..., 1])
 

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from netmimo import channel
 from netmimo.channel import (
     PURPOSE_CHANNEL,
     PURPOSE_ESTIMATE,
+    PURPOSE_LAYOUT,
     apply_estimate_noise,
     complex_gaussian,
     draw_channel,
     pathloss_matrix,
     trial_rng,
+    trial_streams,
 )
 from netmimo.allocation import distance_based
 from netmimo.topology import interference_levels, pairwise_distance, place_grid
@@ -194,14 +199,65 @@ def test_complex_gaussian_equals_its_sum_formula(shape):
         assert complex_gaussian(np.random.default_rng(seed), shape).tobytes() == want.tobytes()
 
 
+# Seeds and trials at the edges of one entropy word; 2^32 and up take more.
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63]
+_EDGE_TRIALS = [0, 2**32 - 1, 2**32]
+_PURPOSES = [PURPOSE_CHANNEL, PURPOSE_ESTIMATE, PURPOSE_LAYOUT]
+_EDGE_CELLS = [(t, p) for t in _EDGE_TRIALS for p in _PURPOSES]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    seed=st.sampled_from(_EDGE_SEEDS + [2**128 - 1, 2**128]) | st.integers(0, 2**130),
+    cells=st.lists(
+        st.tuples(st.sampled_from(_EDGE_TRIALS) | st.integers(0, 2**33), st.sampled_from(_PURPOSES)),
+        max_size=24,
+    ),
+)
+@example(seed=0, cells=[])
+@example(seed=2**63, cells=[(2**32 - 1, PURPOSE_ESTIMATE)])
+@example(seed=2**128, cells=_EDGE_CELLS)
+@example(seed=1, cells=[(t, p) for t in range(40) for p in _PURPOSES])
+@example(seed=2**32 - 1, cells=[(2**32, PURPOSE_CHANNEL)] + [(t, PURPOSE_ESTIMATE) for t in range(8)])
+def test_trial_streams_equal_trial_rng(seed, cells):
+    """Every cell's generator starts in trial_rng's state and draws its
+    numbers, whichever cells share the call: none, one, many, and cells
+    of a seed or trial too wide for the bulk derivation."""
+    trials, purposes = [t for t, _ in cells], [p for _, p in cells]
+    for (t, p), rng in zip(cells, trial_streams(seed, trials, purposes), strict=True):
+        ref = trial_rng(seed, t, p)
+        assert rng.bit_generator.state == ref.bit_generator.state, (seed, t, p)
+        assert rng.standard_normal(20).tobytes() == ref.standard_normal(20).tobytes(), (seed, t, p)
+
+
+@pytest.mark.parametrize("seed", _EDGE_SEEDS)
+def test_trial_streams_derive_edge_cells_in_bulk(seed):
+    """All nine edge cells share one call at each edge seed: the cells of
+    trial 2^32 take trial_rng, and the six others one reloaded generator,
+    so the bulk derivation itself is what equals trial_rng here."""
+    assert len(_EDGE_CELLS) - 3 >= channel._BULK_MIN_CELLS
+    fresh, reloaded = set(), set()
+    trials, purposes = [t for t, _ in _EDGE_CELLS], [p for _, p in _EDGE_CELLS]
+    for (t, p), rng in zip(_EDGE_CELLS, trial_streams(seed, trials, purposes), strict=True):
+        (fresh if t == 2**32 else reloaded).add(id(rng))
+        ref = trial_rng(seed, t, p)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.standard_normal(20).tobytes() == ref.standard_normal(20).tobytes()
+    assert len(reloaded) == 1
+    assert len(fresh) == 3 and not fresh & reloaded
+
+
 def test_draw_channel_batch_stacks_single_draws():
     model = _model()
-    rngs = [trial_rng(3, t, PURPOSE_CHANNEL) for t in range(4)]
+    rngs = [trial_rng(3, t, PURPOSE_CHANNEL) for t in range(8)]
     batch = draw_channel(model, rngs)
-    assert batch.H.shape == (4, 9, 9)
-    for t in range(4):
+    assert batch.H.shape == (8, 9, 9)
+    streamed = draw_channel(model, trial_streams(3, range(8), [PURPOSE_CHANNEL] * 8))
+    assert streamed.H.tobytes() == batch.H.tobytes()
+    for t in range(8):
         one = draw_channel(model, trial_rng(3, t, PURPOSE_CHANNEL))
         assert batch.H[t].tobytes() == one.H.tobytes()
+    assert draw_channel(model, iter([])).H.shape == (0, 9, 9)
 
 
 @pytest.mark.parametrize("per_tx", [False, True], ids=["shared", "per-tx"])

@@ -727,6 +727,35 @@ def test_bad_positions_fail_at_once(tmp_path, capsys, config, message):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--layout-file", "{tmp}/far.txt"],
+         "error: cannot load layout file {tmp}/far.txt: pairwise distances must be finite"),
+        (["--config", "{tmp}/far.json"], "error: --config: {tmp}/far.json: pairwise distances must be finite"),
+        (["--random-k", "3", "--random-side", "1.5e308"],
+         "error: a random layout needs random_k >= 1 and 0 < random_side"),
+    ],
+    ids=["layout-file", "config", "random-side"],
+)
+@pytest.mark.parametrize("command", ["run", "sizes"])
+def test_layouts_whose_distances_overflow_exit_2(tmp_path, capsys, command, args, message):
+    """Finite positions whose pairwise distances overflow, and a random
+    square whose diagonal overflows, are usage errors before anything
+    runs: exit 2, an error line, no traceback and no output."""
+    far = [[0.0, 0.0], [1.7e308, 0.0], [-1.7e308, 0.0]]
+    (tmp_path / "far.txt").write_text("0 0\n1.7e308 0\n-1.7e308 0\n")
+    (tmp_path / "far.json").write_text(json.dumps({"layout_kind": "positions", "positions": far}))
+    argv = [command, *(a.format(tmp=tmp_path) for a in args), "--snr-db", "30"]
+    if command == "run":
+        argv += ["--trials", "4", "--output", str(tmp_path / "out")]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["far.json", "far.txt"]
+
+
 _coordinate = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300]),
     st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),  # subnormals

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from netmimo import oracle
 from netmimo.allocation import distance_exponents
-from netmimo.channel import PURPOSE_CHANNEL, complex_gaussian, draw_channel, pathloss_matrix, trial_rng
+from netmimo.channel import (
+    PURPOSE_CHANNEL,
+    complex_gaussian,
+    draw_channel,
+    pathloss_matrix,
+    trial_rng,
+    trial_streams,
+)
 from netmimo.oracle import (
     DivergentSeriesError,
     _partial_sums,
@@ -269,16 +276,19 @@ def test_lapack_failure_marks_only_its_element(monkeypatch):
         neumann_partial_sum(h, 2)
 
 
-def _counting_trial_rng(monkeypatch):
-    """Replace oracle.trial_rng with a wrapper that records every set-up."""
-    calls = []
+def _counting_trial_streams(monkeypatch):
+    """Replace oracle.trial_streams with a wrapper that records each pass's
+    cells and each cell as it is drawn. Returns (passes, draws)."""
+    passes, draws = [], []
 
-    def counting(seed, trial, purpose):
-        calls.append((seed, trial, purpose))
-        return trial_rng(seed, trial, purpose)
+    def counting(seed, trials, purposes):
+        passes.append([(seed, t, p) for t, p in zip(trials, purposes)])
+        for t, p, rng in zip(trials, purposes, trial_streams(seed, trials, purposes)):
+            draws.append((seed, t, p))
+            yield rng
 
-    monkeypatch.setattr(oracle, "trial_rng", counting)
-    return calls
+    monkeypatch.setattr(oracle, "trial_streams", counting)
+    return passes, draws
 
 
 def _one_trial_tail(layout, gamma, p, seed, draws):
@@ -303,12 +313,13 @@ def test_truncation_tail_replaces_divergent_draws(monkeypatch):
     """At 10 dB a few draws of the two-node line diverge: each is skipped and
     the next trial drawn, and the medians are those of the first 40
     convergent draws in trial order."""
-    calls = _counting_trial_rng(monkeypatch)
+    passes, draws = _counting_trial_streams(monkeypatch)
     measured, bound = truncation_tail_check(_line(2), 0.5, 10.0, 40, seed=3)
-    resid_sq, next_sq = _one_trial_tail(_line(2), 0.5, 10.0, 3, len(calls))
-    assert len(calls) > 40
+    resid_sq, next_sq = _one_trial_tail(_line(2), 0.5, 10.0, 3, len(draws))
+    assert passes == [[(3, t, PURPOSE_CHANNEL) for t in range(60)]]
+    assert len(draws) > 40
     assert len(resid_sq) == 40
-    assert [c[1] for c in calls] == list(range(len(calls)))
+    assert draws == passes[0][: len(draws)]
     assert measured == float(np.median(resid_sq))
     assert bound == float(10.0 * float(np.median(next_sq)))
 
@@ -318,12 +329,13 @@ def test_truncation_tail_reports_the_draws_it_attempted(monkeypatch, trials, bud
     """Too many divergent draws raise after trials + max(20, trials // 10)
     attempts, and the message counts both the convergent and the attempted
     draws."""
-    calls = _counting_trial_rng(monkeypatch)
+    passes, draws = _counting_trial_streams(monkeypatch)
     convergent = len(_one_trial_tail(place_grid(3), 0.5, 30.0, 3, budget)[0])
     assert convergent < trials
     with pytest.raises(RuntimeError, match=rf"^only {convergent} convergent draws out of {budget}$"):
         truncation_tail_check(place_grid(3), 0.5, 30.0, trials, seed=3)
-    assert len(calls) == budget
+    assert passes == [[(3, t, PURPOSE_CHANNEL) for t in range(budget)]]
+    assert draws == passes[0]
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -378,10 +390,13 @@ def test_run_verification_draws_each_trial_once_per_check(monkeypatch):
     """Each Monte-Carlo check draws its trials once and scales them per SNR
     point: the three decay checks, the zero-diagonal check and the tail
     check draw 200 trials each (none of the tail's diverges at seed 7),
-    where drawing per SNR point took 3 * 5 * 200 + 200 + 200 = 3400."""
-    calls = _counting_trial_rng(monkeypatch)
+    where drawing per SNR point took 3 * 5 * 200 + 200 + 200 = 3400. Each
+    check derives its streams in one pass, the tail check for its budget of
+    200 + 20 draws."""
+    passes, draws = _counting_trial_streams(monkeypatch)
     run_verification(seed=7, trials=200)
-    assert len(calls) == 1000
+    assert len(draws) == 1000
+    assert [len(p) for p in passes] == [200, 200, 200, 220, 200]
 
 
 def test_run_verification_keeps_no_state_between_calls():

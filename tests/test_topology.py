@@ -42,6 +42,15 @@ def test_layout_validation():
         layout.positions[0, 0] = 9.0
 
 
+def test_layout_rejects_distances_that_overflow():
+    # finite coordinates whose distances overflow: 1.7e308 - (-1.7e308) is inf
+    with pytest.raises(ValueError, match="pairwise distances must be finite"):
+        NodeLayout(np.array([[0.0, 0.0], [1.7e308, 0.0], [-1.7e308, 0.0]]))
+    with pytest.raises(ValueError, match="pairwise distances must be finite"):
+        NodeLayout(np.array([[1.3e308, 0.0], [0.0, 1.3e308]]))
+    NodeLayout(np.array([[0.0, 0.0], [1.7e308, 0.0]]))  # the largest distance still finite
+
+
 def test_pairwise_distance_values():
     layout = NodeLayout(np.array([[0.0, 0.0], [3.0, 4.0]]))
     d = pairwise_distance(layout)
