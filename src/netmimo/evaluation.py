@@ -19,17 +19,22 @@ any trial is rejected is rerun one trial at a time through the same kernels,
 so each trial's acceptance and condition estimate are its own. A kernel
 call over a batch equals the calls on its elements bit for bit, so
 per-trial results depend only on (seed, trial index): neither the chunking
-nor worker scheduling can change any output. With more than one worker, a
-sweep forks one pool and keeps it warm for every SNR point and top-up; the
-pool is reaped before the sweep returns or raises.
+nor worker scheduling can change any output. A sweep builds every SNR
+point's engine arguments, its allocation tables included, before it forks.
+With more than one worker it forks one pool, whose workers inherit those
+tables, and sends each round (the first trials of every point, then the
+top-ups of the points still short) as one queue of (point, trial block)
+tasks that carry only indices. The pool is reaped before the sweep returns
+or raises.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -235,7 +240,7 @@ def _simulate_trials(
     accepted = np.zeros(n, dtype=bool)
     worst_cond = np.zeros(n)
 
-    chunk = max(1, _CHUNK_BYTES // (16 * k**3))
+    chunk = _chunk_trials(k)
     # The call's workspace: the noise stack, the estimate stack and the
     # condition screen's squared magnitudes, each sized for one chunk. Every
     # chunk and policy writes into it, instead of allocating and freeing
@@ -313,33 +318,39 @@ def _solve_chunk(
     return rates, row_dev, worst
 
 
-def _block_call(payload):
-    args, idx = payload
-    positions, gamma, p, received, seed, cond_threshold, mask = args
-    # A pool worker unpickles each table as a writable array whose dtype object
-    # np.asarray(bits, dtype=float) only views, so the model's error-scale
-    # cache would miss on every trial. A read-only copy per chunk hits it.
-    bits_list = []
-    for bits in received:
-        if bits is not None:
-            bits = bits.astype(float)
-            bits.setflags(write=False)
-        bits_list.append(bits)
-    return _simulate_trials(positions, gamma, p, bits_list, seed, idx, cond_threshold, mask)
+# Tasks per worker in a round of a pooled sweep: enough that the last task to
+# finish is short, few enough that each task spans several engine chunks (every
+# engine call faults in its own workspace).
+_TASKS_PER_WORKER = 4
+
+# A pool worker's engines, one per SNR point of the sweep. _init_worker sets
+# them in the forked child from the parent's objects, so tasks carry indices only.
+_worker_engines: list = []
+
+
+def _init_worker(engines: list) -> None:
+    global _worker_engines
+    _worker_engines = engines
+
+
+def _run_block(task):
+    point, idx = task
+    return _worker_engines[point](idx)
 
 
 @contextmanager
-def _worker_pool(workers: int, trials: int):
-    """A fork pool of `workers` processes, or None when there is one worker
-    or _map_trials would run every batch of at most `trials` indices inline.
+def _worker_pool(workers: int, engines: list):
+    """A fork pool of `workers` processes that inherit the sweep's engines,
+    or None for one worker.
 
     The workers are closed and joined on a normal exit, terminated and
     joined when the body raises, so none outlives the block.
     """
-    if workers <= 1 or trials < 2 * workers:
+    if workers <= 1:
         yield None
         return
-    pool = multiprocessing.get_context("fork").Pool(processes=workers)
+    ctx = multiprocessing.get_context("fork")
+    pool = ctx.Pool(processes=workers, initializer=_init_worker, initargs=(engines,))
     try:
         yield pool
     except BaseException:
@@ -351,66 +362,71 @@ def _worker_pool(workers: int, trials: int):
         pool.join()
 
 
-def _map_trials(args: tuple, idx: np.ndarray, pool, workers: int):
-    """Run _simulate_trials over idx, split across the pool's workers (inline
-    when pool is None or idx is short), results in index order."""
-    if pool is None or len(idx) < 2 * workers:
-        return [_block_call((args, idx))]
-    chunks = [c for c in np.array_split(idx, workers) if len(c)]
-    return pool.map(_block_call, [(args, c) for c in chunks])
+def _chunk_trials(k: int) -> int:
+    return max(1, _CHUNK_BYTES // (16 * k**3))
 
 
-def _run_point(
-    layout: NodeLayout,
-    gamma: float,
-    p: float,
-    bits_list: list[np.ndarray | None],
-    seed: int,
-    trials: int,
-    cond_threshold: float,
-    max_rejection_rate: float,
-    mask: np.ndarray | None,
-    pool,
-    workers: int,
-):
-    """Collect exactly `trials` accepted trials, topping up rejected indices.
+def _block_size(total: int, k: int, workers: int) -> int:
+    """Trials per task in a round of `total` trials: a whole number of engine
+    chunks, about _TASKS_PER_WORKER tasks per worker."""
+    chunk = _chunk_trials(k)
+    return chunk * math.ceil(total / (workers * _TASKS_PER_WORKER * chunk))
 
-    More than trials / (1 - max_rejection_rate) attempted indices would put
-    the rejected share over the limit, so the top-ups stop there.
+
+def _sweep(engines: list, k: int, trials: int, max_rejection_rate: float, workers: int):
+    """Collect exactly `trials` accepted trials at every SNR point, in rounds.
+
+    The first round runs trials 0..trials-1 of every point; each later round
+    tops up the points still short of `trials` with fresh indices. With more
+    than one worker, a round's indices are split into (point, block) tasks
+    that all go to one pool.map; with one, each point runs as one engine call.
+    More than trials / (1 - max_rejection_rate) attempted indices would put a
+    point's rejected share over the limit, so its top-ups stop there. Once no
+    point is running, the first failing point in SNR order raises, exactly
+    as a sweep of one point at a time would. Returns per point the
+    engine results of its blocks, in index order.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0.0 <= max_rejection_rate < 1.0:
-        raise ValueError(f"max_rejection_rate must lie in [0, 1), got {max_rejection_rate}")
-    args = (layout.positions, gamma, p, bits_list, seed, cond_threshold, mask)
-    blocks = []
-    accepted_total = 0
-    next_idx = 0
     max_attempts = math.ceil(trials / (1.0 - max_rejection_rate))
-    while accepted_total < trials:
-        need = trials - accepted_total
-        if next_idx + need > max_attempts:
-            stats = _cond_stats(blocks)
-            raise RejectionRateError(next_idx - accepted_total, next_idx, max_rejection_rate, stats)
-        idx = np.arange(next_idx, next_idx + need)
-        blocks.extend(_map_trials(args, idx, pool, workers))
-        next_idx += need
-        accepted_total = int(sum(b[3].sum() for b in blocks))
-
-    rates = np.concatenate([b[0] for b in blocks], axis=0)
-    dev = np.concatenate([b[1] for b in blocks], axis=0)
-    row_dev = np.concatenate([b[2] for b in blocks], axis=0)
-    accepted = np.concatenate([b[3] for b in blocks], axis=0)
-    rejections = int(next_idx - trials)
-    if rejections / next_idx > max_rejection_rate:
-        raise RejectionRateError(rejections, next_idx, max_rejection_rate, _cond_stats(blocks))
-    keep = np.flatnonzero(accepted)
-    return rates[keep], dev[keep], row_dev[keep], rejections
+    blocks: list[list] = [[] for _ in engines]
+    attempted = [0] * len(engines)
+    accepted = [0] * len(engines)
+    errors: dict[int, RejectionRateError] = {}
+    running = list(range(len(engines)))
+    # A sweep of one task runs inline.
+    pooled = workers > 1 and (len(engines) > 1 or _block_size(trials, k, workers) < trials)
+    with _worker_pool(workers if pooled else 1, engines) as pool:
+        while running:
+            need = {i: trials - accepted[i] for i in running}
+            step = trials if pool is None else _block_size(sum(need.values()), k, workers)
+            tasks = [
+                (i, np.arange(s, min(s + step, attempted[i] + short)))
+                for i, short in need.items()
+                for s in range(attempted[i], attempted[i] + short, step)
+            ]
+            if pool is None:
+                results = [engines[i](idx) for i, idx in tasks]
+            else:
+                results = pool.map(_run_block, tasks, chunksize=1)
+            for (i, idx), res in zip(tasks, results):
+                blocks[i].append(res)
+                attempted[i] += len(idx)
+                accepted[i] += int(res[3].sum())
+            still = []
+            for i in running:
+                short, rejected = trials - accepted[i], attempted[i] - accepted[i]
+                if short and attempted[i] + short <= max_attempts:
+                    still.append(i)
+                elif short or rejected / attempted[i] > max_rejection_rate:
+                    stats = _cond_stats(blocks[i])
+                    errors[i] = RejectionRateError(rejected, attempted[i], max_rejection_rate, stats)
+            # A point after a failed one can no longer change what the sweep raises.
+            running = [i for i in still if not errors or i < min(errors)]
+    if errors:
+        raise errors[min(errors)]
+    return blocks
 
 
 def _cond_stats(blocks) -> str:
-    if not blocks:
-        return "none"
     conds = np.concatenate([b[4] for b in blocks])
     return (
         f"median {np.median(conds):.3e}, p99 {np.percentile(conds, 99):.3e}, "
@@ -425,11 +441,11 @@ def _stderr(samples: np.ndarray) -> np.ndarray | float:
     return samples.std(axis=0, ddof=1) / np.sqrt(n)
 
 
-def evaluate_point(
+def _evaluate(
     layout: NodeLayout,
     gamma: float,
     policies: list[PolicySpec],
-    p: float,
+    p_list: list[float],
     trials: int,
     seed: int,
     *,
@@ -438,28 +454,47 @@ def evaluate_point(
     data_mask: bool = False,
     workers: int = 1,
     keep_samples: bool = False,
-    _pool=None,
-) -> PointResult:
-    """Coupled Monte-Carlo evaluation of several policies at one SNR point.
+) -> list[PointResult]:
+    """Coupled evaluation of every policy at every nominal SNR of p_list.
 
-    Every policy sees the same channel and the same estimation-noise draws
-    (scaled by its own bit counts), so cross-policy comparisons share their
-    randomness. Means and standard errors run over accepted trials only.
-    With workers > 1 the point forks its own pool unless evaluate_curves
-    passes the sweep's pool as _pool.
+    Every point's engine arguments, its allocation tables included, are built
+    before a pool forks, so the workers inherit them.
     """
     if len(policies) != len(set(policies)):
         raise ValueError("duplicate policy specs in one run")
-    allocs = [build_allocation(spec, layout, gamma, p) for spec in policies]
-    bits_list = [None if spec.kind == "perfect" else alloc.bits for spec, alloc in zip(policies, allocs)]
-    mask = None
-    if data_mask:
-        mask = mask_from_sets(data_sharing_sets(layout, gamma), layout.K)
-    with _worker_pool(workers, trials) if _pool is None else nullcontext(_pool) as pool:
-        rates, dev, row_dev, rejections = _run_point(
-            layout, gamma, p, bits_list, seed, trials, cond_threshold, max_rejection_rate, mask,
-            pool, workers,
-        )
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0.0 <= max_rejection_rate < 1.0:
+        raise ValueError(f"max_rejection_rate must lie in [0, 1), got {max_rejection_rate}")
+    engines = _engines(layout, gamma, policies, p_list, seed, cond_threshold, data_mask)
+    swept = _sweep(engines, layout.K, trials, max_rejection_rate, workers)
+    return [_point_result(policies, p, blocks, trials, keep_samples) for p, blocks in zip(p_list, swept)]
+
+
+def _engines(layout, gamma, policies, p_list, seed, cond_threshold, data_mask) -> list[partial]:
+    """One engine per nominal SNR: _simulate_trials bound to everything but
+    the trial indices, the point's allocation tables included. The tables
+    are the allocations' own read-only arrays, which the error-scale cache
+    keys on."""
+    mask = mask_from_sets(data_sharing_sets(layout, gamma), layout.K) if data_mask else None
+    engines = []
+    for p in p_list:
+        bits_list = [None if spec.kind == "perfect" else build_allocation(spec, layout, gamma, p).bits
+                     for spec in policies]
+        engines.append(partial(
+            _simulate_trials, layout.positions, gamma, p, bits_list, seed,
+            cond_threshold=cond_threshold, mask=mask,
+        ))
+    return engines
+
+
+def _point_result(
+    policies: list[PolicySpec], p: float, blocks: list, trials: int, keep_samples: bool
+) -> PointResult:
+    rates, dev, row_dev, accepted = (np.concatenate([b[j] for b in blocks], axis=0) for j in range(4))
+    keep = np.flatnonzero(accepted)
+    rates, dev, row_dev = rates[keep], dev[keep], row_dev[keep]
+    rejections = len(accepted) - trials
     snr_db = linear_to_db(p)
     rate_points: dict[PolicySpec, RatePoint] = {}
     dev_points: dict[PolicySpec, DeviationPoint] = {}
@@ -491,6 +526,26 @@ def evaluate_point(
     return PointResult(rates=rate_points, deviations=dev_points, samples=samples or None)
 
 
+def evaluate_point(
+    layout: NodeLayout,
+    gamma: float,
+    policies: list[PolicySpec],
+    p: float,
+    trials: int,
+    seed: int,
+    **opts,
+) -> PointResult:
+    """Coupled Monte-Carlo evaluation of several policies at one SNR point.
+
+    Every policy sees the same channel and the same estimation-noise draws
+    (scaled by its own bit counts), so cross-policy comparisons share their
+    randomness. Means and standard errors run over accepted trials only.
+    Options: cond_threshold, max_rejection_rate, data_mask, workers and
+    keep_samples (per-trial rates in PointResult.samples).
+    """
+    return _evaluate(layout, gamma, policies, [p], trials, seed, **opts)[0]
+
+
 def evaluate_curves(
     layout: NodeLayout,
     gamma: float,
@@ -500,22 +555,17 @@ def evaluate_curves(
     seed: int,
     **opts,
 ) -> ExperimentResult:
-    """Sweep evaluate_point over an SNR grid, one coupled run per point.
+    """evaluate_point over an SNR grid, every point in one sweep.
 
-    With workers > 1, one pool serves every point of the sweep: workers
-    forked once stay warm across points, instead of each point paying for
-    cold ones.
+    With workers > 1, one pool serves the whole sweep, and each of its rounds
+    is one task queue over the trial blocks of every point still running.
     """
     curves = {spec: RateCurve(policy=spec) for spec in policies}
     deviations: dict[PolicySpec, list[DeviationPoint]] = {spec: [] for spec in policies}
-    with _worker_pool(opts.get("workers", 1), trials) as pool:
-        for db in snr_db:
-            point = evaluate_point(
-                layout, gamma, policies, db_to_linear(db), trials, seed, **opts, _pool=pool
-            )
-            for spec in policies:
-                curves[spec].points.append(point.rates[spec])
-                deviations[spec].append(point.deviations[spec])
+    for point in _evaluate(layout, gamma, policies, [db_to_linear(db) for db in snr_db], trials, seed, **opts):
+        for spec in policies:
+            curves[spec].points.append(point.rates[spec])
+            deviations[spec].append(point.deviations[spec])
     return ExperimentResult(curves=curves, deviations=deviations)
 
 

@@ -279,20 +279,24 @@ def _unit_draws(streams: Iterator[np.random.Generator], n: int, k: int) -> np.nd
     return out
 
 
-def _median_decay_slopes(
-    layout: NodeLayout, gamma: float, p_list, trials: int, seed: int, entry_fn
-) -> np.ndarray:
+def _trial_draws(seed: int, trials: int, k: int) -> np.ndarray:
+    """Unit-variance (trials, k, k) channel draws of trials 0, 1, ..., trials - 1."""
+    return _unit_draws(_channel_streams(seed, trials), trials, k)
+
+
+def _median_decay_slopes(layout: NodeLayout, gamma: float, p_list, unit: np.ndarray, entry_fn) -> np.ndarray:
     """Medians of |entry_fn(h)|^2 per link across trials, slope vs log2(P).
 
-    entry_fn takes a stack of channels. Every SNR point scales the same unit
-    draws, so each trial is drawn once.
+    unit holds every trial's unit-variance channel draw, and entry_fn takes a
+    stack of channels. Every SNR point scales the same draws, so each trial is
+    drawn once.
     """
     k = layout.K
     dist = pairwise_distance(layout)
     p_arr = [float(p) for p in p_list]
     if len(p_arr) < 2:
         raise ValueError("need at least two SNR points for a slope")
-    unit = _unit_draws(_channel_streams(seed, trials), trials, k)
+    trials = len(unit)
     step = _stack_len(k)
     meds = np.empty((len(p_arr), k, k))
     acc = np.empty((trials, k, k))
@@ -318,17 +322,23 @@ def term_decay_check(
     n: int,
     seed: int,
     slope_margin: float = 0.2,
+    *,
+    unit: np.ndarray | None = None,
 ) -> DecayCheck:
     """Median |term_n[j, i]|^2 must decay at least like P^((gamma_min - 1) n).
 
     Pairs whose medians vanish identically (the diagonal at n = 1) are
-    excluded from the fit.
+    excluded from the fit. unit, if given, holds the (trials, K, K) unit
+    draws of trials 0..trials-1 at seed, so that checks on one layout can
+    share one set of draws.
     """
     if n < 1:
         raise ValueError(f"term order must be >= 1, got {n}")
-    slopes = _median_decay_slopes(
-        layout, gamma, p_list, trials, seed, lambda h: neumann_term_matrix(h, n)
-    )
+    if unit is None:
+        unit = _trial_draws(seed, trials, layout.K)
+    elif unit.shape != (trials, layout.K, layout.K):
+        raise ValueError(f"unit draws must have shape {(trials, layout.K, layout.K)}, got {unit.shape}")
+    slopes = _median_decay_slopes(layout, gamma, p_list, unit, lambda h: neumann_term_matrix(h, n))
     order = truncation_order(pairwise_distance(layout), gamma)
     bounds = np.full_like(slopes, (order.gamma_min - 1.0) * n + slope_margin)
     valid = ~np.isnan(slopes)
@@ -344,7 +354,7 @@ def inverse_decay_estimate(
     slope_margin: float = 0.2,
 ) -> DecayCheck:
     """Median |inv(h)[j, i]|^2 must decay at least like P^((gamma - 1) dist(i, j))."""
-    slopes = _median_decay_slopes(layout, gamma, p_list, trials, seed, np.linalg.inv)
+    slopes = _median_decay_slopes(layout, gamma, p_list, _trial_draws(seed, trials, layout.K), np.linalg.inv)
     bounds = (gamma - 1.0) * pairwise_distance(layout) + slope_margin
     valid = ~np.isnan(slopes)
     return DecayCheck(slopes=slopes, bounds=bounds, passed=bool(np.all(slopes[valid] <= bounds[valid])))
@@ -438,8 +448,11 @@ def run_verification(
     line3 = _line_layout(3)
     gamma = 0.6
     order = truncation_order(pairwise_distance(line3), gamma)
+    # Both decay orders and the zero-diagonal check run on the same trials of
+    # the colinear triple, drawn once.
+    unit = _trial_draws(seed, trials, line3.K)
     for n in (1, 2):
-        chk = term_decay_check(line3, gamma, p_list, trials, n, seed)
+        chk = term_decay_check(line3, gamma, p_list, trials, n, seed, unit=unit)
         valid = ~np.isnan(chk.slopes)
         measured = float(chk.slopes[valid].max())
         bound = float(chk.bounds[0, 0])
@@ -454,8 +467,7 @@ def run_verification(
         )
 
     model = pathloss_matrix(interference_levels(pairwise_distance(line3), gamma), p_list[0])
-    n = min(trials, 200)
-    h = model.sigma * _unit_draws(_channel_streams(seed, n), n, line3.K)  # 29 KB at most
+    h = model.sigma * unit[:200]  # 29 KB at most
     diag = np.abs(np.diagonal(neumann_term_matrix(h, 1), axis1=-2, axis2=-1))
     diag_max = max([0.0, *np.max(diag, axis=-1).tolist()])
     results.append(

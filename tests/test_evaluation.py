@@ -1,5 +1,4 @@
 import multiprocessing
-from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -215,23 +214,61 @@ def test_rejection_just_over_limit_reports_attempts():
 
 
 def test_sweep_forks_one_pool(monkeypatch):
-    """Every SNR point and top-up of a sweep runs on the same pool."""
+    """A sweep forks one pool. Its first round sends blocks of every point;
+    each top-up round sends blocks only of the points still short of their
+    trials, and only the indices they lack."""
     ctx = multiprocessing.get_context("fork")
     real_pool = ctx.Pool
-    started = []
+    started, rounds = [], []
 
-    def counting_pool(*args, **kwargs):
-        started.append(kwargs)
-        return real_pool(*args, **kwargs)
+    def recording_pool(*args, **kwargs):
+        pool = real_pool(*args, **kwargs)
+        real_map = pool.map
 
-    monkeypatch.setattr(ctx, "Pool", counting_pool)
+        def recording_map(fn, tasks, *a, **kw):
+            rounds.append(tasks)
+            return real_map(fn, tasks, *a, **kw)
+
+        pool.map = recording_map
+        started.append(pool)
+        return pool
+
+    monkeypatch.setattr(ctx, "Pool", recording_pool)
     case = {k: v for k, v in _TOPUP_CASE.items() if k != "p"}
     res = evaluate_curves(
         **case, snr_db=[30.0, 40.0, 60.0, 80.0], max_rejection_rate=0.5, workers=2
     )
-    assert started == [{"processes": 2}]
-    assert res.curves[PolicySpec("perfect")].points[1].rejections == 26  # topped up in the pool
+    rejections = [pt.rejections for pt in res.curves[PolicySpec("perfect")].points]
+    assert len(started) == 1
+    assert rejections == [63, 26, 7, 6]
+    # 60 and 80 dB are done after one top-up, 40 dB after two.
+    assert [sorted({point for point, _ in tasks}) for tasks in rounds] == [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1], [0]]
+    for point, rejected in enumerate(rejections):
+        sent = [idx for tasks in rounds for i, idx in tasks if i == point]
+        np.testing.assert_array_equal(np.concatenate(sent), np.arange(200 + rejected))
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "snr_db, counts",
+    [([80.0, 10.0, 60.0, 5.0], "21 of 40"), ([80.0, 5.0, 60.0, 10.0], "21 of 56")],
+    ids=["first-fails-first", "first-fails-after-a-top-up"],
+)
+def test_sweep_raises_the_first_failing_point_in_snr_order(snr_db, counts):
+    """Threshold 60 rejects over 30% of the trials at 10 dB and at 5 dB. 10 dB
+    fails after its first 40 trials, 5 dB only after a top-up. Either way the
+    sweep raises the error of the point that comes first in SNR order, as a
+    sweep of one point at a time would, with the same text for one and for
+    two workers."""
+    case = {k: v for k, v in _TOPUP_CASE.items() if k not in ("p", "trials")}
+    texts = []
+    for workers in (1, 2):
+        with pytest.raises(RejectionRateError) as info:
+            evaluate_curves(**case, snr_db=snr_db, trials=40, max_rejection_rate=0.3, workers=workers)
+        texts.append(str(info.value))
+        assert multiprocessing.active_children() == []
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(f"{counts} trials rejected")
 
 
 def test_no_worker_outlives_a_failed_call():
@@ -421,25 +458,31 @@ def test_default_threshold_clears_without_svd(monkeypatch):
 
 
 def test_worker_side_tables_hit_the_error_scale_cache(monkeypatch):
-    """Tables pickled to a pool worker arrive writable; _block_call makes them
-    read-only so the model computes each error scale once per chunk."""
-    layout = place_grid(2)
-    p = 1e4
-    dist = pairwise_distance(layout)
-    tables = [None, distance_based(dist, 0.6, p).bits, np.zeros((4, 4, 4))]
-    args = (layout.positions, 0.6, p, tables, 12, 1e12, None)
-    payload = ForkingPickler.loads(ForkingPickler.dumps((args, np.arange(5))))
-    assert all(b.flags.writeable for b in payload[0][3] if b is not None)
+    """A pool worker runs on the allocation tables the sweep built before the
+    fork: read-only arrays that own their data, so the model computes each
+    table's error scale once per engine call."""
     models = []
+    real_pathloss_matrix, real_engine = evaluation.pathloss_matrix, evaluation._simulate_trials
 
     def recording_pathloss_matrix(*a, **kw):
-        models.append(pathloss_matrix(*a, **kw))
+        models.append(real_pathloss_matrix(*a, **kw))
         return models[-1]
 
+    def probing_engine(positions, gamma, p, bits_list, *rest, **kw):
+        real_engine(positions, gamma, p, bits_list, *rest, **kw)
+        tables = [b for b in bits_list if b is not None]
+        return [(b.flags.writeable, b.base is None) for b in tables], [len(m._std_cache) for m in models]
+
     monkeypatch.setattr(evaluation, "pathloss_matrix", recording_pathloss_matrix)
-    evaluation._block_call(payload)
-    [model] = models
-    assert len(model._std_cache) == 2
+    monkeypatch.setattr(evaluation, "_simulate_trials", probing_engine)
+    specs = [PolicySpec("perfect"), PolicySpec("distance"), PolicySpec("uniform")]
+    engines = evaluation._engines(place_grid(2), 0.6, specs, [1e4], 12, 1e12, False)
+    with evaluation._worker_pool(2, engines) as pool:
+        [(flags, cache_sizes)] = pool.map(evaluation._run_block, [(0, np.arange(5))], chunksize=1)
+    assert models == []  # the engine ran in the worker
+    assert flags == [(False, True), (False, True)]
+    assert cache_sizes == [2]
+    assert multiprocessing.active_children() == []
 
 
 def test_duplicate_policy_rejected():

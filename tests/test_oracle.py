@@ -137,6 +137,20 @@ def test_term_decay_two_nodes_first_order():
     np.testing.assert_allclose(chk.slopes[off], -0.4, atol=0.1)
 
 
+def test_term_decay_on_shared_draws_equals_own_draws():
+    """Draws handed in as unit give the slopes the check's own draws give;
+    draws of another shape are refused."""
+    layout = _line(3)
+    p_list = [10.0 ** (db / 10.0) for db in (40, 60, 80)]
+    unit = oracle._trial_draws(5, 60, 3)
+    for n in (1, 2):
+        own = term_decay_check(layout, 0.6, p_list, 60, n, seed=5)
+        shared = term_decay_check(layout, 0.6, p_list, 60, n, seed=5, unit=unit)
+        assert own.slopes.tobytes() == shared.slopes.tobytes()
+    with pytest.raises(ValueError, match="unit draws must have shape"):
+        term_decay_check(layout, 0.6, p_list, 61, 1, seed=5, unit=unit)
+
+
 def test_term_decay_colinear_second_order():
     layout = _line(3)
     p_list = [10.0 ** (db / 10.0) for db in (40, 50, 60, 70, 80)]
@@ -387,16 +401,17 @@ def test_run_verification_all_pass():
 
 
 def test_run_verification_draws_each_trial_once_per_check(monkeypatch):
-    """Each Monte-Carlo check draws its trials once and scales them per SNR
-    point: the three decay checks, the zero-diagonal check and the tail
-    check draw 200 trials each (none of the tail's diverges at seed 7),
-    where drawing per SNR point took 3 * 5 * 200 + 200 + 200 = 3400. Each
-    check derives its streams in one pass, the tail check for its budget of
+    """Each Monte-Carlo layout's trials are drawn once and scaled per SNR
+    point. The colinear triple's 200 trials serve both term decay checks and
+    the zero-diagonal check; the tail check and the inverse decay check draw
+    200 each (none of the tail's diverges at seed 7). Drawing per SNR point
+    took 3 * 5 * 200 + 200 + 200 = 3400, drawing per check 1000. Each draw
+    derives its streams in one pass, the tail check for its budget of
     200 + 20 draws."""
     passes, draws = _counting_trial_streams(monkeypatch)
     run_verification(seed=7, trials=200)
-    assert len(draws) == 1000
-    assert [len(p) for p in passes] == [200, 200, 200, 220, 200]
+    assert len(draws) == 600
+    assert [len(p) for p in passes] == [200, 220, 200]
 
 
 def test_run_verification_keeps_no_state_between_calls():
