@@ -107,8 +107,13 @@ class ExperimentConfig:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
         if not self.snr_db:
             raise ValueError("snr_db must be non-empty")
-        if min(self.snr_db) <= 0.0:
-            raise ValueError("all SNR points must be > 0 dB (the pathloss model needs P > 1)")
+        for db in self.snr_db:
+            try:
+                p = db_to_linear(db)
+            except OverflowError:
+                p = math.inf
+            if not 1.0 < p < math.inf:
+                raise ValueError(f"every snr_db point needs a finite nominal SNR P = 10^(dB/10) > 1, got {db!r} dB")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.policies:

@@ -14,18 +14,18 @@ leading trial axis, one policy at a time. The chunk size is capped by
 the bytes of one policy's estimate stack, so it shrinks as K grows (24 trials
 at K = 8, 3 at K = 16, one from K = 19 up). Each call holds one workspace for
 its chunks' noise, estimate and squared-magnitude stacks, which the kernels
-write into instead of allocating them per chunk and policy. A chunk in which
-any trial is rejected is rerun one trial at a time through the same kernels,
-so each trial's acceptance and condition estimate are its own. A kernel
-call over a batch equals the calls on its elements bit for bit, so
-per-trial results depend only on (seed, trial index): neither the chunking
-nor worker scheduling can change any output. A sweep builds every SNR
-point's engine arguments, its allocation tables included, before it forks.
-With more than one worker it forks one pool, whose workers inherit those
-tables, and sends each round (the first trials of every point, then the
-top-ups of the points still short) as one queue of (point, trial block)
-tasks that carry only indices. The pool is reaped before the sweep returns
-or raises.
+write into instead of allocating them per chunk and policy. A kernel call
+that rejects trials names all of them in one IllConditionedError; the chunk
+records their kappa_2 and is rerun on its surviving trials, so each trial's
+acceptance and condition estimate are its own. A kernel call over a batch
+equals the calls on its elements bit for bit, so per-trial results depend
+only on (seed, trial index): neither the chunking nor worker scheduling can
+change any output. A sweep builds every SNR point's engine arguments, its
+allocation tables included, before it forks. With more than one worker it
+forks one pool, whose workers inherit those tables, and sends each round
+(the first trials of every point, then the top-ups of the points still
+short) as one queue of (point, trial block) tasks that carry only indices.
+The pool is reaped before the sweep returns or raises.
 """
 
 from __future__ import annotations
@@ -224,9 +224,9 @@ def _simulate_trials(
     the worst condition estimate seen per trial; rejected trials carry NaNs.
 
     Trials run in chunks of at most _CHUNK_BYTES / (16 K^3), each one batch
-    through the kernels. A chunk with a rejected trial is rerun as chunks of
-    one trial, so acceptance and worst_cond are decided per trial, exactly as
-    for a lone trial.
+    through the kernels. When a kernel call rejects trials of a chunk, the
+    chunk is rerun without them, so acceptance and worst_cond are decided
+    per trial, exactly as for a lone trial.
     """
     layout = NodeLayout(positions)
     k = layout.K
@@ -260,25 +260,22 @@ def _simulate_trials(
             noise = work[0, : m * k**3].reshape(m, k, k, k)
             for i, rng in enumerate(islice(streams, m)):
                 complex_gaussian(rng, (k, k, k), out=noise[i])
-        parts = [(start, chan, noise)]
-        while parts:
-            row, chan, noise = parts.pop()
-            rows = slice(row, row + len(chan.H))
+        rows = np.arange(start, start + m)
+        while rows.size:
             try:
                 rates[rows], row_dev[rows], worst_cond[rows] = _solve_chunk(
                     chan, noise, work, model, bits_list, p, cond_threshold, mask
                 )
             except IllConditionedError as exc:
-                if len(chan.H) == 1:
-                    # Every earlier condition estimate passed the threshold, so this one is the worst.
-                    worst_cond[row] = exc.cond
-                else:
-                    parts += [
-                        (row + i, ChannelRealization(H=chan.H[i:i + 1]), None if noise is None else noise[i:i + 1])
-                        for i in range(len(chan.H))
-                    ]
-                continue
-            accepted[rows] = True
+                # Every earlier solve of a rejected trial passed the threshold,
+                # so the kappa_2 that rejected it is its worst estimate.
+                worst_cond[rows[exc.rejected]] = exc.conds[exc.rejected]
+                keep = ~exc.rejected
+                rows, chan = rows[keep], ChannelRealization(H=chan.H[keep])
+                noise = None if noise is None else noise[keep]
+            else:
+                accepted[rows] = True
+                break
 
     return rates, row_dev.sum(axis=-1), row_dev, accepted, worst_cond
 

@@ -10,8 +10,10 @@ The Monte-Carlo checks draw each trial's unit-variance channel once and scale
 it by the link standard deviations of every SNR point; the inverses, powers,
 eigenvalues and condition numbers then run on stacks of trials (or pairs) of
 at most _STACK_BYTES each. Every result is bit-identical to drawing and
-solving one trial at a time: draw_channel multiplies the same unit draw by
-the same sigma, and each LAPACK and BLAS call sees the same matrix.
+solving one trial at a time: each unit draw is the complex_gaussian draw
+that draw_channel scales by sigma, and each LAPACK and BLAS call sees the
+same matrix. The resolvent check screens its stacks of pairs and then runs
+resolvent_check itself on the kept ones.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from .allocation import distance_exponents
-from .channel import PURPOSE_CHANNEL, PathlossModel, draw_channel, pathloss_matrix, trial_streams
+from .channel import PURPOSE_CHANNEL, complex_gaussian, pathloss_matrix, trial_streams
 from .topology import NodeLayout, interference_levels, pairwise_distance
 
 __all__ = [
@@ -53,9 +55,6 @@ _STACK_BYTES = 1 << 15
 # _TAIL_TRIALS_PER_SPARE trials, and never fewer than _TAIL_MIN_SPARE draws.
 _TAIL_TRIALS_PER_SPARE = 10
 _TAIL_MIN_SPARE = 20
-
-# Draws stacked at once before they are copied into place.
-_DRAW_GROUP = 16
 
 
 def _stack_len(k: int, per_item: int = 1) -> int:
@@ -118,7 +117,10 @@ def truncation_order(distances: np.ndarray, gamma: float) -> TruncationOrder:
 
 
 def resolvent_check(a: np.ndarray, b: np.ndarray) -> float:
-    """Max entrywise error of inv(a) - inv(b) = inv(b) (b - a) inv(a)."""
+    """Max entrywise error of inv(a) - inv(b) = inv(b) (b - a) inv(a).
+
+    a and b may be (n, K, K) stacks of pairs; the max then runs over all n.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     a_inv = np.linalg.inv(a)
@@ -134,7 +136,8 @@ def resolvent_max_error(
 
     Pairs (a, b) are drawn one matrix after another from one generator; a
     pair is rejected when cond(a) > cond_limit or cond(b) > cond_limit. The
-    draws, the screen and the identity run on stacks of pairs.
+    draws, the screen and resolvent_check run on stacks of pairs; a stack
+    whose pairs are all rejected adds nothing.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -150,11 +153,8 @@ def resolvent_max_error(
         ab /= np.sqrt(2.0)
         cond = np.linalg.cond(ab)
         kept = ab[~((cond[:, 0] > cond_limit) | (cond[:, 1] > cond_limit))]
-        a, b = kept[:, 0], kept[:, 1]
-        a_inv = np.linalg.inv(a)
-        b_inv = np.linalg.inv(b)
-        err = a_inv - b_inv - b_inv @ (b - a) @ a_inv
-        worst = max([worst, *np.max(np.abs(err), axis=(-2, -1)).tolist()])
+        if len(kept):
+            worst = max(worst, resolvent_check(kept[:, 0], kept[:, 1]))
         done += len(kept)
     return worst
 
@@ -269,13 +269,11 @@ def _unit_draws(streams: Iterator[np.random.Generator], n: int, k: int) -> np.nd
     """Unit-variance (n, k, k) channel draws from the next n streams.
 
     sigma * draw t equals draw_channel(model, trial_rng(seed, t, ...)).H byte
-    for byte for any model, since the unit model's sigma is exactly 1.0.
+    for byte for any model: it is the same complex_gaussian draw.
     """
-    unit = PathlossModel(np.ones((k, k)))
     out = np.empty((n, k, k), dtype=complex)
-    for s in range(0, n, _DRAW_GROUP):
-        m = min(_DRAW_GROUP, n - s)
-        out[s:s + m] = draw_channel(unit, islice(streams, m)).H
+    for i, rng in enumerate(islice(streams, n)):
+        complex_gaussian(rng, (k, k), out=out[i])
     return out
 
 

@@ -8,11 +8,12 @@ inconsistent inversions of near-identical matrices.
 Every solve is gated by its 2-norm condition number kappa_2. The bound
 kappa_2 <= ||A||_F ||A^-1||_F, read from the inverse the precoder needs
 anyway, clears well-conditioned solves without an SVD; only the rest run
-np.linalg.cond.
+np.linalg.cond, in one call per precoder call.
 
 Both precoders take leading batch axes, one solve per element. A batched
-call equals the stacked calls on its elements bit for bit; when the screen
-misses any element, it makes exactly those calls.
+call equals the stacked calls on its elements bit for bit. If any element is
+rejected, one IllConditionedError names every rejected element and its
+kappa_2, each as that element's own call would have raised it.
 """
 
 from __future__ import annotations
@@ -36,15 +37,20 @@ DEFAULT_COND_THRESHOLD = 1e12
 class IllConditionedError(RuntimeError):
     """A solve was rejected because its 2-norm condition number crossed the threshold.
 
-    cond is the largest kappa_2 of the rejected matrix or stack, as
-    np.linalg.cond computes it (inf for an exactly singular matrix).
-    Callers are expected to resample the trial and count the rejection.
+    cond is the first rejected solve's largest kappa_2, as np.linalg.cond
+    computes it (inf for an exactly singular matrix). A batched call raises
+    once for all its rejected elements: rejected masks them over the batch
+    axes, and conds holds every element's condition estimate, the kappa_2 of
+    each rejected one included. For a call without batch axes both are
+    0-d. Callers are expected to resample the rejected trials and count them.
     """
 
-    def __init__(self, cond: float, threshold: float):
+    def __init__(self, cond: float, threshold: float, *, rejected=None, conds=None):
         super().__init__(f"condition estimate {cond:.3e} exceeds threshold {threshold:.3e}")
         self.cond = float(cond)
         self.threshold = float(threshold)
+        self.rejected = np.asarray(True if rejected is None else rejected)
+        self.conds = np.asarray(self.cond if conds is None else conds)
 
 
 @dataclass(frozen=True)
@@ -90,20 +96,19 @@ def _checked_inverse(
     cond_threshold: float,
     core: int,
     scratch: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, float | np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Inverses of one solve or a batch of solves, their column norms, and
     the condition estimate of each solve.
 
     A solve is the square matrix or stack of matrices on the trailing `core`
-    axes; leading axes are batch axes. A solve is rejected iff kappa_2
-    (np.linalg.cond) of one of its matrices is non-finite or above the
-    threshold, and IllConditionedError then carries its worst kappa_2. The
-    inverse is formed first: kappa_2 <= kappa_F = ||A||_F ||A^-1||_F, so when
-    every kappa_F of a solve lies a safe margin below the threshold no
-    kappa_2 can cross it and no SVD runs. Otherwise, or if the LU
-    factorization hits an exact zero pivot, np.linalg.cond decides. It only
-    ever sees one solve: with batch axes, a miss returns None and the caller
-    solves one batch element at a time.
+    axes; leading axes are batch axes, and a call without them is a batch of
+    one. A solve is rejected iff kappa_2 (np.linalg.cond) of one of its
+    matrices is non-finite or above the threshold. The inverse is formed
+    first: kappa_2 <= kappa_F = ||A||_F ||A^-1||_F, so a solve whose every
+    kappa_F lies a safe margin below the threshold cannot be rejected and
+    needs no SVD. np.linalg.cond runs once, on the solves this screen
+    missed, or on all of them if the LU factorization hits an exact zero
+    pivot. A rejection raises one IllConditionedError for the whole batch.
 
     The condition estimate is a float for a call without batch axes, else a
     read-only array over the batch axes. np.linalg.inv is an LU solve against
@@ -113,45 +118,35 @@ def _checked_inverse(
     (see _sq_magnitude), the squared magnitudes are formed in it instead of
     in fresh arrays.
     """
-    batch_ndim = matrices.ndim - core
+    batch = matrices.shape[: matrices.ndim - core]
+    flat = matrices.reshape((-1,) + matrices.shape[-core:])
     try:
         inv = np.linalg.inv(matrices)
     except np.linalg.LinAlgError:
-        inv = None  # an exact zero pivot
+        inv, conds = None, np.full(len(flat), np.nan)  # an exact zero pivot: every solve is missed
     else:
         col_sq = _sq_magnitude(inv, scratch).sum(axis=-2)
         a_sq = _sq_magnitude(matrices, scratch).sum(axis=(-2, -1))
         kappa_f_sq = a_sq * col_sq.sum(axis=-1)  # one per matrix
-        # sqrt is monotone, so the worst kappa_F of the call decides for all.
-        worst = math.sqrt(float(kappa_f_sq.max()))
-        if worst < min(cond_threshold, _SCREEN_CAP) / _SCREEN_MARGIN:
-            if not batch_ndim:
-                return inv, np.sqrt(col_sq), worst
-            kappa_f = np.sqrt(kappa_f_sq.reshape(matrices.shape[:batch_ndim] + (-1,)).max(axis=-1))
-            return inv, np.sqrt(col_sq), _readonly(kappa_f)
-    if batch_ndim:
-        return None
-    worst = float(np.linalg.cond(matrices).max())
-    if not math.isfinite(worst) or worst > cond_threshold:
-        raise IllConditionedError(worst, cond_threshold)
-    if inv is None:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return inv, np.sqrt(col_sq), worst
+        # sqrt is monotone, so a solve's worst kappa_F is the root of its worst square.
+        conds = np.sqrt(kappa_f_sq.reshape(len(flat), -1).max(axis=-1))
+    limit = min(cond_threshold, _SCREEN_CAP) / _SCREEN_MARGIN
+    if not conds.max() < limit:  # NaN included
+        missed = ~(conds < limit)
+        conds[missed] = np.linalg.cond(flat[missed]).reshape(int(missed.sum()), -1).max(axis=-1)
+        rejected = ~np.isfinite(conds) | (conds > cond_threshold)
+        if rejected.any():
+            raise IllConditionedError(
+                conds[rejected][0], cond_threshold, rejected=rejected.reshape(batch), conds=conds.reshape(batch)
+            )
+        if inv is None:
+            raise np.linalg.LinAlgError("Singular matrix")
+    return inv, np.sqrt(col_sq), _readonly(conds.reshape(batch)) if batch else float(conds[0])
 
 
 def _readonly(t: np.ndarray) -> np.ndarray:
     t.setflags(write=False)
     return t
-
-
-def _one_at_a_time(kernel, stack: np.ndarray, core: int, p: float, cond_threshold: float) -> Precoder:
-    """A batched call whose screen missed: each batch element solved as a
-    call without batch axes, results stacked; the first rejection raises."""
-    batch = stack.shape[: stack.ndim - core]
-    precs = [kernel(a, p, cond_threshold) for a in stack.reshape((-1,) + stack.shape[-core:])]
-    t = np.stack([prec.T for prec in precs]).reshape(batch + precs[0].T.shape)
-    cond = np.array([prec.max_cond for prec in precs]).reshape(batch)
-    return Precoder(T=_readonly(t), max_cond=_readonly(cond))
 
 
 def zf_precoder(
@@ -162,17 +157,16 @@ def zf_precoder(
     Column i is sqrt(p) * Hinv e_i / ||Hinv e_i||, so each user stream is
     sent with power exactly p. Leading axes of h_est (..., K, K) are batch
     axes: element b of the result equals zf_precoder(h_est[b]) bit for bit,
-    max_cond included, and a rejected element raises as its own call would.
+    max_cond included. If elements are rejected, the IllConditionedError
+    marks them in rejected, with the kappa_2 each one's own call raises in
+    conds; its cond is the first one's.
     """
     h = np.asarray(h_est, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ValueError(f"estimate must be square, got shape {h.shape}")
     if p <= 0:
         raise ValueError(f"power must be > 0, got {p}")
-    solved = _checked_inverse(h, cond_threshold, core=2)
-    if solved is None:
-        return _one_at_a_time(zf_precoder, h, 2, p, cond_threshold)
-    inv_cols, col_norms, cond = solved
+    inv_cols, col_norms, cond = _checked_inverse(h, cond_threshold, core=2)
     t = math.sqrt(p) * inv_cols / col_norms[..., None, :]
     return Precoder(T=_readonly(t), max_cond=cond)
 
@@ -200,10 +194,7 @@ def distributed_precoder(
         raise ValueError(f"estimates must have shape (..., K, K, K), got {stack.shape}")
     if p <= 0:
         raise ValueError(f"power must be > 0, got {p}")
-    solved = _checked_inverse(stack, cond_threshold, core=3, scratch=_scratch)
-    if solved is None:
-        return _one_at_a_time(distributed_precoder, stack, 3, p, cond_threshold)
-    inv_cols, col_norms, worst = solved
+    inv_cols, col_norms, worst = _checked_inverse(stack, cond_threshold, core=3, scratch=_scratch)
     diag = np.arange(stack.shape[-1])
     # col_norms[..., j, i] = ||TX j's inverse, column i||; own_rows[..., j, i] = row j of TX j's inverse
     own_rows = inv_cols[..., diag, diag, :]

@@ -64,7 +64,17 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("seed", -1), ("cond_threshold", 0.0), ("max_rejection_rate", -0.1), ("max_rejection_rate", 1.0)],
+    [
+        ("seed", -1),
+        ("cond_threshold", 0.0),
+        ("max_rejection_rate", -0.1),
+        ("max_rejection_rate", 1.0),
+        ("snr_db", [30.0, float("nan")]),
+        ("snr_db", [float("inf")]),
+        ("snr_db", [-float("inf")]),
+        ("snr_db", [4000.0]),  # 10^400 overflows
+        ("snr_db", [1e-20]),  # P rounds to exactly 1
+    ],
 )
 def test_config_validation_bounds(field, value):
     with pytest.raises(ValueError, match=field):
@@ -754,6 +764,25 @@ def test_layouts_whose_distances_overflow_exit_2(tmp_path, capsys, command, args
     assert message.format(tmp=tmp_path) in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["far.json", "far.txt"]
+
+
+@pytest.mark.parametrize("snr", ["nan", "inf", "4000", "config-nan"])
+@pytest.mark.parametrize("command", ["run", "sizes"])
+def test_non_finite_or_overflowing_snr_exits_2(tmp_path, capsys, command, snr):
+    """An SNR point that is not finite, or whose 10^(dB/10) overflows, is a
+    usage error before anything runs: exit 2, an error line naming snr_db,
+    no traceback and no output. 3000 dB still runs."""
+    (tmp_path / "c.json").write_text('{"grid_side": 2, "snr_db": [30.0, NaN]}')
+    snr_args = ["--config", str(tmp_path / "c.json")] if snr == "config-nan" else ["--grid-side", "2", "--snr-db", snr]
+    argv = [command, *snr_args]
+    if command == "run":
+        argv += ["--trials", "4", "--output", str(tmp_path / "out")]
+    assert _exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert "snr_db" in err and "error: " in err
+    assert "Traceback" not in err and out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+    assert _exit_code(["sizes", "--grid-side", "2", "--snr-db", "3000"]) == 0
 
 
 _coordinate = st.one_of(

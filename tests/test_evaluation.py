@@ -428,19 +428,38 @@ def test_interleaved_engine_calls_equal_fresh_calls(monkeypatch):
     assert _same_bytes(evaluation._simulate_trials(*small), fresh_small)
 
 
-def test_condition_number_sees_one_trial_at_a_time(monkeypatch):
-    """Chunks of several trials are screened by kappa_F only; np.linalg.cond
-    runs on one trial's channel or estimate stack."""
-    shapes = set()
+def test_condition_number_sees_only_the_screen_misses(monkeypatch):
+    """Each precoder call of a rejection-heavy run makes at most one
+    np.linalg.cond call, on exactly the trials of its batch whose kappa_F
+    screen missed (kappa_F >= threshold / 4), and several calls decide more
+    than one missed trial at once."""
+    calls = []  # per precoder call: its input and the stacks np.linalg.cond saw
     real_cond = np.linalg.cond
 
     def recording_cond(a, *args):
-        shapes.add(a.shape)
+        calls[-1][1].append(a.copy())
         return real_cond(a, *args)
 
+    def recording(kernel):
+        def call(a, *args, **kwargs):
+            calls.append((np.array(a), []))  # a copy: estimates live in the engine's workspace
+            return kernel(a, *args, **kwargs)
+        return call
+
     monkeypatch.setattr(np.linalg, "cond", recording_cond)
+    monkeypatch.setattr(evaluation, "zf_precoder", recording(zf_precoder))
+    monkeypatch.setattr(evaluation, "distributed_precoder", recording(distributed_precoder))
     evaluate_point(**_TOPUP_CASE, max_rejection_rate=0.5)
-    assert shapes == {(9, 9), (9, 9, 9)}
+    limit = _TOPUP_CASE["cond_threshold"] / 4
+    batched = 0
+    for a, seen in calls:
+        assert len(seen) <= 1
+        kappa_f = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(np.linalg.inv(a), axis=(-2, -1))
+        missed = kappa_f.reshape(len(a), -1).max(axis=-1) >= limit
+        assert (seen[0] if seen else a[:0]).tobytes() == a[missed].tobytes()
+        batched += int(missed.sum()) > 1
+    assert batched > 0
+    assert {s.shape[1:] for _, seen in calls for s in seen} == {(9, 9), (9, 9, 9)}
 
 
 def test_default_threshold_clears_without_svd(monkeypatch):

@@ -73,6 +73,28 @@ GOLDEN = {
         ),
         1,
     ),
+    # Rejection-heavy at K = 16 on two workers: each 3-trial chunk at 20 dB
+    # mixes accepted and rejected trials (10 of 26 rejected), and the point
+    # needs a top-up round; 60 dB rejects none.
+    "grid4_reject_w2": (
+        dict(
+            seed=1,
+            layout_kind="grid",
+            grid_side=4,
+            gamma=0.6,
+            snr_db=[20.0, 60.0],
+            trials=16,
+            cond_threshold=300.0,
+            max_rejection_rate=0.5,
+            policies=[
+                PolicySpec("perfect"),
+                PolicySpec("distance"),
+                PolicySpec("uniform"),
+                PolicySpec("cluster", cluster_size=4),
+            ],
+        ),
+        2,
+    ),
 }
 
 

@@ -56,6 +56,19 @@ def test_resolvent_identity_random_pairs():
     assert resolvent_max_error(pairs=200, size=8, seed=1) < 1e-10
 
 
+def test_resolvent_max_error_skips_fully_rejected_stacks():
+    """At seed 4 and cond_limit 8 the first four 4x4 pairs are rejected, so
+    the first two stacks of pairs=2 keep nothing. The result still equals
+    drawing, screening and checking one pair at a time, to the bit."""
+    rng = np.random.default_rng(4)
+    drawn = [(complex_gaussian(rng, (4, 4)), complex_gaussian(rng, (4, 4))) for _ in range(8)]
+    ok = [max(np.linalg.cond(a), np.linalg.cond(b)) <= 8.0 for a, b in drawn]
+    assert ok[:5] == [False] * 4 + [True]
+    want = max(resolvent_check(a, b) for (a, b), o in zip(drawn, ok) if o)
+    assert ok[5:].count(True) == 1  # the second kept pair is the last of the eight
+    assert resolvent_max_error(pairs=2, size=4, seed=4, cond_limit=8.0) == want
+
+
 def test_resolvent_singular_input():
     singular = np.ones((3, 3), dtype=complex)
     fine = np.eye(3, dtype=complex)

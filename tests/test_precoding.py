@@ -185,12 +185,17 @@ def _each(fn, stack, batch):
 
 def _assert_batch_matches(batched_call, singles, batch):
     """A batched precoder call equals its one-element calls: the stacked T and
-    max_cond bytes when all pass, else the first element's rejection."""
-    failed = [r for r in singles.values() if isinstance(r, IllConditionedError)]
+    max_cond bytes when all pass, else one rejection that names exactly the
+    failing elements and their kappa_2, with the first one's as cond."""
+    failed = {idx: r for idx, r in singles.items() if isinstance(r, IllConditionedError)}
     if failed:
         with pytest.raises(IllConditionedError) as info:
             batched_call()
-        assert info.value.cond == failed[0].cond
+        assert info.value.cond == next(iter(failed.values())).cond
+        assert info.value.rejected.shape == info.value.conds.shape == batch
+        assert sorted(zip(*np.nonzero(info.value.rejected))) == sorted(failed)
+        for idx, exc in failed.items():
+            assert info.value.conds[idx] == exc.cond
         return None
     prec = batched_call()
     assert prec.max_cond.shape == batch
@@ -285,27 +290,37 @@ def test_relabelling_nodes_permutes_every_index(seed, k, side, gamma, snr_db):
         np.testing.assert_allclose(instantaneous_rates(h[ix2], prec_moved).rates, rates[pi], rtol=1e-9, atol=1e-12)
 
 
-def test_batched_call_solves_a_screen_miss_one_element_at_a_time(monkeypatch):
-    """np.linalg.cond only ever sees one element of a batch: the one the
-    kappa_F screen missed."""
+def test_batched_call_decides_the_screen_misses_in_one_cond_call(monkeypatch):
+    """np.linalg.cond runs at most once per batched call: on the elements the
+    kappa_F screen missed, or on all of them after an exact zero pivot, and
+    never when the screen clears the batch."""
     seen = []
     real_cond = np.linalg.cond
 
     def recording_cond(a, *args):
-        seen.append(a.shape)
+        seen.append(a.copy())
         return real_cond(a, *args)
 
     monkeypatch.setattr(np.linalg, "cond", recording_cond)
     rng = np.random.default_rng(22)
     good = complex_gaussian(rng, (3, 3))
     near_singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-9, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
-    prec = zf_precoder(np.stack([good, near_singular, good]), 10.0, cond_threshold=1e12)
-    assert seen == [(3, 3)]
+    batch = np.stack([good, near_singular, good, 2j * near_singular])
+    prec = zf_precoder(batch, 10.0, cond_threshold=1e12)
+    assert [a.tobytes() for a in seen] == [batch[1::2].tobytes()]
     assert prec.max_cond[1] == real_cond(near_singular)
+    assert prec.max_cond[3] == real_cond(2j * near_singular)
     assert prec.max_cond[0] == prec.max_cond[2] == zf_precoder(good, 10.0).max_cond
     seen.clear()
     assert zf_precoder(np.stack([good, good]), 10.0).max_cond.shape == (2,)
     assert seen == []
+
+    singular = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    with pytest.raises(IllConditionedError) as info:
+        zf_precoder(np.stack([good, singular, near_singular]), 10.0, cond_threshold=1e12)
+    assert [a.shape for a in seen] == [(3, 3, 3)]
+    assert info.value.rejected.tolist() == [False, True, False]
+    assert info.value.conds[1] == info.value.cond == math.inf
 
 
 def test_exactly_singular_reports_infinite_condition():
@@ -317,6 +332,17 @@ def test_exactly_singular_reports_infinite_condition():
     with pytest.raises(IllConditionedError) as info:
         distributed_precoder(np.stack([good, singular]), 10.0, cond_threshold=math.inf)
     assert info.value.cond == math.inf
+
+
+def test_unbatched_rejection_is_a_batch_of_one():
+    """A call without batch axes, like an error built from (cond, threshold)
+    alone, marks its one element rejected in 0-d arrays."""
+    h = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6]], dtype=complex)
+    with pytest.raises(IllConditionedError) as info:
+        zf_precoder(h, 10.0, cond_threshold=100.0)
+    for exc in (info.value, IllConditionedError(info.value.cond, 100.0)):
+        assert exc.rejected.shape == exc.conds.shape == ()
+        assert exc.rejected and exc.conds == exc.cond == np.linalg.cond(h)
 
 
 def test_input_validation():
