@@ -114,6 +114,9 @@ class ExperimentConfig:
                 p = math.inf
             if not 1.0 < p < math.inf:
                 raise ValueError(f"every snr_db point needs a finite nominal SNR P = 10^(dB/10) > 1, got {db!r} dB")
+        for i, db in enumerate(self.snr_db):
+            if db in self.snr_db[:i]:
+                raise ValueError(f"snr_db points must be distinct, got {db!r} dB twice")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.policies:
@@ -702,7 +705,7 @@ def _cmd_run(cfg: ExperimentConfig, workers: int, dump_channel: str | None) -> i
         return 2
     dof = _dof_fits(cfg, result)
     for spec in cfg.policies:
-        top = result.curves[spec].points[-1]
+        top = max(result.curves[spec].points, key=lambda q: q.snr_db)  # where the slope's fit window ends
         slope = dof[spec.label()]["slope"] if spec.label() in dof else float("nan")
         print(f"{spec.label():<22} top {top.snr_db:g} dB: {top.mean_avg:.3f} bits/user (slope {slope:.3f})")
     print(f"wrote {Path(cfg.output) / 'rates.csv'}")

@@ -10,22 +10,28 @@ are replaced by fresh trial indices and counted.
 Trials run in chunks: each trial is drawn from its own substreams, whose
 states the call derives in one trial_streams pass, the draws are stacked,
 and the channel, precoding and rate kernels run once per chunk over a
-leading trial axis, one policy at a time. The chunk size is capped by
-the bytes of one policy's estimate stack, so it shrinks as K grows (24 trials
-at K = 8, 3 at K = 16, one from K = 19 up). Each call holds one workspace for
-its chunks' noise, estimate and squared-magnitude stacks, which the kernels
-write into instead of allocating them per chunk and policy. A kernel call
-that rejects trials names all of them in one IllConditionedError; the chunk
-records their kappa_2 and is rerun on its surviving trials, so each trial's
-acceptance and condition estimate are its own. A kernel call over a batch
-equals the calls on its elements bit for bit, so per-trial results depend
-only on (seed, trial index): neither the chunking nor worker scheduling can
-change any output. A sweep builds every SNR point's engine arguments, its
-allocation tables included, before it forks. With more than one worker it
-forks one pool, whose workers inherit those tables, and sends each round
-(the first trials of every point, then the top-ups of the points still
-short) as one queue of (point, trial block) tasks that carry only indices.
-The pool is reaped before the sweep returns or raises.
+leading trial axis, one policy at a time. A trial's streams do not depend on
+the SNR, so an engine call covers several SNR points at once: it draws a
+chunk's unit channels and noise once, and every point of the call scales the
+channels by its own sigma and runs the chunk's kernels on them. The chunk
+size is capped by the bytes of one policy's estimate stack, so it shrinks as
+K grows (24 trials at K = 8, 3 at K = 16, one from K = 19 up). Each call
+holds one workspace for its chunks' noise, estimate and squared-magnitude
+stacks, which the kernels write into instead of allocating them per chunk,
+point and policy. A kernel call that rejects trials names all of them in one
+IllConditionedError; the point records their kappa_2 and reruns the chunk on
+its surviving trials, so each trial's acceptance and condition estimate at
+each point are its own. A kernel call over a batch equals the calls on its
+elements bit for bit, so per-trial results depend only on (seed, trial index,
+SNR point): neither the chunking, the grouping of points nor worker
+scheduling can change any output. A sweep builds one engine, every SNR
+point's allocation tables included, before it forks. Each round (the first
+trials of every point, then the top-ups of the points still short) groups
+its points by their next index range, so a chunk's draws serve every point
+of its group. With one worker each group is one engine call; with more, the
+sweep forks one pool, whose workers inherit the engine, and sends each round
+as one queue of (point ids, trial block) tasks that carry only indices. The
+pool is reaped before the sweep returns or raises.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from .channel import (
     PathlossModel,
     apply_estimate_noise,
     complex_gaussian,
-    draw_channel,
     pathloss_matrix,
     trial_streams,
 )
@@ -208,44 +213,51 @@ _CHUNK_BYTES = 3 << 16
 def _simulate_trials(
     positions: np.ndarray,
     gamma: float,
-    p: float,
-    bits_list: list[np.ndarray | None],
+    points: list[tuple[float, list[np.ndarray | None]]],
     seed: int,
+    point_ids: list[int],
     trial_indices: np.ndarray,
     cond_threshold: float,
     mask: np.ndarray | None,
-):
-    """Evaluate the given trial indices for all policies on shared draws.
+) -> list[tuple]:
+    """Evaluate the given trial indices for all policies, on shared draws, at
+    each of the given SNR points.
 
-    bits_list entries are (K, K, K) bit tensors, or None for perfect CSIT
-    (whose precoder is the reference T* itself). A trial is rejected when any
-    of its solves raises IllConditionedError. Returns per-trial rates,
-    squared precoder deviations (total and per TX row), acceptance flags and
-    the worst condition estimate seen per trial; rejected trials carry NaNs.
+    points holds every SNR point of the sweep as (p, bits_list), and point_ids
+    names the ones to run. bits_list entries are (K, K, K) bit tensors, or
+    None for perfect CSIT (whose precoder is the reference T* itself). A
+    trial is rejected at a point when any of its solves there raises
+    IllConditionedError. Returns, per point id, per-trial rates, squared
+    precoder deviations (total and per TX row), acceptance flags and the
+    worst condition estimate seen per trial; rejected trials carry NaNs.
 
-    Trials run in chunks of at most _CHUNK_BYTES / (16 K^3), each one batch
-    through the kernels. When a kernel call rejects trials of a chunk, the
-    chunk is rerun without them, so acceptance and worst_cond are decided
-    per trial, exactly as for a lone trial.
+    Trials run in chunks of at most _CHUNK_BYTES / (16 K^3). A chunk's unit
+    channels and noise are drawn once; each point scales the channels by its
+    own sigma and runs the chunk as one batch through the kernels. When a
+    kernel call rejects trials, the point reruns the chunk without them, so
+    acceptance and worst_cond are decided per trial and point, exactly as for
+    a lone trial at a lone point.
     """
     layout = NodeLayout(positions)
     k = layout.K
-    model = pathloss_matrix(interference_levels(pairwise_distance(layout), gamma), p)
-    need_noise = any(b is not None for b in bits_list)
+    levels = interference_levels(pairwise_distance(layout), gamma)
+    runs = [(pathloss_matrix(levels, points[i][0]), *points[i]) for i in point_ids]
+    need_noise = any(b is not None for b in points[0][1])
 
     n = len(trial_indices)
-    n_pol = len(bits_list)
-    rates = np.full((n, n_pol, k), np.nan)
-    row_dev = np.full((n, n_pol, k), np.nan)
-    accepted = np.zeros(n, dtype=bool)
-    worst_cond = np.zeros(n)
+    shape = (len(runs), n, len(points[0][1]), k)
+    rates = np.full(shape, np.nan)
+    row_dev = np.full(shape, np.nan)
+    accepted = np.zeros(shape[:2], dtype=bool)
+    worst_cond = np.zeros(shape[:2])
 
     chunk = _chunk_trials(k)
     # The call's workspace: the noise stack, the estimate stack and the
     # condition screen's squared magnitudes, each sized for one chunk. Every
-    # chunk and policy writes into it, instead of allocating and freeing
-    # stacks this large once per chunk and policy.
+    # chunk, point and policy writes into it, instead of allocating and
+    # freeing stacks this large once per chunk and policy.
     work = np.empty((3, min(chunk, n) * k**3 if need_noise else 0), dtype=complex)
+    unit = np.empty((min(chunk, n), k, k), dtype=complex)
     # Every stream of the call is derived in one pass, in the order the
     # chunks draw them: each chunk's channels, then its estimation noise.
     starts = range(0, n, chunk)
@@ -254,30 +266,36 @@ def _simulate_trials(
     streams = trial_streams(seed, [t for t, _ in cells], [pur for _, pur in cells])
     for start in starts:
         m = min(chunk, n - start)
-        chan = draw_channel(model, islice(streams, m))
-        noise = None
+        for i, rng in enumerate(islice(streams, m)):
+            complex_gaussian(rng, (k, k), out=unit[i])
+        shared_noise = None
         if need_noise:
-            noise = work[0, : m * k**3].reshape(m, k, k, k)
+            shared_noise = work[0, : m * k**3].reshape(m, k, k, k)
             for i, rng in enumerate(islice(streams, m)):
-                complex_gaussian(rng, (k, k, k), out=noise[i])
-        rows = np.arange(start, start + m)
-        while rows.size:
-            try:
-                rates[rows], row_dev[rows], worst_cond[rows] = _solve_chunk(
-                    chan, noise, work, model, bits_list, p, cond_threshold, mask
-                )
-            except IllConditionedError as exc:
-                # Every earlier solve of a rejected trial passed the threshold,
-                # so the kappa_2 that rejected it is its worst estimate.
-                worst_cond[rows[exc.rejected]] = exc.conds[exc.rejected]
-                keep = ~exc.rejected
-                rows, chan = rows[keep], ChannelRealization(H=chan.H[keep])
-                noise = None if noise is None else noise[keep]
-            else:
-                accepted[rows] = True
-                break
+                complex_gaussian(rng, (k, k, k), out=shared_noise[i])
+        for j, (model, p, bits_list) in enumerate(runs):
+            # The product draw_channel forms, so H is the point's own draw.
+            chan = ChannelRealization(H=model.sigma * unit[:m])
+            rows, noise = np.arange(start, start + m), shared_noise
+            while rows.size:
+                try:
+                    rates[j, rows], row_dev[j, rows], worst_cond[j, rows] = _solve_chunk(
+                        chan, noise, work, model, bits_list, p, cond_threshold, mask
+                    )
+                except IllConditionedError as exc:
+                    # Every earlier solve of a rejected trial passed the threshold,
+                    # so the kappa_2 that rejected it is its worst estimate.
+                    worst_cond[j, rows[exc.rejected]] = exc.conds[exc.rejected]
+                    keep = ~exc.rejected
+                    # Copies: the shared noise in the workspace stays whole for the next point.
+                    rows, chan = rows[keep], ChannelRealization(H=chan.H[keep])
+                    noise = None if noise is None else noise[keep]
+                else:
+                    accepted[j, rows] = True
+                    break
 
-    return rates, row_dev.sum(axis=-1), row_dev, accepted, worst_cond
+    dev = row_dev.sum(axis=-1)
+    return [(rates[j], dev[j], row_dev[j], accepted[j], worst_cond[j]) for j in range(len(runs))]
 
 
 def _solve_chunk(
@@ -317,27 +335,28 @@ def _solve_chunk(
 
 # Tasks per worker in a round of a pooled sweep: enough that the last task to
 # finish is short, few enough that each task spans several engine chunks (every
-# engine call faults in its own workspace).
-_TASKS_PER_WORKER = 4
+# engine call derives its streams and faults in its own workspace). On the
+# fig1-desk preset at two workers, 1 to 4 read within 5% of each other.
+_TASKS_PER_WORKER = 3
 
-# A pool worker's engines, one per SNR point of the sweep. _init_worker sets
-# them in the forked child from the parent's objects, so tasks carry indices only.
-_worker_engines: list = []
+# A pool worker's engine, the sweep's. _init_worker sets it in the forked
+# child from the parent's object, so tasks carry indices only.
+_worker_engine = None
 
 
-def _init_worker(engines: list) -> None:
-    global _worker_engines
-    _worker_engines = engines
+def _init_worker(engine) -> None:
+    global _worker_engine
+    _worker_engine = engine
 
 
 def _run_block(task):
-    point, idx = task
-    return _worker_engines[point](idx)
+    point_ids, idx = task
+    return _worker_engine(point_ids, idx)
 
 
 @contextmanager
-def _worker_pool(workers: int, engines: list):
-    """A fork pool of `workers` processes that inherit the sweep's engines,
+def _worker_pool(workers: int, engine):
+    """A fork pool of `workers` processes that inherit the sweep's engine,
     or None for one worker.
 
     The workers are closed and joined on a normal exit, terminated and
@@ -347,7 +366,7 @@ def _worker_pool(workers: int, engines: list):
         yield None
         return
     ctx = multiprocessing.get_context("fork")
-    pool = ctx.Pool(processes=workers, initializer=_init_worker, initargs=(engines,))
+    pool = ctx.Pool(processes=workers, initializer=_init_worker, initargs=(engine,))
     try:
         yield pool
     except BaseException:
@@ -363,51 +382,64 @@ def _chunk_trials(k: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * k**3))
 
 
-def _block_size(total: int, k: int, workers: int) -> int:
-    """Trials per task in a round of `total` trials: a whole number of engine
-    chunks, about _TASKS_PER_WORKER tasks per worker."""
+def _round_tasks(groups: dict, k: int, workers: int) -> list[tuple]:
+    """The (point ids, index block) tasks of a round.
+
+    groups maps each next index range (start, count) to the points that run
+    it. One worker runs each group as one task. More workers split each
+    range into blocks of whole engine chunks, sized by trial-points (trials
+    times the group's points) so that the round makes about
+    _TASKS_PER_WORKER tasks per worker.
+    """
+    if workers <= 1:
+        return [(ids, np.arange(start, start + count)) for (start, count), ids in groups.items()]
     chunk = _chunk_trials(k)
-    return chunk * math.ceil(total / (workers * _TASKS_PER_WORKER * chunk))
+    per_task = sum(len(ids) * count for (_, count), ids in groups.items()) / (workers * _TASKS_PER_WORKER)
+    tasks = []
+    for (start, count), ids in groups.items():
+        step = chunk * math.ceil(per_task / (len(ids) * chunk))
+        tasks += [(ids, np.arange(s, min(s + step, start + count))) for s in range(start, start + count, step)]
+    return tasks
 
 
-def _sweep(engines: list, k: int, trials: int, max_rejection_rate: float, workers: int):
+def _sweep(engine, n_points: int, k: int, trials: int, max_rejection_rate: float, workers: int):
     """Collect exactly `trials` accepted trials at every SNR point, in rounds.
 
     The first round runs trials 0..trials-1 of every point; each later round
-    tops up the points still short of `trials` with fresh indices. With more
-    than one worker, a round's indices are split into (point, block) tasks
-    that all go to one pool.map; with one, each point runs as one engine call.
-    More than trials / (1 - max_rejection_rate) attempted indices would put a
-    point's rejected share over the limit, so its top-ups stop there. Once no
-    point is running, the first failing point in SNR order raises, exactly
-    as a sweep of one point at a time would. Returns per point the
-    engine results of its blocks, in index order.
+    tops up the points still short of `trials` with fresh indices. A round
+    groups its points by their next index range, so the first round is one
+    group and top-ups of equal ranges share one; each engine call draws its
+    trials once for all points of its group. With more than one worker, a
+    round's (point ids, block) tasks all go to one pool.map; with one, each
+    group runs as one engine call. More than trials / (1 - max_rejection_rate)
+    attempted indices would put a point's rejected share over the limit, so
+    its top-ups stop there. Once no point is running, the first failing point
+    in SNR order raises, exactly as a sweep of one point at a time would.
+    Returns per point the engine results of its blocks, in index order.
     """
     max_attempts = math.ceil(trials / (1.0 - max_rejection_rate))
-    blocks: list[list] = [[] for _ in engines]
-    attempted = [0] * len(engines)
-    accepted = [0] * len(engines)
+    blocks: list[list] = [[] for _ in range(n_points)]
+    attempted = [0] * n_points
+    accepted = [0] * n_points
     errors: dict[int, RejectionRateError] = {}
-    running = list(range(len(engines)))
+    running = list(range(n_points))
     # A sweep of one task runs inline.
-    pooled = workers > 1 and (len(engines) > 1 or _block_size(trials, k, workers) < trials)
-    with _worker_pool(workers if pooled else 1, engines) as pool:
+    pooled = workers > 1 and len(_round_tasks({(0, trials): running}, k, workers)) > 1
+    with _worker_pool(workers if pooled else 1, engine) as pool:
         while running:
-            need = {i: trials - accepted[i] for i in running}
-            step = trials if pool is None else _block_size(sum(need.values()), k, workers)
-            tasks = [
-                (i, np.arange(s, min(s + step, attempted[i] + short)))
-                for i, short in need.items()
-                for s in range(attempted[i], attempted[i] + short, step)
-            ]
+            groups: dict[tuple[int, int], list[int]] = {}
+            for i in running:
+                groups.setdefault((attempted[i], trials - accepted[i]), []).append(i)
+            tasks = _round_tasks(groups, k, workers if pooled else 1)
             if pool is None:
-                results = [engines[i](idx) for i, idx in tasks]
+                results = [engine(ids, idx) for ids, idx in tasks]
             else:
                 results = pool.map(_run_block, tasks, chunksize=1)
-            for (i, idx), res in zip(tasks, results):
-                blocks[i].append(res)
-                attempted[i] += len(idx)
-                accepted[i] += int(res[3].sum())
+            for (ids, idx), per_point in zip(tasks, results):
+                for i, res in zip(ids, per_point):
+                    blocks[i].append(res)
+                    attempted[i] += len(idx)
+                    accepted[i] += int(res[3].sum())
             still = []
             for i in running:
                 short, rejected = trials - accepted[i], attempted[i] - accepted[i]
@@ -454,8 +486,8 @@ def _evaluate(
 ) -> list[PointResult]:
     """Coupled evaluation of every policy at every nominal SNR of p_list.
 
-    Every point's engine arguments, its allocation tables included, are built
-    before a pool forks, so the workers inherit them.
+    The sweep's engine, every point's allocation tables included, is built
+    before a pool forks, so the workers inherit it.
     """
     if len(policies) != len(set(policies)):
         raise ValueError("duplicate policy specs in one run")
@@ -463,26 +495,24 @@ def _evaluate(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0.0 <= max_rejection_rate < 1.0:
         raise ValueError(f"max_rejection_rate must lie in [0, 1), got {max_rejection_rate}")
-    engines = _engines(layout, gamma, policies, p_list, seed, cond_threshold, data_mask)
-    swept = _sweep(engines, layout.K, trials, max_rejection_rate, workers)
+    engine = _engine(layout, gamma, policies, p_list, seed, cond_threshold, data_mask)
+    swept = _sweep(engine, len(p_list), layout.K, trials, max_rejection_rate, workers)
     return [_point_result(policies, p, blocks, trials, keep_samples) for p, blocks in zip(p_list, swept)]
 
 
-def _engines(layout, gamma, policies, p_list, seed, cond_threshold, data_mask) -> list[partial]:
-    """One engine per nominal SNR: _simulate_trials bound to everything but
-    the trial indices, the point's allocation tables included. The tables
-    are the allocations' own read-only arrays, which the error-scale cache
-    keys on."""
+def _engine(layout, gamma, policies, p_list, seed, cond_threshold, data_mask) -> partial:
+    """The sweep's engine: _simulate_trials bound to everything but the point
+    ids and the trial indices, every nominal SNR's allocation tables
+    included. The tables are the allocations' own read-only arrays, which
+    the error-scale cache keys on."""
     mask = mask_from_sets(data_sharing_sets(layout, gamma), layout.K) if data_mask else None
-    engines = []
-    for p in p_list:
-        bits_list = [None if spec.kind == "perfect" else build_allocation(spec, layout, gamma, p).bits
-                     for spec in policies]
-        engines.append(partial(
-            _simulate_trials, layout.positions, gamma, p, bits_list, seed,
-            cond_threshold=cond_threshold, mask=mask,
-        ))
-    return engines
+    points = [
+        (p, [None if spec.kind == "perfect" else build_allocation(spec, layout, gamma, p).bits for spec in policies])
+        for p in p_list
+    ]
+    return partial(
+        _simulate_trials, layout.positions, gamma, points, seed, cond_threshold=cond_threshold, mask=mask
+    )
 
 
 def _point_result(
@@ -554,6 +584,8 @@ def evaluate_curves(
 ) -> ExperimentResult:
     """evaluate_point over an SNR grid, every point in one sweep.
 
+    Each engine call draws its trials once for every point it runs: all
+    points in the first round, the points with equal top-up ranges later.
     With workers > 1, one pool serves the whole sweep, and each of its rounds
     is one task queue over the trial blocks of every point still running.
     """
@@ -570,7 +602,8 @@ def dof_slope(curve: RateCurve, fit_points: int = 4) -> DofEstimate:
     """Slope of mean rate per user against log2(P) over the top fit_points SNRs.
 
     This is the generalized-DoF estimate of the curve; residual is the RMS
-    misfit of the regression line over the window.
+    misfit of the regression line over the window, which must not repeat an
+    SNR.
     """
     if fit_points < 2:
         raise ValueError(f"fit_points must be >= 2, got {fit_points}")
@@ -578,6 +611,8 @@ def dof_slope(curve: RateCurve, fit_points: int = 4) -> DofEstimate:
     if len(pts) < fit_points:
         raise ValueError(f"curve has {len(pts)} points, need at least {fit_points}")
     window = pts[-fit_points:]
+    if len({q.snr_db for q in window}) < fit_points:
+        raise ValueError(f"fit window repeats an SNR point: {[q.snr_db for q in window]}")
     x = np.log2([q.p for q in window])
     y = np.array([q.mean_avg for q in window])
     slope, intercept = np.polyfit(x, y, 1)

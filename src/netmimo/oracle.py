@@ -137,13 +137,20 @@ def resolvent_max_error(
     Pairs (a, b) are drawn one matrix after another from one generator; a
     pair is rejected when cond(a) > cond_limit or cond(b) > cond_limit. The
     draws, the screen and resolvent_check run on stacks of pairs; a stack
-    whose pairs are all rejected adds nothing.
+    whose pairs are all rejected adds nothing. No matrix has a condition
+    number below 1, so a cond_limit below 1 (or NaN) raises ValueError, and
+    drawing 100 * pairs pairs without keeping enough raises RuntimeError.
     """
+    if not cond_limit >= 1.0:
+        raise ValueError(f"cond_limit must be >= 1, got {cond_limit}")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    done = 0
+    done = drawn = 0
     while done < pairs:
+        if drawn >= 100 * pairs:
+            raise RuntimeError(f"kept {done} of {pairs} pairs after drawing {drawn} at cond_limit {cond_limit}")
         n = min(_stack_len(size, 2), pairs - done)
+        drawn += n
         # One draw per stack, in the order of complex_gaussian calls on a, then
         # b, of each pair: axes (pair, matrix, real or imaginary part, row, column).
         parts = rng.standard_normal((n, 2, 2, size, size))

@@ -785,6 +785,35 @@ def test_non_finite_or_overflowing_snr_exits_2(tmp_path, capsys, command, snr):
     assert _exit_code(["sizes", "--grid-side", "2", "--snr-db", "3000"]) == 0
 
 
+@pytest.mark.parametrize("snr", [["20", "20"], ["30", "20", "30.0"], "config"])
+@pytest.mark.parametrize("command", ["run", "sizes"])
+def test_repeated_snr_exits_2(tmp_path, capsys, command, snr):
+    """A repeated SNR point is a usage error before anything runs: a slope
+    fitted over it would rest on fewer x values than it claims."""
+    (tmp_path / "c.json").write_text('{"grid_side": 2, "snr_db": [40.0, 20.0, 40.0]}')
+    snr_args = ["--config", str(tmp_path / "c.json")] if snr == "config" else ["--grid-side", "2", "--snr-db", *snr]
+    argv = [command, *snr_args]
+    if command == "run":
+        argv += ["--trials", "4", "--output", str(tmp_path / "out")]
+    assert _exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert "error: snr_db points must be distinct" in err
+    assert "Traceback" not in err and out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_run_summary_reports_the_highest_snr_point(tmp_path, capsys):
+    """The summary's top point is the highest SNR, where the slope's fit
+    window ends, whatever order the points were given in."""
+    argv = ["run", "--grid-side", "2", "--trials", "4", "--policies", "perfect", "--output", str(tmp_path / "out")]
+    assert main([*argv, "--snr-db", "40", "20"]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert " top 40 dB: " in line
+    rates = [r.split(",") for r in (tmp_path / "out" / "rates.csv").read_text().splitlines()]
+    top = next(r for r in rates if r[2] == "40" and r[3] == "avg")
+    assert f"{float(top[4]):.3f} bits/user" in line
+
+
 _coordinate = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300]),
     st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),  # subnormals

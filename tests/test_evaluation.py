@@ -241,10 +241,13 @@ def test_sweep_forks_one_pool(monkeypatch):
     rejections = [pt.rejections for pt in res.curves[PolicySpec("perfect")].points]
     assert len(started) == 1
     assert rejections == [63, 26, 7, 6]
+    # The first round is one group of every point, each of its blocks drawn once for all four.
+    assert {tuple(ids) for ids, _ in rounds[0]} == {(0, 1, 2, 3)}
     # 60 and 80 dB are done after one top-up, 40 dB after two.
-    assert [sorted({point for point, _ in tasks}) for tasks in rounds] == [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1], [0]]
+    points_sent = [sorted({i for ids, _ in tasks for i in ids}) for tasks in rounds]
+    assert points_sent == [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1], [0]]
     for point, rejected in enumerate(rejections):
-        sent = [idx for tasks in rounds for i, idx in tasks if i == point]
+        sent = [idx for tasks in rounds for ids, idx in tasks if point in ids]
         np.testing.assert_array_equal(np.concatenate(sent), np.arange(200 + rejected))
     assert multiprocessing.active_children() == []
 
@@ -342,19 +345,25 @@ _FIG1_POLICIES = [
 ]
 
 
-def _engine_args(grid_side, db, trials, cond_threshold=1e12, seed=3):
-    """_simulate_trials arguments for a grid at gamma 0.6; cluster:4 only
-    where the grid takes it."""
+def _engine_args(grid_side, dbs, trials, cond_threshold=1e12, seed=3):
+    """_simulate_trials arguments for a grid at gamma 0.6, running every
+    point of dbs; cluster:4 only where the grid takes it."""
     layout = place_grid(grid_side)
-    p = db_to_linear(db)
     specs = _FIG1_POLICIES if grid_side % 2 == 0 else _FIG1_POLICIES[:3]
-    bits = [None if s.kind == "perfect" else build_allocation(s, layout, 0.6, p).bits for s in specs]
-    return (layout.positions, 0.6, p, bits, seed, np.arange(trials), cond_threshold, None)
+    points = []
+    for db in dbs:
+        p = db_to_linear(db)
+        points.append((p, [None if s.kind == "perfect" else build_allocation(s, layout, 0.6, p).bits for s in specs]))
+    return (layout.positions, 0.6, points, seed, list(range(len(dbs))), np.arange(trials), cond_threshold, None)
 
 
-def _replayed(positions, gamma, p, bits_list, seed, trial_indices, cond_threshold, mask):
-    """What _simulate_trials returns, from one public kernel call per trial
-    and policy, none of them sharing memory with another."""
+def _replayed(positions, gamma, points, seed, point_ids, trial_indices, cond_threshold, mask):
+    """What _simulate_trials returns, from one public kernel call per point,
+    trial and policy, none of them sharing memory with another."""
+    return [_replayed_point(positions, gamma, *points[i], seed, trial_indices, cond_threshold) for i in point_ids]
+
+
+def _replayed_point(positions, gamma, p, bits_list, seed, trial_indices, cond_threshold):
     k = len(positions)
     model = pathloss_matrix(interference_levels(pairwise_distance(NodeLayout(positions)), gamma), p)
     n, n_pol = len(trial_indices), len(bits_list)
@@ -382,7 +391,8 @@ def _replayed(positions, gamma, p, bits_list, seed, trial_indices, cond_threshol
 
 
 def _same_bytes(got, want):
-    return [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    """Per point, the same five result arrays, byte for byte."""
+    return [[a.tobytes() for a in res] for res in got] == [[b.tobytes() for b in res] for res in want]
 
 
 @pytest.mark.parametrize("db", [20.0, 60.0])
@@ -392,10 +402,62 @@ def test_k16_chunks_with_rejected_trials_equal_one_trial_calls(db):
     kappa_F screen miss on most others; every per-trial output still equals
     the kernel calls of that trial alone."""
     assert evaluation._CHUNK_BYTES // (16 * 16**3) >= 2
-    args = _engine_args(4, db, 24, cond_threshold=300.0)
+    args = _engine_args(4, [db], 24, cond_threshold=300.0)
     got = evaluation._simulate_trials(*args)
-    assert 0 < (~got[3]).sum() < 12
+    assert 0 < (~got[0][3]).sum() < 12
     assert _same_bytes(got, _replayed(*args))
+
+
+def test_multi_point_engine_call_equals_each_point_replayed():
+    """One K = 16 engine call at 20 and 60 dB draws each trial once and
+    equals the one-trial kernel calls at each point, though the two points
+    reject different trials."""
+    args = _engine_args(4, [20.0, 60.0], 24, cond_threshold=300.0)
+    got = evaluation._simulate_trials(*args)
+    assert not np.array_equal(got[0][3], got[1][3])
+    assert _same_bytes(got, _replayed(*args))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweep_top_ups_equal_each_point_replayed(workers):
+    """A K = 16 sweep at 20 and 60 dB with threshold 300: the points top up
+    different index ranges, and each point's blocks equal its replay over
+    every index it attempted, for one, two and three workers."""
+    layout = place_grid(4)
+    engine = evaluation._engine(layout, 0.6, _FIG1_POLICIES, [db_to_linear(20.0), db_to_linear(60.0)], 3, 300.0, False)
+    blocks = evaluation._sweep(engine, 2, 16, 24, 0.5, workers)
+    attempted = [sum(len(b[3]) for b in point) for point in blocks]
+    assert attempted[0] > attempted[1] > 24
+    for point, n in enumerate(attempted):
+        got = [np.concatenate([b[j] for b in blocks[point]]) for j in range(5)]
+        want = _replayed(*_engine_args(4, [20.0, 60.0], n, cond_threshold=300.0))[point]
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n_points", [1, 3, 8])
+def test_sweep_draws_each_trial_once(monkeypatch, n_points):
+    """A one-worker sweep with no rejections draws each (trial, purpose)
+    cell once, whatever the number of SNR points."""
+    cells, draws = [], []
+    real_streams, real_draw = evaluation.trial_streams, evaluation.complex_gaussian
+
+    def recording_streams(seed, trials, purposes):
+        cells.extend(zip(trials, purposes))
+        return real_streams(seed, trials, purposes)
+
+    def counting_draw(*a, **kw):
+        draws.append(a[1])
+        return real_draw(*a, **kw)
+
+    monkeypatch.setattr(evaluation, "trial_streams", recording_streams)
+    monkeypatch.setattr(evaluation, "complex_gaussian", counting_draw)
+    snr_db = [20.0 + 10.0 * i for i in range(n_points)]
+    res = evaluate_curves(place_grid(2), 0.6, _FIG1_POLICIES, snr_db, 30, seed=4)
+    assert all(pt.rejections == 0 for pt in res.curves[_FIG1_POLICIES[0]].points)
+    assert sorted(cells) == [(t, pur) for t in range(30) for pur in (PURPOSE_CHANNEL, PURPOSE_ESTIMATE)]
+    assert len(draws) == len(cells)
+    assert sorted(draws) == [(4, 4)] * 30 + [(4, 4, 4)] * 30
 
 
 @pytest.mark.parametrize("budget", [None, _ONE_TRIAL], ids=["default", "one-trial"])
@@ -404,14 +466,14 @@ def test_k1_engine_equals_one_trial_calls(monkeypatch, budget):
     one trial makes one-element arrays, on which numpy runs other loops."""
     if budget is not None:
         monkeypatch.setattr(evaluation, "_CHUNK_BYTES", budget)
-    args = _engine_args(1, 30.0, 40)
+    args = _engine_args(1, [30.0], 40)
     assert _same_bytes(evaluation._simulate_trials(*args), _replayed(*args))
 
 
 def test_interleaved_engine_calls_equal_fresh_calls(monkeypatch):
     """A K = 3 call made in the middle of a K = 16 call's chunk, between two
     of its noise draws, changes neither call's output."""
-    big, small = _engine_args(4, 40.0, 9, seed=5), _engine_args(3, 40.0, 11, cond_threshold=60.0, seed=6)
+    big, small = _engine_args(4, [40.0], 9, seed=5), _engine_args(3, [40.0], 11, cond_threshold=60.0, seed=6)
     fresh_big, fresh_small = evaluation._simulate_trials(*big), evaluation._simulate_trials(*small)
     real_draw = evaluation.complex_gaussian
     nested = []
@@ -478,8 +540,8 @@ def test_default_threshold_clears_without_svd(monkeypatch):
 
 def test_worker_side_tables_hit_the_error_scale_cache(monkeypatch):
     """A pool worker runs on the allocation tables the sweep built before the
-    fork: read-only arrays that own their data, so the model computes each
-    table's error scale once per engine call."""
+    fork: read-only arrays that own their data, so each point's model
+    computes each table's error scale once per engine call."""
     models = []
     real_pathloss_matrix, real_engine = evaluation.pathloss_matrix, evaluation._simulate_trials
 
@@ -487,20 +549,20 @@ def test_worker_side_tables_hit_the_error_scale_cache(monkeypatch):
         models.append(real_pathloss_matrix(*a, **kw))
         return models[-1]
 
-    def probing_engine(positions, gamma, p, bits_list, *rest, **kw):
-        real_engine(positions, gamma, p, bits_list, *rest, **kw)
-        tables = [b for b in bits_list if b is not None]
+    def probing_engine(positions, gamma, points, *rest, **kw):
+        real_engine(positions, gamma, points, *rest, **kw)
+        tables = [b for _, bits_list in points for b in bits_list if b is not None]
         return [(b.flags.writeable, b.base is None) for b in tables], [len(m._std_cache) for m in models]
 
     monkeypatch.setattr(evaluation, "pathloss_matrix", recording_pathloss_matrix)
     monkeypatch.setattr(evaluation, "_simulate_trials", probing_engine)
     specs = [PolicySpec("perfect"), PolicySpec("distance"), PolicySpec("uniform")]
-    engines = evaluation._engines(place_grid(2), 0.6, specs, [1e4], 12, 1e12, False)
-    with evaluation._worker_pool(2, engines) as pool:
-        [(flags, cache_sizes)] = pool.map(evaluation._run_block, [(0, np.arange(5))], chunksize=1)
+    engine = evaluation._engine(place_grid(2), 0.6, specs, [1e4, 1e6], 12, 1e12, False)
+    with evaluation._worker_pool(2, engine) as pool:
+        [(flags, cache_sizes)] = pool.map(evaluation._run_block, [([0, 1], np.arange(5))], chunksize=1)
     assert models == []  # the engine ran in the worker
-    assert flags == [(False, True), (False, True)]
-    assert cache_sizes == [2]
+    assert flags == [(False, True)] * 4
+    assert cache_sizes == [2, 2]
     assert multiprocessing.active_children() == []
 
 
@@ -556,3 +618,7 @@ def test_dof_slope_validation():
         dof_slope(curve, 1)
     with pytest.raises(ValueError):
         dof_slope(curve, 5)
+    # A repeated SNR inside the fit window would fit fewer x values than it claims.
+    with pytest.raises(ValueError, match="repeats an SNR point"):
+        dof_slope(RateCurve(curve.policy, curve.points + curve.points[-1:]), 2)
+    assert dof_slope(RateCurve(curve.policy, curve.points[:3] + curve.points[:1]), 3).slope == pytest.approx(1.0)

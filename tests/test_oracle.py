@@ -69,6 +69,29 @@ def test_resolvent_max_error_skips_fully_rejected_stacks():
     assert resolvent_max_error(pairs=2, size=4, seed=4, cond_limit=8.0) == want
 
 
+@pytest.mark.parametrize("cond_limit", [0.5, 0.0, -1.0, float("nan")])
+def test_resolvent_max_error_rejects_a_limit_no_matrix_meets(cond_limit):
+    """No matrix has kappa_2 < 1, so such a limit would reject every pair."""
+    with pytest.raises(ValueError, match="cond_limit must be >= 1"):
+        resolvent_max_error(pairs=1, size=2, seed=0, cond_limit=cond_limit)
+
+
+def test_resolvent_max_error_gives_up_after_100_draws_per_pair(monkeypatch):
+    """At cond_limit 1 every random pair is rejected: the call stops after
+    drawing 100 pairs per pair asked for, instead of drawing forever."""
+    drawn = []
+    real_cond = np.linalg.cond
+
+    def counting_cond(ab, *args):
+        drawn.append(len(ab))
+        return real_cond(ab, *args)
+
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    with pytest.raises(RuntimeError, match="kept 0 of 3 pairs after drawing 300"):
+        resolvent_max_error(pairs=3, size=2, seed=0, cond_limit=1.0)
+    assert sum(drawn) == 300
+
+
 def test_resolvent_singular_input():
     singular = np.ones((3, 3), dtype=complex)
     fine = np.eye(3, dtype=complex)
