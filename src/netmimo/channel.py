@@ -17,8 +17,8 @@ and each cell's state is loaded into one reused generator.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -183,7 +183,6 @@ class PathlossModel:
     """Link variances sigma_ki^2 = P^(Gamma_ki - 1) at nominal SNR P > 1."""
 
     sigma_sq: np.ndarray
-    _std_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         s = np.array(self.sigma_sq, dtype=float)
@@ -200,23 +199,6 @@ class PathlossModel:
         s = np.sqrt(self.sigma_sq)
         s.setflags(write=False)
         return s
-
-    def _error_std(self, bits: np.ndarray) -> np.ndarray:
-        """Estimation-error standard deviations sigma_ki * 2^(-B_ki / 2).
-
-        Computed once per model for a read-only table that owns its data, as
-        every allocation's bits are: a run applies the same few tables to
-        every trial. Any other table may change between calls.
-        """
-        b = np.asarray(bits, dtype=float)
-        if b.flags.writeable or b.base is not None:
-            return self.sigma * np.exp2(-0.5 * b)
-        hit = self._std_cache.get(id(b))
-        if hit is None or hit[0] is not b:
-            std = self.sigma * np.exp2(-0.5 * b)
-            std.setflags(write=False)
-            hit = self._std_cache[id(b)] = (b, std)  # holding b keeps id(b) unique
-        return hit[1]
 
 
 @dataclass(frozen=True)
@@ -237,22 +219,15 @@ def pathloss_matrix(levels: np.ndarray, p: float) -> PathlossModel:
     return PathlossModel(sigma_sq=float(p) ** (levels - 1.0))
 
 
-def draw_channel(
-    model: PathlossModel, rng: np.random.Generator | Iterable[np.random.Generator]
-) -> ChannelRealization:
+def draw_channel(model: PathlossModel, rng: np.random.Generator) -> ChannelRealization:
     """One Rayleigh draw: entries H_ki = sigma_ki * CN(0, 1), independent.
 
-    Given an iterable of generators, one draw from each, stacked along a
-    leading axis: entry t equals the draw from generator t alone. Each
-    generator is drawn from before the next is taken, so the iterable may
-    be trial_streams' reloaded generator.
+    The trial engine and the oracle draw their unit channels themselves, one
+    trial stream at a time, and scale them by the sigma of a model built once
+    per SNR point: the product formed here, so each of their channels equals
+    this function's draw from that trial's stream.
     """
-    shape = (model.K, model.K)
-    if isinstance(rng, np.random.Generator):
-        h_unit = complex_gaussian(rng, shape)
-    else:
-        h_unit = np.array([complex_gaussian(r, shape) for r in rng], dtype=complex).reshape((-1,) + shape)
-    return ChannelRealization(H=model.sigma * h_unit)
+    return ChannelRealization(H=model.sigma * complex_gaussian(rng, (model.K, model.K)))
 
 
 def apply_estimate_noise(
@@ -273,9 +248,12 @@ def apply_estimate_noise(
     same leading axes, and gives one estimate (stack) per channel.
 
     The result is a fresh array. The trial engine passes _out, a complex
-    array of the result's shape, to have the estimates written into it.
+    array of the result's shape, to have the estimates written into it. The
+    error scales sigma * 2^(-B / 2) are computed on every call from the bits
+    given: the engine builds each point's model and tables once, before a
+    pool forks, and caches no scale.
     """
-    std = model._error_std(bits)
+    std = model.sigma * np.exp2(-0.5 * np.asarray(bits, dtype=float))
     h = chan.H if std.ndim == 2 else chan.H[..., None, :, :]
     out = np.empty(np.broadcast_shapes(h.shape, std.shape, noise.shape), dtype=complex) if _out is None else _out
     return np.add(h, np.multiply(std, noise, out=out), out=out)

@@ -323,16 +323,18 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, dump_channel: str
         },
     }
 
-    out = Path(config.output)
-    files = {
-        out / "rates.csv": csv_text,
-        out / "metadata.json": json.dumps(metadata, indent=2, sort_keys=True) + "\n",
-        out / "layout.txt": format_layout(layout),
-    }
+    texts = [csv_text, json.dumps(metadata, indent=2, sort_keys=True) + "\n", format_layout(layout)]
     if dump_channel:
-        files[Path(dump_channel)] = _channel_csv(config, layout)
-    _write_all(files, out)
+        texts.append(_channel_csv(config, layout))
+    _write_all(dict(zip(_run_outputs(config.output, dump_channel), texts, strict=True)), Path(config.output))
     return result
+
+
+def _run_outputs(output: str, dump_channel: str | None) -> list[Path]:
+    """The files a run writes: rates.csv, metadata.json and layout.txt in
+    output, then the channel dump, if asked for."""
+    paths = [Path(output) / name for name in ("rates.csv", "metadata.json", "layout.txt")]
+    return [*paths, Path(dump_channel)] if dump_channel else paths
 
 
 def _dof_fits(config: ExperimentConfig, result: ExperimentResult) -> dict:
@@ -638,6 +640,7 @@ def _command(args: argparse.Namespace) -> int:
         bits_dir = Path(args.export_bits) if args.export_bits else None
         files = _export_bits(cfg, layout, bits_dir) if bits_dir else {}
         if args.output:
+            _distinct([*files, Path(args.output)])
             files[Path(args.output)] = text
         _write_all(files, bits_dir)
         if not args.output:
@@ -648,7 +651,19 @@ def _command(args: argparse.Namespace) -> int:
     if args.save_config:
         _write_all({Path(args.save_config): cfg.to_json() + "\n"})
         return 0
+    _distinct([Path(cfg.output), *_run_outputs(cfg.output, args.dump_channel)])
     return _cmd_run(cfg, args.workers, args.dump_channel)
+
+
+def _distinct(paths: list[Path]) -> None:
+    """A usage error naming the first of paths that resolves to the same file
+    as an earlier one, so that no output of a command overwrites another."""
+    seen = set()
+    for path in paths:
+        key = path.resolve()
+        if key in seen:
+            raise _UsageError(f"two outputs of this command name the same file: {path}")
+        seen.add(key)
 
 
 def _read_input(label: str, path: str, parse):

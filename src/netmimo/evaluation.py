@@ -24,14 +24,16 @@ its surviving trials, so each trial's acceptance and condition estimate at
 each point are its own. A kernel call over a batch equals the calls on its
 elements bit for bit, so per-trial results depend only on (seed, trial index,
 SNR point): neither the chunking, the grouping of points nor worker
-scheduling can change any output. A sweep builds one engine, every SNR
-point's allocation tables included, before it forks. Each round (the first
-trials of every point, then the top-ups of the points still short) groups
-its points by their next index range, so a chunk's draws serve every point
-of its group. With one worker each group is one engine call; with more, the
-sweep forks one pool, whose workers inherit the engine, and sends each round
-as one queue of (point ids, trial block) tasks that carry only indices. The
-pool is reaped before the sweep returns or raises.
+scheduling can change any output. A sweep builds one engine before it
+forks: every SNR point's pathloss model and allocation tables are built
+there, once, and an engine call builds nothing. Each round (the first trials
+of every point, then the top-ups of the points still short) groups its
+points by their next index range, so a chunk's draws serve every point of
+its group. With one worker each group is one engine call; with more, the
+sweep forks one pool of at most one worker per task of its first round,
+whose workers inherit the engine, and sends each round as one queue of
+(point ids, trial block) tasks that carry only indices. The pool is reaped
+before the sweep returns or raises.
 """
 
 from __future__ import annotations
@@ -211,9 +213,7 @@ _CHUNK_BYTES = 3 << 16
 
 
 def _simulate_trials(
-    positions: np.ndarray,
-    gamma: float,
-    points: list[tuple[float, list[np.ndarray | None]]],
+    points: list[tuple[PathlossModel, float, list[np.ndarray | None]]],
     seed: int,
     point_ids: list[int],
     trial_indices: np.ndarray,
@@ -223,7 +223,8 @@ def _simulate_trials(
     """Evaluate the given trial indices for all policies, on shared draws, at
     each of the given SNR points.
 
-    points holds every SNR point of the sweep as (p, bits_list), and point_ids
+    points holds every SNR point of the sweep as (model, p, bits_list), its
+    pathloss model and nominal SNR and one entry per policy, and point_ids
     names the ones to run. bits_list entries are (K, K, K) bit tensors, or
     None for perfect CSIT (whose precoder is the reference T* itself). A
     trial is rejected at a point when any of its solves there raises
@@ -238,14 +239,12 @@ def _simulate_trials(
     acceptance and worst_cond are decided per trial and point, exactly as for
     a lone trial at a lone point.
     """
-    layout = NodeLayout(positions)
-    k = layout.K
-    levels = interference_levels(pairwise_distance(layout), gamma)
-    runs = [(pathloss_matrix(levels, points[i][0]), *points[i]) for i in point_ids]
-    need_noise = any(b is not None for b in points[0][1])
+    runs = [points[i] for i in point_ids]
+    k = points[0][0].K
+    need_noise = any(b is not None for b in points[0][2])
 
     n = len(trial_indices)
-    shape = (len(runs), n, len(points[0][1]), k)
+    shape = (len(runs), n, len(points[0][2]), k)
     rates = np.full(shape, np.nan)
     row_dev = np.full(shape, np.nan)
     accepted = np.zeros(shape[:2], dtype=bool)
@@ -423,14 +422,14 @@ def _sweep(engine, n_points: int, k: int, trials: int, max_rejection_rate: float
     accepted = [0] * n_points
     errors: dict[int, RejectionRateError] = {}
     running = list(range(n_points))
-    # A sweep of one task runs inline.
-    pooled = workers > 1 and len(_round_tasks({(0, trials): running}, k, workers)) > 1
-    with _worker_pool(workers if pooled else 1, engine) as pool:
+    # No more workers than the first round has tasks: a sweep of one task runs inline.
+    procs = min(workers, len(_round_tasks({(0, trials): running}, k, workers)))
+    with _worker_pool(procs, engine) as pool:
         while running:
             groups: dict[tuple[int, int], list[int]] = {}
             for i in running:
                 groups.setdefault((attempted[i], trials - accepted[i]), []).append(i)
-            tasks = _round_tasks(groups, k, workers if pooled else 1)
+            tasks = _round_tasks(groups, k, 1 if pool is None else workers)
             if pool is None:
                 results = [engine(ids, idx) for ids, idx in tasks]
             else:
@@ -486,8 +485,8 @@ def _evaluate(
 ) -> list[PointResult]:
     """Coupled evaluation of every policy at every nominal SNR of p_list.
 
-    The sweep's engine, every point's allocation tables included, is built
-    before a pool forks, so the workers inherit it.
+    The sweep's engine, every point's model and allocation tables included,
+    is built before a pool forks, so the workers inherit it.
     """
     if len(policies) != len(set(policies)):
         raise ValueError("duplicate policy specs in one run")
@@ -502,17 +501,21 @@ def _evaluate(
 
 def _engine(layout, gamma, policies, p_list, seed, cond_threshold, data_mask) -> partial:
     """The sweep's engine: _simulate_trials bound to everything but the point
-    ids and the trial indices, every nominal SNR's allocation tables
-    included. The tables are the allocations' own read-only arrays, which
-    the error-scale cache keys on."""
+    ids and the trial indices. Each nominal SNR's pathloss model and
+    allocation tables are built here, once, from one interference-level
+    matrix, so an engine call, in the parent or in a forked worker, builds
+    nothing."""
+    levels = interference_levels(pairwise_distance(layout), gamma)
     mask = mask_from_sets(data_sharing_sets(layout, gamma), layout.K) if data_mask else None
     points = [
-        (p, [None if spec.kind == "perfect" else build_allocation(spec, layout, gamma, p).bits for spec in policies])
+        (
+            pathloss_matrix(levels, p),
+            p,
+            [None if spec.kind == "perfect" else build_allocation(spec, layout, gamma, p).bits for spec in policies],
+        )
         for p in p_list
     ]
-    return partial(
-        _simulate_trials, layout.positions, gamma, points, seed, cond_threshold=cond_threshold, mask=mask
-    )
+    return partial(_simulate_trials, points, seed, cond_threshold=cond_threshold, mask=mask)
 
 
 def _point_result(

@@ -8,6 +8,7 @@ from netmimo.channel import (
     PURPOSE_CHANNEL,
     PURPOSE_ESTIMATE,
     PURPOSE_LAYOUT,
+    ChannelRealization,
     apply_estimate_noise,
     complex_gaussian,
     draw_channel,
@@ -131,8 +132,8 @@ def test_estimate_matched_bits_give_one_over_p():
 
 
 def test_estimate_same_for_readonly_and_writable_tables():
-    """A model computes a read-only table's error scale once; reusing it
-    must give the same estimate as a fresh writable copy of the table."""
+    """An allocation's read-only table gives the same estimate on every call
+    as a fresh writable copy of the table."""
     d = pairwise_distance(place_grid(2))
     model = pathloss_matrix(interference_levels(d, 0.6), 1e4)
     chan = draw_channel(model, np.random.default_rng(9))
@@ -247,27 +248,14 @@ def test_trial_streams_derive_edge_cells_in_bulk(seed):
     assert len(fresh) == 3 and not fresh & reloaded
 
 
-def test_draw_channel_batch_stacks_single_draws():
-    model = _model()
-    rngs = [trial_rng(3, t, PURPOSE_CHANNEL) for t in range(8)]
-    batch = draw_channel(model, rngs)
-    assert batch.H.shape == (8, 9, 9)
-    streamed = draw_channel(model, trial_streams(3, range(8), [PURPOSE_CHANNEL] * 8))
-    assert streamed.H.tobytes() == batch.H.tobytes()
-    for t in range(8):
-        one = draw_channel(model, trial_rng(3, t, PURPOSE_CHANNEL))
-        assert batch.H[t].tobytes() == one.H.tobytes()
-    assert draw_channel(model, iter([])).H.shape == (0, 9, 9)
-
-
 @pytest.mark.parametrize("per_tx", [False, True], ids=["shared", "per-tx"])
 def test_estimate_batch_stacks_single_estimates(per_tx):
     model = _model(side=2, p=1e4)
-    chans = draw_channel(model, [trial_rng(4, t, PURPOSE_CHANNEL) for t in range(3)])
+    ones = [draw_channel(model, trial_rng(4, t, PURPOSE_CHANNEL)) for t in range(3)]
+    chans = ChannelRealization(H=np.stack([one.H for one in ones]))
     bits = np.arange(64 if per_tx else 16, dtype=float).reshape((4,) * (3 if per_tx else 2)) % 7
     noise = complex_gaussian(np.random.default_rng(5), (3,) + bits.shape)
     est = apply_estimate_noise(chans, model, bits, noise)
     assert est.shape == (3,) + bits.shape
-    for t in range(3):
-        one = draw_channel(model, trial_rng(4, t, PURPOSE_CHANNEL))
+    for t, one in enumerate(ones):
         assert est[t].tobytes() == apply_estimate_noise(one, model, bits, noise[t]).tobytes()

@@ -890,3 +890,39 @@ def test_sizes_writes_the_table_and_the_bit_dumps_together_or_not_at_all(tmp_pat
         assert bits.is_dir() and not any(bits.iterdir())
     else:
         assert list(tmp_path.iterdir()) == [regular]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["run", "--output", "o", "--dump-channel", "o/rates.csv"], "o/rates.csv"),
+        (["run", "--output", "o", "--dump-channel", "o/metadata.json"], "o/metadata.json"),
+        (["run", "--output", "o", "--dump-channel", "{tmp}/o/rates.csv"], "{tmp}/o/rates.csv"),
+        (["run", "--output", "{tmp}/o", "--dump-channel", "./o/../o/layout.txt"], "o/../o/layout.txt"),
+        (["run", "--output", "o", "--dump-channel", "{tmp}/o"], "{tmp}/o"),
+        (["sizes", "--export-bits", "d", "--output", "d/bits_distance_a1_40dB.csv"], "d/bits_distance_a1_40dB.csv"),
+        (["sizes", "--export-bits", "d", "--output", "{tmp}/d/bits_distance_a1_40dB.csv"],
+         "{tmp}/d/bits_distance_a1_40dB.csv"),
+    ],
+    ids=["run-rates", "run-metadata", "run-absolute", "run-dotted", "run-directory", "sizes-bits",
+         "sizes-bits-absolute"],
+)
+def test_two_outputs_naming_one_file_exit_2(tmp_path, capsys, monkeypatch, argv, named):
+    """Two outputs of one command that resolve to the same file, a run's
+    output directory counted as one, are a usage error naming that path,
+    found before any trial runs: exit 2, no traceback, nothing written."""
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr("netmimo.evaluation._simulate_trials", no_trials)
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    argv += ["--grid-side", "2", "--snr-db", "40", "--policies", "perfect", "distance"]
+    if argv[0] == "run":
+        argv += ["--trials", "4"]
+    assert _exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert f"error: two outputs of this command name the same file: {named.format(tmp=tmp_path)}" in err
+    assert "Traceback" not in err and out == ""
+    assert list(tmp_path.iterdir()) == []

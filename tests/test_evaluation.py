@@ -1,4 +1,5 @@
 import multiprocessing
+from functools import partial
 
 import numpy as np
 import pytest
@@ -353,14 +354,20 @@ def _engine_args(grid_side, dbs, trials, cond_threshold=1e12, seed=3):
     points = []
     for db in dbs:
         p = db_to_linear(db)
-        points.append((p, [None if s.kind == "perfect" else build_allocation(s, layout, 0.6, p).bits for s in specs]))
-    return (layout.positions, 0.6, points, seed, list(range(len(dbs))), np.arange(trials), cond_threshold, None)
+        model = pathloss_matrix(interference_levels(pairwise_distance(layout), 0.6), p)
+        points.append(
+            (model, p, [None if s.kind == "perfect" else build_allocation(s, layout, 0.6, p).bits for s in specs])
+        )
+    return (points, seed, list(range(len(dbs))), np.arange(trials), cond_threshold, None)
 
 
-def _replayed(positions, gamma, points, seed, point_ids, trial_indices, cond_threshold, mask):
-    """What _simulate_trials returns, from one public kernel call per point,
-    trial and policy, none of them sharing memory with another."""
-    return [_replayed_point(positions, gamma, *points[i], seed, trial_indices, cond_threshold) for i in point_ids]
+def _replayed(grid_side, points, seed, point_ids, trial_indices, cond_threshold, mask):
+    """What _simulate_trials returns for the grid, from one public kernel call
+    per point, trial and policy, none of them sharing memory with another.
+    Each point's model is built again from the layout; only its nominal SNR
+    and bit tables are taken from points."""
+    positions = place_grid(grid_side).positions
+    return [_replayed_point(positions, 0.6, *points[i][1:], seed, trial_indices, cond_threshold) for i in point_ids]
 
 
 def _replayed_point(positions, gamma, p, bits_list, seed, trial_indices, cond_threshold):
@@ -405,7 +412,7 @@ def test_k16_chunks_with_rejected_trials_equal_one_trial_calls(db):
     args = _engine_args(4, [db], 24, cond_threshold=300.0)
     got = evaluation._simulate_trials(*args)
     assert 0 < (~got[0][3]).sum() < 12
-    assert _same_bytes(got, _replayed(*args))
+    assert _same_bytes(got, _replayed(4, *args))
 
 
 def test_multi_point_engine_call_equals_each_point_replayed():
@@ -415,7 +422,7 @@ def test_multi_point_engine_call_equals_each_point_replayed():
     args = _engine_args(4, [20.0, 60.0], 24, cond_threshold=300.0)
     got = evaluation._simulate_trials(*args)
     assert not np.array_equal(got[0][3], got[1][3])
-    assert _same_bytes(got, _replayed(*args))
+    assert _same_bytes(got, _replayed(4, *args))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -430,7 +437,7 @@ def test_sweep_top_ups_equal_each_point_replayed(workers):
     assert attempted[0] > attempted[1] > 24
     for point, n in enumerate(attempted):
         got = [np.concatenate([b[j] for b in blocks[point]]) for j in range(5)]
-        want = _replayed(*_engine_args(4, [20.0, 60.0], n, cond_threshold=300.0))[point]
+        want = _replayed(4, *_engine_args(4, [20.0, 60.0], n, cond_threshold=300.0))[point]
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
     assert multiprocessing.active_children() == []
 
@@ -467,7 +474,7 @@ def test_k1_engine_equals_one_trial_calls(monkeypatch, budget):
     if budget is not None:
         monkeypatch.setattr(evaluation, "_CHUNK_BYTES", budget)
     args = _engine_args(1, [30.0], 40)
-    assert _same_bytes(evaluation._simulate_trials(*args), _replayed(*args))
+    assert _same_bytes(evaluation._simulate_trials(*args), _replayed(1, *args))
 
 
 def test_interleaved_engine_calls_equal_fresh_calls(monkeypatch):
@@ -538,31 +545,44 @@ def test_default_threshold_clears_without_svd(monkeypatch):
         assert point.rates[specs[0]].rejections == 0
 
 
-def test_worker_side_tables_hit_the_error_scale_cache(monkeypatch):
-    """A pool worker runs on the allocation tables the sweep built before the
-    fork: read-only arrays that own their data, so each point's model
-    computes each table's error scale once per engine call."""
-    models = []
-    real_pathloss_matrix, real_engine = evaluation.pathloss_matrix, evaluation._simulate_trials
-
-    def recording_pathloss_matrix(*a, **kw):
-        models.append(real_pathloss_matrix(*a, **kw))
-        return models[-1]
-
-    def probing_engine(positions, gamma, points, *rest, **kw):
-        real_engine(positions, gamma, points, *rest, **kw)
-        tables = [b for _, bits_list in points for b in bits_list if b is not None]
-        return [(b.flags.writeable, b.base is None) for b in tables], [len(m._std_cache) for m in models]
-
-    monkeypatch.setattr(evaluation, "pathloss_matrix", recording_pathloss_matrix)
-    monkeypatch.setattr(evaluation, "_simulate_trials", probing_engine)
+def test_pool_workers_build_nothing(monkeypatch):
+    """Every point's model and allocation tables are built before the fork:
+    with the builders made to raise once _engine has returned, a pooled task
+    still returns the bytes of an inline call."""
     specs = [PolicySpec("perfect"), PolicySpec("distance"), PolicySpec("uniform")]
     engine = evaluation._engine(place_grid(2), 0.6, specs, [1e4, 1e6], 12, 1e12, False)
+    inline = engine([0, 1], np.arange(5))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("an engine call built a model or a table")
+
+    for name in ("pathloss_matrix", "build_allocation", "interference_levels", "pairwise_distance"):
+        monkeypatch.setattr(evaluation, name, no_build)
     with evaluation._worker_pool(2, engine) as pool:
-        [(flags, cache_sizes)] = pool.map(evaluation._run_block, [([0, 1], np.arange(5))], chunksize=1)
-    assert models == []  # the engine ran in the worker
-    assert flags == [(False, True)] * 4
-    assert cache_sizes == [2, 2]
+        [pooled] = pool.map(evaluation._run_block, [([0, 1], np.arange(5))], chunksize=1)
+    assert _same_bytes(pooled, inline)
+    assert _same_bytes(engine([0, 1], np.arange(5)), inline)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers, trials, forked", [(5, 6, [2]), (3, 3, []), (2, 24, [2])])
+def test_sweep_forks_no_more_workers_than_first_round_tasks(monkeypatch, workers, trials, forked):
+    """At K = 16 a chunk holds 3 trials: 6 trials make a first round of two
+    tasks, so five workers fork a pool of two, and 3 trials make one task,
+    which runs inline. The bytes equal a one-worker run's."""
+    ctx = multiprocessing.get_context("fork")
+    real_pool, sizes = ctx.Pool, []
+
+    def recording_pool(*args, **kwargs):
+        sizes.append(kwargs["processes"])
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(ctx, "Pool", recording_pool)
+    specs = [PolicySpec("perfect"), PolicySpec("distance")]
+    run = partial(evaluate_point, place_grid(4), 0.6, specs, 1e4, trials, seed=1, keep_samples=True)
+    pooled = run(workers=workers)
+    assert sizes == forked
+    assert pooled.samples[specs[1]].tobytes() == run(workers=1).samples[specs[1]].tobytes()
     assert multiprocessing.active_children() == []
 
 
