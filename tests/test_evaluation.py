@@ -351,13 +351,12 @@ def _engine_args(grid_side, dbs, trials, cond_threshold=1e12, seed=3):
     point of dbs; cluster:4 only where the grid takes it."""
     layout = place_grid(grid_side)
     specs = _FIG1_POLICIES if grid_side % 2 == 0 else _FIG1_POLICIES[:3]
+    levels = interference_levels(pairwise_distance(layout), 0.6)
     points = []
     for db in dbs:
         p = db_to_linear(db)
-        model = pathloss_matrix(interference_levels(pairwise_distance(layout), 0.6), p)
-        points.append(
-            (model, p, [None if s.kind == "perfect" else build_allocation(s, layout, 0.6, p).bits for s in specs])
-        )
+        bits_list = [None if s.kind == "perfect" else build_allocation(s, layout, 0.6, p).bits for s in specs]
+        points.append((pathloss_matrix(levels, p), p, bits_list))
     return (points, seed, list(range(len(dbs))), np.arange(trials), cond_threshold, None)
 
 
