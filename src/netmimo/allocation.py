@@ -9,7 +9,7 @@ baselines spread the distance policy's total over a fixed support instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isfinite, isqrt
 
 import numpy as np
 
@@ -123,8 +123,8 @@ def distance_based(
     smaller alpha spends more bits to shrink the rate offset.
     """
     log2_p = _check_p(p)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not (isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     expo = distance_exponents(distances, gamma, alpha)
@@ -253,8 +253,8 @@ class PolicySpec:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}, expected one of {POLICY_KINDS}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not (isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.cluster_size < 1 or isqrt(int(self.cluster_size)) ** 2 != self.cluster_size:
             raise ValueError(f"cluster_size must be a positive perfect square, got {self.cluster_size}")
         if self.uniform_support not in ("all", "conventional"):

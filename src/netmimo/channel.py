@@ -4,6 +4,8 @@ channel estimates.
 The pathloss of link (k, i) is tied to the nominal SNR P through the
 interference level Gamma_ki: the link variance is sigma_ki^2 = P^(Gamma_ki - 1),
 so cross links fade as P grows and the direct links keep unit variance.
+pathloss_matrix returns the link standard deviations sigma_ki as a plain
+read-only (K, K) array, and draw_channel and apply_estimate_noise take it.
 
 Randomness is organized as substreams keyed by (master seed, trial index,
 purpose tag), so Monte-Carlo results do not depend on worker scheduling and
@@ -19,7 +21,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "trial_rng",
     "trial_streams",
     "complex_gaussian",
-    "PathlossModel",
     "ChannelRealization",
     "pathloss_matrix",
     "draw_channel",
@@ -179,60 +179,41 @@ def complex_gaussian(rng: np.random.Generator, shape, out: np.ndarray | None = N
 
 
 @dataclass(frozen=True)
-class PathlossModel:
-    """Link variances sigma_ki^2 = P^(Gamma_ki - 1) at nominal SNR P > 1."""
-
-    sigma_sq: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.array(self.sigma_sq, dtype=float)
-        s.setflags(write=False)
-        object.__setattr__(self, "sigma_sq", s)
-
-    @property
-    def K(self) -> int:
-        return int(self.sigma_sq.shape[0])
-
-    @cached_property
-    def sigma(self) -> np.ndarray:
-        """Link standard deviations, computed once per model."""
-        s = np.sqrt(self.sigma_sq)
-        s.setflags(write=False)
-        return s
-
-
-@dataclass(frozen=True)
 class ChannelRealization:
     """One fading draw, or a stack of them along leading axes."""
 
     H: np.ndarray  # faded channel, rows are receivers
 
 
-def pathloss_matrix(levels: np.ndarray, p: float) -> PathlossModel:
-    """Link variances at nominal SNR p for the (K, K) interference_levels matrix.
+def pathloss_matrix(levels: np.ndarray, p: float) -> np.ndarray:
+    """Link standard deviations sigma_ki = sqrt(P^(Gamma_ki - 1)) at nominal
+    SNR p for the (K, K) interference_levels matrix, as a read-only array.
 
     p must exceed 1: the allocation formulas scale with log2(p) and the
     parameterization degenerates at log p <= 0.
     """
     if p <= 1.0:
         raise ValueError(f"nominal SNR must exceed 1 (0 dB), got {p}")
-    return PathlossModel(sigma_sq=float(p) ** (levels - 1.0))
+    sigma = np.sqrt(float(p) ** (levels - 1.0))
+    sigma.setflags(write=False)
+    return sigma
 
 
-def draw_channel(model: PathlossModel, rng: np.random.Generator) -> ChannelRealization:
+def draw_channel(sigma: np.ndarray, rng: np.random.Generator) -> ChannelRealization:
     """One Rayleigh draw: entries H_ki = sigma_ki * CN(0, 1), independent.
 
-    The trial engine and the oracle draw their unit channels themselves, one
-    trial stream at a time, and scale them by the sigma of a model built once
-    per SNR point: the product formed here, so each of their channels equals
-    this function's draw from that trial's stream.
+    sigma is pathloss_matrix's (K, K) array. The trial engine and the oracle
+    draw their unit channels themselves, one trial stream at a time, and
+    scale them by the sigma of each SNR point, built once: the product formed
+    here, so each of their channels equals this function's draw from that
+    trial's stream.
     """
-    return ChannelRealization(H=model.sigma * complex_gaussian(rng, (model.K, model.K)))
+    return ChannelRealization(H=sigma * complex_gaussian(rng, sigma.shape))
 
 
 def apply_estimate_noise(
     chan: ChannelRealization,
-    model: PathlossModel,
+    sigma: np.ndarray,
     bits: np.ndarray,
     noise: np.ndarray,
     *,
@@ -241,19 +222,20 @@ def apply_estimate_noise(
     """Dress a channel with quantization-grade noise for the given bit counts.
 
     Entry (k, i) of the result is H_ki + sigma_ki * 2^(-B_ki / 2) * noise_ki,
-    so the estimation error keeps the link's own scale and shrinks by half a
-    bit of standard deviation per allocated bit; np.inf yields an exact copy.
-    bits is (K, K), or (K, K, K) for one estimate per transmitter. A batch of
-    channels (..., K, K) takes noise (..., K, K) or (..., K, K, K) with the
-    same leading axes, and gives one estimate (stack) per channel.
+    where sigma is pathloss_matrix's (K, K) array, so the estimation error
+    keeps the link's own scale and shrinks by half a bit of standard
+    deviation per allocated bit; np.inf yields an exact copy. bits is (K, K),
+    or (K, K, K) for one estimate per transmitter. A batch of channels
+    (..., K, K) takes noise (..., K, K) or (..., K, K, K) with the same
+    leading axes, and gives one estimate (stack) per channel.
 
     The result is a fresh array. The trial engine passes _out, a complex
     array of the result's shape, to have the estimates written into it. The
     error scales sigma * 2^(-B / 2) are computed on every call from the bits
-    given: the engine builds each point's model and tables once, before a
+    given: the engine builds each point's sigma and tables once, before a
     pool forks, and caches no scale.
     """
-    std = model.sigma * np.exp2(-0.5 * np.asarray(bits, dtype=float))
+    std = sigma * np.exp2(-0.5 * np.asarray(bits, dtype=float))
     h = chan.H if std.ndim == 2 else chan.H[..., None, :, :]
     out = np.empty(np.broadcast_shapes(h.shape, std.shape, noise.shape), dtype=complex) if _out is None else _out
     return np.add(h, np.multiply(std, noise, out=out), out=out)

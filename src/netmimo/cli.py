@@ -353,8 +353,8 @@ def _dof_fits(config: ExperimentConfig, result: ExperimentResult) -> dict:
 def _channel_csv(config: ExperimentConfig, layout: NodeLayout) -> str:
     """The trial-0 channel draw at the first SNR point, one (rx, tx) entry per row."""
     p = db_to_linear(config.snr_db[0])
-    model = pathloss_matrix(interference_levels(pairwise_distance(layout), config.gamma), p)
-    chan = draw_channel(model, trial_rng(config.seed, 0, PURPOSE_CHANNEL))
+    sigma = pathloss_matrix(interference_levels(pairwise_distance(layout), config.gamma), p)
+    chan = draw_channel(sigma, trial_rng(config.seed, 0, PURPOSE_CHANNEL))
     lines = ["rx,tx,re,im"]
     lines += [f"{k + 1},{i + 1},{h.real:.17g},{h.imag:.17g}" for (k, i), h in np.ndenumerate(chan.H)]
     return "\n".join(lines) + "\n"

@@ -12,8 +12,8 @@ states the call derives in one trial_streams pass, the draws are stacked,
 and the channel, precoding and rate kernels run once per chunk over a
 leading trial axis, one policy at a time. A trial's streams do not depend on
 the SNR, so an engine call covers several SNR points at once: it draws a
-chunk's unit channels and noise once, and every point of the call scales the
-channels by its own sigma and runs the chunk's kernels on them. The chunk
+chunk's unit channels and noise once, and every point of the call scales its
+own rows of them by its own sigma and runs the kernels on them. The chunk
 size is capped by the bytes of one policy's estimate stack, so it shrinks as
 K grows (24 trials at K = 8, 3 at K = 16, one from K = 19 up). Each call
 holds one workspace for its chunks' noise, estimate and squared-magnitude
@@ -23,17 +23,17 @@ IllConditionedError; the point records their kappa_2 and reruns the chunk on
 its surviving trials, so each trial's acceptance and condition estimate at
 each point are its own. A kernel call over a batch equals the calls on its
 elements bit for bit, so per-trial results depend only on (seed, trial index,
-SNR point): neither the chunking, the grouping of points nor worker
+SNR point): neither the chunking, the sharing of draws nor worker
 scheduling can change any output. A sweep builds one engine before it
-forks: every SNR point's pathloss model and allocation tables are built
-there, once, and an engine call builds nothing. Each round (the first trials
-of every point, then the top-ups of the points still short) groups its
-points by their next index range, so a chunk's draws serve every point of
-its group. With one worker each group is one engine call; with more, the
-sweep forks one pool of at most one worker per task of its first round,
-whose workers inherit the engine, and sends each round as one queue of
-(point ids, trial block) tasks that carry only indices. The pool is reaped
-before the sweep returns or raises.
+forks: every SNR point's sigma and allocation tables are built there, once,
+and an engine call builds nothing. Each round (the first trials of every
+point, then the top-ups of the points still short) gives each running point
+its next index range and draws their sorted union, each index once for
+every point whose range holds it. With one worker a round is one engine
+call; with more, the sweep forks one pool of at most one worker per task
+of its first round, whose workers inherit the engine, and sends each round
+as one queue of (ranges, index block) tasks that carry only indices. The
+pool is reaped before the sweep returns or raises.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .channel import (
     PURPOSE_CHANNEL,
     PURPOSE_ESTIMATE,
     ChannelRealization,
-    PathlossModel,
     apply_estimate_noise,
     complex_gaussian,
     pathloss_matrix,
@@ -213,42 +212,44 @@ _CHUNK_BYTES = 3 << 16
 
 
 def _simulate_trials(
-    points: list[tuple[PathlossModel, float, list[np.ndarray | None]]],
+    points: list[tuple[np.ndarray, float, list[np.ndarray | None]]],
     seed: int,
-    point_ids: list[int],
+    ranges: list[tuple[int, int, int]],
     trial_indices: np.ndarray,
     cond_threshold: float,
     mask: np.ndarray | None,
 ) -> list[tuple]:
-    """Evaluate the given trial indices for all policies, on shared draws, at
-    each of the given SNR points.
+    """Evaluate the sorted, distinct trial_indices for all policies, on
+    shared draws, at the SNR point of each range, over the indices in it.
 
-    points holds every SNR point of the sweep as (model, p, bits_list), its
-    pathloss model and nominal SNR and one entry per policy, and point_ids
-    names the ones to run. bits_list entries are (K, K, K) bit tensors, or
-    None for perfect CSIT (whose precoder is the reference T* itself). A
-    trial is rejected at a point when any of its solves there raises
-    IllConditionedError. Returns, per point id, per-trial rates, squared
+    points holds every SNR point of the sweep as (sigma, p, bits_list): its
+    pathloss_matrix sigma, its nominal SNR and one entry per policy. ranges
+    holds (point id, start, stop) triples; a point runs the indices of
+    trial_indices in [start, stop). bits_list entries are (K, K, K) bit
+    tensors, or None for perfect CSIT (whose precoder is the reference T*
+    itself). A trial is rejected at a point when any of its solves there
+    raises IllConditionedError. Returns, per range, per-trial rates, squared
     precoder deviations (total and per TX row), acceptance flags and the
     worst condition estimate seen per trial; rejected trials carry NaNs.
 
     Trials run in chunks of at most _CHUNK_BYTES / (16 K^3). A chunk's unit
-    channels and noise are drawn once; each point scales the channels by its
-    own sigma and runs the chunk as one batch through the kernels. When a
-    kernel call rejects trials, the point reruns the chunk without them, so
+    channels and noise are drawn once; each point scales its rows of them by
+    its own sigma and runs them as one batch through the kernels. When a
+    kernel call rejects trials, the point reruns its rows without them, so
     acceptance and worst_cond are decided per trial and point, exactly as for
     a lone trial at a lone point.
     """
-    runs = [points[i] for i in point_ids]
-    k = points[0][0].K
+    k = points[0][0].shape[0]
     need_noise = any(b is not None for b in points[0][2])
 
     n = len(trial_indices)
-    shape = (len(runs), n, len(points[0][2]), k)
+    shape = (len(ranges), n, len(points[0][2]), k)
     rates = np.full(shape, np.nan)
     row_dev = np.full(shape, np.nan)
     accepted = np.zeros(shape[:2], dtype=bool)
     worst_cond = np.zeros(shape[:2])
+    # A range is a contiguous run of the sorted indices: its rows [lo, hi).
+    bounds = [(int(lo), int(hi)) for lo, hi in np.searchsorted(trial_indices, [r[1:] for r in ranges])]
 
     chunk = _chunk_trials(k)
     # The call's workspace: the noise stack, the estimate stack and the
@@ -272,14 +273,20 @@ def _simulate_trials(
             shared_noise = work[0, : m * k**3].reshape(m, k, k, k)
             for i, rng in enumerate(islice(streams, m)):
                 complex_gaussian(rng, (k, k, k), out=shared_noise[i])
-        for j, (model, p, bits_list) in enumerate(runs):
+        for j, ((point, _, _), (lo, hi)) in enumerate(zip(ranges, bounds)):
+            # The chunk's rows of this range, as offsets a:b into the chunk.
+            a, b = max(lo - start, 0), min(hi - start, m)
+            if a >= b:
+                continue
+            sigma, p, bits_list = points[point]
             # The product draw_channel forms, so H is the point's own draw.
-            chan = ChannelRealization(H=model.sigma * unit[:m])
-            rows, noise = np.arange(start, start + m), shared_noise
+            chan = ChannelRealization(H=sigma * unit[a:b])
+            rows = np.arange(start + a, start + b)
+            noise = None if shared_noise is None else shared_noise[a:b]
             while rows.size:
                 try:
                     rates[j, rows], row_dev[j, rows], worst_cond[j, rows] = _solve_chunk(
-                        chan, noise, work, model, bits_list, p, cond_threshold, mask
+                        chan, noise, work, sigma, bits_list, p, cond_threshold, mask
                     )
                 except IllConditionedError as exc:
                     # Every earlier solve of a rejected trial passed the threshold,
@@ -294,14 +301,17 @@ def _simulate_trials(
                     break
 
     dev = row_dev.sum(axis=-1)
-    return [(rates[j], dev[j], row_dev[j], accepted[j], worst_cond[j]) for j in range(len(runs))]
+    return [
+        (rates[j, lo:hi], dev[j, lo:hi], row_dev[j, lo:hi], accepted[j, lo:hi], worst_cond[j, lo:hi])
+        for j, (lo, hi) in enumerate(bounds)
+    ]
 
 
 def _solve_chunk(
     chan: ChannelRealization,
     noise: np.ndarray | None,
     work: np.ndarray,
-    model: PathlossModel,
+    sigma: np.ndarray,
     bits_list: list[np.ndarray | None],
     p: float,
     cond_threshold: float,
@@ -323,7 +333,7 @@ def _solve_chunk(
         if bits is None:
             prec = t_star
         else:
-            est = apply_estimate_noise(chan, model, bits, noise, _out=work[1, : noise.size].reshape(noise.shape))
+            est = apply_estimate_noise(chan, sigma, bits, noise, _out=work[1, : noise.size].reshape(noise.shape))
             prec = distributed_precoder(est, p, cond_threshold, _scratch=work[2])
         worst = prec.max_cond if worst is None else np.maximum(worst, prec.max_cond)
         row_dev[:, pol] = (np.abs(prec.T - t_star.T) ** 2).sum(axis=-1)
@@ -349,8 +359,8 @@ def _init_worker(engine) -> None:
 
 
 def _run_block(task):
-    point_ids, idx = task
-    return _worker_engine(point_ids, idx)
+    ranges, idx = task
+    return _worker_engine(ranges, idx)
 
 
 @contextmanager
@@ -381,40 +391,42 @@ def _chunk_trials(k: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * k**3))
 
 
-def _round_tasks(groups: dict, k: int, workers: int) -> list[tuple]:
-    """The (point ids, index block) tasks of a round.
+def _round_tasks(ranges: list[tuple[int, int, int]], k: int, workers: int) -> list[tuple]:
+    """The (ranges, index block) tasks of a round.
 
-    groups maps each next index range (start, count) to the points that run
-    it. One worker runs each group as one task. More workers split each
-    range into blocks of whole engine chunks, sized by trial-points (trials
-    times the group's points) so that the round makes about
-    _TASKS_PER_WORKER tasks per worker.
+    ranges holds each running point's (point id, start, stop), and the
+    round's index set is their union, sorted. One worker runs it as one
+    task. More workers split it into blocks of whole engine chunks, about
+    _TASKS_PER_WORKER per worker; every task carries all the ranges, and
+    each point runs the indices of a block that lie in its own range.
     """
+    # A boolean cover, not np.unique, whose first call imports numpy.ma.
+    lo = min(r[1] for r in ranges)
+    cover = np.zeros(max(r[2] for r in ranges) - lo, dtype=bool)
+    for _, start, stop in ranges:
+        cover[start - lo:stop - lo] = True
+    union = lo + np.flatnonzero(cover)
     if workers <= 1:
-        return [(ids, np.arange(start, start + count)) for (start, count), ids in groups.items()]
+        return [(ranges, union)]
     chunk = _chunk_trials(k)
-    per_task = sum(len(ids) * count for (_, count), ids in groups.items()) / (workers * _TASKS_PER_WORKER)
-    tasks = []
-    for (start, count), ids in groups.items():
-        step = chunk * math.ceil(per_task / (len(ids) * chunk))
-        tasks += [(ids, np.arange(s, min(s + step, start + count))) for s in range(start, start + count, step)]
-    return tasks
+    step = chunk * math.ceil(len(union) / (workers * _TASKS_PER_WORKER * chunk))
+    return [(ranges, union[s:s + step]) for s in range(0, len(union), step)]
 
 
 def _sweep(engine, n_points: int, k: int, trials: int, max_rejection_rate: float, workers: int):
     """Collect exactly `trials` accepted trials at every SNR point, in rounds.
 
     The first round runs trials 0..trials-1 of every point; each later round
-    tops up the points still short of `trials` with fresh indices. A round
-    groups its points by their next index range, so the first round is one
-    group and top-ups of equal ranges share one; each engine call draws its
-    trials once for all points of its group. With more than one worker, a
-    round's (point ids, block) tasks all go to one pool.map; with one, each
-    group runs as one engine call. More than trials / (1 - max_rejection_rate)
-    attempted indices would put a point's rejected share over the limit, so
-    its top-ups stop there. Once no point is running, the first failing point
-    in SNR order raises, exactly as a sweep of one point at a time would.
-    Returns per point the engine results of its blocks, in index order.
+    tops up the points still short of `trials` with fresh indices, each point
+    over its own range. A round's index set is the union of its points'
+    ranges, and each engine call draws each of its indices once for every
+    point whose range holds it. With one worker a round is one engine call;
+    with more, a round's (ranges, block) tasks all go to one pool.map. More
+    than trials / (1 - max_rejection_rate) attempted indices would put a
+    point's rejected share over the limit, so its top-ups stop there. Once
+    no point is running, the first failing point in SNR order raises,
+    exactly as a sweep of one point at a time would. Returns per point the
+    engine results of its blocks, in index order.
     """
     max_attempts = math.ceil(trials / (1.0 - max_rejection_rate))
     blocks: list[list] = [[] for _ in range(n_points)]
@@ -423,21 +435,19 @@ def _sweep(engine, n_points: int, k: int, trials: int, max_rejection_rate: float
     errors: dict[int, RejectionRateError] = {}
     running = list(range(n_points))
     # No more workers than the first round has tasks: a sweep of one task runs inline.
-    procs = min(workers, len(_round_tasks({(0, trials): running}, k, workers)))
+    procs = min(workers, len(_round_tasks([(i, 0, trials) for i in running], k, workers)))
     with _worker_pool(procs, engine) as pool:
         while running:
-            groups: dict[tuple[int, int], list[int]] = {}
-            for i in running:
-                groups.setdefault((attempted[i], trials - accepted[i]), []).append(i)
-            tasks = _round_tasks(groups, k, 1 if pool is None else workers)
+            ranges = [(i, attempted[i], attempted[i] + trials - accepted[i]) for i in running]
+            tasks = _round_tasks(ranges, k, 1 if pool is None else workers)
             if pool is None:
-                results = [engine(ids, idx) for ids, idx in tasks]
+                results = [engine(*task) for task in tasks]
             else:
                 results = pool.map(_run_block, tasks, chunksize=1)
-            for (ids, idx), per_point in zip(tasks, results):
-                for i, res in zip(ids, per_point):
+            for per_range in results:
+                for (i, _, _), res in zip(ranges, per_range):
                     blocks[i].append(res)
-                    attempted[i] += len(idx)
+                    attempted[i] += len(res[3])
                     accepted[i] += int(res[3].sum())
             still = []
             for i in running:
@@ -485,7 +495,7 @@ def _evaluate(
 ) -> list[PointResult]:
     """Coupled evaluation of every policy at every nominal SNR of p_list.
 
-    The sweep's engine, every point's model and allocation tables included,
+    The sweep's engine, every point's sigma and allocation tables included,
     is built before a pool forks, so the workers inherit it.
     """
     if len(policies) != len(set(policies)):
@@ -500,11 +510,11 @@ def _evaluate(
 
 
 def _engine(layout, gamma, policies, p_list, seed, cond_threshold, data_mask) -> partial:
-    """The sweep's engine: _simulate_trials bound to everything but the point
-    ids and the trial indices. Each nominal SNR's pathloss model and
-    allocation tables are built here, once, from one interference-level
-    matrix, so an engine call, in the parent or in a forked worker, builds
-    nothing."""
+    """The sweep's engine: _simulate_trials bound to everything but the
+    ranges and the trial indices. Each nominal SNR's link standard
+    deviations and allocation tables are built here, once, from one
+    interference-level matrix, so an engine call, in the parent or in a
+    forked worker, builds nothing."""
     levels = interference_levels(pairwise_distance(layout), gamma)
     mask = mask_from_sets(data_sharing_sets(layout, gamma), layout.K) if data_mask else None
     points = [
@@ -587,10 +597,11 @@ def evaluate_curves(
 ) -> ExperimentResult:
     """evaluate_point over an SNR grid, every point in one sweep.
 
-    Each engine call draws its trials once for every point it runs: all
-    points in the first round, the points with equal top-up ranges later.
-    With workers > 1, one pool serves the whole sweep, and each of its rounds
-    is one task queue over the trial blocks of every point still running.
+    Each round draws every index once for all the points whose ranges hold
+    it: every point's first trials in the first round, the union of the
+    top-up ranges of the points still short later. With workers > 1, one
+    pool serves the whole sweep, and each of its rounds is one task queue
+    over blocks of that index set.
     """
     curves = {spec: RateCurve(policy=spec) for spec in policies}
     deviations: dict[PolicySpec, list[DeviationPoint]] = {spec: [] for spec in policies}

@@ -275,8 +275,9 @@ def _channel_streams(seed: int, trials: int) -> Iterator[np.random.Generator]:
 def _unit_draws(streams: Iterator[np.random.Generator], n: int, k: int) -> np.ndarray:
     """Unit-variance (n, k, k) channel draws from the next n streams.
 
-    sigma * draw t equals draw_channel(model, trial_rng(seed, t, ...)).H byte
-    for byte for any model: it is the same complex_gaussian draw.
+    sigma * draw t equals draw_channel(sigma, trial_rng(seed, t, ...)).H byte
+    for byte for any pathloss_matrix sigma: it is the same complex_gaussian
+    draw.
     """
     out = np.empty((n, k, k), dtype=complex)
     for i, rng in enumerate(islice(streams, n)):
@@ -306,7 +307,7 @@ def _median_decay_slopes(layout: NodeLayout, gamma: float, p_list, unit: np.ndar
     meds = np.empty((len(p_arr), k, k))
     acc = np.empty((trials, k, k))
     for pi, p in enumerate(p_arr):
-        sigma = pathloss_matrix(interference_levels(dist, gamma), p).sigma
+        sigma = pathloss_matrix(interference_levels(dist, gamma), p)
         for s in range(0, trials, step):
             acc[s:s + step] = np.abs(entry_fn(sigma * unit[s:s + step])) ** 2
         meds[pi] = np.median(acc, axis=0)
@@ -381,7 +382,7 @@ def truncation_tail_check(
     """
     dist = pairwise_distance(layout)
     order = truncation_order(dist, gamma)
-    sigma = pathloss_matrix(interference_levels(dist, gamma), p).sigma
+    sigma = pathloss_matrix(interference_levels(dist, gamma), p)
     k = layout.K
     resid_sq = []
     next_term_sq = []
@@ -471,8 +472,8 @@ def run_verification(
             )
         )
 
-    model = pathloss_matrix(interference_levels(pairwise_distance(line3), gamma), p_list[0])
-    h = model.sigma * unit[:200]  # 29 KB at most
+    sigma = pathloss_matrix(interference_levels(pairwise_distance(line3), gamma), p_list[0])
+    h = sigma * unit[:200]  # 29 KB at most
     diag = np.abs(np.diagonal(neumann_term_matrix(h, 1), axis1=-2, axis2=-1))
     diag_max = max([0.0, *np.max(diag, axis=-1).tolist()])
     results.append(

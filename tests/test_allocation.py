@@ -113,8 +113,9 @@ def test_distance_alpha_monotone():
         if prev is not None:
             assert np.all(bits <= prev)
         prev = bits
-    with pytest.raises(ValueError):
-        distance_based(d, 0.6, 1e5, alpha=0.0)
+    for alpha in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            distance_based(d, 0.6, 1e5, alpha=alpha)
 
 
 def test_distance_zero_radius_property():
@@ -283,8 +284,9 @@ def test_negative_bits_rejected():
 def test_policy_spec_validation_and_labels():
     with pytest.raises(ValueError):
         PolicySpec("nearest")
-    with pytest.raises(ValueError):
-        PolicySpec("distance", alpha=-1.0)
+    for alpha in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            PolicySpec("distance", alpha=alpha)
     with pytest.raises(ValueError):
         PolicySpec("uniform", uniform_support="half")
     assert PolicySpec("distance", alpha=0.75).label() == "distance(alpha=0.75)"

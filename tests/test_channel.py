@@ -20,39 +20,40 @@ from netmimo.allocation import distance_based
 from netmimo.topology import interference_levels, pairwise_distance, place_grid
 
 
-def _model(side=3, gamma=0.6, p=1e5):
+def _sigma(side=3, gamma=0.6, p=1e5):
     d = pairwise_distance(place_grid(side))
     return pathloss_matrix(interference_levels(d, gamma), p)
 
 
-def _estimate(chan, model, bits, rng):
+def _estimate(chan, sigma, bits, rng):
     """An estimate under a bit table of any leading shape, with fresh noise."""
-    return apply_estimate_noise(chan, model, bits, complex_gaussian(rng, np.shape(bits)))
+    return apply_estimate_noise(chan, sigma, bits, complex_gaussian(rng, np.shape(bits)))
 
 
 def test_pathloss_values():
-    model = _model()
-    assert model.sigma_sq[0, 0] == 1.0
+    sigma = _sigma()
+    assert not sigma.flags.writeable
+    assert sigma[0, 0] == 1.0
     # unit distance at gamma 0.6, P = 1e5: variance P^(-0.4) = 1e-2
-    assert model.sigma_sq[0, 1] == pytest.approx(1e-2, rel=1e-12)
+    assert sigma[0, 1] ** 2 == pytest.approx(1e-2, rel=1e-12)
 
 
 def test_pathloss_two_forms_agree():
     """P^(level - 1) must equal (P^(gamma-1))^dist for every link."""
     d = pairwise_distance(place_grid(4))
     for gamma, p in ((0.6, 1e5), (0.35, 1e3), (1.0, 50.0)):
-        model = pathloss_matrix(interference_levels(d, gamma), p)
+        sigma = pathloss_matrix(interference_levels(d, gamma), p)
         mu_sq = p ** (gamma - 1.0)
-        np.testing.assert_allclose(model.sigma_sq, mu_sq**d, rtol=1e-12)
+        np.testing.assert_allclose(sigma**2, mu_sq**d, rtol=1e-12)
 
 
 def test_pathloss_monotone_and_bounded():
-    model = _model()
-    assert np.all(model.sigma_sq > 0)
-    assert np.all(model.sigma_sq <= 1.0)
+    sigma = _sigma()
+    assert np.all(sigma**2 > 0)
+    assert np.all(sigma**2 <= 1.0)
     d = pairwise_distance(place_grid(3))
     order = np.argsort(d[0])
-    assert np.all(np.diff(model.sigma_sq[0][order]) <= 1e-15)
+    assert np.all(np.diff(sigma[0][order] ** 2) <= 1e-15)
 
 
 def test_pathloss_rejects_low_snr():
@@ -64,51 +65,51 @@ def test_pathloss_rejects_low_snr():
 
 
 def test_draw_channel_statistics():
-    model = _model()
+    sigma = _sigma()
     rng = np.random.default_rng(7)
     n = 10_000
     acc_direct = 0.0
     acc_scaled = np.zeros((9, 9))
     for _ in range(n):
-        chan = draw_channel(model, rng)
+        chan = draw_channel(sigma, rng)
         acc_direct += np.abs(chan.H[0, 0]) ** 2
-        acc_scaled += np.abs(chan.H) ** 2 / model.sigma_sq
+        acc_scaled += np.abs(chan.H) ** 2 / sigma**2
     assert acc_direct / n == pytest.approx(1.0, abs=0.05)
     np.testing.assert_allclose(acc_scaled / n, 1.0, atol=0.05)
 
 
 def test_draw_channel_deterministic():
-    model = _model()
-    a = draw_channel(model, trial_rng(42, 3, PURPOSE_CHANNEL)).H
-    b = draw_channel(model, trial_rng(42, 3, PURPOSE_CHANNEL)).H
+    sigma = _sigma()
+    a = draw_channel(sigma, trial_rng(42, 3, PURPOSE_CHANNEL)).H
+    b = draw_channel(sigma, trial_rng(42, 3, PURPOSE_CHANNEL)).H
     np.testing.assert_array_equal(a, b)
-    c = draw_channel(model, trial_rng(42, 4, PURPOSE_CHANNEL)).H
+    c = draw_channel(sigma, trial_rng(42, 4, PURPOSE_CHANNEL)).H
     assert not np.array_equal(a, c)
 
 
 def test_estimate_zero_bits_error_scale():
-    model = _model()
+    sigma = _sigma()
     rng = np.random.default_rng(1)
-    chan = draw_channel(model, rng)
+    chan = draw_channel(sigma, rng)
     bits = np.zeros((9, 9))
     n = 4000
     acc = np.zeros((9, 9))
     for _ in range(n):
-        est = _estimate(chan, model, bits, rng)
+        est = _estimate(chan, sigma, bits, rng)
         acc += np.abs(est - chan.H) ** 2
-    np.testing.assert_allclose(acc / n / model.sigma_sq, 1.0, atol=0.1)
+    np.testing.assert_allclose(acc / n / sigma**2, 1.0, atol=0.1)
 
 
 def test_estimate_infinite_bits_exact():
-    model = _model()
+    sigma = _sigma()
     rng = np.random.default_rng(2)
-    chan = draw_channel(model, rng)
+    chan = draw_channel(sigma, rng)
     bits = np.full((9, 9), np.inf)
-    est = _estimate(chan, model, bits, rng)
+    est = _estimate(chan, sigma, bits, rng)
     np.testing.assert_array_equal(est, chan.H)
     # mixed table: only the infinite entries collapse
     bits[0, 1] = 0.0
-    est2 = _estimate(chan, model, bits, rng)
+    est2 = _estimate(chan, sigma, bits, rng)
     assert est2[0, 1] != chan.H[0, 1]
     np.testing.assert_array_equal(np.delete(est2.ravel(), 1), np.delete(chan.H.ravel(), 1))
 
@@ -116,17 +117,17 @@ def test_estimate_infinite_bits_exact():
 def test_estimate_matched_bits_give_one_over_p():
     """B_ki = log2(P sigma_ki^2) leaves an error variance of 1/P."""
     p = 1e4
-    model = _model(p=p)
+    sigma = _sigma(p=p)
     rng = np.random.default_rng(3)
-    chan = draw_channel(model, rng)
+    chan = draw_channel(sigma, rng)
     with np.errstate(divide="ignore"):
-        bits = np.log2(p * model.sigma_sq)
+        bits = np.log2(p * sigma**2)
     bits = np.maximum(bits, 0.0)
-    keep = p * model.sigma_sq >= 1.0  # entries where the formula is meaningful
+    keep = p * sigma**2 >= 1.0  # entries where the formula is meaningful
     n = 10_000
     acc = np.zeros((9, 9))
     for _ in range(n):
-        est = _estimate(chan, model, bits, rng)
+        est = _estimate(chan, sigma, bits, rng)
         acc += np.abs(est - chan.H) ** 2
     np.testing.assert_allclose(acc[keep] / n, 1.0 / p, rtol=0.10)
 
@@ -135,25 +136,25 @@ def test_estimate_same_for_readonly_and_writable_tables():
     """An allocation's read-only table gives the same estimate on every call
     as a fresh writable copy of the table."""
     d = pairwise_distance(place_grid(2))
-    model = pathloss_matrix(interference_levels(d, 0.6), 1e4)
-    chan = draw_channel(model, np.random.default_rng(9))
+    sigma = pathloss_matrix(interference_levels(d, 0.6), 1e4)
+    chan = draw_channel(sigma, np.random.default_rng(9))
     noise = complex_gaussian(np.random.default_rng(10), (4, 4, 4))
     table = distance_based(d, 0.6, 1e4).bits
     assert not table.flags.writeable
-    first = apply_estimate_noise(chan, model, table, noise)
-    np.testing.assert_array_equal(apply_estimate_noise(chan, model, table, noise), first)
-    np.testing.assert_array_equal(apply_estimate_noise(chan, model, table.copy(), noise), first)
+    first = apply_estimate_noise(chan, sigma, table, noise)
+    np.testing.assert_array_equal(apply_estimate_noise(chan, sigma, table, noise), first)
+    np.testing.assert_array_equal(apply_estimate_noise(chan, sigma, table.copy(), noise), first)
 
 
 def test_estimates_independent_across_tx():
-    model = _model(side=2, p=1e4)
+    sigma = _sigma(side=2, p=1e4)
     rng = np.random.default_rng(5)
     bits = np.zeros((4, 4, 4))
     n = 10_000
     acc = 0.0
     for _ in range(n):
-        chan = draw_channel(model, rng)
-        est = _estimate(chan, model, bits, rng)
+        chan = draw_channel(sigma, rng)
+        est = _estimate(chan, sigma, bits, rng)
         e0 = (est[0] - chan.H)[0, 1]
         e1 = (est[1] - chan.H)[0, 1]
         acc += (e0 * np.conj(e1)).real
@@ -161,16 +162,16 @@ def test_estimates_independent_across_tx():
 
 
 def test_error_independent_of_channel():
-    model = _model(side=2, p=1e4)
+    sigma = _sigma(side=2, p=1e4)
     rng = np.random.default_rng(6)
     bits = np.zeros((4, 4))
     n = 10_000
     acc = 0.0
     for _ in range(n):
-        chan = draw_channel(model, rng)
-        est = _estimate(chan, model, bits, rng)
+        chan = draw_channel(sigma, rng)
+        est = _estimate(chan, sigma, bits, rng)
         err = (est - chan.H)[1, 0]
-        acc += (chan.H[1, 0] / model.sigma[1, 0] * np.conj(err)).real
+        acc += (chan.H[1, 0] / sigma[1, 0] * np.conj(err)).real
     assert abs(acc / n) < 0.05
 
 
@@ -250,12 +251,12 @@ def test_trial_streams_derive_edge_cells_in_bulk(seed):
 
 @pytest.mark.parametrize("per_tx", [False, True], ids=["shared", "per-tx"])
 def test_estimate_batch_stacks_single_estimates(per_tx):
-    model = _model(side=2, p=1e4)
-    ones = [draw_channel(model, trial_rng(4, t, PURPOSE_CHANNEL)) for t in range(3)]
+    sigma = _sigma(side=2, p=1e4)
+    ones = [draw_channel(sigma, trial_rng(4, t, PURPOSE_CHANNEL)) for t in range(3)]
     chans = ChannelRealization(H=np.stack([one.H for one in ones]))
     bits = np.arange(64 if per_tx else 16, dtype=float).reshape((4,) * (3 if per_tx else 2)) % 7
     noise = complex_gaussian(np.random.default_rng(5), (3,) + bits.shape)
-    est = apply_estimate_noise(chans, model, bits, noise)
+    est = apply_estimate_noise(chans, sigma, bits, noise)
     assert est.shape == (3,) + bits.shape
     for t, one in enumerate(ones):
-        assert est[t].tobytes() == apply_estimate_noise(one, model, bits, noise[t]).tobytes()
+        assert est[t].tobytes() == apply_estimate_noise(one, sigma, bits, noise[t]).tobytes()

@@ -491,6 +491,31 @@ def test_bad_policies_are_usage_errors(tmp_path, capsys, tokens, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--trials", "3", "--policies", "distance:nan"],
+         "argument --policies: invalid parse_policy value: 'distance:nan'"),
+        (["sizes", "--policies", "distance:inf"], "argument --policies: invalid parse_policy value: 'distance:inf'"),
+        (["run", "--config", "c.json"], "c.json: alpha must be finite and > 0, got nan"),
+    ],
+    ids=["run-nan", "sizes-inf", "config-nan"],
+)
+def test_non_finite_alpha_is_a_usage_error(tmp_path, capsys, argv, message):
+    """A NaN or infinite alpha passed the alpha > 0 check and failed later,
+    with a traceback, in the allocation tables."""
+    config = {"grid_side": 2, "snr_db": [20.0], "trials": 3, "policies": [{"kind": "distance", "alpha": math.nan}]}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    argv = [str(tmp_path / a) if a == "c.json" else a for a in argv]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--grid-side", "2", "--snr-db", "20", "--output", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("change", ["keep", "edit", "delete", "override"])
 def test_from_metadata_checks_its_layout_file(tmp_path, change):
     """A rerun does not need its layout file: kept, edited or deleted, the

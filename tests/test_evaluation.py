@@ -91,15 +91,15 @@ def test_rate_difference_decomposition():
     gamma = 0.6
     p = db_to_linear(40.0)
     dist = pairwise_distance(layout)
-    model = pathloss_matrix(interference_levels(dist, gamma), p)
+    sigma = pathloss_matrix(interference_levels(dist, gamma), p)
     bits = distance_based(dist, gamma, p).bits
     checked = 0
     for t in range(60):
-        chan = draw_channel(model, trial_rng(44, t, PURPOSE_CHANNEL))
+        chan = draw_channel(sigma, trial_rng(44, t, PURPOSE_CHANNEL))
         if np.linalg.cond(chan.H) > 1e8:
             continue
         noise = complex_gaussian(trial_rng(44, t, PURPOSE_ESTIMATE), (9, 9, 9))
-        est = apply_estimate_noise(chan, model, bits, noise)
+        est = apply_estimate_noise(chan, sigma, bits, noise)
         t_star = zf_precoder(chan.H, p).T
         t_dist = distributed_precoder(est, p).T
         r_perf = instantaneous_rates(chan.H, t_star).rates
@@ -216,8 +216,9 @@ def test_rejection_just_over_limit_reports_attempts():
 
 def test_sweep_forks_one_pool(monkeypatch):
     """A sweep forks one pool. Its first round sends blocks of every point;
-    each top-up round sends blocks only of the points still short of their
-    trials, and only the indices they lack."""
+    each top-up round sends the ranges of only the points still short of
+    their trials, each range holding only the indices its point lacks, and
+    splits the union of those ranges into blocks."""
     ctx = multiprocessing.get_context("fork")
     real_pool = ctx.Pool
     started, rounds = [], []
@@ -242,13 +243,19 @@ def test_sweep_forks_one_pool(monkeypatch):
     rejections = [pt.rejections for pt in res.curves[PolicySpec("perfect")].points]
     assert len(started) == 1
     assert rejections == [63, 26, 7, 6]
-    # The first round is one group of every point, each of its blocks drawn once for all four.
-    assert {tuple(ids) for ids, _ in rounds[0]} == {(0, 1, 2, 3)}
+    # The first round runs trials 0..199 of every point.
+    assert rounds[0][0][0] == [(i, 0, 200) for i in range(4)]
+    # Each round's tasks carry its ranges and split their union, sorted, so each index is sent once.
+    for tasks in rounds:
+        ranges = tasks[0][0]
+        assert all(r is ranges for r, _ in tasks)
+        union = sorted({t for _, a, b in ranges for t in range(a, b)})
+        np.testing.assert_array_equal(np.concatenate([idx for _, idx in tasks]), union)
     # 60 and 80 dB are done after one top-up, 40 dB after two.
-    points_sent = [sorted({i for ids, _ in tasks for i in ids}) for tasks in rounds]
+    points_sent = [[i for i, _, _ in tasks[0][0]] for tasks in rounds]
     assert points_sent == [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1], [0]]
     for point, rejected in enumerate(rejections):
-        sent = [idx for tasks in rounds for ids, idx in tasks if point in ids]
+        sent = [idx[(a <= idx) & (idx < b)] for tasks in rounds for ranges, idx in tasks for i, a, b in ranges if i == point]
         np.testing.assert_array_equal(np.concatenate(sent), np.arange(200 + rejected))
     assert multiprocessing.active_children() == []
 
@@ -357,32 +364,36 @@ def _engine_args(grid_side, dbs, trials, cond_threshold=1e12, seed=3):
         p = db_to_linear(db)
         bits_list = [None if s.kind == "perfect" else build_allocation(s, layout, 0.6, p).bits for s in specs]
         points.append((pathloss_matrix(levels, p), p, bits_list))
-    return (points, seed, list(range(len(dbs))), np.arange(trials), cond_threshold, None)
+    return (points, seed, [(i, 0, trials) for i in range(len(dbs))], np.arange(trials), cond_threshold, None)
 
 
-def _replayed(grid_side, points, seed, point_ids, trial_indices, cond_threshold, mask):
+def _replayed(grid_side, points, seed, ranges, trial_indices, cond_threshold, mask):
     """What _simulate_trials returns for the grid, from one public kernel call
-    per point, trial and policy, none of them sharing memory with another.
-    Each point's model is built again from the layout; only its nominal SNR
-    and bit tables are taken from points."""
+    per point, trial and policy, none of them sharing memory with another:
+    per range, the indices of trial_indices that lie in it. Each point's
+    sigma is built again from the layout; only its nominal SNR and bit
+    tables are taken from points."""
     positions = place_grid(grid_side).positions
-    return [_replayed_point(positions, 0.6, *points[i][1:], seed, trial_indices, cond_threshold) for i in point_ids]
+    return [
+        _replayed_point(positions, 0.6, *points[i][1:], seed, [t for t in trial_indices if a <= t < b], cond_threshold)
+        for i, a, b in ranges
+    ]
 
 
 def _replayed_point(positions, gamma, p, bits_list, seed, trial_indices, cond_threshold):
     k = len(positions)
-    model = pathloss_matrix(interference_levels(pairwise_distance(NodeLayout(positions)), gamma), p)
+    sigma = pathloss_matrix(interference_levels(pairwise_distance(NodeLayout(positions)), gamma), p)
     n, n_pol = len(trial_indices), len(bits_list)
     rates, row_dev = np.full((n, n_pol, k), np.nan), np.full((n, n_pol, k), np.nan)
     accepted, worst = np.zeros(n, dtype=bool), np.zeros(n)
     for row, t in enumerate(trial_indices):
-        chan = draw_channel(model, trial_rng(seed, t, PURPOSE_CHANNEL))
+        chan = draw_channel(sigma, trial_rng(seed, t, PURPOSE_CHANNEL))
         noise = complex_gaussian(trial_rng(seed, t, PURPOSE_ESTIMATE), (k, k, k))
         try:
             t_star = zf_precoder(chan.H, p, cond_threshold)
             precs = [
                 t_star if b is None
-                else distributed_precoder(apply_estimate_noise(chan, model, b, noise), p, cond_threshold)
+                else distributed_precoder(apply_estimate_noise(chan, sigma, b, noise), p, cond_threshold)
                 for b in bits_list
             ]
         except IllConditionedError as exc:
@@ -422,6 +433,45 @@ def test_multi_point_engine_call_equals_each_point_replayed():
     got = evaluation._simulate_trials(*args)
     assert not np.array_equal(got[0][3], got[1][3])
     assert _same_bytes(got, _replayed(4, *args))
+
+
+def test_disjoint_ranges_equal_each_point_replayed():
+    """Ranges [0, 5) at 20 dB and [9, 14) at 60 dB over their union, which
+    is not contiguous: a K = 16 chunk of 3 trials straddles the gap and
+    holds trials of both points. Each point returns only its own rows, which
+    equal its replay byte for byte."""
+    points, seed, _, _, threshold, mask = _engine_args(4, [20.0, 60.0], 0, cond_threshold=300.0)
+    ranges, idx = [(0, 0, 5), (1, 9, 14)], np.r_[0:5, 9:14]
+    got = evaluation._simulate_trials(points, seed, ranges, idx, threshold, mask)
+    assert [len(res[3]) for res in got] == [5, 5]
+    assert _same_bytes(got, _replayed(4, points, seed, ranges, idx, threshold, mask))
+
+
+def test_one_worker_sweep_draws_each_index_once_per_round(monkeypatch):
+    """The grid-3 four-point top-up case at one worker: each round, first
+    trials and top-ups alike, is one engine call over the union of its
+    points' ranges, and derives each (trial, purpose) cell once, though the
+    top-up ranges of the four points overlap."""
+    calls = []
+    real_engine, real_streams = evaluation._simulate_trials, evaluation.trial_streams
+
+    def recording_engine(*args, **kwargs):
+        calls.append([])
+        return real_engine(*args, **kwargs)
+
+    def recording_streams(seed, trials, purposes):
+        calls[-1].extend(zip(trials, purposes))
+        return real_streams(seed, trials, purposes)
+
+    monkeypatch.setattr(evaluation, "_simulate_trials", recording_engine)
+    monkeypatch.setattr(evaluation, "trial_streams", recording_streams)
+    case = {k: v for k, v in _TOPUP_CASE.items() if k != "p"}
+    res = evaluate_curves(**case, snr_db=[30.0, 40.0, 60.0, 80.0], max_rejection_rate=0.5)
+    assert [pt.rejections for pt in res.curves[PolicySpec("perfect")].points] == [63, 26, 7, 6]
+    # One call per round: every point, every point's top-up, then 30 and 40 dB, then 30 dB.
+    assert len(calls) == 4
+    for cells in calls:
+        assert len(cells) == len(set(cells))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -545,22 +595,23 @@ def test_default_threshold_clears_without_svd(monkeypatch):
 
 
 def test_pool_workers_build_nothing(monkeypatch):
-    """Every point's model and allocation tables are built before the fork:
+    """Every point's sigma and allocation tables are built before the fork:
     with the builders made to raise once _engine has returned, a pooled task
     still returns the bytes of an inline call."""
     specs = [PolicySpec("perfect"), PolicySpec("distance"), PolicySpec("uniform")]
     engine = evaluation._engine(place_grid(2), 0.6, specs, [1e4, 1e6], 12, 1e12, False)
-    inline = engine([0, 1], np.arange(5))
+    ranges = [(0, 0, 5), (1, 0, 5)]
+    inline = engine(ranges, np.arange(5))
 
     def no_build(*args, **kwargs):
-        raise AssertionError("an engine call built a model or a table")
+        raise AssertionError("an engine call built a sigma or a table")
 
     for name in ("pathloss_matrix", "build_allocation", "interference_levels", "pairwise_distance"):
         monkeypatch.setattr(evaluation, name, no_build)
     with evaluation._worker_pool(2, engine) as pool:
-        [pooled] = pool.map(evaluation._run_block, [([0, 1], np.arange(5))], chunksize=1)
+        [pooled] = pool.map(evaluation._run_block, [(ranges, np.arange(5))], chunksize=1)
     assert _same_bytes(pooled, inline)
-    assert _same_bytes(engine([0, 1], np.arange(5)), inline)
+    assert _same_bytes(engine(ranges, np.arange(5)), inline)
     assert multiprocessing.active_children() == []
 
 

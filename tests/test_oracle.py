@@ -142,10 +142,10 @@ def test_partial_sum_diagonal_exact():
 
 
 def test_partial_sum_monotone_residual():
-    model = pathloss_matrix(interference_levels(pairwise_distance(place_grid(2)), 0.5), 1e6)
+    sigma = pathloss_matrix(interference_levels(pairwise_distance(place_grid(2)), 0.5), 1e6)
     done = 0
     for t in range(40):
-        h = model.sigma * complex_gaussian(trial_rng(3, t, PURPOSE_CHANNEL), (4, 4))
+        h = sigma * complex_gaussian(trial_rng(3, t, PURPOSE_CHANNEL), (4, 4))
         try:
             resids = [neumann_partial_sum(h, n)[1] for n in range(5)]
         except (DivergentSeriesError, np.linalg.LinAlgError):
@@ -346,10 +346,10 @@ def _one_trial_tail(layout, gamma, p, seed, draws):
     among the first `draws` trials, one draw and one expansion at a time."""
     dist = pairwise_distance(layout)
     n0 = truncation_order(dist, gamma).n0
-    model = pathloss_matrix(interference_levels(dist, gamma), p)
+    sigma = pathloss_matrix(interference_levels(dist, gamma), p)
     resid_sq, next_sq = [], []
     for t in range(draws):
-        h = draw_channel(model, trial_rng(seed, t, PURPOSE_CHANNEL)).H
+        h = draw_channel(sigma, trial_rng(seed, t, PURPOSE_CHANNEL)).H
         try:
             _, resid = _one_trial_expansion(h, n0)
         except (DivergentSeriesError, np.linalg.LinAlgError):

@@ -87,11 +87,11 @@ def test_distributed_collapse_to_shared_matrix():
 
 
 def test_distributed_rows_match_per_tx_solves():
-    model = pathloss_matrix(interference_levels(pairwise_distance(place_grid(2)), 0.6), 1e4)
-    chan = draw_channel(model, trial_rng(21, 0, PURPOSE_CHANNEL))
+    sigma = pathloss_matrix(interference_levels(pairwise_distance(place_grid(2)), 0.6), 1e4)
+    chan = draw_channel(sigma, trial_rng(21, 0, PURPOSE_CHANNEL))
     bits = distance_based(pairwise_distance(place_grid(2)), 0.6, 1e4).bits
     noise = complex_gaussian(trial_rng(21, 0, PURPOSE_ESTIMATE), (4, 4, 4))
-    est = apply_estimate_noise(chan, model, bits, noise)
+    est = apply_estimate_noise(chan, sigma, bits, noise)
     prec = distributed_precoder(est, 1e4)
     for j in range(4):
         row = zf_precoder(est[j], 1e4).T[j]
@@ -219,16 +219,16 @@ def test_batched_kernels_equal_stacked_single_calls(seed, k, batch, thr):
     rng = np.random.default_rng(seed)
     layout = place_uniform_random(k, 3.0, rng)
     p = 1e4
-    model = pathloss_matrix(interference_levels(pairwise_distance(layout), 0.6), p)
+    sigma = pathloss_matrix(interference_levels(pairwise_distance(layout), 0.6), p)
     h_unit = complex_gaussian(rng, batch + (k, k))
-    chan = ChannelRealization(H=model.sigma * h_unit)
+    chan = ChannelRealization(H=sigma * h_unit)
     bits = rng.integers(0, 12, (k, k, k)).astype(float)
     noise = complex_gaussian(rng, batch + (k, k, k))
 
-    est = apply_estimate_noise(chan, model, bits, noise)
+    est = apply_estimate_noise(chan, sigma, bits, noise)
     for idx in np.ndindex(batch):
         one = ChannelRealization(H=chan.H[idx])
-        assert est[idx].tobytes() == apply_estimate_noise(one, model, bits, noise[idx]).tobytes()
+        assert est[idx].tobytes() == apply_estimate_noise(one, sigma, bits, noise[idx]).tobytes()
 
     zf_singles = _each(lambda h: zf_precoder(h, p, thr), chan.H, batch)
     zf = _assert_batch_matches(lambda: zf_precoder(chan.H, p, thr), zf_singles, batch)
@@ -274,12 +274,12 @@ def test_relabelling_nodes_permutes_every_index(seed, k, side, gamma, snr_db):
         tables[spec] = build_allocation(spec, layout, gamma, p).bits
         assert build_allocation(spec, moved, gamma, p).bits.tobytes() == tables[spec][ix3].tobytes()
 
-    model, model_moved = pathloss_matrix(levels, p), pathloss_matrix(levels_moved, p)
-    h = model.sigma * complex_gaussian(rng, (k, k))
+    sigma, sigma_moved = pathloss_matrix(levels, p), pathloss_matrix(levels_moved, p)
+    h = sigma * complex_gaussian(rng, (k, k))
     noise = complex_gaussian(rng, (k, k, k))
     bits = tables[PolicySpec("distance")]
-    est = apply_estimate_noise(ChannelRealization(H=h), model, bits, noise)
-    est_moved = apply_estimate_noise(ChannelRealization(H=h[ix2]), model_moved, bits[ix3], noise[ix3])
+    est = apply_estimate_noise(ChannelRealization(H=h), sigma, bits, noise)
+    est_moved = apply_estimate_noise(ChannelRealization(H=h[ix2]), sigma_moved, bits[ix3], noise[ix3])
     assert est_moved.tobytes() == est[ix3].tobytes()
 
     for kernel, h_in, h_in_moved in ((zf_precoder, h, h[ix2]), (distributed_precoder, est, est_moved)):
@@ -393,13 +393,13 @@ def test_per_tx_power_near_perfect_most_trials():
     gamma = 0.6
     p = 10.0**6
     dist = pairwise_distance(layout)
-    model = pathloss_matrix(interference_levels(dist, gamma), p)
+    sigma = pathloss_matrix(interference_levels(dist, gamma), p)
     bits = distance_based(dist, gamma, p).bits
-    scale = model.sigma[None] * np.exp2(-0.5 * bits)
+    scale = sigma[None] * np.exp2(-0.5 * bits)
     ok = 0
     total = 0
     for t in range(300):
-        h = model.sigma * complex_gaussian(trial_rng(23, t, PURPOSE_CHANNEL), (16, 16))
+        h = sigma * complex_gaussian(trial_rng(23, t, PURPOSE_CHANNEL), (16, 16))
         if np.linalg.cond(h) > 1e12:
             continue
         noise = complex_gaussian(trial_rng(23, t, PURPOSE_ESTIMATE), (16, 16, 16))
