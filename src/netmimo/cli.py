@@ -26,7 +26,7 @@ from . import __version__
 from .allocation import PolicySpec, allocation_size, build_allocation, cluster_fit, conventional
 from .channel import PURPOSE_CHANNEL, PURPOSE_LAYOUT, draw_channel, pathloss_matrix, trial_rng
 from .evaluation import (
-    ExperimentResult,
+    RatePoint,
     RejectionRateError,
     db_to_linear,
     dof_slope,
@@ -263,12 +263,11 @@ def _size_table_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rates_csv(result: ExperimentResult, policies: list[PolicySpec]) -> str:
+def _rates_csv(result: dict[PolicySpec, list[RatePoint]], policies: list[PolicySpec]) -> str:
     lines = ["policy,alpha,snr_db,user,mean_rate_bits,stderr,trials,rejections"]
     for spec in policies:
-        curve = result.curves[spec]
         alpha = _fmt(spec.alpha) if spec.kind == "distance" else ""
-        for pt in curve.points:
+        for pt in result[spec]:
             for u in range(len(pt.mean_per_user)):
                 lines.append(
                     f"{spec.kind},{alpha},{_fmt(pt.snr_db)},{u + 1},"
@@ -282,7 +281,21 @@ def _rates_csv(result: ExperimentResult, policies: list[PolicySpec]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1, dump_channel: str | None = None) -> ExperimentResult:
+@dataclass(frozen=True)
+class _Curve:
+    points: list[RatePoint]
+
+
+@dataclass(frozen=True)
+class _RunResult:
+    """run_experiment's result: curves[spec].points is evaluate_curves'
+    list for the policy. perfbench/run.py reads the run's trial and
+    rejection counts in this form."""
+
+    curves: dict[PolicySpec, _Curve]
+
+
+def run_experiment(config: ExperimentConfig, workers: int = 1, dump_channel: str | None = None) -> _RunResult:
     """Run a config end to end and write rates.csv, metadata.json, layout.txt
     (and the channel dump, if asked for).
 
@@ -317,17 +330,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, dump_channel: str
         "cooperation_radius": d0,
         "sizes": size_rows,
         "dof": _dof_fits(config, result),
-        "rejections": {
-            spec.label(): [pt.rejections for pt in result.curves[spec].points]
-            for spec in config.policies
-        },
+        "rejections": {spec.label(): [pt.rejections for pt in result[spec]] for spec in config.policies},
     }
 
     texts = [csv_text, json.dumps(metadata, indent=2, sort_keys=True) + "\n", format_layout(layout)]
     if dump_channel:
         texts.append(_channel_csv(config, layout))
     _write_all(dict(zip(_run_outputs(config.output, dump_channel), texts, strict=True)), Path(config.output))
-    return result
+    return _RunResult({spec: _Curve(points) for spec, points in result.items()})
 
 
 def _run_outputs(output: str, dump_channel: str | None) -> list[Path]:
@@ -337,15 +347,15 @@ def _run_outputs(output: str, dump_channel: str | None) -> list[Path]:
     return [*paths, Path(dump_channel)] if dump_channel else paths
 
 
-def _dof_fits(config: ExperimentConfig, result: ExperimentResult) -> dict:
+def _dof_fits(config: ExperimentConfig, result: dict[PolicySpec, list[RatePoint]]) -> dict:
     """The metadata's dof block, the only place slopes are fitted: per policy
     label, the fit over the last fit_points SNR points (all of them, if
     fewer); a policy with fewer than 2 points has no entry."""
     dof = {}
     for spec in config.policies:
-        curve = result.curves[spec]
-        if len(curve.points) >= 2:
-            est = dof_slope(curve, min(config.fit_points, len(curve.points)))
+        points = result[spec]
+        if len(points) >= 2:
+            est = dof_slope(points, min(config.fit_points, len(points)))
             dof[spec.label()] = {"slope": est.slope, "residual": est.residual, "fit_snr_db": list(est.fit_snr_db)}
     return dof
 
@@ -486,15 +496,19 @@ def parse_policy(token: str) -> PolicySpec:
     """Parse CLI policy tokens: perfect, conventional, zero, distance[:alpha],
     cluster[:size], uniform[:support]."""
     kind, _, arg = token.partition(":")
-    if kind == "distance":
-        return PolicySpec("distance", alpha=float(arg) if arg else 1.0)
-    if kind == "cluster":
-        return PolicySpec("cluster", cluster_size=int(arg) if arg else 4)
-    if kind == "uniform":
-        return PolicySpec("uniform", uniform_support=arg or "all")
-    if arg:
-        raise ValueError(f"policy {kind!r} takes no argument")
-    return PolicySpec(kind)
+    try:
+        if kind == "distance":
+            return PolicySpec("distance", alpha=float(arg) if arg else 1.0)
+        if kind == "cluster":
+            return PolicySpec("cluster", cluster_size=int(arg) if arg else 4)
+        if kind == "uniform":
+            return PolicySpec("uniform", uniform_support=arg or "all")
+        if arg:
+            raise ValueError(f"policy {kind!r} takes no argument")
+        return PolicySpec(kind)
+    except ValueError as exc:
+        # argparse reports a type function's ValueError without its message.
+        raise argparse.ArgumentTypeError(f"{token!r}: {exc}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -714,13 +728,14 @@ def _translated(data, old_positions) -> ExperimentConfig:
 
 def _cmd_run(cfg: ExperimentConfig, workers: int, dump_channel: str | None) -> int:
     try:
-        result = run_experiment(cfg, workers=workers, dump_channel=dump_channel)
+        curves = run_experiment(cfg, workers=workers, dump_channel=dump_channel).curves
     except RejectionRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    result = {spec: curve.points for spec, curve in curves.items()}
     dof = _dof_fits(cfg, result)
     for spec in cfg.policies:
-        top = max(result.curves[spec].points, key=lambda q: q.snr_db)  # where the slope's fit window ends
+        top = max(result[spec], key=lambda q: q.snr_db)  # where the slope's fit window ends
         slope = dof[spec.label()]["slope"] if spec.label() in dof else float("nan")
         print(f"{spec.label():<22} top {top.snr_db:g} dB: {top.mean_avg:.3f} bits/user (slope {slope:.3f})")
     print(f"wrote {Path(cfg.output) / 'rates.csv'}")

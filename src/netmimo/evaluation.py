@@ -1,5 +1,6 @@
-"""Monte-Carlo evaluation: per-trial rates, ergodic rate points and curves,
-high-SNR slope fits, and precoder-deviation statistics.
+"""Monte-Carlo evaluation: per-trial rates, one RatePoint per policy and SNR
+point (ergodic rates and precoder-deviation statistics), curves as lists of
+those points, and high-SNR slope fits.
 
 All policies in a run are evaluated on coupled draws: trial t uses one
 channel draw and one estimation-noise tensor, each policy scaling the same
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
@@ -71,11 +72,8 @@ __all__ = [
     "RejectionRateError",
     "RateSample",
     "RatePoint",
-    "RateCurve",
     "DofEstimate",
-    "DeviationPoint",
     "PointResult",
-    "ExperimentResult",
     "instantaneous_rates",
     "evaluate_point",
     "evaluate_curves",
@@ -118,7 +116,15 @@ class RateSample:
 
 @dataclass(frozen=True)
 class RatePoint:
-    """Ergodic rates at one SNR point, averaged over accepted trials."""
+    """One policy at one SNR point, over its accepted trials.
+
+    snr_db is the value asked for and p = 10^(snr_db/10). The rates are
+    ergodic means and standard errors, per user and averaged over users.
+    deviation_mean and deviation_median summarize ||T - T*||_F^2, the
+    distance of the policy's precoder from the perfect-CSIT one, and
+    deviation_row_median holds the (K,) median squared deviation of each
+    TX's row. rejections counts the trials the point replaced.
+    """
 
     snr_db: float
     p: float
@@ -128,31 +134,9 @@ class RatePoint:
     stderr_avg: float
     trials: int
     rejections: int
-
-
-@dataclass(frozen=True)
-class DeviationPoint:
-    """Distance of the distributed precoder from the perfect-CSIT one.
-
-    mean and median summarize ||T - T*||_F^2 over accepted trials;
-    per_row_median holds the median squared deviation of each TX's row.
-    """
-
-    snr_db: float
-    p: float
-    mean: float
-    median: float
-    per_row_median: np.ndarray
-    trials: int
-    rejections: int
-
-
-@dataclass
-class RateCurve:
-    """One policy's rate points across an SNR grid."""
-
-    policy: PolicySpec
-    points: list[RatePoint] = field(default_factory=list)
+    deviation_mean: float
+    deviation_median: float
+    deviation_row_median: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -169,16 +153,7 @@ class PointResult:
     """Coupled evaluation of several policies at one SNR point."""
 
     rates: dict[PolicySpec, RatePoint]
-    deviations: dict[PolicySpec, DeviationPoint]
     samples: dict[PolicySpec, np.ndarray] | None = None
-
-
-@dataclass
-class ExperimentResult:
-    """Curves and deviation tracks for every policy of a run."""
-
-    curves: dict[PolicySpec, RateCurve]
-    deviations: dict[PolicySpec, list[DeviationPoint]]
 
 
 def instantaneous_rates(h: np.ndarray, precoder: Precoder | np.ndarray) -> RateSample:
@@ -483,7 +458,7 @@ def _evaluate(
     layout: NodeLayout,
     gamma: float,
     policies: list[PolicySpec],
-    p_list: list[float],
+    points: list[tuple[float, float]],
     trials: int,
     seed: int,
     *,
@@ -493,7 +468,7 @@ def _evaluate(
     workers: int = 1,
     keep_samples: bool = False,
 ) -> list[PointResult]:
-    """Coupled evaluation of every policy at every nominal SNR of p_list.
+    """Coupled evaluation of every policy at every (snr_db, p) point.
 
     The sweep's engine, every point's sigma and allocation tables included,
     is built before a pool forks, so the workers inherit it.
@@ -504,9 +479,9 @@ def _evaluate(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0.0 <= max_rejection_rate < 1.0:
         raise ValueError(f"max_rejection_rate must lie in [0, 1), got {max_rejection_rate}")
-    engine = _engine(layout, gamma, policies, p_list, seed, cond_threshold, data_mask)
-    swept = _sweep(engine, len(p_list), layout.K, trials, max_rejection_rate, workers)
-    return [_point_result(policies, p, blocks, trials, keep_samples) for p, blocks in zip(p_list, swept)]
+    engine = _engine(layout, gamma, policies, [p for _, p in points], seed, cond_threshold, data_mask)
+    swept = _sweep(engine, len(points), layout.K, trials, max_rejection_rate, workers)
+    return [_point_result(policies, pt, blocks, trials, keep_samples) for pt, blocks in zip(points, swept)]
 
 
 def _engine(layout, gamma, policies, p_list, seed, cond_threshold, data_mask) -> partial:
@@ -529,15 +504,14 @@ def _engine(layout, gamma, policies, p_list, seed, cond_threshold, data_mask) ->
 
 
 def _point_result(
-    policies: list[PolicySpec], p: float, blocks: list, trials: int, keep_samples: bool
+    policies: list[PolicySpec], point: tuple[float, float], blocks: list, trials: int, keep_samples: bool
 ) -> PointResult:
+    snr_db, p = point
     rates, dev, row_dev, accepted = (np.concatenate([b[j] for b in blocks], axis=0) for j in range(4))
     keep = np.flatnonzero(accepted)
     rates, dev, row_dev = rates[keep], dev[keep], row_dev[keep]
     rejections = len(accepted) - trials
-    snr_db = linear_to_db(p)
     rate_points: dict[PolicySpec, RatePoint] = {}
-    dev_points: dict[PolicySpec, DeviationPoint] = {}
     samples: dict[PolicySpec, np.ndarray] = {}
     for i, spec in enumerate(policies):
         per_user = rates[:, i, :]
@@ -551,19 +525,13 @@ def _point_result(
             stderr_avg=float(_stderr(avg_series)),
             trials=per_user.shape[0],
             rejections=rejections,
-        )
-        dev_points[spec] = DeviationPoint(
-            snr_db=snr_db,
-            p=p,
-            mean=float(dev[:, i].mean()),
-            median=float(np.median(dev[:, i])),
-            per_row_median=np.median(row_dev[:, i, :], axis=0),
-            trials=dev.shape[0],
-            rejections=rejections,
+            deviation_mean=float(dev[:, i].mean()),
+            deviation_median=float(np.median(dev[:, i])),
+            deviation_row_median=np.median(row_dev[:, i, :], axis=0),
         )
         if keep_samples:
             samples[spec] = per_user
-    return PointResult(rates=rate_points, deviations=dev_points, samples=samples or None)
+    return PointResult(rates=rate_points, samples=samples or None)
 
 
 def evaluate_point(
@@ -580,10 +548,11 @@ def evaluate_point(
     Every policy sees the same channel and the same estimation-noise draws
     (scaled by its own bit counts), so cross-policy comparisons share their
     randomness. Means and standard errors run over accepted trials only.
-    Options: cond_threshold, max_rejection_rate, data_mask, workers and
-    keep_samples (per-trial rates in PointResult.samples).
+    PointResult.rates maps each policy to its RatePoint, whose snr_db is
+    10 log10(p). Options: cond_threshold, max_rejection_rate, data_mask,
+    workers and keep_samples (per-trial rates in PointResult.samples).
     """
-    return _evaluate(layout, gamma, policies, [p], trials, seed, **opts)[0]
+    return _evaluate(layout, gamma, policies, [(linear_to_db(p), p)], trials, seed, **opts)[0]
 
 
 def evaluate_curves(
@@ -594,26 +563,23 @@ def evaluate_curves(
     trials: int,
     seed: int,
     **opts,
-) -> ExperimentResult:
+) -> dict[PolicySpec, list[RatePoint]]:
     """evaluate_point over an SNR grid, every point in one sweep.
 
-    Each round draws every index once for all the points whose ranges hold
-    it: every point's first trials in the first round, the union of the
-    top-up ranges of the points still short later. With workers > 1, one
-    pool serves the whole sweep, and each of its rounds is one task queue
-    over blocks of that index set.
+    Returns each policy's RatePoints in the order of snr_db, each holding
+    the dB value it was asked for. Each round draws every index once for
+    all the points whose ranges hold it: every point's first trials in the
+    first round, the union of the top-up ranges of the points still short
+    later. With workers > 1, one pool serves the whole sweep, and each of
+    its rounds is one task queue over blocks of that index set.
     """
-    curves = {spec: RateCurve(policy=spec) for spec in policies}
-    deviations: dict[PolicySpec, list[DeviationPoint]] = {spec: [] for spec in policies}
-    for point in _evaluate(layout, gamma, policies, [db_to_linear(db) for db in snr_db], trials, seed, **opts):
-        for spec in policies:
-            curves[spec].points.append(point.rates[spec])
-            deviations[spec].append(point.deviations[spec])
-    return ExperimentResult(curves=curves, deviations=deviations)
+    results = _evaluate(layout, gamma, policies, [(db, db_to_linear(db)) for db in snr_db], trials, seed, **opts)
+    return {spec: [point.rates[spec] for point in results] for spec in policies}
 
 
-def dof_slope(curve: RateCurve, fit_points: int = 4) -> DofEstimate:
-    """Slope of mean rate per user against log2(P) over the top fit_points SNRs.
+def dof_slope(points: list[RatePoint], fit_points: int = 4) -> DofEstimate:
+    """Slope of mean rate per user against log2(P) over the top fit_points
+    SNRs of one policy's points, in any order.
 
     This is the generalized-DoF estimate of the curve; residual is the RMS
     misfit of the regression line over the window, which must not repeat an
@@ -621,7 +587,7 @@ def dof_slope(curve: RateCurve, fit_points: int = 4) -> DofEstimate:
     """
     if fit_points < 2:
         raise ValueError(f"fit_points must be >= 2, got {fit_points}")
-    pts = sorted(curve.points, key=lambda q: q.snr_db)
+    pts = sorted(points, key=lambda q: q.snr_db)
     if len(pts) < fit_points:
         raise ValueError(f"curve has {len(pts)} points, need at least {fit_points}")
     window = pts[-fit_points:]

@@ -47,8 +47,8 @@ __all__ = [
 
 
 # One (n, K, K) complex stack of trials or pairs stays under this many bytes,
-# so the working set does not grow with the trials. Half the engine's chunk
-# cap: a partial sum keeps about ten such stacks alive at once.
+# so the working set does not grow with the trials. It is small because a
+# partial sum keeps about ten such stacks alive at once.
 _STACK_BYTES = 1 << 15
 
 # The tail check replaces divergent draws from a spare budget of one draw per

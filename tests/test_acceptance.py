@@ -41,12 +41,12 @@ def _report(name: str, passed: bool, detail: str) -> None:
 
 
 def _slope(result, spec, fit_points):
-    return dof_slope(result.curves[spec], fit_points).slope
+    return dof_slope(result[spec], fit_points).slope
 
 
 def _dev_slope(points):
     x = np.log2([pt.p for pt in points])
-    return float(np.polyfit(x, np.log2([pt.median for pt in points]), 1)[0])
+    return float(np.polyfit(x, np.log2([pt.deviation_median for pt in points]), 1)[0])
 
 
 @pytest.fixture(scope="module")
@@ -125,8 +125,8 @@ def test_criterion_02_dof_ordering(fig1_run):
 
 def test_criterion_03_deviation_scaling(deviation_run):
     specs, result = deviation_run
-    conv_slope = _dev_slope(result.deviations[specs[0]])
-    zero_slope = _dev_slope(result.deviations[specs[1]])
+    conv_slope = _dev_slope(result[specs[0]])
+    zero_slope = _dev_slope(result[specs[1]])
     ok = abs(conv_slope) <= 0.15 and abs(zero_slope - 1.0) <= 0.15
     _report(
         "criterion 3 deviation scaling",
@@ -137,9 +137,9 @@ def test_criterion_03_deviation_scaling(deviation_run):
 
 def test_criterion_04_per_row_condition(deviation_run):
     specs, result = deviation_run
-    points = result.deviations[specs[2]]
+    points = result[specs[2]]
     x = np.log2([pt.p for pt in points])
-    rows = np.log2(np.array([pt.per_row_median for pt in points]))
+    rows = np.log2(np.array([pt.deviation_row_median for pt in points]))
     slopes = np.polyfit(x, rows, 1)[0]
     worst = float(np.max(np.abs(slopes)))
     ok = worst <= 0.15
@@ -155,8 +155,8 @@ def test_criterion_05_alpha_variants(alpha_run):
     s075 = _slope(result, specs[1], 4)
     s100 = _slope(result, specs[2], 4)
     s125 = _slope(result, specs[3], 4)
-    top075 = result.curves[specs[1]].points[-1].mean_avg
-    top100 = result.curves[specs[2]].points[-1].mean_avg
+    top075 = result[specs[1]][-1].mean_avg
+    top100 = result[specs[2]][-1].mean_avg
     cfg = ExperimentConfig(seed=202, layout_kind="random", random_k=15, random_side=6.0, gamma=0.7)
     dist = pairwise_distance(resolve_layout(cfg))
     p = db_to_linear(50.0)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -123,9 +124,9 @@ def test_parse_policy_tokens():
     assert parse_policy("distance:0.75") == PolicySpec("distance", alpha=0.75)
     assert parse_policy("cluster:9") == PolicySpec("cluster", cluster_size=9)
     assert parse_policy("uniform:conventional") == PolicySpec("uniform", uniform_support="conventional")
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError, match="'perfect:3': policy 'perfect' takes no argument"):
         parse_policy("perfect:3")
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError, match="'nearest': unknown policy kind 'nearest'"):
         parse_policy("nearest")
 
 
@@ -154,6 +155,21 @@ def test_run_experiment_outputs(tmp_path):
         assert len(entry["fit_snr_db"]) == 2
     layout = parse_layout((tmp_path / "out" / "layout.txt").read_text())
     np.testing.assert_array_equal(layout.positions, place_grid(2).positions)
+
+
+def test_outputs_keep_the_requested_snr_db(tmp_path):
+    """Each SNR point reports the dB value it was given, not the value
+    10 log10(10^(dB/10)) rebuilds from its linear SNR."""
+    snr_db = [1e-6, 0.001, 0.1, 0.5]
+    out = tmp_path / "out"
+    argv = ["run", "--grid-side", "2", "--trials", "3", "--policies", "perfect", "distance", "--output", str(out)]
+    assert main(argv + ["--snr-db", *map(str, snr_db)]) == 0
+    rows = [line.split(",") for line in (out / "rates.csv").read_text().splitlines()[1:]]
+    for kind in ("perfect", "distance"):
+        assert sorted({float(r[2]) for r in rows if r[0] == kind}) == snr_db
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["config"]["snr_db"] == snr_db
+    assert [entry["fit_snr_db"] for entry in meta["dof"].values()] == [snr_db, snr_db]
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -475,9 +491,9 @@ def test_rerun_reads_only_its_metadata(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "tokens, message",
     [
-        (["nearest"], "argument --policies: invalid parse_policy value: 'nearest'"),
-        (["distance:-1"], "argument --policies: invalid parse_policy value: 'distance:-1'"),
-        (["cluster:3"], "argument --policies: invalid parse_policy value: 'cluster:3'"),
+        (["nearest"], "argument --policies: 'nearest': unknown policy kind 'nearest'"),
+        (["distance:-1"], "argument --policies: 'distance:-1': alpha must be finite and > 0, got -1.0"),
+        (["cluster:3"], "argument --policies: 'cluster:3': cluster_size must be a positive perfect square, got 3"),
         (["perfect", "perfect"], "policies must be distinct, got perfect twice"),
     ],
     ids=["unknown-kind", "negative-alpha", "cluster-not-square", "duplicate"],
@@ -491,12 +507,36 @@ def test_bad_policies_are_usage_errors(tmp_path, capsys, tokens, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sizes"])
+@pytest.mark.parametrize(
+    "token, reason",
+    [
+        ("distance:nan", "alpha must be finite and > 0, got nan"),
+        ("cluster:3", "cluster_size must be a positive perfect square, got 3"),
+        ("uniform:foo", "uniform_support must be 'all' or 'conventional', got 'foo'"),
+        ("perfect:1", "policy 'perfect' takes no argument"),
+    ],
+    ids=["nan-alpha", "non-square-cluster", "unknown-support", "perfect-argument"],
+)
+def test_bad_policy_tokens_say_why(tmp_path, capsys, command, token, reason):
+    """A --policies token that cannot make a policy is a usage error that
+    gives the reason, as the same policy in a --config file does."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([command, "--grid-side", "2", "--snr-db", "20", "--policies", token, "--output", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --policies: {token!r}: {reason}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["run", "--trials", "3", "--policies", "distance:nan"],
-         "argument --policies: invalid parse_policy value: 'distance:nan'"),
-        (["sizes", "--policies", "distance:inf"], "argument --policies: invalid parse_policy value: 'distance:inf'"),
+         "argument --policies: 'distance:nan': alpha must be finite and > 0, got nan"),
+        (["sizes", "--policies", "distance:inf"],
+         "argument --policies: 'distance:inf': alpha must be finite and > 0, got inf"),
         (["run", "--config", "c.json"], "c.json: alpha must be finite and > 0, got nan"),
     ],
     ids=["run-nan", "sizes-inf", "config-nan"],

@@ -18,7 +18,6 @@ from netmimo.channel import (
     trial_rng,
 )
 from netmimo.evaluation import (
-    RateCurve,
     RatePoint,
     RejectionRateError,
     db_to_linear,
@@ -127,10 +126,10 @@ def test_point_statistics_and_sample_shapes():
         assert rp.mean_avg == pytest.approx(rp.mean_per_user.mean(), rel=1e-12)
         assert point.samples[spec].shape == (50, 4)
         np.testing.assert_allclose(point.samples[spec].mean(axis=0), rp.mean_per_user)
-    dv = point.deviations[specs[0]]
-    assert dv.mean == 0.0 and dv.median == 0.0  # perfect tracks itself
-    np.testing.assert_array_equal(dv.per_row_median, np.zeros(4))
-    assert point.deviations[specs[1]].mean > 0.0
+    dv = point.rates[specs[0]]
+    assert dv.deviation_mean == 0.0 and dv.deviation_median == 0.0  # perfect tracks itself
+    np.testing.assert_array_equal(dv.deviation_row_median, np.zeros(4))
+    assert point.rates[specs[1]].deviation_mean > 0.0
 
 
 def test_perfect_dominates_within_noise():
@@ -165,7 +164,7 @@ def test_deterministic_across_calls_and_workers():
         np.testing.assert_array_equal(a.rates[spec].mean_per_user, b.rates[spec].mean_per_user)
         np.testing.assert_array_equal(a.rates[spec].mean_per_user, c.rates[spec].mean_per_user)
         assert a.rates[spec].stderr_avg == c.rates[spec].stderr_avg
-        assert a.deviations[spec].median == c.deviations[spec].median
+        assert a.rates[spec].deviation_median == c.rates[spec].deviation_median
 
 
 def test_single_trial_stderr_sentinel():
@@ -240,7 +239,7 @@ def test_sweep_forks_one_pool(monkeypatch):
     res = evaluate_curves(
         **case, snr_db=[30.0, 40.0, 60.0, 80.0], max_rejection_rate=0.5, workers=2
     )
-    rejections = [pt.rejections for pt in res.curves[PolicySpec("perfect")].points]
+    rejections = [pt.rejections for pt in res[PolicySpec("perfect")]]
     assert len(started) == 1
     assert rejections == [63, 26, 7, 6]
     # The first round runs trials 0..199 of every point.
@@ -467,7 +466,7 @@ def test_one_worker_sweep_draws_each_index_once_per_round(monkeypatch):
     monkeypatch.setattr(evaluation, "trial_streams", recording_streams)
     case = {k: v for k, v in _TOPUP_CASE.items() if k != "p"}
     res = evaluate_curves(**case, snr_db=[30.0, 40.0, 60.0, 80.0], max_rejection_rate=0.5)
-    assert [pt.rejections for pt in res.curves[PolicySpec("perfect")].points] == [63, 26, 7, 6]
+    assert [pt.rejections for pt in res[PolicySpec("perfect")]] == [63, 26, 7, 6]
     # One call per round: every point, every point's top-up, then 30 and 40 dB, then 30 dB.
     assert len(calls) == 4
     for cells in calls:
@@ -510,7 +509,7 @@ def test_sweep_draws_each_trial_once(monkeypatch, n_points):
     monkeypatch.setattr(evaluation, "complex_gaussian", counting_draw)
     snr_db = [20.0 + 10.0 * i for i in range(n_points)]
     res = evaluate_curves(place_grid(2), 0.6, _FIG1_POLICIES, snr_db, 30, seed=4)
-    assert all(pt.rejections == 0 for pt in res.curves[_FIG1_POLICIES[0]].points)
+    assert all(pt.rejections == 0 for pt in res[_FIG1_POLICIES[0]])
     assert sorted(cells) == [(t, pur) for t in range(30) for pur in (PURPOSE_CHANNEL, PURPOSE_ESTIMATE)]
     assert len(draws) == len(cells)
     assert sorted(draws) == [(4, 4)] * 30 + [(4, 4, 4)] * 30
@@ -648,10 +647,10 @@ def test_evaluate_curves_structure():
     snr = [20.0, 30.0, 40.0]
     res = evaluate_curves(layout, 0.6, specs, snr, 30, seed=12)
     for spec in specs:
-        curve = res.curves[spec]
-        assert [pt.snr_db for pt in curve.points] == pytest.approx(snr)
-        assert len(res.deviations[spec]) == 3
-        assert all(pt.trials == 30 for pt in curve.points)
+        points = res[spec]
+        assert [pt.snr_db for pt in points] == snr
+        assert all(pt.deviation_row_median.shape == (4,) for pt in points)
+        assert all(pt.trials == 30 for pt in points)
 
 
 def _synthetic_curve(slope):
@@ -669,9 +668,12 @@ def _synthetic_curve(slope):
                 stderr_avg=0.0,
                 trials=10,
                 rejections=0,
+                deviation_mean=0.0,
+                deviation_median=0.0,
+                deviation_row_median=np.array([0.0]),
             )
         )
-    return RateCurve(policy=PolicySpec("perfect"), points=pts)
+    return pts
 
 
 def test_dof_slope_synthetic_lines():
@@ -690,5 +692,5 @@ def test_dof_slope_validation():
         dof_slope(curve, 5)
     # A repeated SNR inside the fit window would fit fewer x values than it claims.
     with pytest.raises(ValueError, match="repeats an SNR point"):
-        dof_slope(RateCurve(curve.policy, curve.points + curve.points[-1:]), 2)
-    assert dof_slope(RateCurve(curve.policy, curve.points[:3] + curve.points[:1]), 3).slope == pytest.approx(1.0)
+        dof_slope(curve + curve[-1:], 2)
+    assert dof_slope(curve[:3] + curve[:1], 3).slope == pytest.approx(1.0)
