@@ -92,7 +92,9 @@ class ExperimentConfig:
     output: str = "netmimo-out"
 
     def validate(self) -> None:
-        """Raise ValueError naming the first invalid field, a misfit cluster policy included."""
+        """Raise ValueError naming the first invalid field, a misfit cluster
+        policy and two policies or SNR points the outputs cannot tell apart
+        included."""
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.layout_kind not in ("grid", "random", "positions"):
@@ -114,16 +116,12 @@ class ExperimentConfig:
                 p = math.inf
             if not 1.0 < p < math.inf:
                 raise ValueError(f"every snr_db point needs a finite nominal SNR P = 10^(dB/10) > 1, got {db!r} dB")
-        for i, db in enumerate(self.snr_db):
-            if db in self.snr_db[:i]:
-                raise ValueError(f"snr_db points must be distinct, got {db!r} dB twice")
+        _told_apart("snr_db points", self.snr_db, _fmt, lambda db: f"{db!r} dB")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.policies:
             raise ValueError("at least one policy is required")
-        for i, spec in enumerate(self.policies):
-            if spec in self.policies[:i]:
-                raise ValueError(f"policies must be distinct, got {spec.label()} twice")
+        _told_apart("policies", self.policies, _policy_key, _token)
         if self.fit_points < 2:
             raise ValueError(f"fit_points must be >= 2, got {self.fit_points}")
         if not self.cond_threshold > 0.0:
@@ -171,6 +169,35 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(text))
 
 
+def _fmt(x: float) -> str:
+    return f"{x:.10g}"
+
+
+def _policy_key(spec: PolicySpec) -> str:
+    """The policy and alpha columns of spec's rows, which also name its bit
+    files; two policies with the same label() have the same key."""
+    return f"{spec.kind},{_fmt(spec.alpha) if spec.kind == 'distance' else ''}"
+
+
+def _token(spec: PolicySpec) -> str:
+    """The --policies token of spec, alpha in full."""
+    arg = {"distance": repr(spec.alpha), "cluster": spec.cluster_size, "uniform": spec.uniform_support}.get(spec.kind)
+    return spec.kind if arg is None else f"{spec.kind}:{arg}"
+
+
+def _told_apart(name: str, values: list, key, show) -> None:
+    """Raise ValueError naming, by show, the first two values whose key (the
+    form the outputs give them) is the same."""
+    seen: dict = {}
+    for value in values:
+        if (k := key(value)) in seen:
+            first = seen[k]
+            got = (f"{show(value)} twice" if first == value
+                   else f"{show(first)} and {show(value)}, which the outputs cannot tell apart")
+            raise ValueError(f"{name} must be distinct, got {got}")
+        seen[k] = value
+
+
 def _field_values(cls, data, where: str) -> dict:
     """data, checked to be keyword arguments of the dataclass cls: every key
     a field, every value of the field's type (a float field takes an int);
@@ -210,10 +237,6 @@ def resolve_layout(config: ExperimentConfig) -> NodeLayout:
     return NodeLayout(config.positions)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
 def compute_size_table(
     layout: NodeLayout, gamma: float, policies: list[PolicySpec], snr_db: list[float]
 ) -> list[dict]:
@@ -229,12 +252,9 @@ def compute_size_table(
     specs += [s for s in policies if s.kind not in ("perfect", "conventional")]
     for db in snr_db:
         p = db_to_linear(db)
-        ref = allocation_size(conventional(levels, p), p)
-        for spec in specs:
-            if spec.kind == "conventional":  # the reference table itself
-                size = ref
-            else:
-                size = allocation_size(build_allocation(spec, layout, gamma, p), p)
+        ref = allocation_size(conventional(levels, p))
+        for spec in specs:  # the conventional row is the reference itself
+            size = ref if spec.kind == "conventional" else allocation_size(build_allocation(spec, layout, gamma, p))
             rows.append(
                 {
                     "policy": spec.kind,
@@ -629,6 +649,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # _write_all names the file it could not write, and wrote none
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # raised before _write_all, or undone by it
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def _command(args: argparse.Namespace) -> int:
@@ -752,8 +775,8 @@ def _export_bits(cfg: ExperimentConfig, layout: NodeLayout, outdir: Path) -> dic
             bits = build_allocation(spec, layout, cfg.gamma, db_to_linear(db)).bits
             lines = ["j,k,i,bits"]
             lines += [f"{j + 1},{k + 1},{i + 1},{b:.10g}" for (j, k, i), b in np.ndenumerate(bits)]
-            alpha = f"_a{spec.alpha:g}" if spec.kind == "distance" else ""
-            files[outdir / f"bits_{spec.kind}{alpha}_{db:g}dB.csv"] = "\n".join(lines) + "\n"
+            alpha = f"_a{_fmt(spec.alpha)}" if spec.kind == "distance" else ""
+            files[outdir / f"bits_{spec.kind}{alpha}_{_fmt(db)}dB.csv"] = "\n".join(lines) + "\n"
     return files
 
 

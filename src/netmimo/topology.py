@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "NodeLayout",
-    "UnboundedRadiusError",
     "place_grid",
     "place_uniform_random",
     "pairwise_distance",
@@ -26,10 +25,6 @@ __all__ = [
     "format_layout",
     "parse_layout",
 ]
-
-
-class UnboundedRadiusError(ValueError):
-    """No finite cooperation radius exists for gamma >= 1."""
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,7 @@ def cooperation_radius(gamma: float) -> float:
     as a direct one and no finite radius exists.
     """
     if gamma >= 1.0:
-        raise UnboundedRadiusError(f"cooperation radius is unbounded for gamma = {gamma}")
+        raise ValueError(f"cooperation radius is unbounded for gamma = {gamma}")
     if gamma <= 0.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     return 1.0 / (1.0 - gamma)

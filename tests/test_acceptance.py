@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from netmimo.allocation import PolicySpec, allocation_size, conventional, distance_based
+from netmimo.allocation import PolicySpec, allocation_size, build_allocation, conventional
 from netmimo.cli import ExperimentConfig, resolve_layout, run_experiment
 from netmimo.evaluation import db_to_linear, dof_slope, evaluate_curves
 from netmimo.oracle import (
@@ -92,8 +92,8 @@ def test_criterion_01_size_ratio():
     layout = place_grid(6)
     dist = pairwise_distance(layout)
     p = db_to_linear(50.0)
-    conv = allocation_size(conventional(interference_levels(dist, 0.6), p), p)
-    dist_size = allocation_size(distance_based(dist, 0.6, p), p)
+    conv = allocation_size(conventional(interference_levels(dist, 0.6), p))
+    dist_size = allocation_size(build_allocation(PolicySpec("distance"), layout, 0.6, p))
     ratio = dist_size.total_bits / conv.total_bits
     ratio_asym = dist_size.prelog_asymptotic / conv.prelog_asymptotic
     elapsed = time.perf_counter() - start
@@ -158,11 +158,12 @@ def test_criterion_05_alpha_variants(alpha_run):
     top075 = result[specs[1]][-1].mean_avg
     top100 = result[specs[2]][-1].mean_avg
     cfg = ExperimentConfig(seed=202, layout_kind="random", random_k=15, random_side=6.0, gamma=0.7)
-    dist = pairwise_distance(resolve_layout(cfg))
+    layout = resolve_layout(cfg)
+    dist = pairwise_distance(layout)
     p = db_to_linear(50.0)
-    conv_bits = allocation_size(conventional(interference_levels(dist, 0.7), p), p).total_bits
+    conv_bits = allocation_size(conventional(interference_levels(dist, 0.7), p)).total_bits
     fractions = [
-        allocation_size(distance_based(dist, 0.7, p, alpha=a), p).total_bits / conv_bits
+        allocation_size(build_allocation(PolicySpec("distance", alpha=a), layout, 0.7, p)).total_bits / conv_bits
         for a in (0.75, 1.0, 1.25)
     ]
     frac_ok = all(abs(f - t) <= 0.10 for f, t in zip(fractions, (0.30, 0.17, 0.10)))
@@ -243,9 +244,10 @@ def test_criterion_09_local_data_sharing():
 def test_criterion_10_gamma_one_collapse():
     checked = 0
     for side in (2, 3, 5):
-        d = pairwise_distance(place_grid(side))
+        layout = place_grid(side)
+        d = pairwise_distance(layout)
         for p in (10.0**2, 2.0**20, 10.0**6.6):
-            dist_bits = distance_based(d, 1.0, p).bits
+            dist_bits = build_allocation(PolicySpec("distance"), layout, 1.0, p).bits
             conv_bits = conventional(interference_levels(d, 1.0), p).bits
             if not np.array_equal(dist_bits, conv_bits):
                 _report("criterion 10 gamma->1 collapse", False, f"mismatch at side {side}, P {p:g}")

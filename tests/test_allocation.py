@@ -4,18 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netmimo.allocation import (
+    POLICY_KINDS,
     CsitAllocation,
     PolicySpec,
     allocation_size,
     build_allocation,
     cluster_fit,
-    clustered_matched,
     conventional,
-    distance_based,
     distance_exponents,
-    perfect_allocation,
-    uniform_matched,
-    zero_allocation,
 )
 from netmimo.topology import (
     NodeLayout,
@@ -30,6 +26,10 @@ from netmimo.topology import (
 def _grid(side):
     layout = place_grid(side)
     return layout, pairwise_distance(layout)
+
+
+def _distance(layout, gamma, p, alpha=1.0):
+    return build_allocation(PolicySpec("distance", alpha=alpha), layout, gamma, p)
 
 
 def test_conventional_values():
@@ -62,8 +62,7 @@ def test_conventional_clamp_at_distance_three():
 
 
 def test_distance_based_values():
-    _, d = _grid(3)
-    alloc = distance_based(d, 0.6, 2.0**20)
+    alloc = _distance(place_grid(3), 0.6, 2.0**20)
     # own direct link: both distances zero, full bits
     for j in range(9):
         assert alloc.bits[j, j, j] == 20.0
@@ -72,18 +71,17 @@ def test_distance_based_values():
 
 
 def test_distance_self_link_full_bits():
-    _, d = _grid(4)
     p = 10.0**4.2
-    alloc = distance_based(d, 0.55, p)
+    alloc = _distance(place_grid(4), 0.55, p)
     want = np.ceil(np.log2(p))
     for j in range(16):
         assert alloc.bits[j, j, j] == want
 
 
 def test_distance_gamma_one_equals_conventional():
-    _, d = _grid(4)
+    layout, d = _grid(4)
     for p in (1e3, 2.0**20, 10.0**6.6):
-        dist_alloc = distance_based(d, 1.0, p)
+        dist_alloc = _distance(layout, 1.0, p)
         conv_alloc = conventional(interference_levels(d, 1.0), p)
         np.testing.assert_array_equal(dist_alloc.bits, conv_alloc.bits)
 
@@ -100,22 +98,22 @@ def test_distance_gamma_one_equals_conventional():
 @example(layout=place_grid(3), gamma=0.6, p=1e5)
 def test_distance_dominated_by_conventional(layout, gamma, p):
     d = pairwise_distance(layout)
-    dist_alloc = distance_based(d, gamma, p)
+    dist_alloc = _distance(layout, gamma, p)
     conv_alloc = conventional(interference_levels(d, gamma), p)
     assert np.all(dist_alloc.bits <= conv_alloc.bits)
 
 
 def test_distance_alpha_monotone():
-    _, d = _grid(3)
+    layout = place_grid(3)
     prev = None
     for alpha in (0.5, 0.75, 1.0, 1.5, 2.0):
-        bits = distance_based(d, 0.6, 1e5, alpha=alpha).bits
+        bits = _distance(layout, 0.6, 1e5, alpha=alpha).bits
         if prev is not None:
             assert np.all(bits <= prev)
         prev = bits
     for alpha in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="alpha must be finite and > 0"):
-            distance_based(d, 0.6, 1e5, alpha=alpha)
+            _distance(layout, 0.6, 1e5, alpha=alpha)
 
 
 def test_distance_zero_radius_property():
@@ -123,7 +121,7 @@ def test_distance_zero_radius_property():
     layout, d = _grid(6)
     gamma = 0.6
     d0 = cooperation_radius(gamma)
-    bits = distance_based(d, gamma, 1e5).bits
+    bits = _distance(layout, gamma, 1e5).bits
     far = d > d0  # [j, k]: receiver k beyond TX j's radius
     for j in range(36):
         assert np.all(bits[j][far[j], :] == 0.0)
@@ -134,8 +132,7 @@ def test_distance_interior_size_constant_in_grid_side():
     gamma = 0.6
     totals = []
     for side in (7, 9, 11):
-        layout, d = _grid(side)
-        bits = distance_based(d, gamma, 1e5).bits
+        bits = _distance(place_grid(side), gamma, 1e5).bits
         center = (side // 2) * side + side // 2
         totals.append(bits[center].sum())
     assert totals[0] == totals[1] == totals[2]
@@ -152,27 +149,29 @@ def test_exponent_tensor_orientation():
 
 
 def test_uniform_matched_spread():
-    alloc = uniform_matched(8.0**3, 8)
-    assert np.all(alloc.bits == 1.0)
-    assert uniform_matched(0.0, 3).bits.sum() == 0.0
-    with pytest.raises(ValueError):
-        uniform_matched(-1.0, 3)
+    layout = place_grid(2)
+    p = 2.0**20
+    budget = _distance(layout, 0.6, p).bits.sum()
+    alloc = build_allocation(PolicySpec("uniform"), layout, 0.6, p)
+    assert np.all(alloc.bits == budget / 4**3)
+    assert alloc.bits.sum() == pytest.approx(budget)
 
 
 def test_uniform_matched_support_mask():
-    support = np.zeros((3, 3, 3), dtype=bool)
-    support[0, 0, 0] = support[1, 1, 1] = True
-    alloc = uniform_matched(10.0, 3, support)
-    assert alloc.bits[0, 0, 0] == 5.0
-    assert alloc.bits.sum() == pytest.approx(10.0)
-    with pytest.raises(ValueError):
-        uniform_matched(10.0, 3, np.zeros((3, 3, 3), dtype=bool))
+    layout = NodeLayout(np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0]]))  # only the direct links are positive
+    p = 2.0**20
+    budget = _distance(layout, 0.6, p).bits.sum()
+    alloc = build_allocation(PolicySpec("uniform", uniform_support="conventional"), layout, 0.6, p)
+    for j in range(3):
+        for k in range(3):
+            assert alloc.bits[j, k, k] == budget / 9
+    assert alloc.bits.sum() == pytest.approx(budget)
 
 
 def test_cluster_geometry_6x6():
-    layout, d = _grid(6)
-    budget = float(distance_based(d, 0.6, 1e5).bits.sum())
-    alloc = clustered_matched(budget, layout, 4)
+    layout = place_grid(6)
+    budget = float(_distance(layout, 0.6, 1e5).bits.sum())
+    alloc = build_allocation(PolicySpec("cluster", cluster_size=4), layout, 0.6, 1e5)
     positive = alloc.bits > 0
     # each TX covers exactly its own 2x2 block: 16 positive entries
     assert np.all(positive.sum(axis=(1, 2)) == 16)
@@ -186,22 +185,21 @@ def test_cluster_geometry_6x6():
 
 
 def test_cluster_singletons():
-    layout, d = _grid(3)
-    alloc = clustered_matched(9.0, layout, 1)
+    alloc = build_allocation(PolicySpec("cluster", cluster_size=1), place_grid(3), 0.6, 1e5)
     positive = np.argwhere(alloc.bits > 0)
     assert len(positive) == 9
     assert all(j == k == i for j, k, i in positive)
 
 
 def test_cluster_errors():
-    layout, _ = _grid(3)
+    layout = place_grid(3)
     with pytest.raises(ValueError):
-        clustered_matched(1.0, layout, 4)  # side 3 not divisible by 2
+        build_allocation(PolicySpec("cluster", cluster_size=4), layout, 0.6, 1e5)  # side 3 not divisible by 2
     with pytest.raises(ValueError):
-        clustered_matched(1.0, layout, 3)  # not a perfect square
+        build_allocation(PolicySpec("cluster", cluster_size=3), layout, 0.6, 1e5)  # not a perfect square
     random_layout = place_uniform_random(9, 4.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        clustered_matched(1.0, random_layout, 1)
+        build_allocation(PolicySpec("cluster", cluster_size=1), random_layout, 0.6, 1e5)
 
 
 def test_cluster_fit_names_the_blocks_and_the_misfit():
@@ -217,12 +215,12 @@ def test_cluster_fit_names_the_blocks_and_the_misfit():
 
 
 def test_size_matching_within_tolerance():
-    layout, d = _grid(4)
+    layout = place_grid(4)
     p = 1e5
-    target = allocation_size(distance_based(d, 0.6, p), p).total_bits
+    target = allocation_size(_distance(layout, 0.6, p)).total_bits
     for spec in (PolicySpec("uniform"), PolicySpec("cluster", cluster_size=4)):
         alloc = build_allocation(spec, layout, 0.6, p)
-        got = allocation_size(alloc, p).total_bits
+        got = allocation_size(alloc).total_bits
         assert got == pytest.approx(target, rel=1e-9)
 
 
@@ -233,38 +231,35 @@ def test_uniform_support_flag():
     alloc = build_allocation(spec, layout, 0.6, p)
     conv_bits = conventional(interference_levels(d, 0.6), p).bits
     assert np.all((alloc.bits > 0) == (conv_bits > 0))
-    target = distance_based(d, 0.6, p).bits.sum()
+    target = _distance(layout, 0.6, p).bits.sum()
     assert alloc.bits.sum() == pytest.approx(target, rel=1e-9)
 
 
 def test_allocation_size_accounting():
-    layout, d = _grid(3)
     p = 1e5
     log2p = np.log2(p)
-    alloc = distance_based(d, 0.6, p)
-    size = allocation_size(alloc, p)
+    alloc = _distance(place_grid(3), 0.6, p)
+    size = allocation_size(alloc)
     assert size.total_bits == alloc.bits.sum()
     np.testing.assert_allclose(size.per_tx_bits, alloc.bits.sum(axis=(1, 2)))
     assert size.prelog == pytest.approx(size.total_bits / log2p)
     assert size.prelog >= size.prelog_asymptotic
     assert size.prelog - size.prelog_asymptotic <= 9**3 / log2p
-    with pytest.raises(ValueError):
-        allocation_size(alloc, 1e6)  # built at a different SNR
 
 
 def test_allocation_size_k1_prelog():
     levels = interference_levels(np.zeros((1, 1)), 0.6)
     p = 2.0**20
-    size = allocation_size(conventional(levels, p), p)
+    size = allocation_size(conventional(levels, p))
     assert size.prelog == 1.0
     assert size.prelog_asymptotic == 1.0
 
 
 def test_zero_and_perfect_tables():
-    z = zero_allocation(4)
+    z = build_allocation(PolicySpec("zero"), place_grid(2), 0.6, 100.0)
     assert z.bits.sum() == 0.0
-    assert allocation_size(z, 100.0).total_bits == 0.0
-    pf = perfect_allocation(4)
+    assert allocation_size(z).total_bits == 0.0
+    pf = build_allocation(PolicySpec("perfect"), place_grid(2), 0.6, 100.0)
     assert np.all(np.isinf(pf.bits))
 
 
@@ -273,12 +268,12 @@ def test_negative_bits_rejected():
     bits = np.zeros((3, 3, 3))
     bits[2, 2, 2] = -1.0
     with pytest.raises(ValueError):
-        CsitAllocation(policy="zero", bits=bits)
+        CsitAllocation(policy="zero", bits=bits, log2_p=1.0)
     bits[2, 2, 2] = np.nan
     with pytest.raises(ValueError):
-        CsitAllocation(policy="zero", bits=bits)
+        CsitAllocation(policy="zero", bits=bits, log2_p=1.0)
     with pytest.raises(ValueError):
-        CsitAllocation(policy="zero", bits=np.zeros((3, 3)))
+        CsitAllocation(policy="zero", bits=np.zeros((3, 3)), log2_p=1.0)
 
 
 def test_policy_spec_validation_and_labels():
@@ -292,6 +287,8 @@ def test_policy_spec_validation_and_labels():
     assert PolicySpec("distance", alpha=0.75).label() == "distance(alpha=0.75)"
     assert PolicySpec("cluster", cluster_size=9).label() == "cluster(size=9)"
     assert PolicySpec("zero").label() == "zero"
+    assert PolicySpec("uniform").label() == "uniform"
+    assert PolicySpec("uniform", uniform_support="conventional").label() == "uniform(support=conventional)"
 
 
 def test_build_allocation_dispatch():
@@ -302,4 +299,23 @@ def test_build_allocation_dispatch():
     conv = build_allocation(PolicySpec("conventional"), layout, 0.6, p)
     np.testing.assert_array_equal(conv.bits, conventional(interference_levels(d, 0.6), p).bits)
     dist = build_allocation(PolicySpec("distance", alpha=1.5), layout, 0.6, p)
-    np.testing.assert_array_equal(dist.bits, distance_based(d, 0.6, p, 1.5).bits)
+    np.testing.assert_array_equal(dist.bits, np.ceil(distance_exponents(d, 0.6, 1.5) * np.log2(p)))
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_every_table_records_its_snr(kind):
+    """Each table keeps the log2(P) it was built at, which its size reads."""
+    alloc = build_allocation(PolicySpec(kind), place_grid(2), 0.6, 1e4)
+    assert alloc.log2_p == np.log2(1e4)
+    if kind != "perfect":
+        assert allocation_size(alloc).prelog == alloc.bits.sum() / np.log2(1e4)
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_build_allocation_checks_gamma_and_snr(kind):
+    layout = place_grid(2)
+    for gamma in (0.0, 1.5, np.nan):
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            build_allocation(PolicySpec(kind), layout, gamma, 1e4)
+    with pytest.raises(ValueError, match="nominal SNR must exceed 1"):
+        build_allocation(PolicySpec(kind), layout, 0.6, 1.0)

@@ -16,7 +16,7 @@ from netmimo.channel import (
     trial_rng,
     trial_streams,
 )
-from netmimo.allocation import distance_based
+from netmimo.allocation import PolicySpec, build_allocation
 from netmimo.topology import interference_levels, pairwise_distance, place_grid
 
 
@@ -135,11 +135,11 @@ def test_estimate_matched_bits_give_one_over_p():
 def test_estimate_same_for_readonly_and_writable_tables():
     """An allocation's read-only table gives the same estimate on every call
     as a fresh writable copy of the table."""
-    d = pairwise_distance(place_grid(2))
-    sigma = pathloss_matrix(interference_levels(d, 0.6), 1e4)
+    layout = place_grid(2)
+    sigma = pathloss_matrix(interference_levels(pairwise_distance(layout), 0.6), 1e4)
     chan = draw_channel(sigma, np.random.default_rng(9))
     noise = complex_gaussian(np.random.default_rng(10), (4, 4, 4))
-    table = distance_based(d, 0.6, 1e4).bits
+    table = build_allocation(PolicySpec("distance"), layout, 0.6, 1e4).bits
     assert not table.flags.writeable
     first = apply_estimate_noise(chan, sigma, table, noise)
     np.testing.assert_array_equal(apply_estimate_noise(chan, sigma, table, noise), first)

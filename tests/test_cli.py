@@ -991,3 +991,84 @@ def test_two_outputs_naming_one_file_exit_2(tmp_path, capsys, monkeypatch, argv,
     assert f"error: two outputs of this command name the same file: {named.format(tmp=tmp_path)}" in err
     assert "Traceback" not in err and out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["sizes", "--grid-side", "6", "--snr-db", "40", "--export-bits", "eb",
+          "--policies", "cluster:4", "cluster:9", "uniform", "uniform:conventional"],
+         "policies must be distinct, got cluster:4 and cluster:9, which the outputs cannot tell apart"),
+        (["sizes", "--grid-side", "4", "--snr-db", "40", "--policies", "uniform", "uniform:conventional"],
+         "policies must be distinct, got uniform:all and uniform:conventional, which the outputs cannot tell apart"),
+        (["run", "--grid-side", "4", "--snr-db", "20", "40", "--trials", "3", "--output", "out",
+          "--policies", "uniform:conventional", "perfect", "uniform"],
+         "policies must be distinct, got uniform:conventional and uniform:all, which the outputs cannot tell apart"),
+        (["run", "--grid-side", "2", "--snr-db", "20", "40", "--trials", "3", "--output", "out",
+          "--policies", "distance:1", "distance:1.00000000001"],
+         "policies must be distinct, got distance:1.0 and distance:1.00000000001, which the outputs cannot tell apart"),
+        (["sizes", "--grid-side", "2", "--snr-db", "20", "20.00000000001", "--export-bits", "eb"],
+         "snr_db points must be distinct, got 20.0 dB and 20.00000000001 dB, which the outputs cannot tell apart"),
+        (["run", "--grid-side", "2", "--snr-db", "20", "40", "20.00000000001", "--trials", "3", "--output", "out"],
+         "snr_db points must be distinct, got 20.0 dB and 20.00000000001 dB, which the outputs cannot tell apart"),
+    ],
+    ids=["sizes-clusters", "sizes-uniform-supports", "run-uniform-supports", "run-alphas", "sizes-snr", "run-snr"],
+)
+def test_outputs_that_cannot_tell_two_entries_apart_exit_2(tmp_path, capsys, monkeypatch, argv, reason):
+    """Two policies, or two SNR points, that would write the same rows at
+    .10g, the same metadata label or the same bit-file name are a usage error
+    naming both, before anything runs: exit 2, no traceback, no output."""
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert f"error: {reason}" in err
+    assert "Traceback" not in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_export_bits_writes_a_file_per_policy_and_snr_point(tmp_path, capsys):
+    """Policies and SNR points that differ at 10 significant digits get bit
+    files and size-table rows of their own."""
+    argv = ["sizes", "--grid-side", "2", "--snr-db", "20", "20.0000001", "--export-bits", str(tmp_path / "eb"),
+            "--policies", "distance:1", "distance:1.0000001", "uniform:conventional", "cluster:1"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len({tuple(r.split(",")[:3]) for r in rows}) == len(rows) == 2 * 5  # conventional and 4 policies
+    assert sorted(p.name for p in (tmp_path / "eb").iterdir()) == sorted(
+        f"bits_{name}_{db}dB.csv"
+        for name in ("cluster", "distance_a1", "distance_a1.0000001", "uniform")
+        for db in ("20", "20.0000001")
+    )
+
+
+def test_uniform_support_is_named_in_the_metadata(tmp_path):
+    cfg = _tiny_config(tmp_path / "out", policies=[PolicySpec("uniform", uniform_support="conventional")])
+    run_experiment(cfg)
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert list(meta["dof"]) == list(meta["rejections"]) == ["uniform(support=conventional)"]
+
+
+@pytest.mark.parametrize(
+    "argv, patched",
+    [
+        (["run", "--grid-side", "2", "--snr-db", "20", "40", "--trials", "3", "--output", "out"], "evaluate_curves"),
+        (["fig1-desk", "--trials", "2", "--output", "out"], "evaluate_curves"),
+        (["sizes", "--grid-side", "2", "--snr-db", "40", "--output", "out.csv", "--export-bits", "eb"],
+         "compute_size_table"),
+    ],
+    ids=["run", "preset", "sizes"],
+)
+def test_memory_error_is_an_error_line_and_exit_2(tmp_path, capsys, monkeypatch, argv, patched):
+    """A MemoryError that escapes a command is reported as one error line,
+    exit 2, with nothing written."""
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.75 GiB for an array with shape (625, 625, 625)")
+
+    monkeypatch.setattr(f"netmimo.cli.{patched}", out_of_memory)
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert "error: out of memory: Unable to allocate 1.75 GiB" in err
+    assert "Traceback" not in err and out == ""
+    assert list(tmp_path.iterdir()) == []

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from netmimo import evaluation
-from netmimo.allocation import PolicySpec, build_allocation, distance_based
+from netmimo.allocation import PolicySpec, build_allocation
 from netmimo.cli import ExperimentConfig, fig2_desk_config, run_experiment
 from netmimo.channel import (
     PURPOSE_CHANNEL,
@@ -91,7 +91,7 @@ def test_rate_difference_decomposition():
     p = db_to_linear(40.0)
     dist = pairwise_distance(layout)
     sigma = pathloss_matrix(interference_levels(dist, gamma), p)
-    bits = distance_based(dist, gamma, p).bits
+    bits = build_allocation(PolicySpec("distance"), layout, gamma, p).bits
     checked = 0
     for t in range(60):
         chan = draw_channel(sigma, trial_rng(44, t, PURPOSE_CHANNEL))

@@ -1,21 +1,27 @@
-"""Golden files: the engine's and the oracle's output pinned byte for byte.
+"""Golden files: the engine's, the allocations' and the oracle's output
+pinned byte for byte.
 
 Each *_rates.csv file under tests/data is the rates.csv of one tiny config;
+each sizes_*.csv is the table of one `sizes` call, and bits_grid4_sha256.csv
+holds the SHA-256 of every policy's bit table behind them;
 verify_seed7_trials200.csv holds every verify check's measured value and
 bound in repr, so a last-bit move shows. A change that moves a single byte
-of either is a numerical change and has to be declared as one. To regenerate
-the files after such a change, run
+of any of them is a numerical change and has to be declared as one. To
+regenerate the files after such a change, run
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
-from netmimo.allocation import PolicySpec
-from netmimo.cli import ExperimentConfig, run_experiment
+from netmimo.allocation import PolicySpec, build_allocation
+from netmimo.cli import ExperimentConfig, main, parse_policy, run_experiment
+from netmimo.evaluation import db_to_linear
 from netmimo.oracle import run_verification
+from netmimo.topology import place_grid
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -109,6 +115,46 @@ def test_rates_csv_matches_golden(name, tmp_path):
     assert _rates_csv(name, tmp_path) == (DATA / f"{name}_rates.csv").read_bytes()
 
 
+# name: the --policies tokens of a `sizes` call on the 4x4 grid at gamma 0.6,
+# 20 and 60 dB. uniform:conventional has a call of its own, since its rows
+# read like those of uniform.
+SIZES_GOLDEN = {
+    "sizes_grid4": ["conventional", "distance", "distance:0.75", "uniform", "cluster:4", "zero"],
+    "sizes_grid4_uniform_conventional": ["uniform:conventional"],
+}
+SIZES_ARGS = ["sizes", "--grid-side", "4", "--gamma", "0.6", "--snr-db", "20", "60"]
+
+
+def _sizes_csv(name: str, outdir: Path) -> bytes:
+    table = outdir / "sizes.csv"
+    assert main([*SIZES_ARGS, "--policies", *SIZES_GOLDEN[name], "--output", str(table)]) == 0
+    return table.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SIZES_GOLDEN))
+def test_size_table_matches_golden(name, tmp_path):
+    assert _sizes_csv(name, tmp_path) == (DATA / f"{name}.csv").read_bytes()
+
+
+BITS_GOLDEN = DATA / "bits_grid4_sha256.csv"
+
+
+def _bits_sha256() -> str:
+    """The SHA-256 of the bytes of every policy's bit table behind the size
+    golden files, and of the perfect policy's."""
+    layout = place_grid(4)
+    rows = ["policy,snr_db,sha256\n"]
+    for token in ["perfect", *SIZES_GOLDEN["sizes_grid4"], *SIZES_GOLDEN["sizes_grid4_uniform_conventional"]]:
+        for db in (20.0, 60.0):
+            bits = build_allocation(parse_policy(token), layout, 0.6, db_to_linear(db)).bits
+            rows.append(f"{token},{db:g},{hashlib.sha256(bits.tobytes()).hexdigest()}\n")
+    return "".join(rows)
+
+
+def test_bit_tables_match_golden():
+    assert _bits_sha256() == BITS_GOLDEN.read_text()
+
+
 VERIFY_GOLDEN = DATA / "verify_seed7_trials200.csv"
 
 
@@ -129,5 +175,11 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             (DATA / f"{golden}_rates.csv").write_bytes(_rates_csv(golden, Path(tmp)))
         print(f"wrote {DATA / f'{golden}_rates.csv'}")
+    for golden in sorted(SIZES_GOLDEN):
+        with tempfile.TemporaryDirectory() as tmp:
+            (DATA / f"{golden}.csv").write_bytes(_sizes_csv(golden, Path(tmp)))
+        print(f"wrote {DATA / f'{golden}.csv'}")
+    BITS_GOLDEN.write_text(_bits_sha256())
+    print(f"wrote {BITS_GOLDEN}")
     VERIFY_GOLDEN.write_text(_verify_csv())
     print(f"wrote {VERIFY_GOLDEN}")

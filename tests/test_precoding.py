@@ -21,7 +21,7 @@ from netmimo.precoding import (
     mask_from_sets,
     zf_precoder,
 )
-from netmimo.allocation import PolicySpec, build_allocation, distance_based
+from netmimo.allocation import PolicySpec, build_allocation
 from netmimo.evaluation import instantaneous_rates
 from netmimo.topology import (
     NodeLayout,
@@ -89,7 +89,7 @@ def test_distributed_collapse_to_shared_matrix():
 def test_distributed_rows_match_per_tx_solves():
     sigma = pathloss_matrix(interference_levels(pairwise_distance(place_grid(2)), 0.6), 1e4)
     chan = draw_channel(sigma, trial_rng(21, 0, PURPOSE_CHANNEL))
-    bits = distance_based(pairwise_distance(place_grid(2)), 0.6, 1e4).bits
+    bits = build_allocation(PolicySpec("distance"), place_grid(2), 0.6, 1e4).bits
     noise = complex_gaussian(trial_rng(21, 0, PURPOSE_ESTIMATE), (4, 4, 4))
     est = apply_estimate_noise(chan, sigma, bits, noise)
     prec = distributed_precoder(est, 1e4)
@@ -394,7 +394,7 @@ def test_per_tx_power_near_perfect_most_trials():
     p = 10.0**6
     dist = pairwise_distance(layout)
     sigma = pathloss_matrix(interference_levels(dist, gamma), p)
-    bits = distance_based(dist, gamma, p).bits
+    bits = build_allocation(PolicySpec("distance"), layout, gamma, p).bits
     scale = sigma[None] * np.exp2(-0.5 * bits)
     ok = 0
     total = 0

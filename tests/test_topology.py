@@ -3,7 +3,6 @@ import pytest
 
 from netmimo.topology import (
     NodeLayout,
-    UnboundedRadiusError,
     cooperation_radius,
     data_sharing_sets,
     format_layout,
@@ -94,7 +93,7 @@ def test_interference_levels_basic():
 def test_cooperation_radius_values():
     assert cooperation_radius(0.6) == pytest.approx(2.5)
     assert cooperation_radius(0.5) == pytest.approx(2.0)
-    with pytest.raises(UnboundedRadiusError):
+    with pytest.raises(ValueError, match="cooperation radius is unbounded for gamma = 1.0"):
         cooperation_radius(1.0)
     with pytest.raises(ValueError):
         cooperation_radius(0.0)
