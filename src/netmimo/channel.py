@@ -178,6 +178,21 @@ def complex_gaussian(rng: np.random.Generator, shape, out: np.ndarray | None = N
     return z
 
 
+def _trial_median(x) -> np.ndarray | np.float64:
+    """np.median(x, axis=0) bit for bit, for x of at least one row.
+
+    np.median's NaN check imports numpy.ma on its first call in a process.
+    This takes np.median's other steps: a partition at the middle index or
+    indices and at the last, the mean of the middle one or two rows, and,
+    for a column that holds a NaN, the NaN the partition put last.
+    """
+    n = len(x)
+    kth = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
+    part = np.partition(x, kth + [-1], axis=0)
+    mean = np.mean(part[kth[0]:n // 2 + 1], axis=0)
+    return np.where(np.isnan(part[-1]), part[-1], mean)[()]
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """One fading draw, or a stack of them along leading axes."""

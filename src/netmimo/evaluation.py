@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -53,6 +54,7 @@ from .channel import (
     PURPOSE_CHANNEL,
     PURPOSE_ESTIMATE,
     ChannelRealization,
+    _trial_median,
     apply_estimate_noise,
     complex_gaussian,
     pathloss_matrix,
@@ -350,6 +352,9 @@ def _worker_pool(workers: int, engine):
         yield None
         return
     ctx = multiprocessing.get_context("fork")
+    # Only workers draw, and numpy loads numpy.random (hashlib and OpenSSL with
+    # it) on first use: load it once here, so the workers inherit it.
+    import numpy.random  # noqa: F401
     pool = ctx.Pool(processes=workers, initializer=_init_worker, initargs=(engine,))
     try:
         yield pool
@@ -473,8 +478,14 @@ def _evaluate(
     The sweep's engine, every point's sigma and allocation tables included,
     is built before a pool forks, so the workers inherit it.
     """
+    if not policies:
+        raise ValueError("policies must not be empty")
+    if not points:
+        raise ValueError("snr_db must not be empty")
     if len(policies) != len(set(policies)):
         raise ValueError("duplicate policy specs in one run")
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0.0 <= max_rejection_rate < 1.0:
@@ -526,8 +537,8 @@ def _point_result(
             trials=per_user.shape[0],
             rejections=rejections,
             deviation_mean=float(dev[:, i].mean()),
-            deviation_median=float(np.median(dev[:, i])),
-            deviation_row_median=np.median(row_dev[:, i, :], axis=0),
+            deviation_median=float(_trial_median(dev[:, i])),
+            deviation_row_median=_trial_median(row_dev[:, i, :]),
         )
         if keep_samples:
             samples[spec] = per_user

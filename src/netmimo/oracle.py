@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from .allocation import distance_exponents
-from .channel import PURPOSE_CHANNEL, complex_gaussian, pathloss_matrix, trial_streams
+from .channel import PURPOSE_CHANNEL, _trial_median, complex_gaussian, pathloss_matrix, trial_streams
 from .topology import NodeLayout, interference_levels, pairwise_distance
 
 __all__ = [
@@ -310,7 +310,7 @@ def _median_decay_slopes(layout: NodeLayout, gamma: float, p_list, unit: np.ndar
         sigma = pathloss_matrix(interference_levels(dist, gamma), p)
         for s in range(0, trials, step):
             acc[s:s + step] = np.abs(entry_fn(sigma * unit[s:s + step])) ** 2
-        meds[pi] = np.median(acc, axis=0)
+        meds[pi] = _trial_median(acc)
     x = np.log2(p_arr)
     slopes = np.full((k, k), np.nan)
     valid = np.all(meds > 0, axis=0)
@@ -399,8 +399,8 @@ def truncation_tail_check(
         next_term_sq += [np.linalg.norm(x) ** 2 for x in neumann_term_matrix(h[ok], order.n0 + 1)]
     if len(resid_sq) < trials:
         raise RuntimeError(f"only {len(resid_sq)} convergent draws out of {t}")
-    predicted = float(np.median(next_term_sq))
-    return float(np.median(resid_sq)), float(factor * predicted)
+    predicted = float(_trial_median(next_term_sq))
+    return float(_trial_median(resid_sq)), float(factor * predicted)
 
 
 def proof_exponent_table(distances: np.ndarray, gamma: float) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from netmimo import channel
 from netmimo.channel import (
@@ -260,3 +261,24 @@ def test_estimate_batch_stacks_single_estimates(per_tx):
     assert est.shape == (3,) + bits.shape
     for t, one in enumerate(ones):
         assert est[t].tobytes() == apply_estimate_noise(one, sigma, bits, noise[t]).tobytes()
+
+
+# Few distinct values, so that ties are common, with both zeros and NaN.
+_MEDIAN_VALUES = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan]) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=7), elements=_MEDIAN_VALUES))
+@example(x=np.array([3.0]))
+@example(x=np.array([2.0, -1.0]))
+@example(x=np.array([[1.0, np.nan, 2.0], [1.0, 5.0, np.nan], [1.0, 4.0, 3.0]]))
+@example(x=np.array([[[np.nan, 1.0]], [[2.0, 2.0]], [[2.0, -0.0]], [[0.0, 2.0]]]))
+def test_trial_median_equals_np_median(x):
+    """The helper returns np.median(x, axis=0)'s type and bytes for one or
+    many rows, odd or even, ties and NaN columns, in 1-D to 3-D, and for a
+    1-D list as well as an array."""
+    want = np.median(x, axis=0)
+    inputs = [x, x.tolist()] if x.ndim == 1 else [x]
+    for got in (channel._trial_median(arg) for arg in inputs):
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (got, want)

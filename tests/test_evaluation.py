@@ -1,5 +1,10 @@
 import multiprocessing
+import os
+import re
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -639,6 +644,70 @@ def test_duplicate_policy_rejected():
     layout = place_grid(2)
     with pytest.raises(ValueError):
         evaluate_point(layout, 0.6, [PolicySpec("perfect"), PolicySpec("perfect")], 1e4, 5, seed=11)
+
+
+@pytest.mark.parametrize("workers", [0, -2, 2.5, True, "2"])
+def test_workers_must_be_an_integer_of_at_least_one(workers):
+    """A worker count that is not an integer >= 1 is named in a ValueError;
+    numpy integers are integers."""
+    with pytest.raises(ValueError, match=re.escape(f"workers must be an integer >= 1, got {workers!r}")):
+        evaluate_curves(place_grid(3), 0.6, [PolicySpec("perfect")], [20.0], 60, seed=1, workers=workers)
+    assert evaluate_curves(place_grid(2), 0.6, [PolicySpec("perfect")], [20.0], 3, seed=1, workers=np.int64(2))
+
+
+@pytest.mark.parametrize("empty", ["policies", "snr_db"])
+def test_empty_policies_or_snr_points_raise_before_anything_runs(monkeypatch, empty):
+    monkeypatch.setattr(evaluation, "_engine", _no_engine)
+    args = {"policies": [PolicySpec("perfect"), PolicySpec("distance")], "snr_db": [20.0, 40.0], empty: []}
+    with pytest.raises(ValueError, match=f"^{empty} must not be empty$"):
+        evaluate_curves(place_grid(3), 0.6, trials=60, seed=1, workers=2, **args)
+
+
+def _no_engine(*args, **kwargs):
+    raise AssertionError("an engine was built")
+
+
+# Run in a fresh interpreter: the pooled run comes first, while the parent has
+# drawn nothing, and every step must leave numpy.ma unimported.
+_IMPORT_PROBE = """
+import multiprocessing, sys
+from netmimo import cli, evaluation, oracle
+
+assert "numpy.random" not in sys.modules
+ctx = multiprocessing.get_context("fork")
+real_pool, loaded = ctx.Pool, []
+
+def recording_pool(*args, **kwargs):
+    loaded.append("numpy.random" in sys.modules)
+    return real_pool(*args, **kwargs)
+
+real_block = evaluation._run_block
+
+def checked_block(task):
+    before = set(sys.modules)
+    out = real_block(task)
+    assert set(sys.modules) == before, f"a task imported {sorted(set(sys.modules) - before)}"
+    return out
+
+ctx.Pool, evaluation._run_block = recording_pool, checked_block
+for workers in (2, 1):
+    cli.run_experiment(cli.fig1_desk_config(seed=3, trials=4, output=f"w{workers}"), workers=workers)
+    assert "numpy.ma" not in sys.modules, workers
+assert loaded == [True], loaded
+oracle.run_verification(trials=50)
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_pool_workers_and_runs_import_nothing_more(tmp_path):
+    """The parent loads numpy.random before it forks a pool, so a pooled
+    task imports no module, and neither a run nor verify imports numpy.ma."""
+    env = {**os.environ, "PYTHONPATH": str(Path(evaluation.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "w1" / "rates.csv").read_bytes() == (tmp_path / "w2" / "rates.csv").read_bytes()
 
 
 def test_evaluate_curves_structure():
