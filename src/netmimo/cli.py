@@ -124,8 +124,8 @@ class ExperimentConfig:
         _told_apart("policies", self.policies, _policy_key, _token)
         if self.fit_points < 2:
             raise ValueError(f"fit_points must be >= 2, got {self.fit_points}")
-        if not self.cond_threshold > 0.0:
-            raise ValueError(f"cond_threshold must be > 0, got {self.cond_threshold}")
+        if not self.cond_threshold >= 1.0:  # NaN included
+            raise ValueError(f"cond_threshold must be >= 1 (every matrix has kappa_2 >= 1), got {self.cond_threshold}")
         if not 0.0 <= self.max_rejection_rate < 1.0:
             raise ValueError(f"max_rejection_rate must lie in [0, 1), got {self.max_rejection_rate}")
         for spec in self.policies:

@@ -19,13 +19,13 @@ size is capped by the bytes of one policy's estimate stack, so it shrinks as
 K grows (24 trials at K = 8, 3 at K = 16, one from K = 19 up). Each call
 holds one workspace for its chunks' noise, estimate and squared-magnitude
 stacks, which the kernels write into instead of allocating them per chunk,
-point and policy. A kernel call that rejects trials names all of them in one
-IllConditionedError; the point records their kappa_2 and reruns the chunk on
-its surviving trials, so each trial's acceptance and condition estimate at
-each point are its own. A kernel call over a batch equals the calls on its
-elements bit for bit, so per-trial results depend only on (seed, trial index,
-SNR point): neither the chunking, the sharing of draws nor worker
-scheduling can change any output. A sweep builds one engine before it
+point and policy. Each (chunk, point) solves each of its trials once per
+policy: the precoding core returns a rejected mask instead of raising, and
+a trial rejected by one solve records its kappa_2 and is dropped from the
+later ones. A kernel call over a batch equals the calls on its elements bit
+for bit, so per-trial results depend only on (seed, trial index, SNR
+point): neither the chunking, the sharing of draws nor worker scheduling
+can change any output. A sweep builds one engine before it
 forks: every SNR point's sigma and allocation tables are built there, once,
 and an engine call builds nothing. Each round (the first trials of every
 point, then the top-ups of the points still short) gives each running point
@@ -60,14 +60,7 @@ from .channel import (
     pathloss_matrix,
     trial_streams,
 )
-from .precoding import (
-    DEFAULT_COND_THRESHOLD,
-    IllConditionedError,
-    Precoder,
-    distributed_precoder,
-    mask_from_sets,
-    zf_precoder,
-)
+from .precoding import DEFAULT_COND_THRESHOLD, Precoder, _precode, mask_from_sets
 from .topology import NodeLayout, data_sharing_sets, interference_levels, pairwise_distance
 
 __all__ = [
@@ -204,15 +197,15 @@ def _simulate_trials(
     holds (point id, start, stop) triples; a point runs the indices of
     trial_indices in [start, stop). bits_list entries are (K, K, K) bit
     tensors, or None for perfect CSIT (whose precoder is the reference T*
-    itself). A trial is rejected at a point when any of its solves there
-    raises IllConditionedError. Returns, per range, per-trial rates, squared
+    itself). A trial is rejected at a point when the kappa_2 of any of its
+    solves there crosses cond_threshold. Returns, per range, per-trial rates, squared
     precoder deviations (total and per TX row), acceptance flags and the
     worst condition estimate seen per trial; rejected trials carry NaNs.
 
     Trials run in chunks of at most _CHUNK_BYTES / (16 K^3). A chunk's unit
     channels and noise are drawn once; each point scales its rows of them by
-    its own sigma and runs them as one batch through the kernels. When a
-    kernel call rejects trials, the point reruns its rows without them, so
+    its own sigma and runs them as one batch through the kernels, in one
+    _solve_chunk call that drops a rejected trial from its later solves, so
     acceptance and worst_cond are decided per trial and point, exactly as for
     a lone trial at a lone point.
     """
@@ -255,27 +248,11 @@ def _simulate_trials(
             a, b = max(lo - start, 0), min(hi - start, m)
             if a >= b:
                 continue
-            sigma, p, bits_list = points[point]
-            # The product draw_channel forms, so H is the point's own draw.
-            chan = ChannelRealization(H=sigma * unit[a:b])
-            rows = np.arange(start + a, start + b)
+            rows = slice(start + a, start + b)
             noise = None if shared_noise is None else shared_noise[a:b]
-            while rows.size:
-                try:
-                    rates[j, rows], row_dev[j, rows], worst_cond[j, rows] = _solve_chunk(
-                        chan, noise, work, sigma, bits_list, p, cond_threshold, mask
-                    )
-                except IllConditionedError as exc:
-                    # Every earlier solve of a rejected trial passed the threshold,
-                    # so the kappa_2 that rejected it is its worst estimate.
-                    worst_cond[j, rows[exc.rejected]] = exc.conds[exc.rejected]
-                    keep = ~exc.rejected
-                    # Copies: the shared noise in the workspace stays whole for the next point.
-                    rows, chan = rows[keep], ChannelRealization(H=chan.H[keep])
-                    noise = None if noise is None else noise[keep]
-                else:
-                    accepted[j, rows] = True
-                    break
+            rates[j, rows], row_dev[j, rows], worst_cond[j, rows], accepted[j, rows] = _solve_chunk(
+                unit[a:b], noise, work, *points[point], cond_threshold, mask
+            )
 
     dev = row_dev.sum(axis=-1)
     return [
@@ -285,38 +262,61 @@ def _simulate_trials(
 
 
 def _solve_chunk(
-    chan: ChannelRealization,
+    unit: np.ndarray,
     noise: np.ndarray | None,
     work: np.ndarray,
     sigma: np.ndarray,
-    bits_list: list[np.ndarray | None],
     p: float,
+    bits_list: list[np.ndarray | None],
     cond_threshold: float,
     mask: np.ndarray | None,
 ):
-    """Rates (m, P, K), squared deviations per TX row (m, P, K) and the worst
-    policy condition estimate (m,) of m trials, one policy at a time.
+    """Rates (m, P, K), squared deviations per TX row (m, P, K), the worst
+    condition estimate (m,) and the acceptance flags (m,) of m trials at one
+    point, one policy at a time.
 
-    chan holds the m channels, noise the (m, K, K, K) estimation noise.
-    Rows 1 and 2 of work, the call's workspace, take each policy's estimate
-    stack and the condition screen's scratch. Raises IllConditionedError if
-    any solve of any trial is rejected.
+    unit holds the m unit channels, noise their (m, K, K, K) estimation
+    noise. Rows 1 and 2 of work, the call's workspace, take each policy's
+    estimate stack and the condition screen's scratch. A trial is rejected by
+    the first of its solves (zero-forcing on its channel, then each policy's
+    distributed one) whose kappa_2 crosses the threshold, and is dropped
+    from every later solve, with NaN rates and deviations. Every earlier
+    solve passed, so the kappa_2 that rejected it is its worst estimate.
+    Until a trial is rejected, no stack is indexed or copied.
     """
-    t_star = zf_precoder(chan.H, p, cond_threshold)
-    rates = np.empty(chan.H.shape[:1] + (len(bits_list),) + chan.H.shape[-1:])
-    row_dev = np.empty_like(rates)
-    worst = None
+    h = sigma * unit  # the product draw_channel forms, so H is the point's own draw
+    rates = np.full((len(h), len(bits_list), h.shape[-1]), np.nan)
+    row_dev = np.full_like(rates, np.nan)
+    rows = np.arange(len(h))  # the trials no solve has rejected
+    t_star, star_cond, rejected = _precode(h, p, cond_threshold)
+    worst = np.where(rejected, star_cond, 0.0)
+    if rejected.any():
+        rows, h, noise, t_star, star_cond = _drop(rejected, rows, h, noise, t_star, star_cond)
     for pol, bits in enumerate(bits_list):
+        if not len(h):
+            break
         if bits is None:
-            prec = t_star
+            t, cond = t_star, star_cond
         else:
-            est = apply_estimate_noise(chan, sigma, bits, noise, _out=work[1, : noise.size].reshape(noise.shape))
-            prec = distributed_precoder(est, p, cond_threshold, _scratch=work[2])
-        worst = prec.max_cond if worst is None else np.maximum(worst, prec.max_cond)
-        row_dev[:, pol] = (np.abs(prec.T - t_star.T) ** 2).sum(axis=-1)
-        t = prec.T if mask is None else prec.T * mask
-        rates[:, pol] = instantaneous_rates(chan.H, t).rates
-    return rates, row_dev, worst
+            out = work[1, : noise.size].reshape(noise.shape)
+            est = apply_estimate_noise(ChannelRealization(H=h), sigma, bits, noise, _out=out)
+            t, cond, rejected = _precode(est, p, cond_threshold, scratch=work[2])
+        worst[rows] = np.maximum(worst[rows], cond)
+        if bits is not None and rejected.any():
+            rows, h, noise, t_star, star_cond, t = _drop(rejected, rows, h, noise, t_star, star_cond, t)
+        row_dev[rows, pol] = (np.abs(t - t_star) ** 2).sum(axis=-1)
+        rates[rows, pol] = instantaneous_rates(h, t if mask is None else t * mask).rates
+    accepted = np.zeros(len(worst), dtype=bool)
+    accepted[rows] = True
+    # A trial rejected by a later policy's solve keeps no rate of an earlier one.
+    rates[~accepted] = row_dev[~accepted] = np.nan
+    return rates, row_dev, worst, accepted
+
+
+def _drop(rejected, *stacks):
+    """Each stack (or None) without the trials the last solve rejected."""
+    keep = ~rejected
+    return [None if s is None else s[keep] for s in stacks]
 
 
 # Tasks per worker in a round of a pooled sweep: enough that the last task to
@@ -484,10 +484,11 @@ def _evaluate(
         raise ValueError("snr_db must not be empty")
     if len(policies) != len(set(policies)):
         raise ValueError("duplicate policy specs in one run")
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    for name, value, low in (("workers", workers, 1), ("trials", trials, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    if not cond_threshold >= 1.0:  # NaN included
+        raise ValueError(f"cond_threshold must be >= 1 (every matrix has kappa_2 >= 1), got {cond_threshold}")
     if not 0.0 <= max_rejection_rate < 1.0:
         raise ValueError(f"max_rejection_rate must lie in [0, 1), got {max_rejection_rate}")
     engine = _engine(layout, gamma, policies, [p for _, p in points], seed, cond_threshold, data_mask)

@@ -10,10 +10,10 @@ kappa_2 <= ||A||_F ||A^-1||_F, read from the inverse the precoder needs
 anyway, clears well-conditioned solves without an SVD; only the rest run
 np.linalg.cond, in one call per precoder call.
 
-Both precoders take leading batch axes, one solve per element. A batched
-call equals the stacked calls on its elements bit for bit. If any element is
-rejected, one IllConditionedError names every rejected element and its
-kappa_2, each as that element's own call would have raised it.
+Both precoders take leading batch axes, one solve per element, and a
+batched call equals the stacked calls on its elements bit for bit. Their
+shared core, _precode, returns a rejected mask, which the trial engine uses;
+the public precoders raise IllConditionedError if any element is rejected.
 """
 
 from __future__ import annotations
@@ -39,18 +39,13 @@ class IllConditionedError(RuntimeError):
 
     cond is the first rejected solve's largest kappa_2, as np.linalg.cond
     computes it (inf for an exactly singular matrix). A batched call raises
-    once for all its rejected elements: rejected masks them over the batch
-    axes, and conds holds every element's condition estimate, the kappa_2 of
-    each rejected one included. For a call without batch axes both are
-    0-d. Callers are expected to resample the rejected trials and count them.
+    once, however many of its elements are rejected.
     """
 
-    def __init__(self, cond: float, threshold: float, *, rejected=None, conds=None):
+    def __init__(self, cond: float, threshold: float):
         super().__init__(f"condition estimate {cond:.3e} exceeds threshold {threshold:.3e}")
         self.cond = float(cond)
         self.threshold = float(threshold)
-        self.rejected = np.asarray(True if rejected is None else rejected)
-        self.conds = np.asarray(self.cond if conds is None else conds)
 
 
 @dataclass(frozen=True)
@@ -91,62 +86,80 @@ def _sq_magnitude(a: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
     return np.multiply(conj, a, out=conj if a.size > 1 else None).real
 
 
-def _checked_inverse(
-    matrices: np.ndarray,
-    cond_threshold: float,
-    core: int,
-    scratch: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
-    """Inverses of one solve or a batch of solves, their column norms, and
-    the condition estimate of each solve.
+def _kappa_2(flat: np.ndarray) -> np.ndarray:
+    """Each solve's largest np.linalg.cond over the (n, ...) stack of solves."""
+    return np.linalg.cond(flat).reshape(len(flat), -1).max(axis=-1)
 
-    A solve is the square matrix or stack of matrices on the trailing `core`
-    axes; leading axes are batch axes, and a call without them is a batch of
-    one. A solve is rejected iff kappa_2 (np.linalg.cond) of one of its
-    matrices is non-finite or above the threshold. The inverse is formed
-    first: kappa_2 <= kappa_F = ||A||_F ||A^-1||_F, so a solve whose every
-    kappa_F lies a safe margin below the threshold cannot be rejected and
-    needs no SVD. np.linalg.cond runs once, on the solves this screen
+
+def _precode(
+    flat: np.ndarray, p: float, cond_threshold: float, scratch: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The precoding matrix T (n, K, K) of each of n solves, its condition
+    estimate (n,) and whether it is rejected (n,).
+
+    flat is a (n, K, K) stack of channels for zero-forcing, or a (n, K, K, K)
+    stack of per-TX estimates for distributed zero-forcing. A solve is
+    rejected iff kappa_2 (np.linalg.cond) of one of its matrices is
+    non-finite or above the threshold; its T means nothing. The inverse is
+    formed first: kappa_2 <= kappa_F = ||A||_F ||A^-1||_F, so a solve whose
+    every kappa_F lies a safe margin below the threshold cannot be rejected
+    and needs no SVD. np.linalg.cond runs once, on the solves this screen
     missed, or on all of them if the LU factorization hits an exact zero
-    pivot. A rejection raises one IllConditionedError for the whole batch.
+    pivot; then only the solves it accepts are inverted again, and the
+    rejected ones get NaN inverses and unit column norms.
 
-    The condition estimate is a float for a call without batch axes, else a
-    read-only array over the batch axes. np.linalg.inv is an LU solve against
-    the identity, matrix by matrix, so its result equals solve(matrices, eye)
-    bit for bit whatever the batch. Column norms are taken over axis -2
-    exactly as np.linalg.norm(inverse, axis=-2) takes them. Given scratch
-    (see _sq_magnitude), the squared magnitudes are formed in it instead of
-    in fresh arrays.
+    np.linalg.inv is an LU solve against the identity, matrix by matrix, so
+    each solve's results equal its own call's whatever the batch. Column
+    norms are taken over axis -2 exactly as np.linalg.norm(inverse, axis=-2)
+    takes them. Given scratch (see _sq_magnitude), the squared magnitudes
+    are formed in it instead of in fresh arrays.
     """
-    batch = matrices.shape[: matrices.ndim - core]
-    flat = matrices.reshape((-1,) + matrices.shape[-core:])
+    kappa_2 = None
     try:
-        inv = np.linalg.inv(matrices)
+        inv = np.linalg.inv(flat)
     except np.linalg.LinAlgError:
-        inv, conds = None, np.full(len(flat), np.nan)  # an exact zero pivot: every solve is missed
-    else:
-        col_sq = _sq_magnitude(inv, scratch).sum(axis=-2)
-        a_sq = _sq_magnitude(matrices, scratch).sum(axis=(-2, -1))
-        kappa_f_sq = a_sq * col_sq.sum(axis=-1)  # one per matrix
-        # sqrt is monotone, so a solve's worst kappa_F is the root of its worst square.
-        conds = np.sqrt(kappa_f_sq.reshape(len(flat), -1).max(axis=-1))
-    limit = min(cond_threshold, _SCREEN_CAP) / _SCREEN_MARGIN
-    if not conds.max() < limit:  # NaN included
-        missed = ~(conds < limit)
-        conds[missed] = np.linalg.cond(flat[missed]).reshape(int(missed.sum()), -1).max(axis=-1)
+        kappa_2 = _kappa_2(flat)
+        keep = np.isfinite(kappa_2) & (kappa_2 <= cond_threshold)
+        inv = np.full(flat.shape, np.nan, dtype=complex)
+        inv[keep] = np.linalg.inv(flat[keep])  # raises again if no solve was rejected
+    col_sq = _sq_magnitude(inv, scratch).sum(axis=-2)
+    a_sq = _sq_magnitude(flat, scratch).sum(axis=(-2, -1))
+    kappa_f_sq = a_sq * col_sq.sum(axis=-1)  # one per matrix
+    # sqrt is monotone, so a solve's worst kappa_F is the root of its worst square.
+    conds = np.sqrt(kappa_f_sq.reshape(len(flat), -1).max(axis=-1))
+    rejected = np.zeros(len(flat), dtype=bool)
+    missed = ~(conds < min(cond_threshold, _SCREEN_CAP) / _SCREEN_MARGIN)  # NaN included
+    if missed.any():
+        conds[missed] = _kappa_2(flat[missed]) if kappa_2 is None else kappa_2[missed]
         rejected = ~np.isfinite(conds) | (conds > cond_threshold)
-        if rejected.any():
-            raise IllConditionedError(
-                conds[rejected][0], cond_threshold, rejected=rejected.reshape(batch), conds=conds.reshape(batch)
-            )
-        if inv is None:
-            raise np.linalg.LinAlgError("Singular matrix")
-    return inv, np.sqrt(col_sq), _readonly(conds.reshape(batch)) if batch else float(conds[0])
+    col_norms = np.sqrt(col_sq)
+    if kappa_2 is not None:
+        col_norms[rejected] = 1.0  # a NaN divisor would raise a RuntimeWarning in T
+    if flat.ndim == 3:
+        col_norms = col_norms[:, None, :]
+    else:
+        # col_norms[:, j, i] = ||TX j's inverse, column i||; keep row j of TX j's inverse
+        diag = np.arange(flat.shape[-1])
+        inv = inv[:, diag, diag, :]
+    return math.sqrt(p) * inv / col_norms, conds, rejected
 
 
 def _readonly(t: np.ndarray) -> np.ndarray:
     t.setflags(write=False)
     return t
+
+
+def _precoder(a: np.ndarray, p: float, cond_threshold: float, core: int) -> Precoder:
+    """_precode over the leading batch axes of a, whose solves span the
+    trailing `core` axes; IllConditionedError if any solve is rejected."""
+    if p <= 0:
+        raise ValueError(f"power must be > 0, got {p}")
+    batch = a.shape[: a.ndim - core]
+    t, conds, rejected = _precode(a.reshape((-1,) + a.shape[-core:]), p, cond_threshold)
+    if rejected.any():
+        raise IllConditionedError(conds[rejected][0], cond_threshold)
+    max_cond = _readonly(conds.reshape(batch)) if batch else float(conds[0])
+    return Precoder(T=_readonly(t.reshape(batch + t.shape[1:])), max_cond=max_cond)
 
 
 def zf_precoder(
@@ -158,25 +171,16 @@ def zf_precoder(
     sent with power exactly p. Leading axes of h_est (..., K, K) are batch
     axes: element b of the result equals zf_precoder(h_est[b]) bit for bit,
     max_cond included. If elements are rejected, the IllConditionedError
-    marks them in rejected, with the kappa_2 each one's own call raises in
-    conds; its cond is the first one's.
+    carries the first one's kappa_2.
     """
     h = np.asarray(h_est, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ValueError(f"estimate must be square, got shape {h.shape}")
-    if p <= 0:
-        raise ValueError(f"power must be > 0, got {p}")
-    inv_cols, col_norms, cond = _checked_inverse(h, cond_threshold, core=2)
-    t = math.sqrt(p) * inv_cols / col_norms[..., None, :]
-    return Precoder(T=_readonly(t), max_cond=cond)
+    return _precoder(h, p, cond_threshold, core=2)
 
 
 def distributed_precoder(
-    estimates: np.ndarray,
-    p: float,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
-    *,
-    _scratch: np.ndarray | None = None,
+    estimates: np.ndarray, p: float, cond_threshold: float = DEFAULT_COND_THRESHOLD
 ) -> Precoder:
     """Row j of the result is row j of the zero-forcing precoder that TX j
     computes from its own estimate.
@@ -185,21 +189,12 @@ def distributed_precoder(
     matrix exactly; otherwise the rows are mutually inconsistent and the
     mismatch is what the deviation statistics measure. estimates[j] is TX
     j's K x K estimate. Leading axes of estimates (..., K, K, K) are batch
-    axes, with the same contract as in zf_precoder. The trial engine passes
-    _scratch, the working memory of the condition screen (see
-    _sq_magnitude); the result never refers to it.
+    axes, with the same contract as in zf_precoder.
     """
     stack = np.asarray(estimates, dtype=complex)
     if stack.ndim < 3 or not stack.shape[-3] == stack.shape[-2] == stack.shape[-1]:
         raise ValueError(f"estimates must have shape (..., K, K, K), got {stack.shape}")
-    if p <= 0:
-        raise ValueError(f"power must be > 0, got {p}")
-    inv_cols, col_norms, worst = _checked_inverse(stack, cond_threshold, core=3, scratch=_scratch)
-    diag = np.arange(stack.shape[-1])
-    # col_norms[..., j, i] = ||TX j's inverse, column i||; own_rows[..., j, i] = row j of TX j's inverse
-    own_rows = inv_cols[..., diag, diag, :]
-    t = math.sqrt(p) * own_rows / col_norms
-    return Precoder(T=_readonly(t), max_cond=worst)
+    return _precoder(stack, p, cond_threshold, core=3)
 
 
 def mask_from_sets(sharing_sets: list[set[int]], k: int) -> np.ndarray:

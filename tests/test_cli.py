@@ -75,6 +75,8 @@ def test_config_validation():
         ("snr_db", [-float("inf")]),
         ("snr_db", [4000.0]),  # 10^400 overflows
         ("snr_db", [1e-20]),  # P rounds to exactly 1
+        ("cond_threshold", 0.5),  # no matrix has kappa_2 < 1
+        ("cond_threshold", float("nan")),
     ],
 )
 def test_config_validation_bounds(field, value):
@@ -208,6 +210,20 @@ def test_main_save_config(tmp_path):
     cfg.validate()
     assert cfg.policies == [PolicySpec("uniform")]
     assert not (tmp_path / "netmimo-out").exists()
+
+
+def test_cond_threshold_below_one_is_a_usage_error(tmp_path, capsys):
+    """No matrix has kappa_2 < 1, so such a config fails before any trial runs."""
+    path = tmp_path / "c.json"
+    cfg = {"grid_side": 3, "snr_db": [20.0, 40.0], "trials": 20, "cond_threshold": 0.5, "max_rejection_rate": 0.99}
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--config", str(path), "--output", str(tmp_path / "out")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: cond_threshold must be >= 1 (every matrix has kappa_2 >= 1), got 0.5" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_rejection_exit_code(tmp_path):

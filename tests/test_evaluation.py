@@ -32,7 +32,7 @@ from netmimo.evaluation import (
     instantaneous_rates,
     linear_to_db,
 )
-from netmimo.precoding import IllConditionedError, distributed_precoder, zf_precoder
+from netmimo.precoding import IllConditionedError, _precode, distributed_precoder, zf_precoder
 from netmimo.topology import (
     NodeLayout,
     interference_levels,
@@ -183,9 +183,11 @@ def test_single_trial_stderr_sentinel():
 
 def test_rejection_rate_error():
     layout = place_grid(2)
-    with pytest.raises(RejectionRateError) as info:
-        evaluate_point(layout, 0.6, [PolicySpec("perfect")], 1e4, 10, seed=10, cond_threshold=1.0)
-    assert info.value.rejected > 0
+    # Threshold 1 rejects every channel, so a chunk runs no distributed solve after zero-forcing.
+    for policies in ([PolicySpec("perfect")], [PolicySpec("perfect"), PolicySpec("distance")]):
+        with pytest.raises(RejectionRateError) as info:
+            evaluate_point(layout, 0.6, policies, 1e4, 10, seed=10, cond_threshold=1.0)
+        assert info.value.rejected > 0
 
 
 # At 40 dB on a 3x3 grid, a condition threshold of 60 rejects about one trial
@@ -551,7 +553,7 @@ def test_interleaved_engine_calls_equal_fresh_calls(monkeypatch):
 
 
 def test_condition_number_sees_only_the_screen_misses(monkeypatch):
-    """Each precoder call of a rejection-heavy run makes at most one
+    """Each precoding core call of a rejection-heavy run makes at most one
     np.linalg.cond call, on exactly the trials of its batch whose kappa_F
     screen missed (kappa_F >= threshold / 4), and several calls decide more
     than one missed trial at once."""
@@ -562,15 +564,12 @@ def test_condition_number_sees_only_the_screen_misses(monkeypatch):
         calls[-1][1].append(a.copy())
         return real_cond(a, *args)
 
-    def recording(kernel):
-        def call(a, *args, **kwargs):
-            calls.append((np.array(a), []))  # a copy: estimates live in the engine's workspace
-            return kernel(a, *args, **kwargs)
-        return call
+    def recording_core(a, *args, **kwargs):
+        calls.append((np.array(a), []))  # a copy: estimates live in the engine's workspace
+        return _precode(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cond", recording_cond)
-    monkeypatch.setattr(evaluation, "zf_precoder", recording(zf_precoder))
-    monkeypatch.setattr(evaluation, "distributed_precoder", recording(distributed_precoder))
+    monkeypatch.setattr(evaluation, "_precode", recording_core)
     evaluate_point(**_TOPUP_CASE, max_rejection_rate=0.5)
     limit = _TOPUP_CASE["cond_threshold"] / 4
     batched = 0
@@ -582,6 +581,39 @@ def test_condition_number_sees_only_the_screen_misses(monkeypatch):
         batched += int(missed.sum()) > 1
     assert batched > 0
     assert {s.shape[1:] for _, seen in calls for s in seen} == {(9, 9), (9, 9, 9)}
+
+
+def test_each_attempted_row_is_solved_once_per_policy(monkeypatch):
+    """The grid-3 top-up case with two distributed policies (258 rows
+    attempted, 58 rejected): every attempted (trial, point) row runs
+    zero-forcing on its channel exactly once, and each distributed policy at
+    most once, on the rows no earlier solve of its chunk rejected."""
+    chunks = []  # per (chunk, point): each core call's input and rejected mask, in call order
+
+    def recording_core(a, p, cond_threshold, scratch=None):
+        out = _precode(a, p, cond_threshold, scratch)
+        if a.ndim == 3:  # zero-forcing on the channels opens a (chunk, point)
+            chunks.append([])
+        chunks[-1].append((np.array(a), out[2].copy()))
+        return out
+
+    monkeypatch.setattr(evaluation, "_precode", recording_core)
+    case = {**_TOPUP_CASE, "policies": [PolicySpec("perfect"), PolicySpec("distance"), PolicySpec("uniform")]}
+    rp = evaluate_point(**case, max_rejection_rate=0.5).rates[PolicySpec("perfect")]
+    attempted = rp.trials + rp.rejections
+    zf_rows = [h.tobytes() for chunk in chunks for h in chunk[0][0]]
+    assert len(zf_rows) == len(set(zf_rows)) == attempted
+    for chunk in chunks:
+        assert len(chunk) <= 3
+        for (_, rejected), (later, _) in zip(chunk, chunk[1:]):
+            assert len(later) == (~rejected).sum() > 0
+    accepted = sum(int((~chunk[-1][1]).sum()) for chunk in chunks if len(chunk) == 3)
+    assert accepted == rp.trials
+    for stage in (1, 2):
+        rows = [est.tobytes() for chunk in chunks if len(chunk) > stage for est in chunk[stage][0]]
+        assert len(rows) == len(set(rows)) <= attempted
+        # Both distributed policies reject trials here, so each drops rows from what follows.
+        assert any(chunk[stage][1].any() for chunk in chunks if len(chunk) > stage)
 
 
 def test_default_threshold_clears_without_svd(monkeypatch):
@@ -653,6 +685,28 @@ def test_workers_must_be_an_integer_of_at_least_one(workers):
     with pytest.raises(ValueError, match=re.escape(f"workers must be an integer >= 1, got {workers!r}")):
         evaluate_curves(place_grid(3), 0.6, [PolicySpec("perfect")], [20.0], 60, seed=1, workers=workers)
     assert evaluate_curves(place_grid(2), 0.6, [PolicySpec("perfect")], [20.0], 3, seed=1, workers=np.int64(2))
+
+
+@pytest.mark.parametrize(
+    "name, value, low",
+    [("trials", 0, 1), ("trials", 2.5, 1), ("trials", True, 1), ("seed", -1, 0), ("seed", 1.0, 0), ("seed", False, 0)],
+)
+def test_trials_and_seed_must_be_integers_in_range(monkeypatch, name, value, low):
+    """trials and seed are checked like workers, before the engine is built."""
+    monkeypatch.setattr(evaluation, "_engine", _no_engine)
+    args = {"trials": 60, "seed": 1, name: value}
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {low}, got {value!r}")):
+        evaluate_curves(place_grid(3), 0.6, [PolicySpec("perfect")], [20.0], **args)
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.0, -1.0, float("nan")])
+def test_cond_threshold_below_one_raises_before_anything_runs(monkeypatch, threshold):
+    """No matrix has kappa_2 < 1, so such a threshold could accept no trial,
+    and NaN would accept every finite one."""
+    monkeypatch.setattr(evaluation, "_engine", _no_engine)
+    message = f"cond_threshold must be >= 1 (every matrix has kappa_2 >= 1), got {threshold}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate_curves(place_grid(3), 0.6, [PolicySpec("perfect")], [20.0], 60, seed=1, cond_threshold=threshold)
 
 
 @pytest.mark.parametrize("empty", ["policies", "snr_db"])

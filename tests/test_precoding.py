@@ -17,6 +17,7 @@ from netmimo.channel import (
 )
 from netmimo.precoding import (
     IllConditionedError,
+    _precode,
     distributed_precoder,
     mask_from_sets,
     zf_precoder,
@@ -183,19 +184,35 @@ def _each(fn, stack, batch):
     return out
 
 
-def _assert_batch_matches(batched_call, singles, batch):
+def _core(a, p, thr, core):
+    """The private core over the leading batch axes of a, whose solves span
+    its trailing `core` axes, with its results shaped over those axes."""
+    batch = a.shape[: a.ndim - core]
+    t, conds, rejected = _precode(a.reshape((-1,) + a.shape[-core:]), p, thr)
+    return t.reshape(batch + t.shape[1:]), conds.reshape(batch), rejected.reshape(batch)
+
+
+def _assert_batch_matches(batched_call, core_call, singles, batch):
     """A batched precoder call equals its one-element calls: the stacked T and
-    max_cond bytes when all pass, else one rejection that names exactly the
-    failing elements and their kappa_2, with the first one's as cond."""
+    max_cond bytes when all pass, else one rejection with the first failing
+    element's kappa_2 as cond. The private core's mask and condition
+    estimates name exactly the failing elements and their kappa_2, and its T
+    and estimate of every other element are that element's own, whether or
+    not others fail."""
     failed = {idx: r for idx, r in singles.items() if isinstance(r, IllConditionedError)}
+    t, conds, rejected = core_call()
+    assert rejected.shape == conds.shape == batch
+    assert sorted(zip(*np.nonzero(rejected))) == sorted(failed)
+    for idx, one in singles.items():
+        if idx in failed:
+            assert conds[idx] == one.cond
+        else:
+            assert t[idx].tobytes() == one.T.tobytes()
+            assert conds[idx] == one.max_cond
     if failed:
         with pytest.raises(IllConditionedError) as info:
             batched_call()
         assert info.value.cond == next(iter(failed.values())).cond
-        assert info.value.rejected.shape == info.value.conds.shape == batch
-        assert sorted(zip(*np.nonzero(info.value.rejected))) == sorted(failed)
-        for idx, exc in failed.items():
-            assert info.value.conds[idx] == exc.cond
         return None
     prec = batched_call()
     assert prec.max_cond.shape == batch
@@ -231,9 +248,12 @@ def test_batched_kernels_equal_stacked_single_calls(seed, k, batch, thr):
         assert est[idx].tobytes() == apply_estimate_noise(one, sigma, bits, noise[idx]).tobytes()
 
     zf_singles = _each(lambda h: zf_precoder(h, p, thr), chan.H, batch)
-    zf = _assert_batch_matches(lambda: zf_precoder(chan.H, p, thr), zf_singles, batch)
+    zf = _assert_batch_matches(
+        lambda: zf_precoder(chan.H, p, thr), lambda: _core(chan.H, p, thr, core=2), zf_singles, batch
+    )
     _assert_batch_matches(
         lambda: distributed_precoder(est, p, thr),
+        lambda: _core(est, p, thr, core=3),
         _each(lambda e: distributed_precoder(e, p, thr), est, batch),
         batch,
     )
@@ -316,11 +336,38 @@ def test_batched_call_decides_the_screen_misses_in_one_cond_call(monkeypatch):
     assert seen == []
 
     singular = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    pivot_batch = np.stack([good, singular, near_singular])
     with pytest.raises(IllConditionedError) as info:
-        zf_precoder(np.stack([good, singular, near_singular]), 10.0, cond_threshold=1e12)
+        zf_precoder(pivot_batch, 10.0, cond_threshold=1e12)
     assert [a.shape for a in seen] == [(3, 3, 3)]
-    assert info.value.rejected.tolist() == [False, True, False]
-    assert info.value.conds[1] == info.value.cond == math.inf
+    _, conds, rejected = _precode(pivot_batch, 10.0, 1e12)
+    assert rejected.tolist() == [False, True, False]
+    assert conds[1] == info.value.cond == math.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("core", [2, 3])
+def test_exact_zero_pivot_solves_the_survivors_as_their_own_calls(core):
+    """An exact zero pivot in a batch [good, exactly singular, near-singular]
+    rejects only the singular solve. The survivors are inverted again, and
+    their T and condition estimates equal their one-element calls bit for
+    bit: kappa_F for the solve the screen clears, kappa_2 for the one it
+    misses. No RuntimeWarning is raised on the way."""
+    good = complex_gaussian(np.random.default_rng(23), (3, 3))
+    singular = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    near_singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-9, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    solves = [good, singular, near_singular]
+    if core == 3:
+        solves = [np.stack([good, a, good]) for a in solves]
+    t, conds, rejected = _precode(np.stack(solves), 10.0, 1e12)
+    assert rejected.tolist() == [False, True, False]
+    assert conds[1] == math.inf
+    for i in (0, 2):
+        t_one, cond_one, rejected_one = _precode(solves[i][None], 10.0, 1e12)
+        assert not rejected_one[0]
+        assert t[i].tobytes() == t_one[0].tobytes()
+        assert conds[i] == cond_one[0]
+    assert conds[0] < 2.5e9 <= conds[2] == np.linalg.cond(solves[2]).max()
 
 
 def test_exactly_singular_reports_infinite_condition():
@@ -335,14 +382,15 @@ def test_exactly_singular_reports_infinite_condition():
 
 
 def test_unbatched_rejection_is_a_batch_of_one():
-    """A call without batch axes, like an error built from (cond, threshold)
-    alone, marks its one element rejected in 0-d arrays."""
+    """A call without batch axes marks its one element rejected in the
+    core's 0-d arrays, and the public call raises its kappa_2."""
     h = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6]], dtype=complex)
     with pytest.raises(IllConditionedError) as info:
         zf_precoder(h, 10.0, cond_threshold=100.0)
-    for exc in (info.value, IllConditionedError(info.value.cond, 100.0)):
-        assert exc.rejected.shape == exc.conds.shape == ()
-        assert exc.rejected and exc.conds == exc.cond == np.linalg.cond(h)
+    _, conds, rejected = _core(h, 10.0, 100.0, core=2)
+    assert rejected.shape == conds.shape == ()
+    assert rejected and conds == info.value.cond == np.linalg.cond(h)
+    assert info.value.threshold == 100.0
 
 
 def test_input_validation():
