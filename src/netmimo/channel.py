@@ -9,11 +9,13 @@ read-only (K, K) array, and draw_channel and apply_estimate_noise take it.
 
 Randomness is organized as substreams keyed by (master seed, trial index,
 purpose tag), so Monte-Carlo results do not depend on worker scheduling and
-trials can be re-drawn individually. Each stream is still defined by
-default_rng(SeedSequence(seed, spawn_key=(trial, purpose))), trial_rng, but
-trial_streams computes the streams of many cells in bulk: the SeedSequence
-hash and the PCG64 seeding run as integer arithmetic over all cells at once,
-and each cell's state is loaded into one reused generator.
+trials can be re-drawn individually. Each stream is defined by
+default_rng(SeedSequence(seed, spawn_key=(trial, purpose))), trial_rng.
+The trial engine, the oracle and the CLI's channel dump all draw through
+_trial_streams, which derives many trials' streams of one purpose in one
+pass (the SeedSequence hash and the PCG64 seeding run as integer arithmetic
+over all cells at once, and each state is loaded into one reused generator),
+and _unit_draws, which fills a stack with one draw per stream.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -29,7 +32,6 @@ __all__ = [
     "PURPOSE_ESTIMATE",
     "PURPOSE_LAYOUT",
     "trial_rng",
-    "trial_streams",
     "complex_gaussian",
     "ChannelRealization",
     "pathloss_matrix",
@@ -106,15 +108,17 @@ def _seed_pool(seed: int) -> list[int]:
     return pool
 
 
-def _pcg64_words(seed: int, trials: np.ndarray, purposes: np.ndarray) -> np.ndarray:
+def _pcg64_words(seed: int, trials: np.ndarray, purpose: int) -> np.ndarray:
     """generate_state(4, np.uint64) of SeedSequence(seed, spawn_key=(trial,
-    purpose)) for each cell, one row of four little-endian uint64 words.
+    purpose)) for each trial, one row of four little-endian uint64 words.
 
-    seed is below 2^128 and every trial and purpose below 2^32, so each
+    seed is below 2^128 and every trial and the purpose below 2^32, so each
     cell's entropy is the zero-padded seed followed by two words. Those two
     words are mixed into the seed's shared pool for all cells at once.
     """
-    key = np.array([trials, purposes], dtype=np.uint32)[:, :, None] ^ _KEY_XOR
+    key = np.empty((2, len(trials)), dtype=np.uint32)
+    key[0], key[1] = trials, purpose
+    key = key[:, :, None] ^ _KEY_XOR
     key *= _KEY_MUL
     key ^= key >> 16
     pool = np.array(_seed_pool(seed), dtype=np.uint32)
@@ -127,41 +131,60 @@ def _pcg64_words(seed: int, trials: np.ndarray, purposes: np.ndarray) -> np.ndar
     return out.reshape(-1, 8).astype("<u4", copy=False).view("<u8")
 
 
-def trial_streams(seed: int, trials, purposes) -> Iterator[np.random.Generator]:
-    """Yield the generator of each cell (trials[i], purposes[i]), in order.
+def _pcg64_state(words: np.ndarray) -> tuple[int, int]:
+    """PCG64's (state, inc) for one cell's four generate_state words:
+    inc = 2 * seq + 1, then two LCG steps around the state word."""
+    s0, s1, i0, i1 = words.tolist()
+    inc = (i0 << 65 | i1 << 1 | 1) & _M128
+    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128, inc
 
-    trials and purposes are integer sequences of one length. Each generator
-    draws the stream of trial_rng(seed, trial, purpose), the reference
-    definition, but the cells' states are derived in one pass. The
-    generator may be one object reloaded for every cell, so draw from each
-    before taking the next (islice takes a chunk's worth); never list() the
-    result. Calls of few cells, and cells outside the bulk derivation (a
-    seed of 2^128 or more, a trial or purpose of 2^32 or more), take
-    trial_rng itself.
+
+def _trial_streams(seed: int, trials, purpose: int) -> Iterator[np.random.Generator]:
+    """Yield the generator of each cell (trials[i], purpose), in order.
+
+    Each generator draws the stream of trial_rng(seed, trial, purpose), the
+    reference definition, but the pass derives the states of all its cells
+    at once and reloads one generator for each: draw from a cell before
+    taking the next. A pass of few cells, and the cells outside the bulk
+    derivation (a seed of 2^128 or more, a trial or purpose of 2^32 or
+    more), take trial_rng itself. The derivation copies numpy's seeding, so
+    each pass checks its first derived state against trial_rng's, and on a
+    mismatch the whole pass takes trial_rng.
     """
     seed = operator.index(seed)
-    if len(trials) < _BULK_MIN_CELLS or not 0 <= seed < 1 << 128:
-        for t, p in zip(trials, purposes, strict=True):
-            yield trial_rng(seed, t, p)
+    trials = np.asarray(trials)
+    bulk = ((trials >= 0) & (trials <= _M32) & (0 <= purpose <= _M32)).astype(bool)
+    rows = None
+    if len(trials) >= _BULK_MIN_CELLS and 0 <= seed < 1 << 128 and bulk.any():
+        words = _pcg64_words(seed, trials[bulk], purpose)
+        ref = trial_rng(seed, trials[bulk.argmax()], purpose).bit_generator.state["state"]
+        rows = iter(words) if _pcg64_state(words[0]) == (ref["state"], ref["inc"]) else None
+    if rows is None:
+        yield from (trial_rng(seed, t, purpose) for t in trials.tolist())
         return
-    trials, purposes = np.asarray(trials), np.asarray(purposes)
-    bulk = ((trials >= 0) & (trials <= _M32) & (purposes >= 0) & (purposes <= _M32)).astype(bool)
-    words = iter(_pcg64_words(seed, trials[bulk], purposes[bulk]))
     bit_gen = np.random.PCG64(0)  # any seed: each cell loads its own state
     gen = np.random.Generator(bit_gen)
     inner = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    for t, p, b in zip(trials.tolist(), purposes.tolist(), bulk.tolist(), strict=True):
+    for t, b in zip(trials.tolist(), bulk.tolist()):
         if not b:
-            yield trial_rng(seed, t, p)
+            yield trial_rng(seed, t, purpose)
             continue
-        # PCG64 seeding: inc = 2 * seq + 1, then two LCG steps around the state word.
-        s0, s1, i0, i1 = next(words).tolist()  # one row at a time: a list of all rows costs RSS
-        inc = (i0 << 65 | i1 << 1 | 1) & _M128
-        inner["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
-        inner["inc"] = inc
+        inner["state"], inner["inc"] = _pcg64_state(next(rows))  # one row at a time: a list of all rows costs RSS
         bit_gen.state = state
         yield gen
+
+
+def _unit_draws(streams: Iterator[np.random.Generator], out: np.ndarray) -> np.ndarray:
+    """Fill out, a complex (n, ...) array, with complex_gaussian's draws from
+    the next n streams, one stream per out[i], and return it.
+
+    sigma * out[i] is draw_channel(sigma, rng).H byte for byte for a (K, K)
+    draw from rng: the same draw and the same product.
+    """
+    for i, rng in enumerate(islice(streams, len(out))):
+        complex_gaussian(rng, out.shape[1:], out=out[i])
+    return out
 
 
 def complex_gaussian(rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
@@ -217,11 +240,11 @@ def pathloss_matrix(levels: np.ndarray, p: float) -> np.ndarray:
 def draw_channel(sigma: np.ndarray, rng: np.random.Generator) -> ChannelRealization:
     """One Rayleigh draw: entries H_ki = sigma_ki * CN(0, 1), independent.
 
-    sigma is pathloss_matrix's (K, K) array. The trial engine and the oracle
-    draw their unit channels themselves, one trial stream at a time, and
-    scale them by the sigma of each SNR point, built once: the product formed
-    here, so each of their channels equals this function's draw from that
-    trial's stream.
+    sigma is pathloss_matrix's (K, K) array. The trial engine, the oracle
+    and the channel dump draw their unit channels with _unit_draws and scale
+    them by the sigma of each SNR point, built once: the draw and the product
+    formed here, so each of their channels equals this function's draw from
+    that trial's stream.
     """
     return ChannelRealization(H=sigma * complex_gaussian(rng, sigma.shape))
 

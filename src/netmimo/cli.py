@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import PolicySpec, allocation_size, build_allocation, cluster_fit, conventional
-from .channel import PURPOSE_CHANNEL, PURPOSE_LAYOUT, draw_channel, pathloss_matrix, trial_rng
+from .channel import PURPOSE_CHANNEL, PURPOSE_LAYOUT, _trial_streams, _unit_draws, pathloss_matrix, trial_rng
 from .evaluation import (
     RatePoint,
     RejectionRateError,
@@ -110,11 +110,7 @@ class ExperimentConfig:
         if not self.snr_db:
             raise ValueError("snr_db must be non-empty")
         for db in self.snr_db:
-            try:
-                p = db_to_linear(db)
-            except OverflowError:
-                p = math.inf
-            if not 1.0 < p < math.inf:
+            if not 1.0 < db_to_linear(db) < math.inf:
                 raise ValueError(f"every snr_db point needs a finite nominal SNR P = 10^(dB/10) > 1, got {db!r} dB")
         _told_apart("snr_db points", self.snr_db, _fmt, lambda db: f"{db!r} dB")
         if self.trials < 1:
@@ -381,12 +377,13 @@ def _dof_fits(config: ExperimentConfig, result: dict[PolicySpec, list[RatePoint]
 
 
 def _channel_csv(config: ExperimentConfig, layout: NodeLayout) -> str:
-    """The trial-0 channel draw at the first SNR point, one (rx, tx) entry per row."""
+    """The trial-0 channel draw at the first SNR point, drawn as the engine
+    draws it, one (rx, tx) entry per row."""
     p = db_to_linear(config.snr_db[0])
     sigma = pathloss_matrix(interference_levels(pairwise_distance(layout), config.gamma), p)
-    chan = draw_channel(sigma, trial_rng(config.seed, 0, PURPOSE_CHANNEL))
+    unit = _unit_draws(_trial_streams(config.seed, [0], PURPOSE_CHANNEL), np.empty((1,) + sigma.shape, dtype=complex))
     lines = ["rx,tx,re,im"]
-    lines += [f"{k + 1},{i + 1},{h.real:.17g},{h.imag:.17g}" for (k, i), h in np.ndenumerate(chan.H)]
+    lines += [f"{k + 1},{i + 1},{h.real:.17g},{h.imag:.17g}" for (k, i), h in np.ndenumerate(sigma * unit[0])]
     return "\n".join(lines) + "\n"
 
 

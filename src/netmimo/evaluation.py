@@ -8,10 +8,10 @@ noise by its own bit counts. A trial is accepted only if the true channel and
 every policy's estimates pass the conditioning threshold, and rejected trials
 are replaced by fresh trial indices and counted.
 
-Trials run in chunks: each trial is drawn from its own substreams, whose
-states the call derives in one trial_streams pass, the draws are stacked,
-and the channel, precoding and rate kernels run once per chunk over a
-leading trial axis, one policy at a time. A trial's streams do not depend on
+Trials run in chunks: each trial is drawn from its own substreams through
+channel.py's draw path (one stream pass per purpose and call, from which
+each chunk fills its stacks), and the channel, precoding and rate kernels
+run once per chunk over a leading trial axis, one policy at a time. A trial's streams do not depend on
 the SNR, so an engine call covers several SNR points at once: it draws a
 chunk's unit channels and noise once, and every point of the call scales its
 own rows of them by its own sigma and runs the kernels on them. The chunk
@@ -45,7 +45,6 @@ import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -55,10 +54,10 @@ from .channel import (
     PURPOSE_ESTIMATE,
     ChannelRealization,
     _trial_median,
+    _trial_streams,
+    _unit_draws,
     apply_estimate_noise,
-    complex_gaussian,
     pathloss_matrix,
-    trial_streams,
 )
 from .precoding import DEFAULT_COND_THRESHOLD, Precoder, _precode, mask_from_sets
 from .topology import NodeLayout, data_sharing_sets, interference_levels, pairwise_distance
@@ -81,7 +80,11 @@ LN2 = float(np.log(2.0))
 
 
 def db_to_linear(snr_db: float) -> float:
-    return float(10.0 ** (snr_db / 10.0))
+    """10^(snr_db/10), and inf where a float past 10^308 would overflow."""
+    try:
+        return float(10.0 ** (snr_db / 10.0))
+    except OverflowError:
+        return math.inf
 
 
 def linear_to_db(p: float) -> float:
@@ -228,21 +231,13 @@ def _simulate_trials(
     # freeing stacks this large once per chunk and policy.
     work = np.empty((3, min(chunk, n) * k**3 if need_noise else 0), dtype=complex)
     unit = np.empty((min(chunk, n), k, k), dtype=complex)
-    # Every stream of the call is derived in one pass, in the order the
-    # chunks draw them: each chunk's channels, then its estimation noise.
-    starts = range(0, n, chunk)
-    purposes = [PURPOSE_CHANNEL, PURPOSE_ESTIMATE] if need_noise else [PURPOSE_CHANNEL]
-    cells = [(t, pur) for s in starts for pur in purposes for t in trial_indices[s:s + chunk].tolist()]
-    streams = trial_streams(seed, [t for t, _ in cells], [pur for _, pur in cells])
-    for start in starts:
+    # One pass per purpose derives the call's streams; each chunk draws the next m of each.
+    channels = _trial_streams(seed, trial_indices, PURPOSE_CHANNEL)
+    noises = _trial_streams(seed, trial_indices, PURPOSE_ESTIMATE) if need_noise else None
+    for start in range(0, n, chunk):
         m = min(chunk, n - start)
-        for i, rng in enumerate(islice(streams, m)):
-            complex_gaussian(rng, (k, k), out=unit[i])
-        shared_noise = None
-        if need_noise:
-            shared_noise = work[0, : m * k**3].reshape(m, k, k, k)
-            for i, rng in enumerate(islice(streams, m)):
-                complex_gaussian(rng, (k, k, k), out=shared_noise[i])
+        _unit_draws(channels, unit[:m])
+        shared_noise = None if noises is None else _unit_draws(noises, work[0, : m * k**3].reshape(m, k, k, k))
         for j, ((point, _, _), (lo, hi)) in enumerate(zip(ranges, bounds)):
             # The chunk's rows of this range, as offsets a:b into the chunk.
             a, b = max(lo - start, 0), min(hi - start, m)
@@ -293,8 +288,6 @@ def _solve_chunk(
     if rejected.any():
         rows, h, noise, t_star, star_cond = _drop(rejected, rows, h, noise, t_star, star_cond)
     for pol, bits in enumerate(bits_list):
-        if not len(h):
-            break
         if bits is None:
             t, cond = t_star, star_cond
         else:
@@ -482,6 +475,9 @@ def _evaluate(
         raise ValueError("policies must not be empty")
     if not points:
         raise ValueError("snr_db must not be empty")
+    for snr_db, p in points:
+        if not 1.0 < p < math.inf:  # NaN included
+            raise ValueError(f"every snr_db point needs a finite nominal SNR P = 10^(dB/10) > 1, got {snr_db!r} dB")
     if len(policies) != len(set(policies)):
         raise ValueError("duplicate policy specs in one run")
     for name, value, low in (("workers", workers, 1), ("trials", trials, 1), ("seed", seed, 0)):

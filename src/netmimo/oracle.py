@@ -6,26 +6,25 @@ expansion of the channel inverse, the distance-driven decay of the inverse's
 off-diagonal entries, and the case-by-case exponent bookkeeping that must
 reproduce the policy formula entry by entry.
 
-The Monte-Carlo checks draw each trial's unit-variance channel once and scale
-it by the link standard deviations of every SNR point; the inverses, powers,
-eigenvalues and condition numbers then run on stacks of trials (or pairs) of
-at most _STACK_BYTES each. Every result is bit-identical to drawing and
-solving one trial at a time: each unit draw is the complex_gaussian draw
-that draw_channel scales by sigma, and each LAPACK and BLAS call sees the
-same matrix. The resolvent check screens its stacks of pairs and then runs
+The Monte-Carlo checks draw each trial's unit-variance channel once, through
+channel.py's draw path (one stream pass per check), and scale it by the link
+standard deviations of every SNR point; the inverses, powers, eigenvalues
+and condition numbers then run on stacks of trials (or pairs) of at most
+_STACK_BYTES each. Every result is bit-identical to drawing and solving one
+trial at a time: each unit draw is the complex_gaussian draw that
+draw_channel scales by sigma, and each LAPACK and BLAS call sees the same
+matrix. The resolvent check screens its stacks of pairs and then runs
 resolvent_check itself on the kept ones.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .allocation import distance_exponents
-from .channel import PURPOSE_CHANNEL, _trial_median, complex_gaussian, pathloss_matrix, trial_streams
+from .channel import PURPOSE_CHANNEL, _trial_median, _trial_streams, _unit_draws, pathloss_matrix
 from .topology import NodeLayout, interference_levels, pairwise_distance
 
 __all__ = [
@@ -267,27 +266,9 @@ def neumann_partial_sum(h: np.ndarray, n_max: int) -> tuple[np.ndarray, float | 
     return total.reshape(h.shape), resid.reshape(batch)
 
 
-def _channel_streams(seed: int, trials: int) -> Iterator[np.random.Generator]:
-    """The channel streams of trials 0, 1, ..., trials - 1, derived in one pass."""
-    return trial_streams(seed, range(trials), [PURPOSE_CHANNEL] * trials)
-
-
-def _unit_draws(streams: Iterator[np.random.Generator], n: int, k: int) -> np.ndarray:
-    """Unit-variance (n, k, k) channel draws from the next n streams.
-
-    sigma * draw t equals draw_channel(sigma, trial_rng(seed, t, ...)).H byte
-    for byte for any pathloss_matrix sigma: it is the same complex_gaussian
-    draw.
-    """
-    out = np.empty((n, k, k), dtype=complex)
-    for i, rng in enumerate(islice(streams, n)):
-        complex_gaussian(rng, (k, k), out=out[i])
-    return out
-
-
 def _trial_draws(seed: int, trials: int, k: int) -> np.ndarray:
     """Unit-variance (trials, k, k) channel draws of trials 0, 1, ..., trials - 1."""
-    return _unit_draws(_channel_streams(seed, trials), trials, k)
+    return _unit_draws(_trial_streams(seed, range(trials), PURPOSE_CHANNEL), np.empty((trials, k, k), dtype=complex))
 
 
 def _median_decay_slopes(layout: NodeLayout, gamma: float, p_list, unit: np.ndarray, entry_fn) -> np.ndarray:
@@ -388,10 +369,10 @@ def truncation_tail_check(
     next_term_sq = []
     t = 0
     budget = trials + max(_TAIL_MIN_SPARE, trials // _TAIL_TRIALS_PER_SPARE)
-    streams = _channel_streams(seed, budget)
+    streams = _trial_streams(seed, range(budget), PURPOSE_CHANNEL)
     while len(resid_sq) < trials and t < budget:
         n = min(_stack_len(k), trials - len(resid_sq), budget - t)
-        h = sigma * _unit_draws(streams, n, k)
+        h = sigma * _unit_draws(streams, np.empty((n, k, k), dtype=complex))
         t += n
         _, resid, radius = _partial_sums(h, order.n0)
         ok = radius < 1.0

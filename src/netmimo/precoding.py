@@ -126,7 +126,7 @@ def _precode(
     a_sq = _sq_magnitude(flat, scratch).sum(axis=(-2, -1))
     kappa_f_sq = a_sq * col_sq.sum(axis=-1)  # one per matrix
     # sqrt is monotone, so a solve's worst kappa_F is the root of its worst square.
-    conds = np.sqrt(kappa_f_sq.reshape(len(flat), -1).max(axis=-1))
+    conds = np.sqrt(kappa_f_sq.reshape(len(flat), math.prod(flat.shape[1:-2])).max(axis=-1))
     rejected = np.zeros(len(flat), dtype=bool)
     missed = ~(conds < min(cond_threshold, _SCREEN_CAP) / _SCREEN_MARGIN)  # NaN included
     if missed.any():
@@ -171,7 +171,7 @@ def zf_precoder(
     sent with power exactly p. Leading axes of h_est (..., K, K) are batch
     axes: element b of the result equals zf_precoder(h_est[b]) bit for bit,
     max_cond included. If elements are rejected, the IllConditionedError
-    carries the first one's kappa_2.
+    carries the first one's kappa_2. An empty batch gives an empty Precoder.
     """
     h = np.asarray(h_est, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:

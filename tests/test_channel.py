@@ -15,7 +15,6 @@ from netmimo.channel import (
     draw_channel,
     pathloss_matrix,
     trial_rng,
-    trial_streams,
 )
 from netmimo.allocation import PolicySpec, build_allocation
 from netmimo.topology import interference_levels, pairwise_distance, place_grid
@@ -224,30 +223,53 @@ _EDGE_CELLS = [(t, p) for t in _EDGE_TRIALS for p in _PURPOSES]
 @example(seed=2**32 - 1, cells=[(2**32, PURPOSE_CHANNEL)] + [(t, PURPOSE_ESTIMATE) for t in range(8)])
 def test_trial_streams_equal_trial_rng(seed, cells):
     """Every cell's generator starts in trial_rng's state and draws its
-    numbers, whichever cells share the call: none, one, many, and cells
-    of a seed or trial too wide for the bulk derivation."""
-    trials, purposes = [t for t, _ in cells], [p for _, p in cells]
-    for (t, p), rng in zip(cells, trial_streams(seed, trials, purposes), strict=True):
-        ref = trial_rng(seed, t, p)
-        assert rng.bit_generator.state == ref.bit_generator.state, (seed, t, p)
-        assert rng.standard_normal(20).tobytes() == ref.standard_normal(20).tobytes(), (seed, t, p)
+    numbers, whichever trials share a pass of one purpose: none, one, many,
+    and cells of a seed or trial too wide for the bulk derivation."""
+    for purpose in _PURPOSES:
+        trials = [t for t, p in cells if p == purpose]
+        for t, rng in zip(trials, channel._trial_streams(seed, trials, purpose), strict=True):
+            ref = trial_rng(seed, t, purpose)
+            assert rng.bit_generator.state == ref.bit_generator.state, (seed, t, purpose)
+            assert rng.standard_normal(20).tobytes() == ref.standard_normal(20).tobytes(), (seed, t, purpose)
 
 
 @pytest.mark.parametrize("seed", _EDGE_SEEDS)
 def test_trial_streams_derive_edge_cells_in_bulk(seed):
-    """All nine edge cells share one call at each edge seed: the cells of
-    trial 2^32 take trial_rng, and the six others one reloaded generator,
-    so the bulk derivation itself is what equals trial_rng here."""
-    assert len(_EDGE_CELLS) - 3 >= channel._BULK_MIN_CELLS
-    fresh, reloaded = set(), set()
-    trials, purposes = [t for t, _ in _EDGE_CELLS], [p for _, p in _EDGE_CELLS]
-    for (t, p), rng in zip(_EDGE_CELLS, trial_streams(seed, trials, purposes), strict=True):
-        (fresh if t == 2**32 else reloaded).add(id(rng))
-        ref = trial_rng(seed, t, p)
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert rng.standard_normal(20).tobytes() == ref.standard_normal(20).tobytes()
-    assert len(reloaded) == 1
-    assert len(fresh) == 3 and not fresh & reloaded
+    """At each edge seed, one pass per purpose over the three edge trials,
+    three times over: the cells of trial 2^32 take trial_rng, and the six
+    others one reloaded generator, so the bulk derivation itself is what
+    equals trial_rng here."""
+    trials = _EDGE_TRIALS * 3
+    assert len(trials) - 3 >= channel._BULK_MIN_CELLS
+    for purpose in _PURPOSES:
+        held = []  # keeps every generator alive, so that no two share an id
+        for t, rng in zip(trials, channel._trial_streams(seed, trials, purpose), strict=True):
+            held.append(rng)
+            ref = trial_rng(seed, t, purpose)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.standard_normal(20).tobytes() == ref.standard_normal(20).tobytes()
+        fresh = {id(g) for t, g in zip(trials, held) if t == 2**32}
+        reloaded = {id(g) for t, g in zip(trials, held) if t != 2**32}
+        assert len(reloaded) == 1
+        assert len(fresh) == 3 and not fresh & reloaded
+
+
+def test_trial_streams_fall_back_when_the_derivation_differs(monkeypatch):
+    """A seeding constant that no longer matches numpy's, as a numpy release
+    with another PCG64 seeding would bring, fails the pass's check of its
+    first cell: every cell of the pass then takes trial_rng and draws the
+    reference stream."""
+    monkeypatch.setattr(channel, "_PCG_MULT", channel._PCG_MULT + 2)
+    ref0 = trial_rng(5, 0, PURPOSE_ESTIMATE).bit_generator.state["state"]
+    assert channel._pcg64_state(channel._pcg64_words(5, np.arange(1), PURPOSE_ESTIMATE)[0]) != ref0
+    trials = list(range(40))
+    held = []
+    for t, rng in zip(trials, channel._trial_streams(5, trials, PURPOSE_ESTIMATE), strict=True):
+        held.append(rng)
+        ref = trial_rng(5, t, PURPOSE_ESTIMATE)
+        assert rng.bit_generator.state == ref.bit_generator.state, t
+        assert rng.standard_normal(20).tobytes() == ref.standard_normal(20).tobytes(), t
+    assert len({id(g) for g in held}) == len(trials)
 
 
 @pytest.mark.parametrize("per_tx", [False, True], ids=["shared", "per-tx"])

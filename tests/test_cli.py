@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmimo.allocation import PolicySpec, build_allocation
+from netmimo.channel import PURPOSE_CHANNEL, draw_channel, pathloss_matrix, trial_rng
 from netmimo.cli import (
     ExperimentConfig,
     compute_size_table,
@@ -23,7 +24,8 @@ from netmimo.cli import (
     resolve_layout,
     run_experiment,
 )
-from netmimo.topology import format_layout, parse_layout, place_grid
+from netmimo.evaluation import db_to_linear
+from netmimo.topology import format_layout, interference_levels, pairwise_distance, parse_layout, place_grid
 
 
 def _tiny_config(output, **overrides):
@@ -315,6 +317,11 @@ def test_dump_channel_flag(tmp_path):
     lines = dump.read_text().splitlines()
     assert lines[0] == "rx,tx,re,im"
     assert len(lines) == 1 + 16
+    # The trial-0 channel of the first SNR point, as draw_channel draws it from trial_rng.
+    layout = resolve_layout(cfg)
+    sigma = pathloss_matrix(interference_levels(pairwise_distance(layout), cfg.gamma), db_to_linear(cfg.snr_db[0]))
+    h = draw_channel(sigma, trial_rng(cfg.seed, 0, PURPOSE_CHANNEL)).H
+    assert lines[1:] == [f"{k + 1},{i + 1},{x.real:.17g},{x.imag:.17g}" for (k, i), x in np.ndenumerate(h)]
 
 
 def test_presets_are_valid():

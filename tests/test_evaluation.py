@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from netmimo import evaluation
+from netmimo import channel, evaluation
 from netmimo.allocation import PolicySpec, build_allocation
 from netmimo.cli import ExperimentConfig, fig2_desk_config, run_experiment
 from netmimo.channel import (
@@ -459,18 +459,18 @@ def test_one_worker_sweep_draws_each_index_once_per_round(monkeypatch):
     points' ranges, and derives each (trial, purpose) cell once, though the
     top-up ranges of the four points overlap."""
     calls = []
-    real_engine, real_streams = evaluation._simulate_trials, evaluation.trial_streams
+    real_engine, real_streams = evaluation._simulate_trials, evaluation._trial_streams
 
     def recording_engine(*args, **kwargs):
         calls.append([])
         return real_engine(*args, **kwargs)
 
-    def recording_streams(seed, trials, purposes):
-        calls[-1].extend(zip(trials, purposes))
-        return real_streams(seed, trials, purposes)
+    def recording_streams(seed, trials, purpose):
+        calls[-1].extend((t, purpose) for t in trials)
+        return real_streams(seed, trials, purpose)
 
     monkeypatch.setattr(evaluation, "_simulate_trials", recording_engine)
-    monkeypatch.setattr(evaluation, "trial_streams", recording_streams)
+    monkeypatch.setattr(evaluation, "_trial_streams", recording_streams)
     case = {k: v for k, v in _TOPUP_CASE.items() if k != "p"}
     res = evaluate_curves(**case, snr_db=[30.0, 40.0, 60.0, 80.0], max_rejection_rate=0.5)
     assert [pt.rejections for pt in res[PolicySpec("perfect")]] == [63, 26, 7, 6]
@@ -502,18 +502,18 @@ def test_sweep_draws_each_trial_once(monkeypatch, n_points):
     """A one-worker sweep with no rejections draws each (trial, purpose)
     cell once, whatever the number of SNR points."""
     cells, draws = [], []
-    real_streams, real_draw = evaluation.trial_streams, evaluation.complex_gaussian
+    real_streams, real_draw = evaluation._trial_streams, channel.complex_gaussian
 
-    def recording_streams(seed, trials, purposes):
-        cells.extend(zip(trials, purposes))
-        return real_streams(seed, trials, purposes)
+    def recording_streams(seed, trials, purpose):
+        cells.extend((t, purpose) for t in trials)
+        return real_streams(seed, trials, purpose)
 
     def counting_draw(*a, **kw):
         draws.append(a[1])
         return real_draw(*a, **kw)
 
-    monkeypatch.setattr(evaluation, "trial_streams", recording_streams)
-    monkeypatch.setattr(evaluation, "complex_gaussian", counting_draw)
+    monkeypatch.setattr(evaluation, "_trial_streams", recording_streams)
+    monkeypatch.setattr(channel, "complex_gaussian", counting_draw)
     snr_db = [20.0 + 10.0 * i for i in range(n_points)]
     res = evaluate_curves(place_grid(2), 0.6, _FIG1_POLICIES, snr_db, 30, seed=4)
     assert all(pt.rejections == 0 for pt in res[_FIG1_POLICIES[0]])
@@ -537,7 +537,7 @@ def test_interleaved_engine_calls_equal_fresh_calls(monkeypatch):
     of its noise draws, changes neither call's output."""
     big, small = _engine_args(4, [40.0], 9, seed=5), _engine_args(3, [40.0], 11, cond_threshold=60.0, seed=6)
     fresh_big, fresh_small = evaluation._simulate_trials(*big), evaluation._simulate_trials(*small)
-    real_draw = evaluation.complex_gaussian
+    real_draw = channel.complex_gaussian
     nested = []
 
     def draw_with_a_nested_call(*a, **kw):
@@ -546,7 +546,7 @@ def test_interleaved_engine_calls_equal_fresh_calls(monkeypatch):
             nested.append(evaluation._simulate_trials(*small))
         return out
 
-    monkeypatch.setattr(evaluation, "complex_gaussian", draw_with_a_nested_call)
+    monkeypatch.setattr(channel, "complex_gaussian", draw_with_a_nested_call)
     assert _same_bytes(evaluation._simulate_trials(*big), fresh_big)
     assert _same_bytes(nested[0], fresh_small)
     assert _same_bytes(evaluation._simulate_trials(*small), fresh_small)
@@ -715,6 +715,17 @@ def test_empty_policies_or_snr_points_raise_before_anything_runs(monkeypatch, em
     args = {"policies": [PolicySpec("perfect"), PolicySpec("distance")], "snr_db": [20.0, 40.0], empty: []}
     with pytest.raises(ValueError, match=f"^{empty} must not be empty$"):
         evaluate_curves(place_grid(3), 0.6, trials=60, seed=1, workers=2, **args)
+
+
+@pytest.mark.parametrize("db", [float("nan"), float("inf"), float("-inf"), 0.0, -3.0, 4000.0])
+def test_snr_points_without_a_finite_nominal_snr_above_one_raise_before_anything_runs(monkeypatch, db):
+    """P = 10^(dB/10) must be finite and > 1 at every point; 4000 dB
+    overflows a float. The error names the dB value, before any table is
+    built."""
+    monkeypatch.setattr(evaluation, "_engine", _no_engine)
+    message = f"every snr_db point needs a finite nominal SNR P = 10^(dB/10) > 1, got {db!r} dB"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate_curves(place_grid(2), 0.6, [PolicySpec("perfect"), PolicySpec("distance")], [20.0, db], 3, seed=1)
 
 
 def _no_engine(*args, **kwargs):

@@ -7,11 +7,11 @@ from netmimo import oracle
 from netmimo.allocation import distance_exponents
 from netmimo.channel import (
     PURPOSE_CHANNEL,
+    _trial_streams,
     complex_gaussian,
     draw_channel,
     pathloss_matrix,
     trial_rng,
-    trial_streams,
 )
 from netmimo.oracle import (
     DivergentSeriesError,
@@ -327,17 +327,17 @@ def test_lapack_failure_marks_only_its_element(monkeypatch):
 
 
 def _counting_trial_streams(monkeypatch):
-    """Replace oracle.trial_streams with a wrapper that records each pass's
+    """Replace oracle._trial_streams with a wrapper that records each pass's
     cells and each cell as it is drawn. Returns (passes, draws)."""
     passes, draws = [], []
 
-    def counting(seed, trials, purposes):
-        passes.append([(seed, t, p) for t, p in zip(trials, purposes)])
-        for t, p, rng in zip(trials, purposes, trial_streams(seed, trials, purposes)):
-            draws.append((seed, t, p))
+    def counting(seed, trials, purpose):
+        passes.append([(seed, t, purpose) for t in trials])
+        for t, rng in zip(trials, _trial_streams(seed, trials, purpose)):
+            draws.append((seed, t, purpose))
             yield rng
 
-    monkeypatch.setattr(oracle, "trial_streams", counting)
+    monkeypatch.setattr(oracle, "_trial_streams", counting)
     return passes, draws
 
 

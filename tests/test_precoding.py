@@ -393,6 +393,19 @@ def test_unbatched_rejection_is_a_batch_of_one():
     assert info.value.threshold == 100.0
 
 
+@pytest.mark.parametrize(
+    "precoder, shape",
+    [(zf_precoder, (0, 3, 3)), (zf_precoder, (2, 0, 3, 3)), (distributed_precoder, (0, 3, 3, 3))],
+)
+def test_empty_batch_gives_an_empty_precoder(precoder, shape):
+    """A batch of no solves gives an empty, read-only T and max_cond with
+    the batch's axes."""
+    got = precoder(np.empty(shape, dtype=complex), 10.0)
+    batch = shape[: len(shape) - (3 if precoder is distributed_precoder else 2)]
+    assert got.T.shape == batch + (3, 3) and got.max_cond.shape == batch
+    assert not got.T.flags.writeable and not got.max_cond.flags.writeable
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         zf_precoder(np.ones((2, 3), dtype=complex), 10.0)
