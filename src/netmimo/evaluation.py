@@ -80,9 +80,13 @@ LN2 = float(np.log(2.0))
 
 
 def db_to_linear(snr_db: float) -> float:
-    """10^(snr_db/10), and inf where a float past 10^308 would overflow."""
+    """10^(snr_db/10), and inf where a float past 10^308 would overflow.
+
+    A numpy scalar is read as a Python float first, so it neither warns on
+    overflow nor loses precision to float32 arithmetic.
+    """
     try:
-        return float(10.0 ** (snr_db / 10.0))
+        return 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:
         return math.inf
 
@@ -556,10 +560,13 @@ def evaluate_point(
     Every policy sees the same channel and the same estimation-noise draws
     (scaled by its own bit counts), so cross-policy comparisons share their
     randomness. Means and standard errors run over accepted trials only.
-    PointResult.rates maps each policy to its RatePoint, whose snr_db is
-    10 log10(p). Options: cond_threshold, max_rejection_rate, data_mask,
-    workers and keep_samples (per-trial rates in PointResult.samples).
+    p must be finite and > 1, else ValueError names it. PointResult.rates
+    maps each policy to its RatePoint, whose snr_db is 10 log10(p).
+    Options: cond_threshold, max_rejection_rate, data_mask, workers and
+    keep_samples (per-trial rates in PointResult.samples).
     """
+    if not 1.0 < p < math.inf:  # NaN included; checked before log10 warns on it
+        raise ValueError(f"p must be a finite nominal SNR > 1, got {p!r}")
     return _evaluate(layout, gamma, policies, [(linear_to_db(p), p)], trials, seed, **opts)[0]
 
 

@@ -13,8 +13,18 @@ and condition numbers then run on stacks of trials (or pairs) of at most
 _STACK_BYTES each. Every result is bit-identical to drawing and solving one
 trial at a time: each unit draw is the complex_gaussian draw that
 draw_channel scales by sigma, and each LAPACK and BLAS call sees the same
-matrix. The resolvent check screens its stacks of pairs and then runs
-resolvent_check itself on the kept ones.
+matrix.
+
+Two cheap norm bounds settle most of the decisions that would otherwise
+take an SVD or an eigenvalue solve, and every decision comes out as the
+LAPACK call would make it. The resolvent check inverts each stack of pairs
+once and keeps a pair without np.linalg.cond when both its matrices have
+kappa_F = ||A||_F ||A^-1||_F a safe margin below the limit (kappa_2 <=
+kappa_F); cond runs only on the pairs this screen misses, about one in
+eight at the default limit. The expansion's convergence test reads
+min(||M||_1, ||M||_inf) >= rho(M) first and runs np.linalg.eigvals only
+where that bound is not below 1/2, on about a tenth of the tail check's
+draws.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import numpy as np
 
 from .allocation import distance_exponents
 from .channel import PURPOSE_CHANNEL, _trial_median, _trial_streams, _unit_draws, pathloss_matrix
+from .precoding import _SCREEN_CAP
 from .topology import NodeLayout, interference_levels, pairwise_distance
 
 __all__ = [
@@ -54,6 +65,22 @@ _STACK_BYTES = 1 << 15
 # _TAIL_TRIALS_PER_SPARE trials, and never fewer than _TAIL_MIN_SPARE draws.
 _TAIL_TRIALS_PER_SPARE = 10
 _TAIL_MIN_SPARE = 20
+
+# The resolvent check keeps a pair unseen by the SVD when both its computed
+# kappa_F lie below cond_limit / _COND_MARGIN. The inverse that kappa_F is read
+# from and the singular values behind np.linalg.cond both carry a relative
+# error of about n kappa eps (n the size, eps = 2.2e-16); under _SCREEN_CAP
+# and at n = 8 that is below 2e-5, so true and computed kappa_2 sit within
+# 1.00002 of each other and of their bounds, and a 1% margin leaves room for
+# the constants and pivot growth. Wider margins cost SVDs: on 1,000 8x8 pairs
+# at cond_limit 100, a margin of 4 clears 9.4% of pairs and 1.01 clears 90.6%.
+_COND_MARGIN = 1.01
+
+# An iteration matrix whose computed min(||M||_1, ||M||_inf) is below this
+# converges without an eigenvalue solve: rho(M) is at most that bound, and the
+# eigenvalues LAPACK would compute (exact for M plus a perturbation of norm
+# about n eps ||M||) stay far below 1 too.
+_RADIUS_SCREEN = 0.5
 
 
 def _stack_len(k: int, per_item: int = 1) -> int:
@@ -115,6 +142,11 @@ def truncation_order(distances: np.ndarray, gamma: float) -> TruncationOrder:
     return TruncationOrder(gamma_min=gamma_min, n0=max(int(np.ceil(1.0 / (1.0 - gamma_min))), 1))
 
 
+def _resolvent_error(a, b, a_inv, b_inv) -> float:
+    err = a_inv - b_inv - b_inv @ (b - a) @ a_inv
+    return float(np.max(np.abs(err)))
+
+
 def resolvent_check(a: np.ndarray, b: np.ndarray) -> float:
     """Max entrywise error of inv(a) - inv(b) = inv(b) (b - a) inv(a).
 
@@ -122,10 +154,35 @@ def resolvent_check(a: np.ndarray, b: np.ndarray) -> float:
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    a_inv = np.linalg.inv(a)
-    b_inv = np.linalg.inv(b)
-    err = a_inv - b_inv - b_inv @ (b - a) @ a_inv
-    return float(np.max(np.abs(err)))
+    return _resolvent_error(a, b, np.linalg.inv(a), np.linalg.inv(b))
+
+
+def _kept_pairs(ab: np.ndarray, cond_limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which pairs of an (n, 2, K, K) stack have both cond(a) and cond(b)
+    within cond_limit, as np.linalg.cond decides, and the stack's inverses,
+    of which only the kept pairs' are meant to be read.
+
+    The stack is inverted once, and a pair whose two kappa_F lie below
+    min(cond_limit, _SCREEN_CAP) / _COND_MARGIN is kept without an SVD;
+    np.linalg.cond runs once, on the pairs the screen misses. If the LU
+    factorization hits an exact zero pivot, cond decides for the whole stack
+    and only the kept pairs are inverted, which raises again if one of them
+    is singular. np.linalg.inv works matrix by matrix, so each inverse equals
+    its own call's bits.
+    """
+    try:
+        inv = np.linalg.inv(ab)
+    except np.linalg.LinAlgError:
+        keep = ~np.any(np.linalg.cond(ab) > cond_limit, axis=-1)
+        inv = np.full(ab.shape, np.nan, dtype=complex)
+        inv[keep] = np.linalg.inv(ab[keep])
+        return keep, inv
+    kappa_f = np.linalg.norm(ab, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
+    keep = np.all(kappa_f < min(cond_limit, _SCREEN_CAP) / _COND_MARGIN, axis=-1)  # NaN misses
+    missed = np.flatnonzero(~keep)
+    if len(missed):
+        keep[missed] = ~np.any(np.linalg.cond(ab[missed]) > cond_limit, axis=-1)
+    return keep, inv
 
 
 def resolvent_max_error(
@@ -135,10 +192,12 @@ def resolvent_max_error(
 
     Pairs (a, b) are drawn one matrix after another from one generator; a
     pair is rejected when cond(a) > cond_limit or cond(b) > cond_limit. The
-    draws, the screen and resolvent_check run on stacks of pairs; a stack
-    whose pairs are all rejected adds nothing. No matrix has a condition
-    number below 1, so a cond_limit below 1 (or NaN) raises ValueError, and
-    drawing 100 * pairs pairs without keeping enough raises RuntimeError.
+    draws, the screen (see _kept_pairs) and the check run on stacks of
+    pairs; the kept pairs' errors come from the inverses the screen formed,
+    bit for bit what resolvent_check computes, and a stack whose pairs are
+    all rejected adds nothing. No matrix has a condition number below 1, so
+    a cond_limit below 1 (or NaN) raises ValueError, and drawing 100 * pairs
+    pairs without keeping enough raises RuntimeError.
     """
     if not cond_limit >= 1.0:
         raise ValueError(f"cond_limit must be >= 1, got {cond_limit}")
@@ -157,11 +216,11 @@ def resolvent_max_error(
         ab.real = parts[:, :, 0]
         ab.imag = parts[:, :, 1]
         ab /= np.sqrt(2.0)
-        cond = np.linalg.cond(ab)
-        kept = ab[~((cond[:, 0] > cond_limit) | (cond[:, 1] > cond_limit))]
-        if len(kept):
-            worst = max(worst, resolvent_check(kept[:, 0], kept[:, 1]))
-        done += len(kept)
+        keep, inv = _kept_pairs(ab, cond_limit)
+        if keep.any():
+            kept, kept_inv = ab[keep], inv[keep]
+            worst = max(worst, _resolvent_error(kept[:, 0], kept[:, 1], kept_inv[:, 0], kept_inv[:, 1]))
+        done += int(keep.sum())
     return worst
 
 
@@ -214,10 +273,14 @@ def _partial_sums(h: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray, np
     """Expansion of every element of an (n, K, K) complex stack up to order n_max.
 
     Returns the partial sums, their Frobenius residuals against the inverse,
-    and the spectral radii of the iteration matrices. The radius is NaN where
-    the expansion is undefined: a zero diagonal entry, or a LAPACK failure on
-    that element. Only the sums and residuals of elements whose radius is
-    below 1 are meaningful.
+    and a radius per element that is below 1 exactly where the spectral
+    radius of the iteration matrix M is. Where min(||M||_1, ||M||_inf) is
+    below _RADIUS_SCREEN the radius is that bound, an upper bound on the
+    spectral radius; elsewhere it is the spectral radius from
+    np.linalg.eigvals, run once on those elements only. The radius is NaN
+    where the expansion is undefined: a zero diagonal entry, or a LAPACK
+    failure on that element. Only the sums and residuals of elements whose
+    radius is below 1 are meaningful.
     """
     n, k = h.shape[0], h.shape[-1]
     radius = np.full(n, np.nan)
@@ -225,9 +288,13 @@ def _partial_sums(h: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray, np
     resid = np.full(n, np.nan)
     defined = np.flatnonzero(np.all(np.diagonal(h, axis1=-2, axis2=-1) != 0, axis=-1))
     m, d = _iteration_matrix(h[defined])
-    radius[defined] = _each_on_failure(
-        lambda x: np.max(np.abs(np.linalg.eigvals(x)), axis=-1), m, np.nan
+    mag = np.abs(m)
+    rho = np.minimum(mag.sum(axis=-2).max(axis=-1), mag.sum(axis=-1).max(axis=-1))  # >= spectral radius
+    solve = ~(rho < _RADIUS_SCREEN)  # NaN included
+    rho[solve] = _each_on_failure(
+        lambda x: np.max(np.abs(np.linalg.eigvals(x)), axis=-1), m[solve], np.nan
     )
+    radius[defined] = rho
     conv = radius[defined] < 1.0
     ok, m, d = defined[conv], m[conv], d[conv]
     term = _diag_embed(1.0 / d)

@@ -1,8 +1,11 @@
+import dataclasses
+import math
 import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -726,6 +729,40 @@ def test_snr_points_without_a_finite_nominal_snr_above_one_raise_before_anything
     message = f"every snr_db point needs a finite nominal SNR P = 10^(dB/10) > 1, got {db!r} dB"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         evaluate_curves(place_grid(2), 0.6, [PolicySpec("perfect"), PolicySpec("distance")], [20.0, db], 3, seed=1)
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_evaluate_point_names_a_bad_p_without_a_warning(monkeypatch, p):
+    """A p with no finite dB value above 0 is refused before log10 sees it,
+    and the message names the p given, not a dB value derived from it."""
+    monkeypatch.setattr(evaluation, "_engine", _no_engine)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'p must be a finite nominal SNR > 1, got {p!r}')}$"):
+            evaluate_point(place_grid(2), 0.6, [PolicySpec("perfect")], p, 3, 1)
+
+
+def test_db_to_linear_reads_numpy_scalars_as_floats(monkeypatch):
+    """numpy scalars give the Python float result, overflow to inf without a
+    warning, and an np.linspace SNR list runs like the list of its floats."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert db_to_linear(np.float64(4000.0)) == math.inf
+        assert db_to_linear(np.float32(4000.0)) == math.inf
+        assert db_to_linear(np.float64(47.3)) == db_to_linear(47.3)
+        assert db_to_linear(np.float32(47.3)) == db_to_linear(float(np.float32(47.3)))
+        layout, specs = place_grid(2), [PolicySpec("perfect"), PolicySpec("distance")]
+        grid = np.linspace(20.0, 40.0, 3)
+        got = evaluate_curves(layout, 0.6, specs, grid, 3, seed=1)
+        want = evaluate_curves(layout, 0.6, specs, grid.tolist(), 3, seed=1)
+        for spec in specs:
+            for g, w in zip(got[spec], want[spec]):
+                for field in dataclasses.fields(RatePoint):
+                    assert np.array_equal(getattr(g, field.name), getattr(w, field.name)), field.name
+        monkeypatch.setattr(evaluation, "_engine", _no_engine)
+        message = f"every snr_db point needs a finite nominal SNR P = 10^(dB/10) > 1, got {np.float64(4000.0)!r} dB"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_curves(layout, 0.6, specs, np.linspace(20.0, 4000.0, 2), 3, seed=1)
 
 
 def _no_engine(*args, **kwargs):

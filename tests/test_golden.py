@@ -4,10 +4,10 @@ pinned byte for byte.
 Each *_rates.csv file under tests/data is the rates.csv of one tiny config;
 each sizes_*.csv is the table of one `sizes` call, and bits_grid4_sha256.csv
 holds the SHA-256 of every policy's bit table behind them;
-verify_seed7_trials200.csv holds every verify check's measured value and
-bound in repr, so a last-bit move shows. A change that moves a single byte
-of any of them is a numerical change and has to be declared as one. To
-regenerate the files after such a change, run
+verify_seed7_trials200.csv and verify_seed7_trials800.csv hold every verify
+check's measured value and bound in repr, so a last-bit move shows. A
+change that moves a single byte of any of them is a numerical change and
+has to be declared as one. To regenerate the files after such a change, run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -156,15 +156,21 @@ def test_bit_tables_match_golden():
 
 
 VERIFY_GOLDEN = DATA / "verify_seed7_trials200.csv"
+# The benchmark's call shape: run_verification at its defaults.
+VERIFY800_GOLDEN = DATA / "verify_seed7_trials800.csv"
 
 
-def _verify_csv() -> str:
-    rows = [f"{r.name},{r.measured!r},{r.bound!r}\n" for r in run_verification(seed=7, trials=200)]
+def _verify_csv(trials: int = 200) -> str:
+    rows = [f"{r.name},{r.measured!r},{r.bound!r}\n" for r in run_verification(seed=7, trials=trials)]
     return "check,measured,bound\n" + "".join(rows)
 
 
 def test_verify_checks_match_golden():
     assert _verify_csv() == VERIFY_GOLDEN.read_text()
+
+
+def test_verify_checks_at_800_trials_match_golden():
+    assert _verify_csv(800) == VERIFY800_GOLDEN.read_text()
 
 
 if __name__ == "__main__":
@@ -183,3 +189,5 @@ if __name__ == "__main__":
     print(f"wrote {BITS_GOLDEN}")
     VERIFY_GOLDEN.write_text(_verify_csv())
     print(f"wrote {VERIFY_GOLDEN}")
+    VERIFY800_GOLDEN.write_text(_verify_csv(800))
+    print(f"wrote {VERIFY800_GOLDEN}")

@@ -92,6 +92,118 @@ def test_resolvent_max_error_gives_up_after_100_draws_per_pair(monkeypatch):
     assert sum(drawn) == 300
 
 
+def _reference_max_error(pairs, size, seed, cond_limit):
+    """resolvent_max_error drawn, screened by np.linalg.cond and checked one
+    pair at a time, or the RuntimeError type if 100 * pairs draws keep too few."""
+    rng = np.random.default_rng(seed)
+    kept = []
+    for _ in range(100 * pairs):
+        a, b = complex_gaussian(rng, (size, size)), complex_gaussian(rng, (size, size))
+        if max(np.linalg.cond(a), np.linalg.cond(b)) <= cond_limit:
+            kept.append(resolvent_check(a, b))
+            if len(kept) == pairs:
+                return max(kept)
+    return RuntimeError
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 8),
+    pairs=st.integers(1, 12),
+    kappa=st.sampled_from(["kappa_2", "kappa_F", "kappa_F * margin"]),
+    side=st.sampled_from([1.0 - 1e-6, 1.0 + 1e-6]),
+    pick=st.integers(0, 2**16),
+)
+def test_screened_pairs_equal_cond_decisions(seed, size, pairs, kappa, side, pick):
+    """With the limit a hair either side of one drawn matrix's kappa_2, its
+    kappa_F or the screen's edge kappa_F * _COND_MARGIN, the kept pairs are
+    those np.linalg.cond keeps, their inverses are their own calls' bytes,
+    and resolvent_max_error equals checking one pair at a time to the bit."""
+    ab = complex_gaussian(np.random.default_rng(seed), (pairs, 2, size, size))
+    inverse = np.linalg.inv(ab)
+    kappa_f = np.linalg.norm(ab, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
+    at = {"kappa_2": np.linalg.cond(ab), "kappa_F": kappa_f, "kappa_F * margin": kappa_f * oracle._COND_MARGIN}
+    limit = max(1.0, float(at[kappa].flat[pick % ab[:, :, 0, 0].size]) * side)
+    keep, inv = oracle._kept_pairs(ab, limit)
+    assert keep.tolist() == (np.linalg.cond(ab) <= limit).all(axis=-1).tolist()
+    for i in np.flatnonzero(keep):
+        assert inv[i].tobytes() == np.linalg.inv(ab[i]).tobytes()
+    want = _reference_max_error(pairs, size, seed, limit)
+    if want is RuntimeError:
+        with pytest.raises(RuntimeError):
+            resolvent_max_error(pairs, size, seed, cond_limit=limit)
+    else:
+        assert resolvent_max_error(pairs, size, seed, cond_limit=limit) == want
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 9),
+    bounds=st.lists(st.floats(0.5 - 1e-9, 0.5 + 1e-9) | st.floats(0.05, 3.0), min_size=1, max_size=8),
+)
+def test_radius_screen_equals_eigvals_decisions(seed, k, bounds):
+    """On iteration matrices scaled so that min(||M||_1, ||M||_inf) lies a
+    hair either side of 1/2, or anywhere up to 3, _partial_sums says an
+    element converges exactly where eigvals does, and a screened element's
+    radius is its norm bound, which no eigenvalue's magnitude exceeds."""
+    rng = np.random.default_rng(seed)
+    m = complex_gaussian(rng, (len(bounds), k, k))
+    m[:, np.arange(k), np.arange(k)] = 0.0
+    mag = np.abs(m)
+    m *= (np.array(bounds) / np.minimum(mag.sum(axis=-2).max(axis=-1), mag.sum(axis=-1).max(axis=-1)))[:, None, None]
+    d = complex_gaussian(rng, (len(bounds), k)) + 2.0
+    h = d[..., :, None] * (np.eye(k) - m)
+    m_used = oracle._iteration_matrix(h)[0]
+    mag = np.abs(m_used)
+    norm_bound = np.minimum(mag.sum(axis=-2).max(axis=-1), mag.sum(axis=-1).max(axis=-1))
+    rho = np.max(np.abs(np.linalg.eigvals(m_used)), axis=-1)
+    radius = _partial_sums(h, 2)[2]
+    assert (radius < 1.0).tolist() == (rho < 1.0).tolist()
+    screened = norm_bound < 0.5
+    assert radius[screened].tolist() == norm_bound[screened].tolist()
+    assert np.all(rho[screened] <= radius[screened])
+    assert radius[~screened].tolist() == rho[~screened].tolist()
+
+
+def test_kept_pairs_fall_back_to_cond_on_a_zero_pivot(monkeypatch):
+    """An exactly singular matrix stops the stack's LU solve: cond then
+    decides every pair, and only the kept pairs are inverted, each to its
+    own call's bytes."""
+    ab = complex_gaussian(np.random.default_rng(2), (3, 2, 3, 3)) + 3.0 * np.eye(3)
+    ab[1, 1] = 1.0
+    seen = []
+    real_cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda x: seen.append(len(x)) or real_cond(x))
+    keep, inv = oracle._kept_pairs(ab, 100.0)
+    assert keep.tolist() == [True, False, True]
+    assert seen == [3]
+    for i in (0, 2):
+        assert inv[i].tobytes() == np.linalg.inv(ab[i]).tobytes()
+
+
+def test_run_verification_screens_most_svds_and_eigenvalue_solves(monkeypatch):
+    """At the defaults, np.linalg.cond sees at most 15% of the drawn pairs
+    and np.linalg.eigvals at most 15% of the tail check's draws."""
+    counts = dict.fromkeys(["drawn", "cond", "tail", "eigvals"], 0)
+
+    def counting(key, fn, counted=lambda x: len(x)):
+        def wrapped(x, *args):
+            counts[key] += counted(x)
+            return fn(x, *args)
+        return wrapped
+
+    monkeypatch.setattr(oracle, "_kept_pairs", counting("drawn", oracle._kept_pairs))
+    monkeypatch.setattr(oracle, "_partial_sums", counting("tail", oracle._partial_sums))
+    monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond))
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals, lambda a: len(a) if a.ndim == 3 else 1))
+    assert all(r.passed for r in run_verification())
+    assert counts["drawn"] >= 1000 and counts["tail"] >= 400
+    assert counts["cond"] <= 0.15 * counts["drawn"]
+    assert counts["eigvals"] <= 0.15 * counts["tail"]
+
+
 def test_resolvent_singular_input():
     singular = np.ones((3, 3), dtype=complex)
     fine = np.eye(3, dtype=complex)
@@ -305,19 +417,24 @@ def test_batched_neumann_helpers_equal_stacked_single_calls(seed, k, kinds, n):
 
 def test_lapack_failure_marks_only_its_element(monkeypatch):
     """When eigvals fails on a stack, the elements are redone one at a time:
-    the failing one is undefined and the others keep their one-trial bytes."""
+    the failing one is undefined and the others keep their one-trial bytes.
+    A diagonal of 4 leaves every element's norm bound above 1/2 (0.78 to
+    1.09, spectral radii 0.39 to 0.50), so all three reach eigvals."""
     real_eigvals = np.linalg.eigvals
+    stacks = []
 
     def eigvals_failing_on_zero_corner(a):
+        stacks.append(a.shape)
         if np.any(a[..., 0, 1] == 0):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return real_eigvals(a)
 
-    h = complex_gaussian(np.random.default_rng(8), (3, 4, 4)) + 8.0 * np.eye(4)
+    h = complex_gaussian(np.random.default_rng(8), (3, 4, 4)) + 4.0 * np.eye(4)
     h[1, 0, 1] = 0.0
     want = [_one_trial_expansion(x, 2) for x in h]
     monkeypatch.setattr(np.linalg, "eigvals", eigvals_failing_on_zero_corner)
     total, resid, radius = _partial_sums(h, 2)
+    assert stacks[0] == (3, 4, 4)
     assert np.isnan(radius[1])
     for i in (0, 2):
         assert total[i].tobytes() == want[i][0].tobytes()
