@@ -59,7 +59,7 @@ from .channel import (
     apply_estimate_noise,
     pathloss_matrix,
 )
-from .precoding import DEFAULT_COND_THRESHOLD, Precoder, _precode, mask_from_sets
+from .precoding import DEFAULT_COND_THRESHOLD, _precode, mask_from_sets
 from .topology import NodeLayout, data_sharing_sets, interference_levels, pairwise_distance
 
 __all__ = [
@@ -109,11 +109,9 @@ class RejectionRateError(RuntimeError):
 
 @dataclass(frozen=True)
 class RateSample:
-    """Per-user rates of one realization plus their signal/interference split."""
+    """Per-user rates of one realization."""
 
     rates: np.ndarray
-    signal: np.ndarray
-    interference: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -158,23 +156,21 @@ class PointResult:
     samples: dict[PolicySpec, np.ndarray] | None = None
 
 
-def instantaneous_rates(h: np.ndarray, precoder: Precoder | np.ndarray) -> RateSample:
-    """Per-user rates log2(1 + S_i / (1 + I_i)) for one channel and precoder.
+def instantaneous_rates(h: np.ndarray, precoder: np.ndarray) -> RateSample:
+    """Per-user rates log2(1 + S_i / (1 + I_i)) for one channel and precoding matrix.
 
     Row i of h is receiver i's channel, column i of the precoding matrix is
     user i's beamformer; the unit noise floor is the 1 in the denominator.
     Leading axes of h and the precoder (..., K, K) are batch axes, and the
-    results gain them: (..., K).
+    rates gain them: (..., K).
     """
-    t = precoder.T if isinstance(precoder, Precoder) else np.asarray(precoder, dtype=complex)
-    gains = np.abs(np.asarray(h, dtype=complex) @ t) ** 2
+    gains = np.abs(np.asarray(h, dtype=complex) @ np.asarray(precoder, dtype=complex)) ** 2
     k = gains.shape[-1]
     diag = gains.reshape(gains.shape[:-2] + (k * k,))[..., :: k + 1]  # a view of each diagonal
     signal = diag.copy()
     diag[...] = 0.0
     interference = gains.sum(axis=-1)
-    rates = np.log1p(signal / (1.0 + interference)) / LN2
-    return RateSample(rates=rates, signal=signal, interference=interference)
+    return RateSample(rates=np.log1p(signal / (1.0 + interference)) / LN2)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ matrix.
 
 Two cheap norm bounds settle most of the decisions that would otherwise
 take an SVD or an eigenvalue solve, and every decision comes out as the
-LAPACK call would make it. The resolvent check inverts each stack of pairs
-once and keeps a pair without np.linalg.cond when both its matrices have
-kappa_F = ||A||_F ||A^-1||_F a safe margin below the limit (kappa_2 <=
-kappa_F); cond runs only on the pairs this screen misses, about one in
+LAPACK call would make it. The resolvent check screens each stack of pairs
+through the engine's condition gate, precoding._screened_inverse, with its
+own margin: a pair is kept without np.linalg.cond when both its matrices
+have kappa_F = ||A||_F ||A^-1||_F a safe margin below the limit (kappa_2 <=
+kappa_F), and cond runs only on the pairs this screen misses, about one in
 eight at the default limit. The expansion's convergence test reads
 min(||M||_1, ||M||_inf) >= rho(M) first and runs np.linalg.eigvals only
 where that bound is not below 1/2, on about a tenth of the tail check's
@@ -35,7 +36,7 @@ import numpy as np
 
 from .allocation import distance_exponents
 from .channel import PURPOSE_CHANNEL, _trial_median, _trial_streams, _unit_draws, pathloss_matrix
-from .precoding import _SCREEN_CAP
+from .precoding import _screened_inverse
 from .topology import NodeLayout, interference_levels, pairwise_distance
 
 __all__ = [
@@ -69,8 +70,8 @@ _TAIL_MIN_SPARE = 20
 # The resolvent check keeps a pair unseen by the SVD when both its computed
 # kappa_F lie below cond_limit / _COND_MARGIN. The inverse that kappa_F is read
 # from and the singular values behind np.linalg.cond both carry a relative
-# error of about n kappa eps (n the size, eps = 2.2e-16); under _SCREEN_CAP
-# and at n = 8 that is below 2e-5, so true and computed kappa_2 sit within
+# error of about n kappa eps (n the size, eps = 2.2e-16); under the gate's cap
+# of 1e10 and at n = 8 that is below 2e-5, so true and computed kappa_2 sit within
 # 1.00002 of each other and of their bounds, and a 1% margin leaves room for
 # the constants and pivot growth. Wider margins cost SVDs: on 1,000 8x8 pairs
 # at cond_limit 100, a margin of 4 clears 9.4% of pairs and 1.01 clears 90.6%.
@@ -157,47 +158,20 @@ def resolvent_check(a: np.ndarray, b: np.ndarray) -> float:
     return _resolvent_error(a, b, np.linalg.inv(a), np.linalg.inv(b))
 
 
-def _kept_pairs(ab: np.ndarray, cond_limit: float) -> tuple[np.ndarray, np.ndarray]:
-    """Which pairs of an (n, 2, K, K) stack have both cond(a) and cond(b)
-    within cond_limit, as np.linalg.cond decides, and the stack's inverses,
-    of which only the kept pairs' are meant to be read.
-
-    The stack is inverted once, and a pair whose two kappa_F lie below
-    min(cond_limit, _SCREEN_CAP) / _COND_MARGIN is kept without an SVD;
-    np.linalg.cond runs once, on the pairs the screen misses. If the LU
-    factorization hits an exact zero pivot, cond decides for the whole stack
-    and only the kept pairs are inverted, which raises again if one of them
-    is singular. np.linalg.inv works matrix by matrix, so each inverse equals
-    its own call's bits.
-    """
-    try:
-        inv = np.linalg.inv(ab)
-    except np.linalg.LinAlgError:
-        keep = ~np.any(np.linalg.cond(ab) > cond_limit, axis=-1)
-        inv = np.full(ab.shape, np.nan, dtype=complex)
-        inv[keep] = np.linalg.inv(ab[keep])
-        return keep, inv
-    kappa_f = np.linalg.norm(ab, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
-    keep = np.all(kappa_f < min(cond_limit, _SCREEN_CAP) / _COND_MARGIN, axis=-1)  # NaN misses
-    missed = np.flatnonzero(~keep)
-    if len(missed):
-        keep[missed] = ~np.any(np.linalg.cond(ab[missed]) > cond_limit, axis=-1)
-    return keep, inv
-
-
 def resolvent_max_error(
     pairs: int, size: int, seed: int, cond_limit: float = 100.0
 ) -> float:
     """Worst resolvent_check over random well-conditioned complex pairs.
 
     Pairs (a, b) are drawn one matrix after another from one generator; a
-    pair is rejected when cond(a) > cond_limit or cond(b) > cond_limit. The
-    draws, the screen (see _kept_pairs) and the check run on stacks of
-    pairs; the kept pairs' errors come from the inverses the screen formed,
-    bit for bit what resolvent_check computes, and a stack whose pairs are
-    all rejected adds nothing. No matrix has a condition number below 1, so
-    a cond_limit below 1 (or NaN) raises ValueError, and drawing 100 * pairs
-    pairs without keeping enough raises RuntimeError.
+    pair is rejected when cond(a) or cond(b) is non-finite or above
+    cond_limit. The draws, the condition gate (precoding._screened_inverse at
+    margin _COND_MARGIN) and the check run on stacks of pairs; the kept
+    pairs' errors come from the inverses the gate formed, bit for bit what
+    resolvent_check computes, and a stack whose pairs are all rejected adds
+    nothing. No matrix has a condition number below 1, so a cond_limit below
+    1 (or NaN) raises ValueError, and drawing 100 * pairs pairs without
+    keeping enough raises RuntimeError.
     """
     if not cond_limit >= 1.0:
         raise ValueError(f"cond_limit must be >= 1, got {cond_limit}")
@@ -216,7 +190,8 @@ def resolvent_max_error(
         ab.real = parts[:, :, 0]
         ab.imag = parts[:, :, 1]
         ab /= np.sqrt(2.0)
-        keep, inv = _kept_pairs(ab, cond_limit)
+        inv, _, _, rejected = _screened_inverse(ab, cond_limit, _COND_MARGIN)
+        keep = ~rejected
         if keep.any():
             kept, kept_inv = ab[keep], inv[keep]
             worst = max(worst, _resolvent_error(kept[:, 0], kept[:, 1], kept_inv[:, 0], kept_inv[:, 1]))

@@ -73,10 +73,13 @@ def test_perfect_zf_interference_free():
         h = complex_gaussian(rng, (4, 4))
         if np.linalg.cond(h) > 1e4:
             continue
-        sample = instantaneous_rates(h, zf_precoder(h, p))
-        assert np.max(sample.interference) < 1e-12 * p
+        t = zf_precoder(h, p)
+        gains = np.abs(h @ t) ** 2
+        signal = np.diagonal(gains)
+        interference = (gains * (1.0 - np.eye(4))).sum(axis=-1)
+        assert np.max(interference) < 1e-12 * p
         np.testing.assert_allclose(
-            sample.rates, np.log2(1.0 + sample.signal), rtol=1e-9
+            instantaneous_rates(h, t).rates, np.log2(1.0 + signal), rtol=1e-9
         )
 
 
@@ -107,8 +110,8 @@ def test_rate_difference_decomposition():
             continue
         noise = complex_gaussian(trial_rng(44, t, PURPOSE_ESTIMATE), (9, 9, 9))
         est = apply_estimate_noise(chan, sigma, bits, noise)
-        t_star = zf_precoder(chan.H, p).T
-        t_dist = distributed_precoder(est, p).T
+        t_star = zf_precoder(chan.H, p)
+        t_dist = distributed_precoder(est, p)
         r_perf = instantaneous_rates(chan.H, t_star).rates
         r_pol = instantaneous_rates(chan.H, t_dist).rates
         cross = np.abs(chan.H @ (t_dist - t_star)) ** 2
@@ -400,19 +403,20 @@ def _replayed_point(positions, gamma, p, bits_list, seed, trial_indices, cond_th
         noise = complex_gaussian(trial_rng(seed, t, PURPOSE_ESTIMATE), (k, k, k))
         try:
             t_star = zf_precoder(chan.H, p, cond_threshold)
+            solves = [chan.H if b is None else apply_estimate_noise(chan, sigma, b, noise) for b in bits_list]
             precs = [
-                t_star if b is None
-                else distributed_precoder(apply_estimate_noise(chan, sigma, b, noise), p, cond_threshold)
-                for b in bits_list
+                t_star if b is None else distributed_precoder(a, p, cond_threshold)
+                for a, b in zip(solves, bits_list)
             ]
         except IllConditionedError as exc:
             worst[row] = exc.cond
             continue
         for pol, prec in enumerate(precs):
             rates[row, pol] = instantaneous_rates(chan.H, prec).rates
-            row_dev[row, pol] = (np.abs(prec.T - t_star.T) ** 2).sum(axis=-1)
+            row_dev[row, pol] = (np.abs(prec - t_star) ** 2).sum(axis=-1)
         accepted[row] = True
-        worst[row] = max(prec.max_cond for prec in precs)
+        # The condition estimate the precoding core gives each solve alone.
+        worst[row] = max(_precode(a[None], p, cond_threshold)[1][0] for a in solves)
     return rates, row_dev.sum(axis=-1), row_dev, accepted, worst
 
 

@@ -27,6 +27,7 @@ from netmimo.oracle import (
     truncation_order,
     truncation_tail_check,
 )
+from netmimo.precoding import _SCREEN_MARGIN, _screened_inverse
 from netmimo.topology import (
     NodeLayout,
     interference_levels,
@@ -117,24 +118,29 @@ def _reference_max_error(pairs, size, seed, cond_limit):
 )
 def test_screened_pairs_equal_cond_decisions(seed, size, pairs, kappa, side, pick):
     """With the limit a hair either side of one drawn matrix's kappa_2, its
-    kappa_F or the screen's edge kappa_F * _COND_MARGIN, the kept pairs are
-    those np.linalg.cond keeps, their inverses are their own calls' bytes,
-    and resolvent_max_error equals checking one pair at a time to the bit."""
+    kappa_F or the screen's edge kappa_F * margin, the condition gate keeps
+    the pairs np.linalg.cond keeps, at the oracle's margin and at the
+    engine's, and their inverses are their own calls' bytes; at the oracle's
+    margin resolvent_max_error equals checking one pair at a time to the bit."""
     ab = complex_gaussian(np.random.default_rng(seed), (pairs, 2, size, size))
     inverse = np.linalg.inv(ab)
     kappa_f = np.linalg.norm(ab, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
-    at = {"kappa_2": np.linalg.cond(ab), "kappa_F": kappa_f, "kappa_F * margin": kappa_f * oracle._COND_MARGIN}
-    limit = max(1.0, float(at[kappa].flat[pick % ab[:, :, 0, 0].size]) * side)
-    keep, inv = oracle._kept_pairs(ab, limit)
-    assert keep.tolist() == (np.linalg.cond(ab) <= limit).all(axis=-1).tolist()
-    for i in np.flatnonzero(keep):
-        assert inv[i].tobytes() == np.linalg.inv(ab[i]).tobytes()
-    want = _reference_max_error(pairs, size, seed, limit)
-    if want is RuntimeError:
-        with pytest.raises(RuntimeError):
-            resolvent_max_error(pairs, size, seed, cond_limit=limit)
-    else:
-        assert resolvent_max_error(pairs, size, seed, cond_limit=limit) == want
+    for margin in (oracle._COND_MARGIN, _SCREEN_MARGIN):
+        at = {"kappa_2": np.linalg.cond(ab), "kappa_F": kappa_f, "kappa_F * margin": kappa_f * margin}
+        limit = max(1.0, float(at[kappa].flat[pick % ab[:, :, 0, 0].size]) * side)
+        inv, _, _, rejected = _screened_inverse(ab, limit, margin)
+        keep = ~rejected
+        assert keep.tolist() == (np.linalg.cond(ab) <= limit).all(axis=-1).tolist()
+        for i in np.flatnonzero(keep):
+            assert inv[i].tobytes() == np.linalg.inv(ab[i]).tobytes()
+        if margin != oracle._COND_MARGIN:
+            continue
+        want = _reference_max_error(pairs, size, seed, limit)
+        if want is RuntimeError:
+            with pytest.raises(RuntimeError):
+                resolvent_max_error(pairs, size, seed, cond_limit=limit)
+        else:
+            assert resolvent_max_error(pairs, size, seed, cond_limit=limit) == want
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -167,17 +173,17 @@ def test_radius_screen_equals_eigvals_decisions(seed, k, bounds):
     assert radius[~screened].tolist() == rho[~screened].tolist()
 
 
-def test_kept_pairs_fall_back_to_cond_on_a_zero_pivot(monkeypatch):
-    """An exactly singular matrix stops the stack's LU solve: cond then
-    decides every pair, and only the kept pairs are inverted, each to its
-    own call's bytes."""
+def test_screened_pairs_fall_back_to_cond_on_a_zero_pivot(monkeypatch):
+    """An exactly singular matrix stops the stack's LU solve in the condition
+    gate: cond then decides every pair at the oracle's margin, and only the
+    kept pairs are inverted, each to its own call's bytes."""
     ab = complex_gaussian(np.random.default_rng(2), (3, 2, 3, 3)) + 3.0 * np.eye(3)
     ab[1, 1] = 1.0
     seen = []
     real_cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda x: seen.append(len(x)) or real_cond(x))
-    keep, inv = oracle._kept_pairs(ab, 100.0)
-    assert keep.tolist() == [True, False, True]
+    inv, _, _, rejected = _screened_inverse(ab, 100.0, oracle._COND_MARGIN)
+    assert (~rejected).tolist() == [True, False, True]
     assert seen == [3]
     for i in (0, 2):
         assert inv[i].tobytes() == np.linalg.inv(ab[i]).tobytes()
@@ -194,7 +200,7 @@ def test_run_verification_screens_most_svds_and_eigenvalue_solves(monkeypatch):
             return fn(x, *args)
         return wrapped
 
-    monkeypatch.setattr(oracle, "_kept_pairs", counting("drawn", oracle._kept_pairs))
+    monkeypatch.setattr(oracle, "_screened_inverse", counting("drawn", _screened_inverse))
     monkeypatch.setattr(oracle, "_partial_sums", counting("tail", oracle._partial_sums))
     monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond))
     monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals, lambda a: len(a) if a.ndim == 3 else 1))

@@ -37,18 +37,18 @@ from netmimo.topology import (
 
 def test_scalar_case():
     h = np.array([[0.3 - 0.4j]])
-    prec = zf_precoder(h, 100.0)
-    assert abs(prec.T[0, 0]) == pytest.approx(10.0, rel=1e-12)
-    assert (h @ prec.T)[0, 0].real == pytest.approx(10.0 * 0.5, rel=1e-12)
-    assert abs((h @ prec.T)[0, 0].imag) < 1e-12
+    t = zf_precoder(h, 100.0)
+    assert abs(t[0, 0]) == pytest.approx(10.0, rel=1e-12)
+    assert (h @ t)[0, 0].real == pytest.approx(10.0 * 0.5, rel=1e-12)
+    assert abs((h @ t)[0, 0].imag) < 1e-12
 
 
 def test_diagonal_channel_decouples():
     h = np.diag([1.0 + 0.0j, 0.5j])
-    prec = zf_precoder(h, 4.0)
-    off = prec.T - np.diag(np.diagonal(prec.T))
+    t = zf_precoder(h, 4.0)
+    off = t - np.diag(np.diagonal(t))
     np.testing.assert_allclose(np.abs(off), 0.0, atol=1e-14)
-    np.testing.assert_allclose(np.abs(np.diagonal(prec.T)), 2.0, rtol=1e-12)
+    np.testing.assert_allclose(np.abs(np.diagonal(t)), 2.0, rtol=1e-12)
 
 
 def test_zf_exact_interference_null():
@@ -58,8 +58,7 @@ def test_zf_exact_interference_null():
         h = complex_gaussian(rng, (3, 3))
         if np.linalg.cond(h) > 1e3:
             continue
-        prec = zf_precoder(h, p)
-        g = h @ prec.T
+        g = h @ zf_precoder(h, p)
         off = g - np.diag(np.diagonal(g))
         assert np.max(np.abs(off)) < 1e-8 * np.sqrt(p)
 
@@ -67,8 +66,8 @@ def test_zf_exact_interference_null():
 def test_column_norms_exact():
     rng = np.random.default_rng(16)
     h = complex_gaussian(rng, (5, 5))
-    prec = zf_precoder(h, 49.0)
-    np.testing.assert_allclose(np.linalg.norm(prec.T, axis=0), 7.0, rtol=1e-12)
+    t = zf_precoder(h, 49.0)
+    np.testing.assert_allclose(np.linalg.norm(t, axis=0), 7.0, rtol=1e-12)
 
 
 def test_distributed_collapse_to_shared_matrix():
@@ -78,12 +77,12 @@ def test_distributed_collapse_to_shared_matrix():
     stack = np.broadcast_to(h, (4, 4, 4)).copy()
     joint = distributed_precoder(stack, p)
     single = zf_precoder(h, p)
-    np.testing.assert_array_equal(joint.T, single.T)
+    np.testing.assert_array_equal(joint, single)
     # shared estimate that is not the channel behaves the same way
     other = h + 0.1 * complex_gaussian(rng, (4, 4))
     np.testing.assert_array_equal(
-        distributed_precoder(np.broadcast_to(other, (4, 4, 4)).copy(), p).T,
-        zf_precoder(other, p).T,
+        distributed_precoder(np.broadcast_to(other, (4, 4, 4)).copy(), p),
+        zf_precoder(other, p),
     )
 
 
@@ -93,18 +92,18 @@ def test_distributed_rows_match_per_tx_solves():
     bits = build_allocation(PolicySpec("distance"), place_grid(2), 0.6, 1e4).bits
     noise = complex_gaussian(trial_rng(21, 0, PURPOSE_ESTIMATE), (4, 4, 4))
     est = apply_estimate_noise(chan, sigma, bits, noise)
-    prec = distributed_precoder(est, 1e4)
+    t = distributed_precoder(est, 1e4)
     for j in range(4):
-        row = zf_precoder(est[j], 1e4).T[j]
-        np.testing.assert_allclose(prec.T[j], row, rtol=1e-12)
+        row = zf_precoder(est[j], 1e4)[j]
+        np.testing.assert_allclose(t[j], row, rtol=1e-12)
 
 
 def test_scale_equivariance():
     rng = np.random.default_rng(18)
     h = complex_gaussian(rng, (3, 3))
     c = 0.7 - 1.9j
-    a = zf_precoder(h, 25.0).T
-    b = zf_precoder(c * h, 25.0).T
+    a = zf_precoder(h, 25.0)
+    b = zf_precoder(c * h, 25.0)
     np.testing.assert_allclose(np.abs(a), np.abs(b), rtol=1e-10)
 
 
@@ -143,7 +142,9 @@ def _condition_first_t(a, p, thr):
 )
 def test_screen_keeps_condition_number_decisions(seed, k, stacked, decades):
     """Rejection is kappa_2 > threshold, whether or not the kappa_F screen
-    cleared the solve, and accepted T is byte-identical to the SVD-first T."""
+    cleared the solve, and accepted T is byte-identical to the SVD-first T.
+    The core's condition estimate, which the engine records as a trial's
+    worst_cond, lies between kappa_2 and K kappa_2."""
     rng = np.random.default_rng(seed)
     a = complex_gaussian(rng, (k, k, k) if stacked else (k, k))
     u, _, vh = np.linalg.svd(a)
@@ -166,21 +167,24 @@ def test_screen_keeps_condition_number_decisions(seed, k, stacked, decades):
                 precode(a, p, thr)
             assert info.value.cond == kappa_2
             continue
-        prec = precode(a, p, thr)
-        assert prec.T.tobytes() == expected.tobytes()
+        assert precode(a, p, thr).tobytes() == expected.tobytes()
+        cond = _core(a, p, thr, core=a.ndim)[1]
         # kappa_2 <= kappa_F <= K kappa_2, up to rounding of order K kappa eps
         # in either computed value; the screen only clears kappa_F < 2.5e9.
-        assert kappa_2 * (1 - 1e-4) <= prec.max_cond <= k * kappa_2 * (1 + 1e-4)
+        assert kappa_2 * (1 - 1e-4) <= cond <= k * kappa_2 * (1 + 1e-4)
 
 
-def _each(fn, stack, batch):
-    """fn applied to every batch element of stack: its result or its IllConditionedError."""
+def _each(fn, stack, batch, p, thr, core):
+    """fn applied to every batch element of stack: its result or its
+    IllConditionedError, with the condition estimate the core gives that
+    element alone."""
     out = {}
     for idx in np.ndindex(batch):
         try:
-            out[idx] = fn(stack[idx])
+            got = fn(stack[idx])
         except IllConditionedError as exc:
-            out[idx] = exc
+            got = exc
+        out[idx] = got, _core(stack[idx], p, thr, core)[1]
     return out
 
 
@@ -193,33 +197,39 @@ def _core(a, p, thr, core):
 
 
 def _assert_batch_matches(batched_call, core_call, singles, batch):
-    """A batched precoder call equals its one-element calls: the stacked T and
-    max_cond bytes when all pass, else one rejection with the first failing
-    element's kappa_2 as cond. The private core's mask and condition
-    estimates name exactly the failing elements and their kappa_2, and its T
-    and estimate of every other element are that element's own, whether or
-    not others fail."""
-    failed = {idx: r for idx, r in singles.items() if isinstance(r, IllConditionedError)}
+    """A batched precoder call equals its one-element calls: the stacked T
+    bytes when all pass, else one rejection with the first failing element's
+    kappa_2 as cond. The private core's mask and condition estimates name
+    exactly the failing elements and their kappa_2, and its T and estimate
+    of every other element are that element's own, whether or not others
+    fail."""
+    failed = {idx: r for idx, (r, _) in singles.items() if isinstance(r, IllConditionedError)}
     t, conds, rejected = core_call()
     assert rejected.shape == conds.shape == batch
     assert sorted(zip(*np.nonzero(rejected))) == sorted(failed)
-    for idx, one in singles.items():
+    for idx, (one, one_cond) in singles.items():
+        assert conds[idx] == one_cond
         if idx in failed:
             assert conds[idx] == one.cond
         else:
-            assert t[idx].tobytes() == one.T.tobytes()
-            assert conds[idx] == one.max_cond
+            assert t[idx].tobytes() == one.tobytes()
     if failed:
         with pytest.raises(IllConditionedError) as info:
             batched_call()
         assert info.value.cond == next(iter(failed.values())).cond
         return None
     prec = batched_call()
-    assert prec.max_cond.shape == batch
-    for idx, one in singles.items():
-        assert prec.T[idx].tobytes() == one.T.tobytes()
-        assert prec.max_cond[idx] == one.max_cond
+    assert prec.shape == batch + t.shape[len(batch):]
+    for idx, (one, _) in singles.items():
+        assert prec[idx].tobytes() == one.tobytes()
     return prec
+
+
+def _split(h, t):
+    """The signal |h_i t_i|^2 and the interference sum over l != i of |h_i t_l|^2
+    of every user i, from the gains instantaneous_rates forms."""
+    gains = np.abs(h @ t) ** 2
+    return np.diagonal(gains, axis1=-2, axis2=-1), (gains * (1.0 - np.eye(t.shape[-1]))).sum(axis=-1)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -247,23 +257,25 @@ def test_batched_kernels_equal_stacked_single_calls(seed, k, batch, thr):
         one = ChannelRealization(H=chan.H[idx])
         assert est[idx].tobytes() == apply_estimate_noise(one, sigma, bits, noise[idx]).tobytes()
 
-    zf_singles = _each(lambda h: zf_precoder(h, p, thr), chan.H, batch)
+    zf_singles = _each(lambda h: zf_precoder(h, p, thr), chan.H, batch, p, thr, core=2)
     zf = _assert_batch_matches(
         lambda: zf_precoder(chan.H, p, thr), lambda: _core(chan.H, p, thr, core=2), zf_singles, batch
     )
     _assert_batch_matches(
         lambda: distributed_precoder(est, p, thr),
         lambda: _core(est, p, thr, core=3),
-        _each(lambda e: distributed_precoder(e, p, thr), est, batch),
+        _each(lambda e: distributed_precoder(e, p, thr), est, batch, p, thr, core=3),
         batch,
     )
     if zf is not None:
         sample = instantaneous_rates(chan.H, zf)
-        for idx, one in zf_singles.items():
+        signal, interference = _split(chan.H, zf)
+        for idx, (one, _) in zf_singles.items():
             want = instantaneous_rates(chan.H[idx], one)
             assert sample.rates[idx].tobytes() == want.rates.tobytes()
-            assert sample.signal[idx].tobytes() == want.signal.tobytes()
-            assert sample.interference[idx].tobytes() == want.interference.tobytes()
+            want_signal, want_interference = _split(chan.H[idx], one)
+            assert signal[idx].tobytes() == want_signal.tobytes()
+            assert interference[idx].tobytes() == want_interference.tobytes()
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -305,7 +317,7 @@ def test_relabelling_nodes_permutes_every_index(seed, k, side, gamma, snr_db):
     for kernel, h_in, h_in_moved in ((zf_precoder, h, h[ix2]), (distributed_precoder, est, est_moved)):
         prec, prec_moved = kernel(h_in, p), kernel(h_in_moved, p)
         # Every column has norm sqrt(p), so the tolerance is relative to it.
-        np.testing.assert_allclose(prec_moved.T, prec.T[ix2], rtol=1e-9, atol=1e-9 * math.sqrt(p))
+        np.testing.assert_allclose(prec_moved, prec[ix2], rtol=1e-9, atol=1e-9 * math.sqrt(p))
         rates = instantaneous_rates(h, prec).rates
         np.testing.assert_allclose(instantaneous_rates(h[ix2], prec_moved).rates, rates[pi], rtol=1e-9, atol=1e-12)
 
@@ -326,13 +338,16 @@ def test_batched_call_decides_the_screen_misses_in_one_cond_call(monkeypatch):
     good = complex_gaussian(rng, (3, 3))
     near_singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-9, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
     batch = np.stack([good, near_singular, good, 2j * near_singular])
-    prec = zf_precoder(batch, 10.0, cond_threshold=1e12)
+    zf_precoder(batch, 10.0, cond_threshold=1e12)
     assert [a.tobytes() for a in seen] == [batch[1::2].tobytes()]
-    assert prec.max_cond[1] == real_cond(near_singular)
-    assert prec.max_cond[3] == real_cond(2j * near_singular)
-    assert prec.max_cond[0] == prec.max_cond[2] == zf_precoder(good, 10.0).max_cond
     seen.clear()
-    assert zf_precoder(np.stack([good, good]), 10.0).max_cond.shape == (2,)
+    _, conds, _ = _precode(batch, 10.0, 1e12)
+    assert [a.tobytes() for a in seen] == [batch[1::2].tobytes()]
+    assert conds[1] == real_cond(near_singular)
+    assert conds[3] == real_cond(2j * near_singular)
+    assert conds[0] == conds[2] == _precode(good[None], 10.0, 1e12)[1][0]
+    seen.clear()
+    assert zf_precoder(np.stack([good, good]), 10.0).shape == (2, 3, 3)
     assert seen == []
 
     singular = np.diag([1.0, 1.0, 0.0]).astype(complex)
@@ -398,12 +413,15 @@ def test_unbatched_rejection_is_a_batch_of_one():
     [(zf_precoder, (0, 3, 3)), (zf_precoder, (2, 0, 3, 3)), (distributed_precoder, (0, 3, 3, 3))],
 )
 def test_empty_batch_gives_an_empty_precoder(precoder, shape):
-    """A batch of no solves gives an empty, read-only T and max_cond with
-    the batch's axes."""
-    got = precoder(np.empty(shape, dtype=complex), 10.0)
-    batch = shape[: len(shape) - (3 if precoder is distributed_precoder else 2)]
-    assert got.T.shape == batch + (3, 3) and got.max_cond.shape == batch
-    assert not got.T.flags.writeable and not got.max_cond.flags.writeable
+    """A batch of no solves gives an empty, read-only T with the batch's
+    axes, and the core empty condition estimates and mask."""
+    stack = np.empty(shape, dtype=complex)
+    core = 3 if precoder is distributed_precoder else 2
+    got = precoder(stack, 10.0)
+    batch = shape[: len(shape) - core]
+    assert got.shape == batch + (3, 3) and not got.flags.writeable
+    _, conds, rejected = _core(stack, 10.0, 10.0, core)
+    assert conds.shape == rejected.shape == batch
 
 
 def test_input_validation():
@@ -415,10 +433,31 @@ def test_input_validation():
         distributed_precoder(np.ones((2, 2), dtype=complex), 10.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("precoder", [zf_precoder, distributed_precoder])
+def test_a_nan_threshold_or_a_power_not_finite_and_positive_raises(precoder):
+    """A NaN threshold would accept every solve, however ill-conditioned, and
+    a power of NaN or inf would give a NaN T or warn: each raises ValueError
+    naming the value. A threshold below 1 still rejects every solve."""
+    u, _, vh = np.linalg.svd(complex_gaussian(np.random.default_rng(24), (3, 3)))
+    bad = (u * np.array([1.0, 1e-3, 2.5e-7])) @ vh  # kappa_2 = 4e6
+    assert np.linalg.cond(bad) == pytest.approx(4e6)
+    core = 3 if precoder is distributed_precoder else 2
+    for a in (bad, np.eye(3, dtype=complex)):
+        a = np.broadcast_to(a, (3,) * core).copy()
+        with pytest.raises(ValueError, match="cond_threshold must not be NaN, got nan"):
+            precoder(a, 10.0, cond_threshold=math.nan)
+        for p in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"power must be finite and > 0, got {p}"):
+                precoder(a, p)
+    with pytest.raises(IllConditionedError):
+        precoder(np.broadcast_to(np.eye(3, dtype=complex), (3,) * core).copy(), 10.0, cond_threshold=0.5)
+
+
 def test_mask_patterns():
     rng = np.random.default_rng(20)
     h = complex_gaussian(rng, (4, 4))
-    t = zf_precoder(h, 9.0).T
+    t = zf_precoder(h, 9.0)
     np.testing.assert_array_equal(t * mask_from_sets([set(range(4))] * 4, 4), t)
     singletons = t * mask_from_sets([{j} for j in range(4)], 4)
     np.testing.assert_array_equal(singletons, np.diag(np.diagonal(t)))
@@ -433,19 +472,19 @@ def test_mask_matches_radius_on_grid():
     np.testing.assert_array_equal(mask == 1.0, d <= cooperation_radius(gamma))
 
 
-def _row_power(prec):
+def _row_power(t):
     """Transmit power spent by each TX: row sums of |T|^2."""
-    return np.sum(np.abs(prec.T) ** 2, axis=1)
+    return np.sum(np.abs(t) ** 2, axis=1)
 
 
 def test_per_tx_power_accounting():
     rng = np.random.default_rng(22)
     p = 36.0
-    prec = zf_precoder(np.array([[2.0 + 0j]]), p)
-    np.testing.assert_allclose(_row_power(prec), [p], rtol=1e-12)
+    t = zf_precoder(np.array([[2.0 + 0j]]), p)
+    np.testing.assert_allclose(_row_power(t), [p], rtol=1e-12)
     h = complex_gaussian(rng, (5, 5))
-    prec5 = zf_precoder(h, p)
-    assert _row_power(prec5).sum() == pytest.approx(5 * p, rel=1e-12)
+    t5 = zf_precoder(h, p)
+    assert _row_power(t5).sum() == pytest.approx(5 * p, rel=1e-12)
 
 
 def test_per_tx_power_near_perfect_most_trials():
