@@ -15,11 +15,14 @@ The trial engine, the oracle and the CLI's channel dump all draw through
 _trial_streams, which derives many trials' streams of one purpose in one
 pass (the SeedSequence hash and the PCG64 seeding run as integer arithmetic
 over all cells at once, and each state is loaded into one reused generator),
-and _unit_draws, which fills a stack with one draw per stream.
+and _unit_draws, which fills a stack with one draw per stream. A pass whose
+seed, trials or purpose lie outside that derivation's range, or whose first
+derived state differs from trial_rng's, takes trial_rng for every cell.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -51,6 +54,14 @@ def trial_rng(seed: int, trial: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(trial), int(purpose))))
 
 
+def _check_counts(*counts: tuple[str, object, int]) -> None:
+    """Raise ValueError unless each (name, value, low) has an integer value
+    of at least low. A bool is not a count."""
+    for name, value, low in counts:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 # numpy's SeedSequence hash and PCG64 seeding constants (numpy/random/
 # bit_generator.pyx and pcg64.h); test_trial_streams_equal_trial_rng pins them.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -77,11 +88,6 @@ _KEY_MUL = np.array(_HASH_A[17:25], dtype=np.uint32).reshape(2, 1, 4)
 _HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)
 _OUT_XOR = np.array(_HASH_B[:8], dtype=np.uint32).reshape(2, 4)
 _OUT_MUL = np.array(_HASH_B[1:], dtype=np.uint32).reshape(2, 4)
-
-# Fewer cells than this take trial_rng: a bulk pass has a fixed cost of a few
-# trial_rng calls, and pays for itself only past it.
-_BULK_MIN_CELLS = 5
-
 
 def _seed_pool(seed: int) -> list[int]:
     """SeedSequence's four pool words after mixing in a seed below 2^128.
@@ -143,34 +149,32 @@ def _trial_streams(seed: int, trials, purpose: int) -> Iterator[np.random.Genera
     """Yield the generator of each cell (trials[i], purpose), in order.
 
     Each generator draws the stream of trial_rng(seed, trial, purpose), the
-    reference definition, but the pass derives the states of all its cells
-    at once and reloads one generator for each: draw from a cell before
-    taking the next. A pass of few cells, and the cells outside the bulk
-    derivation (a seed of 2^128 or more, a trial or purpose of 2^32 or
-    more), take trial_rng itself. The derivation copies numpy's seeding, so
-    each pass checks its first derived state against trial_rng's, and on a
-    mismatch the whole pass takes trial_rng.
+    reference definition. A pass decides once how: when the seed is below
+    2^128, every trial and the purpose below 2^32, and the first derived
+    state equals trial_rng's, it derives the states of all its cells at
+    once and reloads one generator for each (draw from a cell before taking
+    the next). Otherwise every cell takes trial_rng itself. The first-state
+    check guards the derivation, which copies numpy's seeding.
     """
     seed = operator.index(seed)
     trials = np.asarray(trials)
-    bulk = ((trials >= 0) & (trials <= _M32) & (0 <= purpose <= _M32)).astype(bool)
-    rows = None
-    if len(trials) >= _BULK_MIN_CELLS and 0 <= seed < 1 << 128 and bulk.any():
-        words = _pcg64_words(seed, trials[bulk], purpose)
-        ref = trial_rng(seed, trials[bulk.argmax()], purpose).bit_generator.state["state"]
-        rows = iter(words) if _pcg64_state(words[0]) == (ref["state"], ref["inc"]) else None
-    if rows is None:
+    if not len(trials):
+        return
+    words = None
+    if 0 <= seed < 1 << 128 and 0 <= purpose <= _M32 and 0 <= trials.min() and trials.max() <= _M32:
+        words = _pcg64_words(seed, trials, purpose)
+        ref = trial_rng(seed, trials[0], purpose).bit_generator.state["state"]
+        if _pcg64_state(words[0]) != (ref["state"], ref["inc"]):
+            words = None
+    if words is None:
         yield from (trial_rng(seed, t, purpose) for t in trials.tolist())
         return
     bit_gen = np.random.PCG64(0)  # any seed: each cell loads its own state
     gen = np.random.Generator(bit_gen)
     inner = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    for t, b in zip(trials.tolist(), bulk.tolist()):
-        if not b:
-            yield trial_rng(seed, t, purpose)
-            continue
-        inner["state"], inner["inc"] = _pcg64_state(next(rows))  # one row at a time: a list of all rows costs RSS
+    for row in words:
+        inner["state"], inner["inc"] = _pcg64_state(row)  # one row at a time: a list of all rows costs RSS
         bit_gen.state = state
         yield gen
 

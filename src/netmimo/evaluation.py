@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -53,6 +52,7 @@ from .channel import (
     PURPOSE_CHANNEL,
     PURPOSE_ESTIMATE,
     ChannelRealization,
+    _check_counts,
     _trial_median,
     _trial_streams,
     _unit_draws,
@@ -480,9 +480,7 @@ def _evaluate(
             raise ValueError(f"every snr_db point needs a finite nominal SNR P = 10^(dB/10) > 1, got {snr_db!r} dB")
     if len(policies) != len(set(policies)):
         raise ValueError("duplicate policy specs in one run")
-    for name, value, low in (("workers", workers, 1), ("trials", trials, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    _check_counts(("workers", workers, 1), ("trials", trials, 1), ("seed", seed, 0))
     if not cond_threshold >= 1.0:  # NaN included
         raise ValueError(f"cond_threshold must be >= 1 (every matrix has kappa_2 >= 1), got {cond_threshold}")
     if not 0.0 <= max_rejection_rate < 1.0:

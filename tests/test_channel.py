@@ -235,23 +235,26 @@ def test_trial_streams_equal_trial_rng(seed, cells):
 
 @pytest.mark.parametrize("seed", _EDGE_SEEDS)
 def test_trial_streams_derive_edge_cells_in_bulk(seed):
-    """At each edge seed, one pass per purpose over the three edge trials,
-    three times over: the cells of trial 2^32 take trial_rng, and the six
-    others one reloaded generator, so the bulk derivation itself is what
-    equals trial_rng here."""
-    trials = _EDGE_TRIALS * 3
-    assert len(trials) - 3 >= channel._BULK_MIN_CELLS
+    """At each edge seed and purpose, each pass decides once. A pass of
+    trials below 2^32, one cell or the two edge trials three times over,
+    reloads one generator (PCG64(0), with no spawn key), so the bulk
+    derivation itself is what equals trial_rng there. A pass that holds
+    trial 2^32 gives every cell a fresh trial_rng."""
+    below = [t for t in _EDGE_TRIALS if t <= 2**32 - 1]
     for purpose in _PURPOSES:
-        held = []  # keeps every generator alive, so that no two share an id
-        for t, rng in zip(trials, channel._trial_streams(seed, trials, purpose), strict=True):
-            held.append(rng)
-            ref = trial_rng(seed, t, purpose)
-            assert rng.bit_generator.state == ref.bit_generator.state
-            assert rng.standard_normal(20).tobytes() == ref.standard_normal(20).tobytes()
-        fresh = {id(g) for t, g in zip(trials, held) if t == 2**32}
-        reloaded = {id(g) for t, g in zip(trials, held) if t != 2**32}
-        assert len(reloaded) == 1
-        assert len(fresh) == 3 and not fresh & reloaded
+        for trials in ([2**32 - 1], below * 3, _EDGE_TRIALS * 3):
+            held = []  # keeps every generator alive, so that no two share an id
+            for t, rng in zip(trials, channel._trial_streams(seed, trials, purpose), strict=True):
+                held.append(rng)
+                ref = trial_rng(seed, t, purpose)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert rng.standard_normal(20).tobytes() == ref.standard_normal(20).tobytes()
+            keys = [g.bit_generator.seed_seq.spawn_key for g in held]
+            if 2**32 in trials:
+                assert len({id(g) for g in held}) == len(trials)
+                assert keys == [(t, purpose) for t in trials]
+            else:
+                assert len({id(g) for g in held}) == 1 and keys == [()] * len(trials)
 
 
 def test_trial_streams_fall_back_when_the_derivation_differs(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,7 @@ from netmimo.channel import (
     trial_rng,
 )
 from netmimo.oracle import (
-    DivergentSeriesError,
     _partial_sums,
-    neumann_partial_sum,
     neumann_term_matrix,
     proof_exponent_table,
     resolvent_check,
@@ -254,32 +254,73 @@ def test_term_matrix_order_zero_and_one():
 
 def test_partial_sum_diagonal_exact():
     h = np.diag(np.array([2.0, 1.0 + 1.0j, -3.0]))
-    total, resid = neumann_partial_sum(h, 0)
-    np.testing.assert_allclose(total, np.diag(1.0 / np.diagonal(h)), atol=1e-15)
-    assert resid < 1e-14
+    total, resid, radius = _partial_sums(h[None], 0)
+    assert radius[0] < 1.0
+    np.testing.assert_allclose(total[0], np.diag(1.0 / np.diagonal(h)), atol=1e-15)
+    assert resid[0] < 1e-14
 
 
 def test_partial_sum_monotone_residual():
     sigma = pathloss_matrix(interference_levels(pairwise_distance(place_grid(2)), 0.5), 1e6)
-    done = 0
-    for t in range(40):
-        h = sigma * complex_gaussian(trial_rng(3, t, PURPOSE_CHANNEL), (4, 4))
-        try:
-            resids = [neumann_partial_sum(h, n)[1] for n in range(5)]
-        except (DivergentSeriesError, np.linalg.LinAlgError):
-            continue
-        assert all(a >= b - 1e-12 for a, b in zip(resids, resids[1:]))
-        done += 1
-    assert done >= 30
+    h = np.stack([sigma * complex_gaussian(trial_rng(3, t, PURPOSE_CHANNEL), (4, 4)) for t in range(40)])
+    expansions = [_partial_sums(h, n) for n in range(5)]
+    conv = expansions[0][2] < 1.0
+    resids = np.array([resid[conv] for _, resid, _ in expansions])
+    assert np.all(resids[:-1] >= resids[1:] - 1e-12)
+    assert conv.sum() >= 30
 
 
-def test_partial_sum_divergence_raises():
-    h = np.array([[1.0, 3.0], [3.0, 1.0]], dtype=complex)
-    with pytest.raises(DivergentSeriesError):
-        neumann_partial_sum(h, 4)
-    zero_diag = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
-    with pytest.raises(np.linalg.LinAlgError):
-        neumann_partial_sum(zero_diag, 2)
+def test_partial_sum_radius_marks_divergence_and_zero_diagonal():
+    """A divergent element's radius is at least 1; a zero diagonal entry
+    leaves the expansion undefined, with a NaN radius and NaN sums."""
+    h = np.array([[[1.0, 3.0], [3.0, 1.0]], [[0.0, 1.0], [1.0, 1.0]]], dtype=complex)
+    total, resid, radius = _partial_sums(h, 4)
+    assert radius[0] >= 1.0
+    assert np.isnan(radius[1]) and np.isnan(resid[1]) and np.all(np.isnan(total[1]))
+
+
+def test_stacked_frobenius_equals_norm_per_element():
+    """The oracle's stacked Frobenius norms equal np.linalg.norm of each
+    element byte for byte, on an empty stack too."""
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 50):
+        for k in range(1, 10):
+            for scale in (1e-8, 1.0, 1e8):
+                x = scale * complex_gaussian(rng, (n, k, k))
+                got = oracle._frobenius(x)
+                assert got.shape == (n,)
+                assert got.tobytes() == np.array([np.linalg.norm(e) for e in x], dtype=float).tobytes(), (n, k, scale)
+
+
+_P2 = [1e4, 1e6]
+
+
+def _count_case(fn, name, low, **kwargs):
+    return pytest.param(fn, kwargs, name, low, id=f"{fn.__name__}-{name}={kwargs[name]!r}")
+
+
+@pytest.mark.parametrize(
+    "fn, kwargs, name, low",
+    [
+        _count_case(run_verification, "trials", 1, trials=0),
+        _count_case(run_verification, "trials", 1, trials=2.5),
+        _count_case(run_verification, "seed", 0, seed=-1),
+        _count_case(run_verification, "seed", 0, seed=True),
+        _count_case(term_decay_check, "trials", 1, layout=_line(3), gamma=0.6, p_list=_P2, trials=0, n=1, seed=1),
+        _count_case(term_decay_check, "n", 1, layout=_line(3), gamma=0.6, p_list=_P2, trials=5, n=2.5, seed=1),
+        _count_case(inverse_decay_estimate, "trials", 1, layout=_line(3), gamma=0.6, p_list=_P2, trials=0, seed=1),
+        _count_case(truncation_tail_check, "trials", 1, layout=place_grid(2), gamma=0.5, p=1e6, trials=0, seed=1),
+        _count_case(resolvent_max_error, "size", 1, pairs=5, size=0, seed=1),
+        _count_case(resolvent_max_error, "pairs", 1, pairs=-1, size=4, seed=1),
+        _count_case(resolvent_max_error, "seed", 0, pairs=5, size=4, seed=-1),
+    ],
+)
+def test_oracle_entry_points_check_their_counts(fn, kwargs, name, low):
+    """A count that is not an integer at or above its floor (a bool is not a
+    count) raises ValueError naming it, before any draw."""
+    value = kwargs[name]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {low}, got {value!r}")):
+        fn(**kwargs)
 
 
 def test_term_decay_two_nodes_first_order():
@@ -334,6 +375,10 @@ def test_truncation_tail_within_bound():
     assert measured > 0.0
 
 
+class _Divergent(Exception):
+    """The one-trial expansion's iteration matrix has spectral radius >= 1."""
+
+
 def _one_trial_expansion(h, n_max):
     """(order-n_max partial sum, its residual) of one channel, computed the
     way a single 2-D trial is: the reference the batched helpers reproduce."""
@@ -343,7 +388,7 @@ def _one_trial_expansion(h, n_max):
     m = (np.diag(d) - h) / d[:, None]
     radius = float(np.max(np.abs(np.linalg.eigvals(m))))
     if radius >= 1.0:
-        raise DivergentSeriesError(radius)
+        raise _Divergent(radius)
     term = np.diag(1.0 / d)
     total = term.copy()
     for _ in range(n_max):
@@ -362,7 +407,7 @@ def _one_trial_term(h, n):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (DivergentSeriesError, np.linalg.LinAlgError) as exc:
+    except (_Divergent, np.linalg.LinAlgError) as exc:
         return type(exc)
 
 
@@ -394,23 +439,15 @@ def test_batched_neumann_helpers_equal_stacked_single_calls(seed, k, kinds, n):
     for i, want in enumerate(sums):
         if want is np.linalg.LinAlgError:
             assert np.isnan(radius[i])
-        elif want is DivergentSeriesError:
+        elif want is _Divergent:
             assert radius[i] >= 1.0
         else:
             assert radius[i] < 1.0
             assert total[i].tobytes() == want[0].tobytes()
             assert resid[i] == want[1]
-            one_total, one_resid = neumann_partial_sum(h[i], n)
-            assert one_total.tobytes() == want[0].tobytes() and one_resid == want[1]
-
-    failed = [w for w in sums if isinstance(w, type)]
-    if failed:
-        with pytest.raises(failed[0]):
-            neumann_partial_sum(h, n)
-    else:
-        batch_total, batch_resid = neumann_partial_sum(h, n)
-        assert batch_total.tobytes() == np.stack([w[0] for w in sums]).tobytes()
-        assert batch_resid.tolist() == [w[1] for w in sums]
+            one_total, one_resid, one_radius = _partial_sums(h[i:i + 1], n)
+            assert one_radius[0] < 1.0
+            assert one_total[0].tobytes() == want[0].tobytes() and one_resid[0] == want[1]
 
     if any(w is np.linalg.LinAlgError for w in terms):
         with pytest.raises(np.linalg.LinAlgError):
@@ -445,8 +482,6 @@ def test_lapack_failure_marks_only_its_element(monkeypatch):
     for i in (0, 2):
         assert total[i].tobytes() == want[i][0].tobytes()
         assert resid[i] == want[i][1]
-    with pytest.raises(np.linalg.LinAlgError):
-        neumann_partial_sum(h, 2)
 
 
 def _counting_trial_streams(monkeypatch):
@@ -475,7 +510,7 @@ def _one_trial_tail(layout, gamma, p, seed, draws):
         h = draw_channel(sigma, trial_rng(seed, t, PURPOSE_CHANNEL)).H
         try:
             _, resid = _one_trial_expansion(h, n0)
-        except (DivergentSeriesError, np.linalg.LinAlgError):
+        except (_Divergent, np.linalg.LinAlgError):
             continue
         resid_sq.append(resid**2)
         next_sq.append(np.linalg.norm(_one_trial_term(h, n0 + 1)) ** 2)
