@@ -14,7 +14,7 @@ from math import isfinite, isqrt
 
 import numpy as np
 
-from .topology import NodeLayout, grid_side, interference_levels, pairwise_distance
+from .topology import NodeLayout, _check_gamma, _check_snr, grid_side, interference_levels, pairwise_distance
 
 __all__ = [
     "CsitAllocation",
@@ -74,12 +74,6 @@ class AllocationSize:
     prelog_asymptotic: float
 
 
-def _log2_p(p: float) -> float:
-    if p <= 1.0:
-        raise ValueError(f"nominal SNR must exceed 1 (0 dB), got {p}")
-    return float(np.log2(p))
-
-
 def _formula(policy: str, exponents: np.ndarray, log2_p: float) -> CsitAllocation:
     """ceil(exponent * log2(P)) bits per entry of a clamped exponent tensor."""
     return CsitAllocation(policy, np.ceil(exponents * log2_p), log2_p, exponents)
@@ -92,8 +86,9 @@ def conventional(levels: np.ndarray, p: float) -> CsitAllocation:
     that hands each transmitter the same full-network knowledge it would
     need in a centralized design.
     """
+    _check_snr("p", p)
     k = levels.shape[0]
-    return _formula("conventional", np.broadcast_to(np.maximum(levels, 0.0), (k, k, k)), _log2_p(p))
+    return _formula("conventional", np.broadcast_to(np.maximum(levels, 0.0), (k, k, k)), float(np.log2(p)))
 
 
 def distance_exponents(distances: np.ndarray, gamma: float, alpha: float = 1.0) -> np.ndarray:
@@ -187,9 +182,9 @@ def build_allocation(spec: PolicySpec, layout: NodeLayout, gamma: float, p: floa
     alpha = 1 distance policy over their support; perfect is np.inf
     everywhere.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    log2_p = _log2_p(p)
+    _check_gamma(gamma)
+    _check_snr("p", p)
+    log2_p = float(np.log2(p))
     k = layout.K
     if spec.kind == "perfect":
         return CsitAllocation("perfect", np.full((k, k, k), np.inf), log2_p)

@@ -22,13 +22,14 @@ derived state differs from trial_rng's, takes trial_rng for every cell.
 
 from __future__ import annotations
 
-import numbers
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
+
+from .topology import _check_snr
 
 __all__ = [
     "PURPOSE_CHANNEL",
@@ -52,14 +53,6 @@ PURPOSE_LAYOUT = 2
 def trial_rng(seed: int, trial: int, purpose: int) -> np.random.Generator:
     """Independent generator for one (trial, purpose) cell of a master seed."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(trial), int(purpose))))
-
-
-def _check_counts(*counts: tuple[str, object, int]) -> None:
-    """Raise ValueError unless each (name, value, low) has an integer value
-    of at least low. A bool is not a count."""
-    for name, value, low in counts:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 # numpy's SeedSequence hash and PCG64 seeding constants (numpy/random/
@@ -229,13 +222,10 @@ class ChannelRealization:
 
 def pathloss_matrix(levels: np.ndarray, p: float) -> np.ndarray:
     """Link standard deviations sigma_ki = sqrt(P^(Gamma_ki - 1)) at nominal
-    SNR p for the (K, K) interference_levels matrix, as a read-only array.
-
-    p must exceed 1: the allocation formulas scale with log2(p) and the
-    parameterization degenerates at log p <= 0.
+    SNR p, finite and > 1, for the (K, K) interference_levels matrix, as a
+    read-only array.
     """
-    if p <= 1.0:
-        raise ValueError(f"nominal SNR must exceed 1 (0 dB), got {p}")
+    _check_snr("p", p)
     sigma = np.sqrt(float(p) ** (levels - 1.0))
     sigma.setflags(write=False)
     return sigma

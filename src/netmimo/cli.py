@@ -28,6 +28,7 @@ from .channel import PURPOSE_CHANNEL, PURPOSE_LAYOUT, _trial_streams, _unit_draw
 from .evaluation import (
     RatePoint,
     RejectionRateError,
+    _check_sweep,
     db_to_linear,
     dof_slope,
     evaluate_curves,
@@ -35,6 +36,7 @@ from .evaluation import (
 from .oracle import run_verification
 from .topology import (
     NodeLayout,
+    _check_counts,
     cooperation_radius,
     data_sharing_sets,
     format_layout,
@@ -95,35 +97,19 @@ class ExperimentConfig:
         """Raise ValueError naming the first invalid field, a misfit cluster
         policy and two policies or SNR points the outputs cannot tell apart
         included."""
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.layout_kind not in ("grid", "random", "positions"):
             raise ValueError(f"unknown layout kind {self.layout_kind!r}")
         self._check_positions()
-        if self.layout_kind == "grid" and self.grid_side < 1:
-            raise ValueError(f"grid_side must be >= 1, got {self.grid_side}")
+        if self.layout_kind == "grid":
+            _check_counts(("grid_side", self.grid_side, 1))
         if self.layout_kind == "random" and not (self.random_k >= 1 and 0.0 < self.random_side <= _MAX_RANDOM_SIDE):
             raise ValueError(f"a random layout needs random_k >= 1 and 0 < random_side <= {_MAX_RANDOM_SIDE:.6g}, "
                              f"got {self.random_k} and {self.random_side}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if not self.snr_db:
-            raise ValueError("snr_db must be non-empty")
-        for db in self.snr_db:
-            if not 1.0 < db_to_linear(db) < math.inf:
-                raise ValueError(f"every snr_db point needs a finite nominal SNR P = 10^(dB/10) > 1, got {db!r} dB")
         _told_apart("snr_db points", self.snr_db, _fmt, lambda db: f"{db!r} dB")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not self.policies:
-            raise ValueError("at least one policy is required")
         _told_apart("policies", self.policies, _policy_key, _token)
-        if self.fit_points < 2:
-            raise ValueError(f"fit_points must be >= 2, got {self.fit_points}")
-        if not self.cond_threshold >= 1.0:  # NaN included
-            raise ValueError(f"cond_threshold must be >= 1 (every matrix has kappa_2 >= 1), got {self.cond_threshold}")
-        if not 0.0 <= self.max_rejection_rate < 1.0:
-            raise ValueError(f"max_rejection_rate must lie in [0, 1), got {self.max_rejection_rate}")
+        _check_counts(("fit_points", self.fit_points, 2))
+        _check_sweep(self.gamma, self.policies, [(db, db_to_linear(db)) for db in self.snr_db], self.trials, self.seed,
+                     self.cond_threshold, self.max_rejection_rate)
         for spec in self.policies:
             if spec.kind == "cluster":
                 try:

@@ -52,7 +52,6 @@ from .channel import (
     PURPOSE_CHANNEL,
     PURPOSE_ESTIMATE,
     ChannelRealization,
-    _check_counts,
     _trial_median,
     _trial_streams,
     _unit_draws,
@@ -60,7 +59,8 @@ from .channel import (
     pathloss_matrix,
 )
 from .precoding import DEFAULT_COND_THRESHOLD, _precode, mask_from_sets
-from .topology import NodeLayout, data_sharing_sets, interference_levels, pairwise_distance
+from .topology import NodeLayout, _check_counts, _check_gamma, _check_slope_points, _check_snr
+from .topology import data_sharing_sets, interference_levels, pairwise_distance
 
 __all__ = [
     "RejectionRateError",
@@ -471,13 +471,21 @@ def _evaluate(
     The sweep's engine, every point's sigma and allocation tables included,
     is built before a pool forks, so the workers inherit it.
     """
+    _check_sweep(gamma, policies, points, trials, seed, cond_threshold, max_rejection_rate, workers)
+    engine = _engine(layout, gamma, policies, [p for _, p in points], seed, cond_threshold, data_mask)
+    swept = _sweep(engine, len(points), layout.K, trials, max_rejection_rate, workers)
+    return [_point_result(policies, pt, blocks, trials, keep_samples) for pt, blocks in zip(points, swept)]
+
+
+def _check_sweep(gamma, policies, points, trials, seed, cond_threshold, max_rejection_rate, workers=1) -> None:
+    """ValueError naming the first sweep input that breaks its rule; points holds (snr_db, p) pairs."""
+    _check_gamma(gamma)
     if not policies:
         raise ValueError("policies must not be empty")
     if not points:
         raise ValueError("snr_db must not be empty")
     for snr_db, p in points:
-        if not 1.0 < p < math.inf:  # NaN included
-            raise ValueError(f"every snr_db point needs a finite nominal SNR P = 10^(dB/10) > 1, got {snr_db!r} dB")
+        _check_snr("snr_db", p, f"{snr_db!r} dB")
     if len(policies) != len(set(policies)):
         raise ValueError("duplicate policy specs in one run")
     _check_counts(("workers", workers, 1), ("trials", trials, 1), ("seed", seed, 0))
@@ -485,9 +493,6 @@ def _evaluate(
         raise ValueError(f"cond_threshold must be >= 1 (every matrix has kappa_2 >= 1), got {cond_threshold}")
     if not 0.0 <= max_rejection_rate < 1.0:
         raise ValueError(f"max_rejection_rate must lie in [0, 1), got {max_rejection_rate}")
-    engine = _engine(layout, gamma, policies, [p for _, p in points], seed, cond_threshold, data_mask)
-    swept = _sweep(engine, len(points), layout.K, trials, max_rejection_rate, workers)
-    return [_point_result(policies, pt, blocks, trials, keep_samples) for pt, blocks in zip(points, swept)]
 
 
 def _engine(layout, gamma, policies, p_list, seed, cond_threshold, data_mask) -> partial:
@@ -559,8 +564,7 @@ def evaluate_point(
     Options: cond_threshold, max_rejection_rate, data_mask, workers and
     keep_samples (per-trial rates in PointResult.samples).
     """
-    if not 1.0 < p < math.inf:  # NaN included; checked before log10 warns on it
-        raise ValueError(f"p must be a finite nominal SNR > 1, got {p!r}")
+    _check_snr("p", p)  # before log10 warns on it
     return _evaluate(layout, gamma, policies, [(linear_to_db(p), p)], trials, seed, **opts)[0]
 
 
@@ -582,6 +586,8 @@ def evaluate_curves(
     later. With workers > 1, one pool serves the whole sweep, and each of
     its rounds is one task queue over blocks of that index set.
     """
+    if "keep_samples" in opts:
+        raise TypeError("evaluate_curves() got an unexpected keyword argument 'keep_samples'")
     results = _evaluate(layout, gamma, policies, [(db, db_to_linear(db)) for db in snr_db], trials, seed, **opts)
     return {spec: [point.rates[spec] for point in results] for spec in policies}
 
@@ -591,18 +597,15 @@ def dof_slope(points: list[RatePoint], fit_points: int = 4) -> DofEstimate:
     SNRs of one policy's points, in any order.
 
     This is the generalized-DoF estimate of the curve; residual is the RMS
-    misfit of the regression line over the window, which must not repeat an
-    SNR.
+    misfit of the regression line over the window, which must not repeat a
+    nominal SNR.
     """
-    if fit_points < 2:
-        raise ValueError(f"fit_points must be >= 2, got {fit_points}")
+    _check_counts(("fit_points", fit_points, 2))
     pts = sorted(points, key=lambda q: q.snr_db)
     if len(pts) < fit_points:
         raise ValueError(f"curve has {len(pts)} points, need at least {fit_points}")
     window = pts[-fit_points:]
-    if len({q.snr_db for q in window}) < fit_points:
-        raise ValueError(f"fit window repeats an SNR point: {[q.snr_db for q in window]}")
-    x = np.log2([q.p for q in window])
+    x = _check_slope_points("fit window", [q.p for q in window], [q.snr_db for q in window])
     y = np.array([q.mean_avg for q in window])
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))

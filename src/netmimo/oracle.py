@@ -38,9 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import distance_exponents
-from .channel import PURPOSE_CHANNEL, _check_counts, _trial_median, _trial_streams, _unit_draws, pathloss_matrix
+from .channel import PURPOSE_CHANNEL, _trial_median, _trial_streams, _unit_draws, pathloss_matrix
 from .precoding import _screened_inverse
-from .topology import NodeLayout, interference_levels, pairwise_distance
+from .topology import NodeLayout, _check_counts, _check_gamma, _check_slope_points
+from .topology import interference_levels, pairwise_distance
 
 __all__ = [
     "TruncationOrder",
@@ -143,6 +144,7 @@ class CheckResult:
 
 
 def truncation_order(distances: np.ndarray, gamma: float) -> TruncationOrder:
+    _check_gamma(gamma)
     d = np.asarray(distances, dtype=float)
     k = d.shape[0]
     if k < 2:
@@ -153,7 +155,7 @@ def truncation_order(distances: np.ndarray, gamma: float) -> TruncationOrder:
         raise ValueError("coincident nodes leave a cross link as strong as a direct one")
     gamma_min = 1.0 + (gamma - 1.0) * d_min
     if gamma_min >= 1.0:
-        raise ValueError(f"no finite truncation order for gamma_min = {gamma_min}")
+        raise ValueError(f"no finite truncation order at gamma = {gamma}: gamma_min = {gamma_min} is not below 1")
     return TruncationOrder(gamma_min=gamma_min, n0=max(int(np.ceil(1.0 / (1.0 - gamma_min))), 1))
 
 
@@ -239,8 +241,7 @@ def neumann_term_matrix(h: np.ndarray, n: int) -> np.ndarray:
     and every term with n >= 1 has an exactly zero diagonal at n = 1. h may
     carry leading batch axes; each element's term equals its own call.
     """
-    if n < 0:
-        raise ValueError(f"term order must be >= 0, got {n}")
+    _check_counts(("n", n, 0))
     m, d = _iteration_matrix(h)
     return np.linalg.matrix_power(m, n) / d[..., None, :]
 
@@ -315,8 +316,7 @@ def _median_decay_slopes(layout: NodeLayout, gamma: float, p_list, unit: np.ndar
     k = layout.K
     dist = pairwise_distance(layout)
     p_arr = [float(p) for p in p_list]
-    if len(p_arr) < 2:
-        raise ValueError("need at least two SNR points for a slope")
+    x = _check_slope_points("p_list", p_arr, p_arr)
     trials = len(unit)
     step = _stack_len(k)
     meds = np.empty((len(p_arr), k, k))
@@ -326,7 +326,6 @@ def _median_decay_slopes(layout: NodeLayout, gamma: float, p_list, unit: np.ndar
         for s in range(0, trials, step):
             acc[s:s + step] = np.abs(entry_fn(sigma * unit[s:s + step])) ** 2
         meds[pi] = _trial_median(acc)
-    x = np.log2(p_arr)
     slopes = np.full((k, k), np.nan)
     valid = np.all(meds > 0, axis=0)
     if np.any(valid):

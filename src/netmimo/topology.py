@@ -4,12 +4,14 @@ cooperation radius, and local data-sharing neighborhoods.
 Node indices are 0-based everywhere in code; the plain-text layout file
 format is addressed by line number (1-based). TX i and RX i are co-located
 at position i, and all distances are Euclidean in the plane (no wrap-around).
+The input rules all modules share live here too, one _check_* function each.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
@@ -25,6 +27,36 @@ __all__ = [
     "format_layout",
     "parse_layout",
 ]
+
+
+def _check_counts(*counts: tuple[str, object, int]) -> None:
+    """ValueError unless each (name, value, low) has an integer value >= low; a bool is no count."""
+    for name, value, low in counts:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_snr(name: str, p, shown: str | None = None) -> None:
+    """ValueError naming the field unless the nominal SNR p is finite and > 1; shown is how the field gave p."""
+    if not 1.0 < p < math.inf:  # NaN included
+        raise ValueError(f"{name}: nominal SNR P must be finite and > 1 (0 dB), got {shown or repr(p)}")
+
+
+def _check_gamma(gamma) -> None:
+    """ValueError unless gamma lies in (0, 1]."""
+    if not 0.0 < gamma <= 1.0:  # NaN included
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+
+
+def _check_slope_points(name: str, p, shown) -> np.ndarray:
+    """log2 of the nominal SNRs p, a slope fit's abscissae; ValueError names the
+    field unless each p passes _check_snr and the abscissae are two or more and distinct."""
+    for value in p:
+        _check_snr(name, value)
+    x = np.log2(p)
+    if len(x) < 2 or len(set(x.tolist())) < len(x):
+        raise ValueError(f"{name} holds fewer than two SNR points or repeats an SNR point: {shown}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -60,9 +92,7 @@ def place_grid(side: int) -> NodeLayout:
     Nodes are ordered row-major: index r*side + c sits at (x, y) = (c+1, r+1),
     so index 0 is (1, 1), index 1 is (2, 1), and so on.
     """
-    side = int(side)
-    if side < 1:
-        raise ValueError(f"side must be >= 1, got {side}")
+    _check_counts(("side", side, 1))
     coords = np.arange(side, dtype=float)
     x = np.tile(coords, side) + 1.0
     y = np.repeat(coords, side) + 1.0
@@ -71,11 +101,9 @@ def place_grid(side: int) -> NodeLayout:
 
 def place_uniform_random(k: int, side: float, rng: np.random.Generator) -> NodeLayout:
     """k nodes drawn i.i.d. uniformly over the square [0, side]^2."""
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if side <= 0:
-        raise ValueError(f"side must be > 0, got {side}")
+    _check_counts(("k", k, 1))
+    if not 0.0 < side < math.inf:  # NaN included
+        raise ValueError(f"side must be finite and > 0, got {side}")
     return NodeLayout(rng.uniform(0.0, float(side), size=(k, 2)))
 
 
@@ -102,8 +130,7 @@ def interference_levels(distances: np.ndarray, gamma: float) -> np.ndarray:
         raise ValueError(f"distances must be square, got shape {d.shape}")
     if np.any(d < 0) or not np.all(np.isfinite(d)):
         raise ValueError("distances must be finite and nonnegative")
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    _check_gamma(gamma)
     levels = 1.0 + (gamma - 1.0) * d
     levels.setflags(write=False)
     return levels
@@ -115,10 +142,9 @@ def cooperation_radius(gamma: float) -> float:
     Defined for gamma in (0, 1) only; at gamma = 1 every link is as strong
     as a direct one and no finite radius exists.
     """
-    if gamma >= 1.0:
+    _check_gamma(gamma)
+    if gamma == 1.0:
         raise ValueError(f"cooperation radius is unbounded for gamma = {gamma}")
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     return 1.0 / (1.0 - gamma)
 
 
@@ -128,8 +154,7 @@ def data_sharing_sets(layout: NodeLayout, gamma: float) -> list[set[int]]:
     Nodes exactly on the boundary are included. For gamma = 1 the radius is
     unbounded and every set is the full index set (fallback, not an error).
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    _check_gamma(gamma)
     k = layout.K
     if gamma == 1.0:
         return [set(range(k)) for _ in range(k)]
@@ -140,7 +165,7 @@ def data_sharing_sets(layout: NodeLayout, gamma: float) -> list[set[int]]:
 
 def grid_side(layout: NodeLayout) -> int | None:
     """Side length if the layout is exactly a row-major integer grid, else None."""
-    side = isqrt(layout.K)
+    side = math.isqrt(layout.K)
     if side * side != layout.K:
         return None
     if np.array_equal(layout.positions, place_grid(side).positions):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -317,5 +319,5 @@ def test_build_allocation_checks_gamma_and_snr(kind):
     for gamma in (0.0, 1.5, np.nan):
         with pytest.raises(ValueError, match="gamma must lie in"):
             build_allocation(PolicySpec(kind), layout, gamma, 1e4)
-    with pytest.raises(ValueError, match="nominal SNR must exceed 1"):
+    with pytest.raises(ValueError, match=re.escape("p: nominal SNR P must be finite and > 1 (0 dB), got 1.0")):
         build_allocation(PolicySpec(kind), layout, 0.6, 1.0)

@@ -90,7 +90,7 @@ def test_main_negative_seed_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["run", "--grid-side", "2", "--seed", "-1", "--output", str(tmp_path / "out")])
     assert info.value.code == 2
-    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

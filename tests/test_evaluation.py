@@ -730,7 +730,7 @@ def test_snr_points_without_a_finite_nominal_snr_above_one_raise_before_anything
     overflows a float. The error names the dB value, before any table is
     built."""
     monkeypatch.setattr(evaluation, "_engine", _no_engine)
-    message = f"every snr_db point needs a finite nominal SNR P = 10^(dB/10) > 1, got {db!r} dB"
+    message = f"snr_db: nominal SNR P must be finite and > 1 (0 dB), got {db!r} dB"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         evaluate_curves(place_grid(2), 0.6, [PolicySpec("perfect"), PolicySpec("distance")], [20.0, db], 3, seed=1)
 
@@ -742,7 +742,7 @@ def test_evaluate_point_names_a_bad_p_without_a_warning(monkeypatch, p):
     monkeypatch.setattr(evaluation, "_engine", _no_engine)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"^{re.escape(f'p must be a finite nominal SNR > 1, got {p!r}')}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'p: nominal SNR P must be finite and > 1 (0 dB), got {p!r}')}$"):
             evaluate_point(place_grid(2), 0.6, [PolicySpec("perfect")], p, 3, 1)
 
 
@@ -764,7 +764,7 @@ def test_db_to_linear_reads_numpy_scalars_as_floats(monkeypatch):
                 for field in dataclasses.fields(RatePoint):
                     assert np.array_equal(getattr(g, field.name), getattr(w, field.name)), field.name
         monkeypatch.setattr(evaluation, "_engine", _no_engine)
-        message = f"every snr_db point needs a finite nominal SNR P = 10^(dB/10) > 1, got {np.float64(4000.0)!r} dB"
+        message = f"snr_db: nominal SNR P must be finite and > 1 (0 dB), got {np.float64(4000.0)!r} dB"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             evaluate_curves(layout, 0.6, specs, np.linspace(20.0, 4000.0, 2), 3, seed=1)
 
