@@ -10,11 +10,12 @@ build_allocation makes every policy's table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, isqrt
+from math import isfinite
 
 import numpy as np
 
-from .topology import NodeLayout, _check_gamma, _check_snr, grid_side, interference_levels, pairwise_distance
+from .topology import NodeLayout, _check_cluster_size, _check_gamma, _check_snr, grid_side
+from .topology import interference_levels, pairwise_distance
 
 __all__ = [
     "CsitAllocation",
@@ -100,8 +101,11 @@ def distance_exponents(distances: np.ndarray, gamma: float, alpha: float = 1.0) 
     rate offset.
     """
     d = np.asarray(distances, dtype=float)
-    sums = d[:, :, None] + d[None, :, :]  # [j, k, i] = d(j, k) + d(k, i)
-    return np.maximum(1.0 + alpha * (gamma - 1.0) * sums, 0.0)
+    # Past the float range a sum reads as the largest float, and an exponent as -inf, clamped to 0.
+    with np.errstate(over="ignore"):
+        sums = d[:, :, None] + d[None, :, :]  # [j, k, i] = d(j, k) + d(k, i)
+        np.minimum(sums, np.finfo(float).max, out=sums)
+        return np.maximum(1.0 + alpha * (gamma - 1.0) * sums, 0.0)
 
 
 def _size_matched(policy: str, support: np.ndarray, dist: np.ndarray, gamma: float, log2_p: float) -> CsitAllocation:
@@ -119,9 +123,7 @@ def cluster_fit(layout: NodeLayout, cluster_size: int) -> tuple[int, int]:
     side = grid_side(layout)
     if side is None:
         raise ValueError("regular clustering is defined for square grid layouts only")
-    c = isqrt(int(cluster_size))
-    if c * c != cluster_size or c < 1:
-        raise ValueError(f"cluster_size must be a positive perfect square, got {cluster_size}")
+    c = _check_cluster_size(cluster_size)
     if side % c != 0:
         raise ValueError(f"grid side {side} is not divisible by block side {c}")
     return side, c
@@ -159,8 +161,7 @@ class PolicySpec:
             raise ValueError(f"unknown policy kind {self.kind!r}, expected one of {POLICY_KINDS}")
         if not (isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        if self.cluster_size < 1 or isqrt(int(self.cluster_size)) ** 2 != self.cluster_size:
-            raise ValueError(f"cluster_size must be a positive perfect square, got {self.cluster_size}")
+        _check_cluster_size(self.cluster_size)
         if self.uniform_support not in ("all", "conventional"):
             raise ValueError(f"uniform_support must be 'all' or 'conventional', got {self.uniform_support!r}")
 

@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import errno
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -37,6 +36,7 @@ from .oracle import run_verification
 from .topology import (
     NodeLayout,
     _check_counts,
+    _check_side,
     cooperation_radius,
     data_sharing_sets,
     format_layout,
@@ -59,11 +59,6 @@ __all__ = [
 ]
 
 DEFAULT_SNR_DB = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0]
-
-
-# Two nodes of a random layout lie at most the square's diagonal apart, and
-# the diagonal of a larger square overflows.
-_MAX_RANDOM_SIDE = sys.float_info.max / math.sqrt(2.0)
 
 
 @dataclass
@@ -102,9 +97,9 @@ class ExperimentConfig:
         self._check_positions()
         if self.layout_kind == "grid":
             _check_counts(("grid_side", self.grid_side, 1))
-        if self.layout_kind == "random" and not (self.random_k >= 1 and 0.0 < self.random_side <= _MAX_RANDOM_SIDE):
-            raise ValueError(f"a random layout needs random_k >= 1 and 0 < random_side <= {_MAX_RANDOM_SIDE:.6g}, "
-                             f"got {self.random_k} and {self.random_side}")
+        if self.layout_kind == "random":
+            _check_counts(("random_k", self.random_k, 1))
+            _check_side("random_side", self.random_side)
         _told_apart("snr_db points", self.snr_db, _fmt, lambda db: f"{db!r} dB")
         _told_apart("policies", self.policies, _policy_key, _token)
         _check_counts(("fit_points", self.fit_points, 2))
@@ -322,10 +317,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, dump_channel: str
     )
     csv_text = _rates_csv(result, config.policies)
     size_rows = compute_size_table(layout, config.gamma, config.policies, config.snr_db)
-    try:
-        d0 = cooperation_radius(config.gamma)
-    except ValueError:
-        d0 = None
+    d0 = cooperation_radius(config.gamma) if config.gamma < 1.0 else None  # unbounded at gamma = 1
     metadata = {
         "tool": {"name": "netmimo", "version": __version__},
         "config": config.to_dict(),
@@ -514,28 +506,17 @@ def parse_policy(token: str) -> PolicySpec:
         raise argparse.ArgumentTypeError(f"{token!r}: {exc}") from None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 class _UsageError(Exception):
     """Bad input, found before any output; main exits with a usage error."""
 
 
-def _validated(cfg: ExperimentConfig) -> ExperimentConfig:
-    """cfg itself, or a usage error that names the invalid field."""
+def _validated(cfg: ExperimentConfig | None, *counts: tuple[str, object, int]) -> ExperimentConfig | None:
+    """cfg itself, once it and each (name, value, low) count pass the library's rules,
+    or a usage error with the broken rule's message, which names the field."""
     try:
-        cfg.validate()
+        if cfg is not None:
+            cfg.validate()
+        _check_counts(*counts)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     return cfg
@@ -578,8 +559,8 @@ def main(argv: list[str] | None = None) -> int:
     seed_args = argparse.ArgumentParser(add_help=False)
     seed_args.add_argument("--seed", type=int)
     layout_args = argparse.ArgumentParser(add_help=False)
-    layout_args.add_argument("--grid-side", type=_positive_int, help="square grid side length")
-    layout_args.add_argument("--random-k", type=_positive_int, help="number of nodes placed uniformly at random")
+    layout_args.add_argument("--grid-side", type=int, help="square grid side length")
+    layout_args.add_argument("--random-k", type=int, help="number of nodes placed uniformly at random")
     layout_args.add_argument("--random-side", type=float, help="side of the random square")
     layout_args.add_argument("--layout-file", help="take the node positions from a layout file")
     model_args = argparse.ArgumentParser(add_help=False)
@@ -592,7 +573,7 @@ def main(argv: list[str] | None = None) -> int:
     run_args = argparse.ArgumentParser(add_help=False)
     run_args.add_argument("--trials", type=int)
     run_args.add_argument("--output")
-    run_args.add_argument("--workers", type=_positive_int, default=1)
+    run_args.add_argument("--workers", type=int, default=1)
 
     run_p = sub.add_parser(
         "run", parents=[seed_args, layout_args, model_args, run_args], help="run a rate experiment"
@@ -611,12 +592,11 @@ def main(argv: list[str] | None = None) -> int:
     sizes_p.add_argument("--export-bits", help="directory for per-policy (j,k,i,bits) CSV dumps")
 
     ver_p = sub.add_parser("verify", help="numerical verification suite")
-    ver_p.add_argument("--seed", type=_nonnegative_int, default=7)
-    ver_p.add_argument("--trials", type=_positive_int, default=800)
+    ver_p.add_argument("--seed", type=int, default=7)
+    ver_p.add_argument("--trials", type=int, default=800)
     ver_p.add_argument("--output", help="write the check table CSV here")
 
-    lay_p = sub.add_parser("layout", parents=[layout_args], help="emit or inspect node layouts")
-    lay_p.add_argument("--seed", type=_nonnegative_int, help="seed of a random layout (default 1)")
+    lay_p = sub.add_parser("layout", parents=[seed_args, layout_args], help="emit or inspect node layouts")
     lay_p.add_argument("--gamma", type=float, help="gamma for --show (default 0.6)")
     lay_p.add_argument("--out", help="write the layout file here")
     lay_p.add_argument("--show", help="print a summary of an existing layout file")
@@ -652,7 +632,7 @@ def _command(args: argparse.Namespace) -> int:
         base = _read_input("--from-metadata:", args.from_metadata, _parse_metadata)
     else:
         base = ExperimentConfig()
-    cfg = _validated(_config_from_args(base, args))
+    cfg = _validated(_config_from_args(base, args), ("workers", getattr(args, "workers", 1), 1))
 
     if args.command == "sizes":
         layout = resolve_layout(cfg)
@@ -764,6 +744,7 @@ def _export_bits(cfg: ExperimentConfig, layout: NodeLayout, outdir: Path) -> dic
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _validated(None, ("seed", args.seed, 0), ("trials", args.trials, 1))
     if args.output and not Path(args.output).parent.is_dir():  # found before the suite runs, not after it
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
     results = run_verification(seed=args.seed, trials=args.trials)
@@ -779,7 +760,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(ExperimentConfig(), args)
+    cfg = _validated(_config_from_args(ExperimentConfig(), args))
     if args.show:
         layout = _read_input("--show:", args.show, parse_layout)
         dist = pairwise_distance(layout)
@@ -789,21 +770,15 @@ def _cmd_layout(args: argparse.Namespace) -> int:
         off = dist[~np.eye(layout.K, dtype=bool)]
         if off.size:
             print(f"pair distance: min {off.min():.4g} max {off.max():.4g}")
-        try:
-            d0 = cooperation_radius(cfg.gamma)
+        if cfg.gamma < 1.0:  # at gamma = 1 the radius is unbounded
             sizes = [len(s) for s in data_sharing_sets(layout, cfg.gamma)]
-            print(f"cooperation radius at gamma {cfg.gamma:g}: {d0:g}; "
+            print(f"cooperation radius at gamma {cfg.gamma:g}: {cooperation_radius(cfg.gamma):g}; "
                   f"sharing set sizes min {min(sizes)} max {max(sizes)}")
-        except ValueError:
-            pass
         return 0
-    if not (args.layout_file or args.random_k or args.grid_side):
-        print("error: nothing to emit, pass --grid-side or --random-k or --layout-file", file=sys.stderr)
+    if not (args.out and (args.layout_file or args.random_k or args.grid_side)):
+        print("error: to emit a layout, pass --out and --grid-side, --random-k or --layout-file", file=sys.stderr)
         return 2
-    if not args.out:
-        print("error: --out is required to emit a layout", file=sys.stderr)
-        return 2
-    layout = resolve_layout(_validated(cfg))
+    layout = resolve_layout(cfg)
     _write_all({Path(args.out): format_layout(layout)})
     print(f"wrote {args.out} ({layout.K} nodes)")
     return 0

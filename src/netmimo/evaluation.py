@@ -59,7 +59,7 @@ from .channel import (
     pathloss_matrix,
 )
 from .precoding import DEFAULT_COND_THRESHOLD, _precode, mask_from_sets
-from .topology import NodeLayout, _check_counts, _check_gamma, _check_slope_points, _check_snr
+from .topology import NodeLayout, _check_cond_limit, _check_counts, _check_gamma, _check_slope_points, _check_snr
 from .topology import data_sharing_sets, interference_levels, pairwise_distance
 
 __all__ = [
@@ -489,8 +489,7 @@ def _check_sweep(gamma, policies, points, trials, seed, cond_threshold, max_reje
     if len(policies) != len(set(policies)):
         raise ValueError("duplicate policy specs in one run")
     _check_counts(("workers", workers, 1), ("trials", trials, 1), ("seed", seed, 0))
-    if not cond_threshold >= 1.0:  # NaN included
-        raise ValueError(f"cond_threshold must be >= 1 (every matrix has kappa_2 >= 1), got {cond_threshold}")
+    _check_cond_limit("cond_threshold", cond_threshold)
     if not 0.0 <= max_rejection_rate < 1.0:
         raise ValueError(f"max_rejection_rate must lie in [0, 1), got {max_rejection_rate}")
 

@@ -40,7 +40,7 @@ import numpy as np
 from .allocation import distance_exponents
 from .channel import PURPOSE_CHANNEL, _trial_median, _trial_streams, _unit_draws, pathloss_matrix
 from .precoding import _screened_inverse
-from .topology import NodeLayout, _check_counts, _check_gamma, _check_slope_points
+from .topology import NodeLayout, _check_cond_limit, _check_counts, _check_gamma, _check_slope_points
 from .topology import interference_levels, pairwise_distance
 
 __all__ = [
@@ -191,8 +191,7 @@ def resolvent_max_error(
     and seed an integer >= 0.
     """
     _check_counts(("pairs", pairs, 1), ("size", size, 1), ("seed", seed, 0))
-    if not cond_limit >= 1.0:
-        raise ValueError(f"cond_limit must be >= 1, got {cond_limit}")
+    _check_cond_limit("cond_limit", cond_limit)
     rng = np.random.default_rng(seed)
     worst = 0.0
     done = drawn = 0

@@ -49,14 +49,39 @@ def _check_gamma(gamma) -> None:
 
 
 def _check_slope_points(name: str, p, shown) -> np.ndarray:
-    """log2 of the nominal SNRs p, a slope fit's abscissae; ValueError names the
-    field unless each p passes _check_snr and the abscissae are two or more and distinct."""
+    """log2 of the nominal SNRs p, a slope fit's abscissae; ValueError names the field unless each p
+    passes _check_snr and the abscissae are two or more, distinct, and of full rank to np.polyfit."""
     for value in p:
         _check_snr(name, value)
     x = np.log2(p)
     if len(x) < 2 or len(set(x.tolist())) < len(x):
         raise ValueError(f"{name} holds fewer than two SNR points or repeats an SNR point: {shown}")
+    vander = np.column_stack([x, np.ones_like(x)])
+    vander /= np.sqrt((vander * vander).sum(axis=0))  # polyfit's rank test: unit columns, rcond len(x) * eps
+    if np.linalg.lstsq(vander, np.zeros(len(x)), len(x) * np.finfo(float).eps)[2] < 2:
+        raise ValueError(f"{name} holds SNR points too close for a line fit to tell apart: {shown}")
     return x
+
+
+def _check_cond_limit(name: str, limit) -> None:
+    """ValueError naming the field unless the condition-number limit is >= 1."""
+    if not limit >= 1.0:  # NaN included
+        raise ValueError(f"{name} must be >= 1 (every matrix has kappa_2 >= 1), got {limit}")
+
+
+def _check_side(name: str, side) -> None:
+    """ValueError naming the field unless a random square's side lies in (0, top]: two of its nodes
+    lie at most the square's diagonal apart, and the diagonal of a larger square overflows."""
+    top = float(np.finfo(float).max) / math.sqrt(2.0)
+    if not 0.0 < side <= top:  # NaN included
+        raise ValueError(f"{name} must lie in (0, {top:.6g}], got {side}")
+
+
+def _check_cluster_size(size) -> int:
+    """The block side sqrt(size); ValueError unless size is a positive perfect square (a bool is none)."""
+    if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1 or math.isqrt(size) ** 2 != size:
+        raise ValueError(f"cluster_size must be a positive perfect square, got {size!r}")
+    return math.isqrt(size)
 
 
 @dataclass(frozen=True)
@@ -102,8 +127,7 @@ def place_grid(side: int) -> NodeLayout:
 def place_uniform_random(k: int, side: float, rng: np.random.Generator) -> NodeLayout:
     """k nodes drawn i.i.d. uniformly over the square [0, side]^2."""
     _check_counts(("k", k, 1))
-    if not 0.0 < side < math.inf:  # NaN included
-        raise ValueError(f"side must be finite and > 0, got {side}")
+    _check_side("side", side)
     return NodeLayout(rng.uniform(0.0, float(side), size=(k, 2)))
 
 

@@ -150,6 +150,22 @@ def test_exponent_tensor_orientation():
     assert e[1, 1, 1] == 1.0
 
 
+@pytest.mark.parametrize("gamma, alpha", [(0.6, 1.0), (1.0, 1.0), (0.6, 1e308), (1.0, 1e308)])
+def test_exponents_past_the_float_range_clamp_without_a_warning(gamma, alpha):
+    """Two nodes 1.7e308 apart (a valid layout) sum to an overflowing
+    d(j, k) + d(k, i), and alpha = 1e308 overflows the product: each such
+    exponent is 0 below gamma = 1 and 1 at it, with no numpy warning."""
+    d = pairwise_distance(NodeLayout(np.array([[0.0, 0.0], [1.7e308, 0.0]])))
+    with np.errstate(all="raise"):
+        e = distance_exponents(d, gamma, alpha)
+    want = np.ones((2, 2, 2)) if gamma == 1.0 else np.zeros((2, 2, 2))
+    want[0, 0, 0] = want[1, 1, 1] = 1.0  # j = k = i: distance sum 0
+    np.testing.assert_array_equal(e, want)
+    with np.errstate(all="raise"):
+        grid = distance_exponents(pairwise_distance(place_grid(4)), 0.6, alpha)
+    assert grid.max() == 1.0 and (alpha == 1.0 or np.count_nonzero(grid) == 16)
+
+
 def test_uniform_matched_spread():
     layout = place_grid(2)
     p = 2.0**20

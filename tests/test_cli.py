@@ -99,18 +99,18 @@ def test_main_workers_must_be_positive(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as info:
         main(command + ["--workers", "-3", "--output", str(tmp_path / "out")])
     assert info.value.code == 2
-    assert "--workers: must be >= 1, got -3" in capsys.readouterr().err
+    assert "workers must be an integer >= 1, got -3" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["verify", "--seed", "-1"], "--seed: must be >= 0, got -1"),
-        (["verify", "--trials", "0"], "--trials: must be >= 1, got 0"),
-        (["layout", "--random-k", "4", "--seed", "-1"], "--seed: must be >= 0, got -1"),
-        (["layout", "--random-k", "0"], "--random-k: must be >= 1, got 0"),
-        (["layout", "--grid-side", "0"], "--grid-side: must be >= 1, got 0"),
+        (["verify", "--seed", "-1"], "error: seed must be an integer >= 0, got -1"),
+        (["verify", "--trials", "0"], "error: trials must be an integer >= 1, got 0"),
+        (["layout", "--random-k", "4", "--seed", "-1"], "error: seed must be an integer >= 0, got -1"),
+        (["layout", "--random-k", "0"], "error: random_k must be an integer >= 1, got 0"),
+        (["layout", "--grid-side", "0"], "error: grid_side must be an integer >= 1, got 0"),
     ],
     ids=["verify-seed", "verify-trials", "layout-seed", "layout-random-k", "layout-grid-side"],
 )
@@ -296,6 +296,28 @@ def test_main_layout_emit_and_show(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "nodes: 5" in out
     assert main(["layout", "--grid-side", "2"]) == 2  # missing --out
+
+
+@pytest.mark.parametrize("gamma", ["2", "nan", "-1", "0"])
+def test_layout_show_refuses_a_bad_gamma(tmp_path, capsys, gamma):
+    """--show checks gamma by its rule before it prints anything, instead of
+    dropping the cooperation-radius line."""
+    path = tmp_path / "l.txt"
+    path.write_text(format_layout(place_grid(2)))
+    assert _exit_code(["layout", "--show", str(path), "--gamma", gamma]) == 2
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "gamma must lie in (0, 1]" in errors[0]
+    assert out == "" and "Traceback" not in err
+
+
+def test_layout_show_prints_the_radius_below_gamma_1(tmp_path, capsys):
+    path = tmp_path / "l.txt"
+    path.write_text(format_layout(place_grid(2)))
+    assert main(["layout", "--show", str(path), "--gamma", "1"]) == 0
+    assert "cooperation radius" not in capsys.readouterr().out
+    assert main(["layout", "--show", str(path), "--gamma", "0.6"]) == 0
+    assert "cooperation radius at gamma 0.6: 2.5; sharing set sizes min 4 max 4" in capsys.readouterr().out
 
 
 def test_main_verify_exit_zero(tmp_path, capsys):
@@ -832,7 +854,7 @@ def test_bad_positions_fail_at_once(tmp_path, capsys, config, message):
          "error: cannot load layout file {tmp}/far.txt: pairwise distances must be finite"),
         (["--config", "{tmp}/far.json"], "error: --config: {tmp}/far.json: pairwise distances must be finite"),
         (["--random-k", "3", "--random-side", "1.5e308"],
-         "error: a random layout needs random_k >= 1 and 0 < random_side"),
+         "error: random_side must lie in (0, 1.27116e+308], got 1.5e+308"),
     ],
     ids=["layout-file", "config", "random-side"],
 )

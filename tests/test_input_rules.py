@@ -1,24 +1,34 @@
 """The shared input rules (topology._check_*) at every entry point that takes
-the value: a bad nominal SNR, gamma, count or slope abscissa raises a
-ValueError that names the field, before anything is drawn, and never a
-numpy warning, another exception type or a passing check."""
+the value: a bad nominal SNR, gamma, count, slope abscissa, condition limit,
+random side or cluster size raises a ValueError that names the field, before
+anything is drawn, and never a numpy warning, another exception type or a
+passing check. The CLI runs the same rules: a bad flag exits 2 with one
+error line naming it."""
 
+import contextlib
+import io
 import math
+import os
+import tempfile
 import warnings
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netmimo import evaluation
-from netmimo.allocation import POLICY_KINDS, PolicySpec, build_allocation
+from netmimo import cli, evaluation
+from netmimo.allocation import POLICY_KINDS, PolicySpec, build_allocation, cluster_fit
 from netmimo.channel import pathloss_matrix
 from netmimo.evaluation import RatePoint, db_to_linear, dof_slope, evaluate_curves, evaluate_point
 from netmimo.oracle import (
+    CheckResult,
     DecayCheck,
     inverse_decay_estimate,
     neumann_term_matrix,
+    resolvent_max_error,
     term_decay_check,
     truncation_order,
     truncation_tail_check,
@@ -26,6 +36,7 @@ from netmimo.oracle import (
 from netmimo.topology import (
     NodeLayout,
     cooperation_radius,
+    format_layout,
     interference_levels,
     pairwise_distance,
     place_grid,
@@ -48,15 +59,17 @@ def _curve(dbs):
     ]
 
 
-def _hole(case, field, fn, *args):
-    return pytest.param(field, fn, args, id=f"{fn.__name__}-{case}")
+def _hole(case, field, fn, *args, **kwargs):
+    return pytest.param(field, partial(fn, *args, **kwargs), id=f"{fn.__name__}-{case}")
 
 
 _RNG = np.random.default_rng(0)
+# Distinct nominal SNRs whose log2 values np.polyfit cannot tell apart (RankWarning).
+_NEAR = [1e300, 1e300 * (1 + 2e-13)]
 
 
 @pytest.mark.parametrize(
-    "field, fn, args",
+    "field, call",
     [
         _hole("nan-point", "p_list", inverse_decay_estimate, _line(4), 0.6, [NAN, 1e4], 20, 1),
         _hole("nan-points", "p_list", term_decay_check, _line(3), 0.6, [NAN, NAN], 20, 1, 1),
@@ -75,15 +88,28 @@ _RNG = np.random.default_rng(0)
         _hole("same-p", "fit window", dof_slope, _curve([1e-6, np.nextafter(1e-6, 1.0)]), 2),
         _hole("nan", "gamma", cooperation_radius, NAN),
         _hole("2.5", "n", neumann_term_matrix, np.eye(2, dtype=complex), 2.5),
+        _hole("near-repeat", "p_list", term_decay_check, _line(3), 0.6, _NEAR, 5, 1, 1),
+        _hole("near-repeat", "p_list", inverse_decay_estimate, _line(4), 0.6, _NEAR, 5, 1),
+        _hole("near-repeat", "fit window", dof_slope, _curve([3000.0, np.nextafter(3000.0, 4000.0)]), 2),
+        _hole("bool", "cluster_size", PolicySpec, "cluster", 1.0, True),
+        _hole("4.0", "cluster_size", PolicySpec, "cluster", 1.0, 4.0),
+        _hole("bool", "cluster_size", cluster_fit, place_grid(4), True),
+        _hole("0.5", "cond_limit", resolvent_max_error, 5, 3, 1, 0.5),
+        _hole("nan", "cond_limit", resolvent_max_error, 5, 3, 1, NAN),
+        _hole("0.5", "cond_threshold", evaluate_curves, place_grid(2), 0.6, [PolicySpec("perfect")], [20.0], 3, 1,
+              cond_threshold=0.5),
+        _hole("nan", "cond_threshold", evaluate_point, place_grid(2), 0.6, [PolicySpec("perfect")], 100.0, 3, 1,
+              cond_threshold=NAN),
     ],
 )
-def test_bad_input_raises_a_value_error_naming_its_field(field, fn, args):
+def test_bad_input_raises_a_value_error_naming_its_field(field, call):
     """Each of these inputs once gave a result, a passing check, a numpy
-    warning or an error that did not name the input."""
+    warning or an error that did not name the input, or met one of two
+    copies of its rule (cluster_size, the condition limit)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^{field}[: ]"):
-            fn(*args)
+            call()
 
 
 def test_evaluate_curves_refuses_keep_samples(monkeypatch):
@@ -175,3 +201,116 @@ def test_p_and_gamma_give_a_result_or_a_value_error_naming_the_field(p, gamma):
         db_ok = 1.0 < db_to_linear(p) < INF
         _outcome(bad_gamma | (set() if db_ok else {"snr_db"}), evaluate_curves, grid, gamma, specs, [p], 3, 1)
         _outcome(bad_gamma | bad_p, evaluate_point, grid, gamma, specs, p, 3, 1)
+
+
+# Flag tokens for main(argv), valid ones and the rest drawn equally often:
+# edge integers (and tokens that are no integer) for the counts, edge floats
+# for the measures. Counts stay small, so an accepted run stays cheap, and
+# --workers never forks a pool: byte identity across worker counts is tested
+# in test_cli.py.
+_NO_COUNT = ["-9223372036854775809", "-1", "0", "2.5", "1e3", "nan"]
+_NO_MEASURE = ["0", "-0", "-5e-324", "inf", "-inf", "nan", "-1e308", "-1e-308", "1e309"]
+_TINY = ["5e-324", "2.2250738585072014e-308", "1e-308"]
+_TOKENS = {
+    "seed": (["0", "1", "4294967296", str(2**128)], _NO_COUNT),
+    "trials": (["1", "2"], _NO_COUNT),
+    "workers": (["1"], _NO_COUNT),
+    "grid-side": (["1", "2"], _NO_COUNT),
+    "random-k": (["1", "2", "3"], _NO_COUNT),
+    "random-side": (_TINY + ["4", "1e308", "1.2e308"], _NO_MEASURE + ["1.5e308"]),
+    "gamma": (_TINY + ["0.6", "1"], _NO_MEASURE + ["1e308", str(np.nextafter(1.0, 2.0))]),
+}
+_LAYOUT = ["seed", "grid-side", "random-k", "random-side", "gamma"]
+_COMMANDS = {
+    "run": ["trials", "workers", *_LAYOUT],
+    "sizes": _LAYOUT,
+    "layout": _LAYOUT,
+    "verify": ["seed", "trials"],
+    **{preset: ["seed", "trials", "workers"] for preset in ("fig1-desk", "fig1-full", "fig2-desk", "fig2-full")},
+}
+_MAX_SIDE = float(np.finfo(float).max) / math.sqrt(2.0)
+
+
+def _refused(command: str, flags: dict[str, str], show: bool) -> set[str]:
+    """The names, any of which main's one error line may give, of the flags
+    that break a rule the command applies; empty when it must run."""
+    bad = set()
+    values = {}
+    for flag, token in flags.items():
+        try:
+            values[flag] = float(token) if flag in ("random-side", "gamma") else int(token)
+        except ValueError:
+            bad.add(f"--{flag}")
+    if bad:
+        return bad  # argparse refuses the token before anything runs
+    low = {"seed": 0, "trials": 1, "workers": 1}
+    bad = {flag for flag, floor in low.items() if values.get(flag, floor) < floor}
+    if "random-k" in values:
+        bad |= {"random_k"} if values["random-k"] < 1 else set()
+        bad |= set() if 0.0 < values.get("random-side", 4.0) <= _MAX_SIDE else {"random_side"}
+    elif values.get("grid-side", 1) < 1:
+        bad.add("grid_side")
+    if not 0.0 < values.get("gamma", 0.6) <= 1.0:
+        bad.add("gamma")
+    if command == "layout" and not show and not {"grid-side", "random-k"} & values.keys():
+        bad.add("--grid-side")  # nothing to emit
+    return bad
+
+
+def _stub_verification(seed, trials):
+    assert seed >= 0 and trials >= 1, "the suite ran on a bad count"
+    return [CheckResult("stub", 0.5, 1.0, True)]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_COMMANDS)),
+    drawn=st.fixed_dictionaries(
+        {}, optional={flag: st.sampled_from(ok) | st.sampled_from(no) for flag, (ok, no) in _TOKENS.items()}
+    ),
+    show=st.booleans(),
+)
+# Seed 1's three nodes in a 1.2e308 square lie more than half the float range
+# apart, so distance sums overflow.
+@example(command="sizes", drawn={"random-k": "3", "random-side": "1.2e308"}, show=False)
+@example(command="run", drawn={"random-k": "3", "random-side": "1.2e308", "trials": "1"}, show=False)
+@example(command="layout", drawn={"gamma": "1e308"}, show=True)
+def test_main_exits_0_or_2_with_one_error_line_naming_the_field(command, drawn, show):
+    """Every count and measure flag of every subcommand: main exits 0, or 2
+    with exactly one error line that names a flag breaking its rule, and
+    never with a traceback or a numpy warning; a refused command leaves no
+    file behind. The engine and the verification suite are stubbed."""
+    flags = {flag: token for flag, token in drawn.items() if flag in _COMMANDS[command]}
+    show = show and command == "layout"
+    bad = _refused(command, flags, show)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(evaluation, "_engine", _stub_engine)
+        mp.setattr(cli, "run_verification", _stub_verification)
+        warnings.simplefilter("error")
+        shown = Path(tmp) / "shown.txt"
+        shown.write_text(format_layout(place_grid(2)))
+        target = Path(tmp) / "out"
+        argv = [command, *(f"--{flag}={token}" for flag, token in flags.items())]  # "=": -1e308 is no option
+        if command == "layout":
+            argv += ["--show", str(shown)] if show else ["--out", str(target)]
+        elif command != "sizes":
+            argv += ["--output", str(target)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        if bad:
+            assert code == 2, (argv, bad, out.getvalue())
+            assert len(errors) == 1 and any(name in errors[0] for name in bad), (argv, bad, errors)
+            assert out.getvalue() == "" and sorted(os.listdir(tmp)) == ["shown.txt"], argv
+        else:
+            assert code == 0 and errors == [], (argv, err.getvalue())
+            if show:
+                assert ("cooperation radius" in out.getvalue()) == (float(flags.get("gamma", 0.6)) < 1.0)
+            elif command in ("verify", "layout"):
+                assert target.is_file()
+            elif command != "sizes":
+                assert sorted(os.listdir(target)) == ["layout.txt", "metadata.json", "rates.csv"]
