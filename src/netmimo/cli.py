@@ -14,7 +14,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -22,20 +22,16 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .allocation import PolicySpec, allocation_size, build_allocation, cluster_fit, conventional
+from .allocation import PolicySpec, allocation_size, build_allocation, conventional
 from .channel import PURPOSE_CHANNEL, PURPOSE_LAYOUT, _trial_streams, _unit_draws, pathloss_matrix, trial_rng
-from .evaluation import (
-    RatePoint,
-    RejectionRateError,
-    _check_sweep,
-    db_to_linear,
-    dof_slope,
-    evaluate_curves,
-)
+from .evaluation import DEFAULT_MAX_REJECTION_RATE, RatePoint, RejectionRateError, _check_sweep, db_to_linear
+from .evaluation import dof_slope, evaluate_curves
 from .oracle import run_verification
+from .precoding import DEFAULT_COND_THRESHOLD
 from .topology import (
     NodeLayout,
     _check_counts,
+    _check_distinct,
     _check_side,
     cooperation_radius,
     data_sharing_sets,
@@ -83,34 +79,26 @@ class ExperimentConfig:
         default_factory=lambda: [PolicySpec("perfect"), PolicySpec("distance")]
     )
     fit_points: int = 4
-    cond_threshold: float = 1e12
-    max_rejection_rate: float = 0.01
+    cond_threshold: float = DEFAULT_COND_THRESHOLD
+    max_rejection_rate: float = DEFAULT_MAX_REJECTION_RATE
     data_mask: bool = False
     output: str = "netmimo-out"
 
     def validate(self) -> None:
-        """Raise ValueError naming the first invalid field, a misfit cluster
-        policy and two policies or SNR points the outputs cannot tell apart
-        included."""
+        """Raise ValueError naming the first invalid field. Every field is
+        checked, whatever the layout kind; a misfit cluster policy and two
+        policies or SNR points the outputs cannot tell apart are refused too."""
         if self.layout_kind not in ("grid", "random", "positions"):
             raise ValueError(f"unknown layout kind {self.layout_kind!r}")
         self._check_positions()
-        if self.layout_kind == "grid":
-            _check_counts(("grid_side", self.grid_side, 1))
-        if self.layout_kind == "random":
-            _check_counts(("random_k", self.random_k, 1))
-            _check_side("random_side", self.random_side)
-        _told_apart("snr_db points", self.snr_db, _fmt, lambda db: f"{db!r} dB")
-        _told_apart("policies", self.policies, _policy_key, _token)
-        _check_counts(("fit_points", self.fit_points, 2))
-        _check_sweep(self.gamma, self.policies, [(db, db_to_linear(db)) for db in self.snr_db], self.trials, self.seed,
-                     self.cond_threshold, self.max_rejection_rate)
-        for spec in self.policies:
-            if spec.kind == "cluster":
-                try:
-                    cluster_fit(resolve_layout(self), spec.cluster_size)
-                except ValueError as exc:
-                    raise ValueError(f"policy {spec.label()}: {exc}") from None
+        # The seed before the layout: a random layout draws from it.
+        _check_counts(("seed", self.seed, 0), ("grid_side", self.grid_side, 1), ("random_k", self.random_k, 1),
+                      ("fit_points", self.fit_points, 2))
+        _check_side("random_side", self.random_side)
+        _check_distinct("snr_db points", self.snr_db, _fmt, lambda db: f"{db!r} dB")
+        _check_distinct("policies", self.policies, _policy_key, _token)
+        _check_sweep(resolve_layout(self), self.gamma, self.policies, [(db, db_to_linear(db)) for db in self.snr_db],
+                     self.trials, self.seed, self.cond_threshold, self.max_rejection_rate)
 
     def _check_positions(self) -> None:
         """Raise ValueError unless positions are set exactly for layout_kind
@@ -162,25 +150,14 @@ def _token(spec: PolicySpec) -> str:
     return spec.kind if arg is None else f"{spec.kind}:{arg}"
 
 
-def _told_apart(name: str, values: list, key, show) -> None:
-    """Raise ValueError naming, by show, the first two values whose key (the
-    form the outputs give them) is the same."""
-    seen: dict = {}
-    for value in values:
-        if (k := key(value)) in seen:
-            first = seen[k]
-            got = (f"{show(value)} twice" if first == value
-                   else f"{show(first)} and {show(value)}, which the outputs cannot tell apart")
-            raise ValueError(f"{name} must be distinct, got {got}")
-        seen[k] = value
-
-
 def _field_values(cls, data, where: str) -> dict:
     """data, checked to be keyword arguments of the dataclass cls: every key
-    a field, every value of the field's type (a float field takes an int);
-    ValueError names the first bad key."""
+    a field, every value of the field's type (a float field takes an int),
+    every field without a default given; ValueError names the first bad key."""
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object, got {data!r}")
+    if missing := [f.name for f in fields(cls) if f.default is f.default_factory is MISSING and f.name not in data]:
+        raise ValueError(f"{where}: missing key {missing[0]!r}")
     hints = get_type_hints(cls)
     for key, value in data.items():
         if key not in hints:

@@ -47,7 +47,7 @@ from functools import partial
 
 import numpy as np
 
-from .allocation import PolicySpec, build_allocation
+from .allocation import PolicySpec, build_allocation, cluster_fit
 from .channel import (
     PURPOSE_CHANNEL,
     PURPOSE_ESTIMATE,
@@ -59,8 +59,8 @@ from .channel import (
     pathloss_matrix,
 )
 from .precoding import DEFAULT_COND_THRESHOLD, _precode, mask_from_sets
-from .topology import NodeLayout, _check_cond_limit, _check_counts, _check_gamma, _check_slope_points, _check_snr
-from .topology import data_sharing_sets, interference_levels, pairwise_distance
+from .topology import NodeLayout, _check_cond_limit, _check_counts, _check_distinct, _check_gamma, _check_slope_points
+from .topology import _check_snr, data_sharing_sets, interference_levels, pairwise_distance
 
 __all__ = [
     "RejectionRateError",
@@ -77,6 +77,7 @@ __all__ = [
 ]
 
 LN2 = float(np.log(2.0))
+DEFAULT_MAX_REJECTION_RATE = 0.01
 
 
 def db_to_linear(snr_db: float) -> float:
@@ -461,7 +462,7 @@ def _evaluate(
     seed: int,
     *,
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
-    max_rejection_rate: float = 0.01,
+    max_rejection_rate: float = DEFAULT_MAX_REJECTION_RATE,
     data_mask: bool = False,
     workers: int = 1,
     keep_samples: bool = False,
@@ -471,14 +472,15 @@ def _evaluate(
     The sweep's engine, every point's sigma and allocation tables included,
     is built before a pool forks, so the workers inherit it.
     """
-    _check_sweep(gamma, policies, points, trials, seed, cond_threshold, max_rejection_rate, workers)
+    _check_sweep(layout, gamma, policies, points, trials, seed, cond_threshold, max_rejection_rate, workers)
     engine = _engine(layout, gamma, policies, [p for _, p in points], seed, cond_threshold, data_mask)
     swept = _sweep(engine, len(points), layout.K, trials, max_rejection_rate, workers)
     return [_point_result(policies, pt, blocks, trials, keep_samples) for pt, blocks in zip(points, swept)]
 
 
-def _check_sweep(gamma, policies, points, trials, seed, cond_threshold, max_rejection_rate, workers=1) -> None:
-    """ValueError naming the first sweep input that breaks its rule; points holds (snr_db, p) pairs."""
+def _check_sweep(layout, gamma, policies, points, trials, seed, cond_threshold, max_rejection_rate, workers=1) -> None:
+    """ValueError naming the first sweep input that breaks its rule, a cluster policy that does not fit
+    the layout included; points holds (snr_db, p) pairs."""
     _check_gamma(gamma)
     if not policies:
         raise ValueError("policies must not be empty")
@@ -486,12 +488,17 @@ def _check_sweep(gamma, policies, points, trials, seed, cond_threshold, max_reje
         raise ValueError("snr_db must not be empty")
     for snr_db, p in points:
         _check_snr("snr_db", p, f"{snr_db!r} dB")
-    if len(policies) != len(set(policies)):
-        raise ValueError("duplicate policy specs in one run")
+    _check_distinct("policies", policies, lambda spec: spec, PolicySpec.label)
     _check_counts(("workers", workers, 1), ("trials", trials, 1), ("seed", seed, 0))
     _check_cond_limit("cond_threshold", cond_threshold)
     if not 0.0 <= max_rejection_rate < 1.0:
         raise ValueError(f"max_rejection_rate must lie in [0, 1), got {max_rejection_rate}")
+    for spec in policies:
+        if spec.kind == "cluster":
+            try:
+                cluster_fit(layout, spec.cluster_size)
+            except ValueError as exc:
+                raise ValueError(f"policy {spec.label()}: {exc}") from None
 
 
 def _engine(layout, gamma, policies, p_list, seed, cond_threshold, data_mask) -> partial:

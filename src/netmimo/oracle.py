@@ -186,7 +186,7 @@ def resolvent_max_error(
     pairs' errors come from the inverses the gate formed, bit for bit what
     resolvent_check computes, and a stack whose pairs are all rejected adds
     nothing. No matrix has a condition number below 1, so a cond_limit below
-    1 (or NaN) raises ValueError, and drawing 100 * pairs pairs without
+    1, infinite or NaN raises ValueError; drawing 100 * pairs pairs without
     keeping enough raises RuntimeError. pairs and size must be integers >= 1
     and seed an integer >= 0.
     """

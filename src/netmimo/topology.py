@@ -64,9 +64,10 @@ def _check_slope_points(name: str, p, shown) -> np.ndarray:
 
 
 def _check_cond_limit(name: str, limit) -> None:
-    """ValueError naming the field unless the condition-number limit is >= 1."""
-    if not limit >= 1.0:  # NaN included
-        raise ValueError(f"{name} must be >= 1 (every matrix has kappa_2 >= 1), got {limit}")
+    """ValueError naming the field unless the condition-number limit is finite and >= 1."""
+    if not 1.0 <= limit < math.inf:  # NaN included
+        rule = "finite" if limit == math.inf else ">= 1 (every matrix has kappa_2 >= 1)"
+        raise ValueError(f"{name} must be {rule}, got {limit}")
 
 
 def _check_side(name: str, side) -> None:
@@ -75,6 +76,15 @@ def _check_side(name: str, side) -> None:
     top = float(np.finfo(float).max) / math.sqrt(2.0)
     if not 0.0 < side <= top:  # NaN included
         raise ValueError(f"{name} must lie in (0, {top:.6g}], got {side}")
+
+
+def _check_distinct(name: str, values: list, key, show) -> None:
+    """ValueError naming the field and, by show, the first two values whose key is the same."""
+    seen: dict = {}
+    for i, value in enumerate(values):
+        if (j := seen.setdefault(key(value), i)) < i:
+            both = f"{show(values[j])} and {show(value)}, which the outputs cannot tell apart"
+            raise ValueError(f"{name} must be distinct, got {show(value) + ' twice' if values[j] == value else both}")
 
 
 def _check_cluster_size(size) -> int:

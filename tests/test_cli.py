@@ -24,7 +24,7 @@ from netmimo.cli import (
     resolve_layout,
     run_experiment,
 )
-from netmimo.evaluation import db_to_linear
+from netmimo.evaluation import db_to_linear, evaluate_curves
 from netmimo.topology import format_layout, interference_levels, pairwise_distance, parse_layout, place_grid
 
 
@@ -633,6 +633,9 @@ def test_from_metadata_checks_its_layout_file(tmp_path, change):
     ids=["random-file", "grid3"],
 )
 def test_cluster_policy_must_fit_the_layout(tmp_path, capsys, monkeypatch, command, layout, message):
+    """The CLI and evaluate_curves refuse a misfit cluster policy with one
+    message, before any trial runs."""
+
     def no_trials(*args, **kwargs):
         raise AssertionError("trials ran")
 
@@ -652,6 +655,11 @@ def test_cluster_policy_must_fit_the_layout(tmp_path, capsys, monkeypatch, comma
     assert info.value.code == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+    specs = [PolicySpec("perfect"), PolicySpec("cluster", cluster_size=4)]
+    placed = parse_layout(nodes.read_text()) if layout == "file" else place_grid(3)
+    with pytest.raises(ValueError) as info:
+        evaluate_curves(placed, 0.6, specs, [20.0], 3, 1)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -874,6 +882,63 @@ def test_layouts_whose_distances_overflow_exit_2(tmp_path, capsys, command, args
     assert message.format(tmp=tmp_path) in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["far.json", "far.txt"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["run", "--grid-side", "2", "--random-side", "nan", "--snr-db", "30", "50", "--trials", "3"], "random_side"),
+        (["run", "--grid-side", "2", "--random-side=-inf", "--snr-db", "30", "--trials", "3"], "random_side"),
+        (["run", "--config", {"grid_side": 2, "random_k": 0, "snr_db": [30.0], "trials": 3}], "random_k"),
+        (["run", "--config", {"layout_kind": "random", "grid_side": 0, "snr_db": [30.0], "trials": 3}], "grid_side"),
+        (["sizes", "--grid-side", "2", "--random-k", "0", "--layout-file", "nodes.txt"], "random_k"),
+        (["run", "--config", {"grid_side": 2, "snr_db": [20.0, 40.0], "trials": 3, "cond_threshold": math.inf}],
+         "cond_threshold"),
+    ],
+    ids=["random-side-nan", "random-side-minus-inf", "random-k-on-grid", "grid-side-on-random",
+         "random-k-on-file", "cond-threshold-inf"],
+)
+def test_every_field_is_checked_whatever_the_layout_kind(tmp_path, monkeypatch, capsys, argv, field):
+    """Each of these once exited 0 and stored the bad field; a NaN or an
+    infinity made metadata.json non-strict JSON. Now: exit 2 with one error
+    line naming the field, no traceback, and nothing written (a run without
+    --output writes to netmimo-out)."""
+    monkeypatch.chdir(tmp_path)
+    Path("nodes.txt").write_text("0 0\n1 0\n")
+    if "--config" in argv:
+        Path("c.json").write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], "c.json"]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and field in errors[0] and "Traceback" not in err, err
+    assert {p.name for p in tmp_path.iterdir()} <= {"nodes.txt", "c.json"}
+
+
+def test_an_old_metadata_holding_a_nan_unused_field_is_repaired_by_its_flag(tmp_path, capsys):
+    """A metadata.json whose grid run stored random_side NaN reruns as a
+    usage error naming random_side, and --random-side repairs it: the rerun
+    gives the same rates and strict JSON metadata."""
+    first = tmp_path / "first"
+    assert main(["run", "--grid-side", "2", "--snr-db", "30", "50", "--trials", "3", "--output", str(first)]) == 0
+    meta = json.loads((first / "metadata.json").read_text(), parse_constant=_refuse_constant)
+    meta["config"]["random_side"] = math.nan
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(meta))
+    rerun = tmp_path / "rerun"
+    argv = ["run", "--from-metadata", str(old), "--output", str(rerun)]
+    assert _exit_code(argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "random_side" in errors[0]
+    assert not rerun.exists()
+    assert main([*argv, "--random-side", "4"]) == 0
+    assert (rerun / "rates.csv").read_bytes() == (first / "rates.csv").read_bytes()
+    meta = json.loads((rerun / "metadata.json").read_text(), parse_constant=_refuse_constant)
+    assert meta["config"]["random_side"] == 4
 
 
 @pytest.mark.parametrize("snr", ["nan", "inf", "4000", "config-nan"])

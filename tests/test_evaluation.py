@@ -681,8 +681,10 @@ def test_sweep_forks_no_more_workers_than_first_round_tasks(monkeypatch, workers
 
 def test_duplicate_policy_rejected():
     layout = place_grid(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^policies must be distinct, got perfect twice$"):
         evaluate_point(layout, 0.6, [PolicySpec("perfect"), PolicySpec("perfect")], 1e4, 5, seed=11)
+    with pytest.raises(ValueError, match=r"^policies must be distinct, got distance\(alpha=1\) twice$"):
+        evaluate_curves(layout, 0.6, [PolicySpec("distance")] * 2, [20.0], 3, 1)
 
 
 @pytest.mark.parametrize("workers", [0, -2, 2.5, True, "2"])

@@ -7,8 +7,10 @@ error line naming it."""
 
 import contextlib
 import io
+import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from functools import partial
@@ -100,12 +102,21 @@ _NEAR = [1e300, 1e300 * (1 + 2e-13)]
               cond_threshold=0.5),
         _hole("nan", "cond_threshold", evaluate_point, place_grid(2), 0.6, [PolicySpec("perfect")], 100.0, 3, 1,
               cond_threshold=NAN),
+        _hole("inf", "cond_limit", resolvent_max_error, 5, 3, 1, INF),
+        _hole("inf", "cond_threshold", evaluate_curves, place_grid(2), 0.6, [PolicySpec("perfect")], [20.0], 3, 1,
+              cond_threshold=INF),
+        _hole("minus-inf", "cond_threshold", evaluate_point, place_grid(2), 0.6, [PolicySpec("perfect")], 100.0, 3,
+              1, cond_threshold=-INF),
+        _hole("twice", "policies", evaluate_curves, place_grid(2), 0.6, [PolicySpec("perfect")] * 2, [20.0], 3, 1),
+        _hole("cluster-misfit", "policy", evaluate_curves, place_grid(3), 0.6, [PolicySpec("cluster", cluster_size=4)],
+              [20.0], 3, 1),
     ],
 )
 def test_bad_input_raises_a_value_error_naming_its_field(field, call):
     """Each of these inputs once gave a result, a passing check, a numpy
     warning or an error that did not name the input, or met one of two
-    copies of its rule (cluster_size, the condition limit)."""
+    copies of its rule (cluster_size, the condition limit, distinct policies,
+    a cluster policy's fit)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^{field}[: ]"):
@@ -134,19 +145,27 @@ _P = _FLOATS | st.floats(1.0, 1e308)
 _GAMMA = _FLOATS | st.floats(0.0, 1.0)
 
 
+def _zero_trials(ranges, idx, n_policies, k):
+    """An engine call's result that accepts every trial with zero rates."""
+    out = []
+    for _, start, stop in ranges:
+        n = int(np.count_nonzero((idx >= start) & (idx < stop)))
+        zeros = np.zeros((n, n_policies, k))
+        out.append((zeros, zeros.sum(axis=-1), zeros, np.ones(n, dtype=bool), np.zeros(n)))
+    return out
+
+
 def _stub_engine(layout, gamma, policies, p_list, seed, cond_threshold, data_mask):
     """An engine that accepts every trial with zero rates, for a sweep that
     checks its inputs and builds its result without drawing."""
+    return partial(_zero_trials, n_policies=len(policies), k=layout.K)
 
-    def engine(ranges, idx):
-        out = []
-        for _, start, stop in ranges:
-            n = int(np.count_nonzero((idx >= start) & (idx < stop)))
-            zeros = np.zeros((n, len(policies), layout.K))
-            out.append((zeros, zeros.sum(axis=-1), zeros, np.ones(n, dtype=bool), np.zeros(n)))
-        return out
 
-    return engine
+def _stub_trials(points, seed, ranges, idx, cond_threshold, mask):
+    """_simulate_trials accepting every trial with zero rates, so that the
+    real engine builds every table of the sweep but draws nothing."""
+    sigma, _, bits_list = points[0]
+    return _zero_trials(ranges, idx, len(bits_list), len(sigma))
 
 
 def _outcome(bad: set[str], fn, *args, may_fail_to_converge=False):
@@ -243,13 +262,11 @@ def _refused(command: str, flags: dict[str, str], show: bool) -> set[str]:
             bad.add(f"--{flag}")
     if bad:
         return bad  # argparse refuses the token before anything runs
-    low = {"seed": 0, "trials": 1, "workers": 1}
-    bad = {flag for flag, floor in low.items() if values.get(flag, floor) < floor}
-    if "random-k" in values:
-        bad |= {"random_k"} if values["random-k"] < 1 else set()
-        bad |= set() if 0.0 < values.get("random-side", 4.0) <= _MAX_SIDE else {"random_side"}
-    elif values.get("grid-side", 1) < 1:
-        bad.add("grid_side")
+    low = {"seed": 0, "trials": 1, "workers": 1, "grid-side": 1, "random-k": 1}
+    bad = {flag.replace("-", "_") for flag, floor in low.items() if values.get(flag, floor) < floor}
+    # Every field is checked, whatever the layout kind in use.
+    if not 0.0 < values.get("random-side", 4.0) <= _MAX_SIDE:
+        bad.add("random_side")
     if not 0.0 < values.get("gamma", 0.6) <= 1.0:
         bad.add("gamma")
     if command == "layout" and not show and not {"grid-side", "random-k"} & values.keys():
@@ -314,3 +331,145 @@ def test_main_exits_0_or_2_with_one_error_line_naming_the_field(command, drawn, 
                 assert target.is_file()
             elif command != "sizes":
                 assert sorted(os.listdir(target)) == ["layout.txt", "metadata.json", "rates.csv"]
+
+
+# ExperimentConfig fields as a --config file holds them: per field, values
+# that pass its rule and values that break it (a wrong type, an edge float, a
+# value past a bound), drawn equally often. A breaking value carries the names
+# an error about it may give. Positions against the layout kind, and a
+# cluster policy against the layout, are judged in _config_refused.
+_GRID2 = [[1.0, 1.0], [2.0, 1.0], [1.0, 2.0], [2.0, 2.0]]  # place_grid(2)
+_CLUSTER4 = {"kind": "cluster", "cluster_size": 4}
+_UP, _DOWN = float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0))
+_CONFIG_VALUES = {
+    "seed": ([0, 1, 2**64], [-1, 2.5, 1.0, "1", True, None]),
+    "layout_kind": (["grid", "random", "positions"], ["hex", "file", 1, None]),
+    "grid_side": ([1, 2, 3], [0, -1, 2.0, True, NAN]),
+    "random_k": ([1, 3], [0, -5, 3.0, False]),
+    "random_side": ([4.0, 1, 5e-324, 2.2250738585072014e-308, 1e-308, 1e308, 1.2e308],
+                    [0.0, -0.0, -5e-324, INF, -INF, NAN, -1e308, 1.5e308, "4"]),
+    "positions": ([None, _GRID2, [[0.0, -0.0]], [[5e-324, 1e308], [-1e308, 0.0]]],
+                  [[], [[NAN, 0.0]], [[0.0, INF]], [[1.7e308, 0.0], [-1.7e308, 0.0]], [[1.0]], [1.0, 2.0],
+                   [["0", 0.0]]]),
+    "gamma": ([0.6, 1, 5e-324, 2.2250738585072014e-308, _DOWN],
+              [0.0, -0.0, -5e-324, INF, -INF, NAN, 1e308, _UP, "0.6"]),
+    "snr_db": ([[30.0, 50.0], [20], [1e-6, 3000.0], [10.0, 20.0, 30.0, 40.0, 50.0]],
+               [[], [NAN], [INF], [-INF], [0.0], [-0.0], [5e-324], [1e-308], [1e308], [-1e308], [30.0, 30.0],
+                [30.0, 30.000000000001], [True], 30.0]),
+    "trials": ([1, 2], [0, -1, 1.5, "1", None]),
+    "fit_points": ([2, 4], [1, 0, 2.5, "4"]),
+    "cond_threshold": ([1.0, 1, 1e12, 1e308, _UP], [0.5, 0.0, -0.0, 5e-324, NAN, INF, -INF, -1e308, "1e12", None]),
+    "max_rejection_rate": ([0.0, -0.0, 5e-324, 0.01, 0.5, _DOWN],
+                           [1.0, -5e-324, -1e-308, NAN, INF, -INF, 1e308, "0.01"]),
+    "data_mask": ([True, False], [1, 0, "true", None]),
+}
+_GOOD_POLICIES = [
+    [{"kind": "perfect"}, {"kind": "distance"}],
+    [{"kind": "distance", "alpha": 0.75}, {"kind": "distance", "alpha": 1.25}],
+    [{"kind": "uniform", "uniform_support": "conventional"}, {"kind": "zero"}, {"kind": "conventional"}],
+    [{"kind": "uniform"}, {"kind": "distance", "alpha": 5e-324}, {"kind": "distance", "alpha": 1e308}],
+    [{"kind": "perfect"}, _CLUSTER4],
+    [{"kind": "cluster", "cluster_size": 1}],
+]
+_BAD_POLICIES = [  # (policies, the name an error may give besides "policies" and "policy")
+    ([], "policies"), ([{"kind": "perfect"}] * 2, "policies"), ([_CLUSTER4, _CLUSTER4], "policies"),
+    ([{"kind": "distance"}, {"kind": "distance", "alpha": 1.00000000001}], "policies"),
+    ([{"kind": "distance", "alpha": NAN}], "alpha"), ([{"kind": "distance", "alpha": INF}], "alpha"),
+    ([{"kind": "distance", "alpha": -0.0}], "alpha"), ([{"kind": "distance", "alpha": "1"}], "alpha"),
+    ([{"kind": "cluster", "cluster_size": 3}], "cluster_size"),
+    ([{"kind": "cluster", "cluster_size": 4.0}], "cluster_size"),
+    ([{"kind": "hex"}], "policy"), ([{"alpha": 1.0}], "kind"), ([{"kind": "perfect", "beta": 1}], "beta"),
+    ([1], "policies"), ("perfect", "policies"),
+]
+_NAMES = {"layout_kind": ("layout_kind", "layout kind")}
+_PASSING = {name: st.sampled_from([(v, ()) for v in ok]) for name, (ok, _) in _CONFIG_VALUES.items()}
+_PASSING["policies"] = st.sampled_from([(v, ()) for v in _GOOD_POLICIES])
+_BREAKING = {
+    name: st.sampled_from([(v, _NAMES.get(name, (name,))) for v in no]) for name, (_, no) in _CONFIG_VALUES.items()
+}
+_BREAKING["policies"] = st.sampled_from([(v, ("policies", "policy", name)) for v, name in _BAD_POLICIES])
+# Half the configs draw only passing values, so that accepted runs are common too.
+_CONFIG = st.fixed_dictionaries({}, optional=_PASSING) | st.fixed_dictionaries(
+    {}, optional={name: _PASSING[name] | _BREAKING[name] for name in _PASSING}
+)
+
+
+def _config_refused(drawn: dict) -> set[str]:
+    """The names, any of which the one error line may give, of the fields
+    of a drawn config that break a rule; empty when the config must run."""
+    bad = {name for _, names in drawn.values() for name in names}
+    config = {key: value for key, (value, _) in drawn.items()}
+    kind = config.get("layout_kind", "grid")
+    if (config.get("positions") is None) == (kind == "positions"):
+        bad.add("positions")
+    if "policies" in drawn and not drawn["policies"][1]:
+        side = {"grid": config.get("grid_side", 4), "positions": 2 if config.get("positions") == _GRID2 else None}
+        blocks = [math.isqrt(p["cluster_size"]) for p in config["policies"] if p["kind"] == "cluster"]
+        if any(not side.get(kind) or side[kind] % block for block in blocks):
+            bad.add("policy")
+    return bad
+
+
+def _names_one_of(message: str, names) -> bool:
+    return any(re.search(rf"\b{re.escape(name)}\b", message) for name in names)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def _found(**fields):
+    return {name: (value, ()) for name, value in fields.items()}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(drawn=_CONFIG)
+# A field of an unused layout kind, and a condition limit of infinity, were
+# stored unchecked: metadata.json held NaN or Infinity, which is not strict JSON.
+@example(drawn={**_found(grid_side=2, snr_db=[30.0, 50.0], trials=3), "random_side": (NAN, ("random_side",))})
+@example(drawn={**_found(grid_side=2, snr_db=[20.0, 40.0], trials=3), "cond_threshold": (INF, ("cond_threshold",))})
+# The library refused equal policies and a misfit cluster policy with messages that did not name them.
+@example(drawn={**_found(grid_side=2, trials=3), "policies": ([{"kind": "perfect"}] * 2, ("policies",))})
+@example(drawn=_found(grid_side=3, trials=3, policies=[_CLUSTER4]))
+# A policy without a kind raised a TypeError.
+@example(drawn={**_found(trials=3), "policies": ([{"alpha": 1.0}], ("policies", "kind"))})
+def test_run_config_exits_0_with_strict_json_or_2_naming_the_field(drawn):
+    """Every field of a --config file, of the right type or not: `run` exits
+    0 and writes a metadata.json that strict JSON parsing accepts, or exits 2
+    with exactly one error line that names a field breaking its rule, writing
+    nothing; never a traceback or a numpy warning. Where the config loads and
+    its layout resolves, evaluate_curves, given the config's sweep, returns or
+    refuses it naming a broken field too. The engine builds its tables but
+    draws no trial."""
+    bad = _config_refused(drawn)
+    config = {key: value for key, (value, _) in drawn.items()}
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(evaluation, "_simulate_trials", _stub_trials)
+        warnings.simplefilter("error")
+        path, target = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps({**config, "output": str(target)}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(["run", "--config", str(path)])
+            except SystemExit as exc:
+                code = exc.code
+        errors = [line.replace(str(path), "") for line in err.getvalue().splitlines() if "error:" in line]
+        if bad:
+            assert code == 2 and len(errors) == 1 and _names_one_of(errors[0], bad), (config, bad, err.getvalue())
+            assert out.getvalue() == "" and os.listdir(tmp) == ["config.json"], config
+        else:
+            assert code == 0 and errors == [], (config, err.getvalue())
+            assert sorted(os.listdir(target)) == ["layout.txt", "metadata.json", "rates.csv"]
+            json.loads((target / "metadata.json").read_text(), parse_constant=_refuse_constant)
+        try:
+            cfg = cli.ExperimentConfig.from_dict(json.loads(path.read_text()))
+            layout = cli.resolve_layout(cfg)
+        except ValueError:
+            return
+        try:
+            evaluate_curves(layout, cfg.gamma, cfg.policies, cfg.snr_db, cfg.trials, cfg.seed,
+                            cond_threshold=cfg.cond_threshold, max_rejection_rate=cfg.max_rejection_rate,
+                            data_mask=cfg.data_mask)
+        except ValueError as exc:
+            assert _names_one_of(str(exc), bad), (config, bad, str(exc))
