@@ -84,10 +84,11 @@ class ExperimentConfig:
     data_mask: bool = False
     output: str = "netmimo-out"
 
-    def validate(self) -> None:
-        """Raise ValueError naming the first invalid field. Every field is
-        checked, whatever the layout kind; a misfit cluster policy and two
-        policies or SNR points the outputs cannot tell apart are refused too."""
+    def validate(self) -> NodeLayout:
+        """The layout the config describes, once every field passes, whatever
+        the layout kind; else ValueError naming the first invalid field. A misfit
+        cluster policy, and two policies or SNR points the outputs cannot tell
+        apart, are refused too."""
         if self.layout_kind not in ("grid", "random", "positions"):
             raise ValueError(f"unknown layout kind {self.layout_kind!r}")
         self._check_positions()
@@ -95,10 +96,13 @@ class ExperimentConfig:
         _check_counts(("seed", self.seed, 0), ("grid_side", self.grid_side, 1), ("random_k", self.random_k, 1),
                       ("fit_points", self.fit_points, 2))
         _check_side("random_side", self.random_side)
-        _check_distinct("snr_db points", self.snr_db, _fmt, lambda db: f"{db!r} dB")
         _check_distinct("policies", self.policies, _policy_key, _token)
-        _check_sweep(resolve_layout(self), self.gamma, self.policies, [(db, db_to_linear(db)) for db in self.snr_db],
+        layout = resolve_layout(self)
+        _check_sweep(layout, self.gamma, self.policies, [(db, db_to_linear(db)) for db in self.snr_db],
                      self.trials, self.seed, self.cond_threshold, self.max_rejection_rate)
+        # After the sweep's SNR rule, so that a NaN point is named as NaN, not as a repeat.
+        _check_distinct("snr_db points", self.snr_db, _fmt, lambda db: f"{db!r} dB")
+        return layout
 
     def _check_positions(self) -> None:
         """Raise ValueError unless positions are set exactly for layout_kind
@@ -278,8 +282,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, dump_channel: str
     created. The metadata embeds the config, which suffices to re-run the
     experiment exactly.
     """
-    config.validate()
-    layout = resolve_layout(config)
+    layout = config.validate()
     result = evaluate_curves(
         layout,
         config.gamma,
@@ -418,9 +421,7 @@ def fig1_desk_config(seed: int = 101, trials: int = 500, output: str = "fig1-des
 
 def fig1_full_config(seed: int = 101, trials: int = 1000, output: str = "fig1-full") -> ExperimentConfig:
     """Full-scale grid comparison: 6x6 grid, gamma 0.6 (slow)."""
-    cfg = fig1_desk_config(seed=seed, trials=trials, output=output)
-    cfg.grid_side = 6
-    return cfg
+    return replace(fig1_desk_config(seed=seed, trials=trials, output=output), grid_side=6)
 
 
 def fig2_desk_config(seed: int = 202, trials: int = 500, output: str = "fig2-desk") -> ExperimentConfig:
@@ -446,10 +447,7 @@ def fig2_desk_config(seed: int = 202, trials: int = 500, output: str = "fig2-des
 
 def fig2_full_config(seed: int = 202, trials: int = 1000, output: str = "fig2-full") -> ExperimentConfig:
     """Full-scale random-network alpha sweep: 15 nodes in a 6x6 square (slow)."""
-    cfg = fig2_desk_config(seed=seed, trials=trials, output=output)
-    cfg.random_k = 15
-    cfg.random_side = 6.0
-    return cfg
+    return replace(fig2_desk_config(seed=seed, trials=trials, output=output), random_k=15, random_side=6.0)
 
 
 _PRESETS = {
@@ -487,16 +485,15 @@ class _UsageError(Exception):
     """Bad input, found before any output; main exits with a usage error."""
 
 
-def _validated(cfg: ExperimentConfig | None, *counts: tuple[str, object, int]) -> ExperimentConfig | None:
-    """cfg itself, once it and each (name, value, low) count pass the library's rules,
-    or a usage error with the broken rule's message, which names the field."""
+def _validated(cfg: ExperimentConfig | None, *counts: tuple[str, object, int]) -> NodeLayout | None:
+    """cfg's layout (None without a cfg), once cfg and each (name, value, low) count pass the
+    library's rules, or a usage error with the broken rule's message, which names the field."""
     try:
-        if cfg is not None:
-            cfg.validate()
+        layout = None if cfg is None else cfg.validate()
         _check_counts(*counts)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    return cfg
+    return layout
 
 
 _CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
@@ -609,10 +606,10 @@ def _command(args: argparse.Namespace) -> int:
         base = _read_input("--from-metadata:", args.from_metadata, _parse_metadata)
     else:
         base = ExperimentConfig()
-    cfg = _validated(_config_from_args(base, args), ("workers", getattr(args, "workers", 1), 1))
+    cfg = _config_from_args(base, args)
+    layout = _validated(cfg, ("workers", getattr(args, "workers", 1), 1))
 
     if args.command == "sizes":
-        layout = resolve_layout(cfg)
         text = _size_table_csv(compute_size_table(layout, cfg.gamma, cfg.policies, cfg.snr_db))
         bits_dir = Path(args.export_bits) if args.export_bits else None
         files = _export_bits(cfg, layout, bits_dir) if bits_dir else {}
@@ -737,7 +734,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
-    cfg = _validated(_config_from_args(ExperimentConfig(), args))
+    cfg = _config_from_args(ExperimentConfig(), args)
+    layout = _validated(cfg)
     if args.show:
         layout = _read_input("--show:", args.show, parse_layout)
         dist = pairwise_distance(layout)
@@ -755,7 +753,6 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     if not (args.out and (args.layout_file or args.random_k or args.grid_side)):
         print("error: to emit a layout, pass --out and --grid-side, --random-k or --layout-file", file=sys.stderr)
         return 2
-    layout = resolve_layout(cfg)
     _write_all({Path(args.out): format_layout(layout)})
     print(f"wrote {args.out} ({layout.K} nodes)")
     return 0

@@ -148,6 +148,8 @@ def _precoder(a: np.ndarray, p: float, cond_threshold: float, core: int) -> np.n
     """_precode over the leading batch axes of a, whose solves span the
     trailing `core` axes: the read-only T, or IllConditionedError if any
     solve is rejected."""
+    if not np.isfinite(a).all():  # LAPACK would fail to converge or warn
+        raise ValueError(f"{'estimate' if core == 2 else 'estimates'} must be finite")
     if not 0.0 < p < math.inf:  # NaN included
         raise ValueError(f"power must be finite and > 0, got {p}")
     if math.isnan(cond_threshold):
@@ -172,9 +174,9 @@ def zf_precoder(
     sent with power exactly p. Leading axes of h_est (..., K, K) are batch
     axes: element b of the result equals zf_precoder(h_est[b]) bit for bit.
     If elements are rejected, the IllConditionedError carries the first
-    one's kappa_2; a threshold below 1 rejects every solve. A power p that
-    is not finite and > 0, or a NaN threshold, raises ValueError. An empty
-    batch gives an empty T.
+    one's kappa_2; a threshold below 1 rejects every solve. An estimate with
+    a NaN or infinite entry, a power p that is not finite and > 0, or a NaN
+    threshold raises ValueError. An empty batch gives an empty T.
     """
     h = np.asarray(h_est, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:

@@ -941,20 +941,24 @@ def test_an_old_metadata_holding_a_nan_unused_field_is_repaired_by_its_flag(tmp_
     assert meta["config"]["random_side"] == 4
 
 
-@pytest.mark.parametrize("snr", ["nan", "inf", "4000", "config-nan"])
+@pytest.mark.parametrize("snr", ["nan", "inf", "4000", "config-nan", "nan nan"])
 @pytest.mark.parametrize("command", ["run", "sizes"])
 def test_non_finite_or_overflowing_snr_exits_2(tmp_path, capsys, command, snr):
     """An SNR point that is not finite, or whose 10^(dB/10) overflows, is a
-    usage error before anything runs: exit 2, an error line naming snr_db,
-    no traceback and no output. 3000 dB still runs."""
+    usage error before anything runs: exit 2, one error line naming snr_db,
+    no traceback and no output. Two NaN points are named as NaN, not as a
+    repeat. 3000 dB still runs."""
     (tmp_path / "c.json").write_text('{"grid_side": 2, "snr_db": [30.0, NaN]}')
-    snr_args = ["--config", str(tmp_path / "c.json")] if snr == "config-nan" else ["--grid-side", "2", "--snr-db", snr]
+    snr_args = ["--grid-side", "2", "--snr-db", *snr.split()]
+    if snr == "config-nan":
+        snr_args = ["--config", str(tmp_path / "c.json")]
     argv = [command, *snr_args]
     if command == "run":
         argv += ["--trials", "4", "--output", str(tmp_path / "out")]
     assert _exit_code(argv) == 2
     out, err = capsys.readouterr()
-    assert "snr_db" in err and "error: " in err
+    errors = [line for line in err.splitlines() if "error: " in line]
+    assert len(errors) == 1 and "error: snr_db: nominal SNR P must be finite and > 1 (0 dB), got " in errors[0]
     assert "Traceback" not in err and out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
     assert _exit_code(["sizes", "--grid-side", "2", "--snr-db", "3000"]) == 0
@@ -975,6 +979,50 @@ def test_repeated_snr_exits_2(tmp_path, capsys, command, snr):
     assert "error: snr_db points must be distinct" in err
     assert "Traceback" not in err and out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("kind", ["grid", "random", "positions"])
+def test_validate_returns_the_layout_the_config_resolves(kind):
+    cfg = {
+        "grid": ExperimentConfig(grid_side=3),
+        "random": ExperimentConfig(layout_kind="random", random_k=6, random_side=2.5, seed=9),
+        "positions": ExperimentConfig(layout_kind="positions", positions=[[0.25, 1.0], [3.0, 0.5], [1.125, 2.0]]),
+    }[kind]
+    layout = cfg.validate()
+    assert layout.positions.tobytes() == resolve_layout(cfg).positions.tobytes()
+
+
+@pytest.mark.parametrize(
+    "command, resolves",
+    [
+        ("run_experiment", 1),
+        (["sizes", "--grid-side", "2", "--snr-db", "40"], 1),
+        (["sizes", "--layout-file", "{tmp}/pos.txt", "--snr-db", "40"], 1),
+        (["layout", "--random-k", "5", "--out", "{tmp}/emitted.txt"], 1),
+        # The CLI validates the config, and run_experiment validates it again.
+        (["run", "--grid-side", "2", "--snr-db", "30", "50", "--trials", "2", "--output", "{tmp}/out"], 2),
+        (["run", "--layout-file", "{tmp}/pos.txt", "--snr-db", "30", "--trials", "2", "--output", "{tmp}/out"], 2),
+        (["fig2-desk", "--trials", "2", "--output", "{tmp}/out"], 2),
+    ],
+    ids=["run_experiment", "sizes", "sizes-layout-file", "layout-out", "run", "run-layout-file", "fig2-desk"],
+)
+def test_each_validation_resolves_the_layout_once(tmp_path, monkeypatch, command, resolves):
+    """validate hands on the layout it resolved and checked, so a command
+    resolves its layout once per validation, and a random layout is drawn
+    once per validation."""
+    (tmp_path / "pos.txt").write_text("0.25 1\n3 0.5\n1.125 2\n")
+    calls = []
+
+    def counting(config):
+        calls.append(config.layout_kind)
+        return resolve_layout(config)
+
+    monkeypatch.setattr("netmimo.cli.resolve_layout", counting)
+    if command == "run_experiment":
+        run_experiment(_tiny_config(tmp_path / "out", trials=2))
+    else:
+        assert main([arg.replace("{tmp}", str(tmp_path)) for arg in command]) == 0
+    assert len(calls) == resolves, calls
 
 
 def test_run_summary_reports_the_highest_snr_point(tmp_path, capsys):

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import math
+import numbers
 import os
 import re
 import tempfile
@@ -31,10 +32,12 @@ from netmimo.oracle import (
     inverse_decay_estimate,
     neumann_term_matrix,
     resolvent_max_error,
+    run_verification,
     term_decay_check,
     truncation_order,
     truncation_tail_check,
 )
+from netmimo.precoding import IllConditionedError, distributed_precoder, zf_precoder
 from netmimo.topology import (
     NodeLayout,
     cooperation_radius,
@@ -220,6 +223,76 @@ def test_p_and_gamma_give_a_result_or_a_value_error_naming_the_field(p, gamma):
         db_ok = 1.0 < db_to_linear(p) < INF
         _outcome(bad_gamma | (set() if db_ok else {"snr_db"}), evaluate_curves, grid, gamma, specs, [p], 3, 1)
         _outcome(bad_gamma | bad_p, evaluate_point, grid, gamma, specs, p, 3, 1)
+
+
+# Scalars as Python and numpy ints and floats: seeds past 2^128 (where the
+# bulk stream derivation hands over to trial_rng), bools, and the edge floats.
+# Each field draws from its valid values and from every scalar equally often;
+# a count drawn valid stays at most 3, so each verification run is cheap.
+_INTS = st.sampled_from([0, 1, 2, 3, -1, 2**32, 2**64, 2**128, 2**140]) | st.integers(-(2**70), 2**140)
+_NUMPY_INTS = st.integers(-(2**63), 2**63 - 1).map(np.int64) | st.integers(0, 2**64 - 1).map(np.uint64)
+_SCALARS = _INTS | _NUMPY_INTS | _FLOATS | _FLOATS.map(np.float64) | st.booleans()
+
+
+def _half(valid, other):
+    """valid and other drawn equally often (a union would weigh each of its branches alike)."""
+    return st.booleans().flatmap(lambda ok: valid if ok else other)
+
+
+_POWERS = _half(st.floats(5e-324, 1e308) | st.integers(1, 2**140) | st.floats(1e-6, 1e6).map(np.float64), _SCALARS)
+_THRESHOLDS = _half(st.floats(1.0, 1e12) | st.sampled_from([1, 3, 2**64, np.float64(1e300)]), _SCALARS)
+_SEEDS = _half(st.integers(0, 2**140) | st.integers(0, 2**64 - 1).map(np.uint64), _SCALARS)
+_TRIALS = _half(
+    st.integers(1, 3) | st.integers(1, 3).map(np.int64) | st.integers(1, 3).map(np.uint8),
+    st.integers(max_value=0) | _FLOATS | _FLOATS.map(np.float64) | st.booleans(),
+)
+# 2x2 estimates: two clean ones (kappa_2 1 and about 2.8), and the second with a NaN or infinite diagonal.
+_CLEAN = [np.eye(2, dtype=complex), np.array([[2.0, 0.5j], [0.25, 1.0 - 1.0j]])]
+_ESTIMATES = _half(st.sampled_from(_CLEAN), st.sampled_from(
+    [np.where(np.eye(2, dtype=bool), x, _CLEAN[1]) for x in (NAN, INF, -INF, complex(0.0, INF))]
+))
+
+
+def _precoded(precoder, a, p, cond_threshold):
+    """The precoder's T, or "rejected" for its IllConditionedError."""
+    try:
+        return precoder(a, p, cond_threshold)
+    except IllConditionedError:
+        return "rejected"
+
+
+def _is_count(value, low) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(zf_est=_ESTIMATES, p=_POWERS, cond_threshold=_THRESHOLDS, seed=_SEEDS, trials=_TRIALS)
+def test_precoder_and_verification_scalars_give_a_result_or_a_value_error_naming_the_field(
+    zf_est, p, cond_threshold, seed, trials
+):
+    """The public precoders' p, cond_threshold and estimate, and
+    run_verification's seed and trials: a result, or a ValueError naming a
+    field that breaks its rule, with no numpy warning and no other exception
+    type. A precoder raises IllConditionedError exactly when the threshold
+    lies below the estimate's kappa_2, and so for every threshold below 1."""
+    stack = np.stack([zf_est, zf_est + 0.125])  # TX 2's estimate differs from TX 1's
+    bad = set() if 0.0 < p < INF else {"power"}  # the message names p the power
+    if math.isnan(cond_threshold):
+        bad.add("cond_threshold")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for precoder, a, name in ((zf_precoder, zf_est, "estimate"), (distributed_precoder, stack, "estimates")):
+            fault = bad if np.isfinite(a).all() else bad | {name}
+            t = _outcome(fault, _precoded, precoder, a, p, cond_threshold)
+            if t is not None:
+                kappa = np.linalg.cond(a).max()
+                if not math.isclose(cond_threshold, kappa, rel_tol=1e-9):
+                    assert isinstance(t, str) == (cond_threshold < kappa), (precoder.__name__, cond_threshold)
+        counts = set() if _is_count(seed, 0) else {"seed"}
+        if not _is_count(trials, 1):
+            counts.add("trials")
+        results = _outcome(counts, run_verification, seed, trials)
+        assert results is None or all(isinstance(r, CheckResult) for r in results)
 
 
 # Flag tokens for main(argv), valid ones and the rest drawn equally often:
