@@ -14,7 +14,7 @@ from math import isfinite
 
 import numpy as np
 
-from .topology import NodeLayout, _check_cluster_size, _check_gamma, _check_snr, grid_side
+from .topology import NodeLayout, _check_cluster_size, _check_gamma, _check_snr, _real, grid_side
 from .topology import interference_levels, pairwise_distance
 
 __all__ = [
@@ -159,7 +159,7 @@ class PolicySpec:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}, expected one of {POLICY_KINDS}")
-        if not (isfinite(self.alpha) and self.alpha > 0):
+        if not (isfinite(_real(self.alpha)) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         _check_cluster_size(self.cluster_size)
         if self.uniform_support not in ("all", "conventional"):

@@ -13,11 +13,12 @@ trials can be re-drawn individually. Each stream is defined by
 default_rng(SeedSequence(seed, spawn_key=(trial, purpose))), trial_rng.
 The trial engine, the oracle and the CLI's channel dump all draw through
 _trial_streams, which derives many trials' streams of one purpose in one
-pass (the SeedSequence hash and the PCG64 seeding run as integer arithmetic
-over all cells at once, and each state is loaded into one reused generator),
-and _unit_draws, which fills a stack with one draw per stream. A pass whose
-seed, trials or purpose lie outside that derivation's range, or whose first
-derived state differs from trial_rng's, takes trial_rng for every cell.
+pass (numpy mixes the seed's pool, the spawn-key hash runs as integer
+arithmetic over all cells at once, and numpy's PCG64 seeds each cell's own
+generator from its derived words), and _unit_draws, which fills a stack
+with one draw per stream. A pass whose seed, trials or purpose lie outside
+that derivation's range, or whose first generator's state differs from
+trial_rng's, takes trial_rng for every cell.
 """
 
 from __future__ import annotations
@@ -55,13 +56,12 @@ def trial_rng(seed: int, trial: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(trial), int(purpose))))
 
 
-# numpy's SeedSequence hash and PCG64 seeding constants (numpy/random/
-# bit_generator.pyx and pcg64.h); test_trial_streams_equal_trial_rng pins them.
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx);
+# test_trial_streams_equal_trial_rng pins them.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_M32 = (1 << 32) - 1
 
 
 def _hash_consts(init: int, mult: int, n: int) -> list[int]:
@@ -82,60 +82,42 @@ _HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)
 _OUT_XOR = np.array(_HASH_B[:8], dtype=np.uint32).reshape(2, 4)
 _OUT_MUL = np.array(_HASH_B[1:], dtype=np.uint32).reshape(2, 4)
 
-def _seed_pool(seed: int) -> list[int]:
-    """SeedSequence's four pool words after mixing in a seed below 2^128.
-
-    The seed's words, zero-padded to the pool size, fill the pool, which is
-    then mixed word against word: the step every cell of a seed shares.
-    """
-    h = iter(zip(_HASH_A, _HASH_A[1:]))
-
-    def hashmix(value: int) -> int:
-        xor, mul = next(h)
-        value = (value ^ xor) * mul & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        r = (_MIX_L * x - _MIX_R * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(seed >> 32 * i & _M32) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    return pool
-
 
 def _pcg64_words(seed: int, trials: np.ndarray, purpose: int) -> np.ndarray:
     """generate_state(4, np.uint64) of SeedSequence(seed, spawn_key=(trial,
-    purpose)) for each trial, one row of four little-endian uint64 words.
+    purpose)) for each trial, one row of four native-order uint64 words.
 
     seed is below 2^128 and every trial and the purpose below 2^32, so each
-    cell's entropy is the zero-padded seed followed by two words. Those two
-    words are mixed into the seed's shared pool for all cells at once.
+    cell's entropy is the zero-padded seed followed by two words. numpy's
+    SeedSequence(seed) mixes the seed's pool once; those two words are
+    mixed into it for all cells at once.
     """
     key = np.empty((2, len(trials)), dtype=np.uint32)
     key[0], key[1] = trials, purpose
     key = key[:, :, None] ^ _KEY_XOR
     key *= _KEY_MUL
     key ^= key >> 16
-    pool = np.array(_seed_pool(seed), dtype=np.uint32)
+    pool = np.random.SeedSequence(seed).pool
     for word in key:
         pool = _MIX_L * pool - _MIX_R * word
         pool ^= pool >> 16
     out = pool[:, None, :] ^ _OUT_XOR
     out *= _OUT_MUL
     out ^= out >> 16
-    return out.reshape(-1, 8).astype("<u4", copy=False).view("<u8")
+    return out.reshape(-1, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def _pcg64_state(words: np.ndarray) -> tuple[int, int]:
-    """PCG64's (state, inc) for one cell's four generate_state words:
-    inc = 2 * seq + 1, then two LCG steps around the state word."""
-    s0, s1, i0, i1 = words.tolist()
-    inc = (i0 << 65 | i1 << 1 | 1) & _M128
-    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128, inc
+class _Words:
+    """One cell's derived words, which numpy's PCG64 seeds from as it would
+    from the cell's SeedSequence. _trial_streams registers the class as
+    numpy's ISeedSequence, so that importing this module loads no
+    numpy.random."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def _trial_streams(seed: int, trials, purpose: int) -> Iterator[np.random.Generator]:
@@ -143,33 +125,25 @@ def _trial_streams(seed: int, trials, purpose: int) -> Iterator[np.random.Genera
 
     Each generator draws the stream of trial_rng(seed, trial, purpose), the
     reference definition. A pass decides once how: when the seed is below
-    2^128, every trial and the purpose below 2^32, and the first derived
-    state equals trial_rng's, it derives the states of all its cells at
-    once and reloads one generator for each (draw from a cell before taking
-    the next). Otherwise every cell takes trial_rng itself. The first-state
-    check guards the derivation, which copies numpy's seeding.
+    2^128 and every trial and the purpose below 2^32, it derives the words
+    of all its cells at once, and each cell gets its own generator, a PCG64
+    seeded from its words. Otherwise, or when the first such generator's
+    state differs from trial_rng's, every cell takes trial_rng itself. That
+    check guards the copied hash and numpy's seeding from the words alike.
     """
     seed = operator.index(seed)
     trials = np.asarray(trials)
     if not len(trials):
         return
-    words = None
     if 0 <= seed < 1 << 128 and 0 <= purpose <= _M32 and 0 <= trials.min() and trials.max() <= _M32:
-        words = _pcg64_words(seed, trials, purpose)
-        ref = trial_rng(seed, trials[0], purpose).bit_generator.state["state"]
-        if _pcg64_state(words[0]) != (ref["state"], ref["inc"]):
-            words = None
-    if words is None:
-        yield from (trial_rng(seed, t, purpose) for t in trials.tolist())
-        return
-    bit_gen = np.random.PCG64(0)  # any seed: each cell loads its own state
-    gen = np.random.Generator(bit_gen)
-    inner = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    for row in words:
-        inner["state"], inner["inc"] = _pcg64_state(row)  # one row at a time: a list of all rows costs RSS
-        bit_gen.state = state
-        yield gen
+        np.random.bit_generator.ISeedSequence.register(_Words)  # a no-op once registered
+        gens = (np.random.Generator(np.random.PCG64(_Words(row))) for row in _pcg64_words(seed, trials, purpose))
+        first = next(gens)
+        if first.bit_generator.state == trial_rng(seed, trials[0], purpose).bit_generator.state:
+            yield first
+            yield from gens
+            return
+    yield from (trial_rng(seed, t, purpose) for t in trials.tolist())
 
 
 def _unit_draws(streams: Iterator[np.random.Generator], out: np.ndarray) -> np.ndarray:

@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+from .topology import _real
+
 __all__ = [
     "IllConditionedError",
     "zf_precoder",
@@ -150,6 +152,7 @@ def _precoder(a: np.ndarray, p: float, cond_threshold: float, core: int) -> np.n
     solve is rejected."""
     if not np.isfinite(a).all():  # LAPACK would fail to converge or warn
         raise ValueError(f"{'estimate' if core == 2 else 'estimates'} must be finite")
+    p, cond_threshold = _real(p), _real(cond_threshold)
     if not 0.0 < p < math.inf:  # NaN included
         raise ValueError(f"power must be finite and > 0, got {p}")
     if math.isnan(cond_threshold):

@@ -36,8 +36,19 @@ def _check_counts(*counts: tuple[str, object, int]) -> None:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _real(value):
+    """value, but a Python int too large for a float reads as +-inf, as the rules compare it."""
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    return value
+
+
 def _check_snr(name: str, p, shown: str | None = None) -> None:
     """ValueError naming the field unless the nominal SNR p is finite and > 1; shown is how the field gave p."""
+    p = _real(p)
     if not 1.0 < p < math.inf:  # NaN included
         raise ValueError(f"{name}: nominal SNR P must be finite and > 1 (0 dB), got {shown or repr(p)}")
 
@@ -65,6 +76,7 @@ def _check_slope_points(name: str, p, shown) -> np.ndarray:
 
 def _check_cond_limit(name: str, limit) -> None:
     """ValueError naming the field unless the condition-number limit is finite and >= 1."""
+    limit = _real(limit)
     if not 1.0 <= limit < math.inf:  # NaN included
         rule = "finite" if limit == math.inf else ">= 1 (every matrix has kappa_2 >= 1)"
         raise ValueError(f"{name} must be {rule}, got {limit}")

@@ -105,6 +105,27 @@ def test_criterion_01_size_ratio():
     )
 
 
+def test_per_tx_csit_stays_bounded_under_distance_and_grows_with_k_under_conventional():
+    """The abstract's scaling claim on grids of side 6 to 12 (K = 36 to 144),
+    gamma = 0.6, 50 dB: the largest per-TX bit count under the distance
+    policy stays at its side-6 value, while under conventional dissemination
+    it grows at least linearly in K (its bits per node never fall)."""
+    p = db_to_linear(50.0)
+    dist_max, conv_per_node = [], []
+    for side in (6, 8, 10, 12):
+        layout = place_grid(side)
+        levels = interference_levels(pairwise_distance(layout), 0.6)
+        dist = build_allocation(PolicySpec("distance"), layout, 0.6, p)
+        dist_max.append(float(allocation_size(dist).per_tx_bits.max()))
+        conv_per_node.append(float(allocation_size(conventional(levels, p)).per_tx_bits.max()) / layout.K)
+    ok = all(bits == dist_max[0] for bits in dist_max) and all(np.diff(conv_per_node) >= 0.0)
+    _report(
+        "scaling claim",
+        ok,
+        f"distance max per-TX bits {dist_max}, conventional bits per node {[round(b, 1) for b in conv_per_node]}",
+    )
+
+
 def test_criterion_02_dof_ordering(fig1_run):
     specs, result, elapsed = fig1_run
     perfect, dist, uniform, cluster = (_slope(result, s, 5) for s in specs)

@@ -237,9 +237,10 @@ def test_trial_streams_equal_trial_rng(seed, cells):
 def test_trial_streams_derive_edge_cells_in_bulk(seed):
     """At each edge seed and purpose, each pass decides once. A pass of
     trials below 2^32, one cell or the two edge trials three times over,
-    reloads one generator (PCG64(0), with no spawn key), so the bulk
-    derivation itself is what equals trial_rng there. A pass that holds
-    trial 2^32 gives every cell a fresh trial_rng."""
+    gives each cell a generator of its own whose PCG64 is seeded from the
+    cell's derived words, not from a SeedSequence, so the bulk derivation
+    itself is what equals trial_rng there. A pass that holds trial 2^32
+    gives every cell a fresh trial_rng, with the cell as its spawn key."""
     below = [t for t in _EDGE_TRIALS if t <= 2**32 - 1]
     for purpose in _PURPOSES:
         for trials in ([2**32 - 1], below * 3, _EDGE_TRIALS * 3):
@@ -249,30 +250,50 @@ def test_trial_streams_derive_edge_cells_in_bulk(seed):
                 ref = trial_rng(seed, t, purpose)
                 assert rng.bit_generator.state == ref.bit_generator.state
                 assert rng.standard_normal(20).tobytes() == ref.standard_normal(20).tobytes()
-            keys = [g.bit_generator.seed_seq.spawn_key for g in held]
+            assert len({id(g) for g in held}) == len(trials)
+            seqs = [g.bit_generator.seed_seq for g in held]
             if 2**32 in trials:
-                assert len({id(g) for g in held}) == len(trials)
-                assert keys == [(t, purpose) for t in trials]
-            else:
-                assert len({id(g) for g in held}) == 1 and keys == [()] * len(trials)
+                assert [s.spawn_key for s in seqs] == [(t, purpose) for t in trials]
+                continue
+            for t, s in zip(trials, seqs, strict=True):
+                assert not isinstance(s, np.random.SeedSequence)
+                want = np.random.SeedSequence(seed, spawn_key=(t, purpose)).generate_state(4, np.uint64)
+                assert s.generate_state(4, np.uint64).tobytes() == want.tobytes(), (t, purpose)
 
 
-def test_trial_streams_fall_back_when_the_derivation_differs(monkeypatch):
-    """A seeding constant that no longer matches numpy's, as a numpy release
-    with another PCG64 seeding would bring, fails the pass's check of its
-    first cell: every cell of the pass then takes trial_rng and draws the
-    reference stream."""
-    monkeypatch.setattr(channel, "_PCG_MULT", channel._PCG_MULT + 2)
-    ref0 = trial_rng(5, 0, PURPOSE_ESTIMATE).bit_generator.state["state"]
-    assert channel._pcg64_state(channel._pcg64_words(5, np.arange(1), PURPOSE_ESTIMATE)[0]) != ref0
+def test_trial_streams_fall_back_when_the_derivation_differs():
+    """A hash constant that no longer matches numpy's, as a numpy release
+    with another SeedSequence hash would bring, or words that numpy's PCG64
+    seeds from in another order, fails the pass's check of its first cell:
+    every cell of the pass then takes trial_rng and draws the reference
+    stream."""
+    want = np.random.SeedSequence(5, spawn_key=(0, PURPOSE_ESTIMATE)).generate_state(4, np.uint64)
     trials = list(range(40))
-    held = []
-    for t, rng in zip(trials, channel._trial_streams(5, trials, PURPOSE_ESTIMATE), strict=True):
-        held.append(rng)
-        ref = trial_rng(5, t, PURPOSE_ESTIMATE)
-        assert rng.bit_generator.state == ref.bit_generator.state, t
-        assert rng.standard_normal(20).tobytes() == ref.standard_normal(20).tobytes(), t
-    assert len({id(g) for g in held}) == len(trials)
+    for target, value in (
+        ("netmimo.channel._OUT_MUL", channel._OUT_MUL + np.uint32(2)),
+        ("netmimo.channel._Words.generate_state", lambda self, n_words, dtype=np.uint32: self.words[::-1].copy()),
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(target, value)
+            words = channel._Words(channel._pcg64_words(5, np.arange(1), PURPOSE_ESTIMATE)[0])
+            assert words.generate_state(4, np.uint64).tobytes() != want.tobytes(), target
+            held = []
+            for t, rng in zip(trials, channel._trial_streams(5, trials, PURPOSE_ESTIMATE), strict=True):
+                held.append(rng)
+                ref = trial_rng(5, t, PURPOSE_ESTIMATE)
+                assert rng.bit_generator.seed_seq.spawn_key == (t, PURPOSE_ESTIMATE), (target, t)
+                assert rng.bit_generator.state == ref.bit_generator.state, (target, t)
+                assert rng.standard_normal(20).tobytes() == ref.standard_normal(20).tobytes(), (target, t)
+            assert len({id(g) for g in held}) == len(trials), target
+
+
+def test_trial_streams_cells_draw_in_any_order():
+    """Each bulk cell has a generator of its own: cell 0, held while cell 1
+    is taken and drawn from, still draws trial_rng's stream for cell 0."""
+    streams = channel._trial_streams(3, [0, 1], PURPOSE_CHANNEL)
+    first, second = next(streams), next(streams)
+    second.standard_normal(4)
+    assert first.standard_normal(20).tobytes() == trial_rng(3, 0, PURPOSE_CHANNEL).standard_normal(20).tobytes()
 
 
 @pytest.mark.parametrize("per_tx", [False, True], ids=["shared", "per-tx"])

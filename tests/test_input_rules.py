@@ -83,6 +83,7 @@ _NEAR = [1e300, 1e300 * (1 + 2e-13)]
         _hole("repeated-point", "p_list", term_decay_check, _line(3), 0.6, [1e4, 1e4], 5, 1, 1),
         _hole("repeated-point", "p_list", inverse_decay_estimate, _line(4), 0.6, [1e4, 1e4], 5, 1),
         _hole("distance-inf", "p", build_allocation, PolicySpec("distance"), place_grid(2), 0.6, INF),
+        _hole("int-past-float", "p", build_allocation, PolicySpec("distance"), place_grid(2), 0.6, 10**400),
         _hole("zero-nan", "p", build_allocation, PolicySpec("zero"), place_grid(2), 0.6, NAN),
         _hole("perfect-nan", "p", build_allocation, PolicySpec("perfect"), place_grid(2), 0.6, NAN),
         _hole("nan", "gamma", truncation_order, pairwise_distance(place_grid(2)), NAN),
@@ -98,6 +99,7 @@ _NEAR = [1e300, 1e300 * (1 + 2e-13)]
         _hole("near-repeat", "fit window", dof_slope, _curve([3000.0, np.nextafter(3000.0, 4000.0)]), 2),
         _hole("bool", "cluster_size", PolicySpec, "cluster", 1.0, True),
         _hole("4.0", "cluster_size", PolicySpec, "cluster", 1.0, 4.0),
+        _hole("int-past-float", "alpha", PolicySpec, "distance", 10**400),
         _hole("bool", "cluster_size", cluster_fit, place_grid(4), True),
         _hole("0.5", "cond_limit", resolvent_max_error, 5, 3, 1, 0.5),
         _hole("nan", "cond_limit", resolvent_max_error, 5, 3, 1, NAN),
@@ -226,10 +228,12 @@ def test_p_and_gamma_give_a_result_or_a_value_error_naming_the_field(p, gamma):
 
 
 # Scalars as Python and numpy ints and floats: seeds past 2^128 (where the
-# bulk stream derivation hands over to trial_rng), bools, and the edge floats.
+# bulk stream derivation hands over to trial_rng), ints past the float range
+# (which the rules read as +-inf), bools, and the edge floats.
 # Each field draws from its valid values and from every scalar equally often;
 # a count drawn valid stays at most 3, so each verification run is cheap.
-_INTS = st.sampled_from([0, 1, 2, 3, -1, 2**32, 2**64, 2**128, 2**140]) | st.integers(-(2**70), 2**140)
+_PAST_FLOAT = [10**400, -(10**400)]
+_INTS = st.sampled_from([0, 1, 2, 3, -1, 2**32, 2**64, 2**128, 2**140] + _PAST_FLOAT) | st.integers(-(2**70), 2**140)
 _NUMPY_INTS = st.integers(-(2**63), 2**63 - 1).map(np.int64) | st.integers(0, 2**64 - 1).map(np.uint64)
 _SCALARS = _INTS | _NUMPY_INTS | _FLOATS | _FLOATS.map(np.float64) | st.booleans()
 
@@ -239,7 +243,10 @@ def _half(valid, other):
     return st.booleans().flatmap(lambda ok: valid if ok else other)
 
 
-_POWERS = _half(st.floats(5e-324, 1e308) | st.integers(1, 2**140) | st.floats(1e-6, 1e6).map(np.float64), _SCALARS)
+_POWERS = _half(
+    st.floats(5e-324, 1e308) | st.integers(1, 2**140) | st.floats(1e-6, 1e6).map(np.float64),
+    _SCALARS | st.sampled_from(_PAST_FLOAT),
+)
 _THRESHOLDS = _half(st.floats(1.0, 1e12) | st.sampled_from([1, 3, 2**64, np.float64(1e300)]), _SCALARS)
 _SEEDS = _half(st.integers(0, 2**140) | st.integers(0, 2**64 - 1).map(np.uint64), _SCALARS)
 _TRIALS = _half(
@@ -261,12 +268,20 @@ def _precoded(precoder, a, p, cond_threshold):
         return "rejected"
 
 
+def _read(value):
+    """value as a rule compares it: a Python int past the float range reads as +-inf."""
+    return value if not isinstance(value, int) or abs(value) < 2**1024 else (INF if value > 0 else -INF)
+
+
 def _is_count(value, low) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(zf_est=_ESTIMATES, p=_POWERS, cond_threshold=_THRESHOLDS, seed=_SEEDS, trials=_TRIALS)
+# A power or a threshold past the float range raised OverflowError.
+@example(zf_est=_CLEAN[1], p=10**400, cond_threshold=1e12, seed=0, trials=1)
+@example(zf_est=_CLEAN[1], p=1.0, cond_threshold=10**400, seed=10**400, trials=1)
 def test_precoder_and_verification_scalars_give_a_result_or_a_value_error_naming_the_field(
     zf_est, p, cond_threshold, seed, trials
 ):
@@ -276,8 +291,9 @@ def test_precoder_and_verification_scalars_give_a_result_or_a_value_error_naming
     type. A precoder raises IllConditionedError exactly when the threshold
     lies below the estimate's kappa_2, and so for every threshold below 1."""
     stack = np.stack([zf_est, zf_est + 0.125])  # TX 2's estimate differs from TX 1's
-    bad = set() if 0.0 < p < INF else {"power"}  # the message names p the power
-    if math.isnan(cond_threshold):
+    limit = _read(cond_threshold)
+    bad = set() if 0.0 < _read(p) < INF else {"power"}  # the message names p the power
+    if math.isnan(limit):
         bad.add("cond_threshold")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -286,8 +302,8 @@ def test_precoder_and_verification_scalars_give_a_result_or_a_value_error_naming
             t = _outcome(fault, _precoded, precoder, a, p, cond_threshold)
             if t is not None:
                 kappa = np.linalg.cond(a).max()
-                if not math.isclose(cond_threshold, kappa, rel_tol=1e-9):
-                    assert isinstance(t, str) == (cond_threshold < kappa), (precoder.__name__, cond_threshold)
+                if not math.isclose(limit, kappa, rel_tol=1e-9):
+                    assert isinstance(t, str) == (limit < kappa), (precoder.__name__, cond_threshold)
         counts = set() if _is_count(seed, 0) else {"seed"}
         if not _is_count(trials, 1):
             counts.add("trials")
@@ -431,7 +447,8 @@ _CONFIG_VALUES = {
                 [30.0, 30.000000000001], [True], 30.0]),
     "trials": ([1, 2], [0, -1, 1.5, "1", None]),
     "fit_points": ([2, 4], [1, 0, 2.5, "4"]),
-    "cond_threshold": ([1.0, 1, 1e12, 1e308, _UP], [0.5, 0.0, -0.0, 5e-324, NAN, INF, -INF, -1e308, "1e12", None]),
+    "cond_threshold": ([1.0, 1, 1e12, 1e308, _UP],
+                       [0.5, 0.0, -0.0, 5e-324, NAN, INF, -INF, -1e308, *_PAST_FLOAT, "1e12", None]),
     "max_rejection_rate": ([0.0, -0.0, 5e-324, 0.01, 0.5, _DOWN],
                            [1.0, -5e-324, -1e-308, NAN, INF, -INF, 1e308, "0.01"]),
     "data_mask": ([True, False], [1, 0, "true", None]),
@@ -449,6 +466,7 @@ _BAD_POLICIES = [  # (policies, the name an error may give besides "policies" an
     ([{"kind": "distance"}, {"kind": "distance", "alpha": 1.00000000001}], "policies"),
     ([{"kind": "distance", "alpha": NAN}], "alpha"), ([{"kind": "distance", "alpha": INF}], "alpha"),
     ([{"kind": "distance", "alpha": -0.0}], "alpha"), ([{"kind": "distance", "alpha": "1"}], "alpha"),
+    ([{"kind": "distance", "alpha": 10**400}], "alpha"),
     ([{"kind": "cluster", "cluster_size": 3}], "cluster_size"),
     ([{"kind": "cluster", "cluster_size": 4.0}], "cluster_size"),
     ([{"kind": "hex"}], "policy"), ([{"alpha": 1.0}], "kind"), ([{"kind": "perfect", "beta": 1}], "beta"),
@@ -501,6 +519,8 @@ def _found(**fields):
 # stored unchecked: metadata.json held NaN or Infinity, which is not strict JSON.
 @example(drawn={**_found(grid_side=2, snr_db=[30.0, 50.0], trials=3), "random_side": (NAN, ("random_side",))})
 @example(drawn={**_found(grid_side=2, snr_db=[20.0, 40.0], trials=3), "cond_threshold": (INF, ("cond_threshold",))})
+# A limit past the float range was stored as a 401-digit integer.
+@example(drawn={**_found(grid_side=2, snr_db=[20.0, 40.0], trials=3), "cond_threshold": (10**400, ("cond_threshold",))})
 # The library refused equal policies and a misfit cluster policy with messages that did not name them.
 @example(drawn={**_found(grid_side=2, trials=3), "policies": ([{"kind": "perfect"}] * 2, ("policies",))})
 @example(drawn=_found(grid_side=3, trials=3, policies=[_CLUSTER4]))
