@@ -10,15 +10,15 @@ read-only (K, K) array, and draw_channel and apply_estimate_noise take it.
 Randomness is organized as substreams keyed by (master seed, trial index,
 purpose tag), so Monte-Carlo results do not depend on worker scheduling and
 trials can be re-drawn individually. Each stream is defined by
-default_rng(SeedSequence(seed, spawn_key=(trial, purpose))), trial_rng.
-The trial engine, the oracle and the CLI's channel dump all draw through
-_trial_streams, which derives many trials' streams of one purpose in one
-pass (numpy mixes the seed's pool, the spawn-key hash runs as integer
-arithmetic over all cells at once, and numpy's PCG64 seeds each cell's own
-generator from its derived words), and _unit_draws, which fills a stack
-with one draw per stream. A pass whose seed, trials or purpose lie outside
-that derivation's range, or whose first generator's state differs from
-trial_rng's, takes trial_rng for every cell.
+default_rng(SeedSequence(seed, spawn_key=(trial, purpose))), trial_rng,
+through which the CLI's channel dump draws. The trial engine and the oracle
+draw through _trial_streams, which derives many trials' streams of one
+purpose in one pass (numpy mixes the seed's pool, the spawn-key hash runs as
+integer arithmetic over all cells at once, and numpy's PCG64 seeds each
+cell's own generator from its derived words), and _unit_draws, which fills
+a stack with one draw per stream. A pass whose seed, trials or purpose lie
+outside that derivation's range, or whose first generator's state differs
+from trial_rng's, takes trial_rng for every cell.
 """
 
 from __future__ import annotations
@@ -208,11 +208,11 @@ def pathloss_matrix(levels: np.ndarray, p: float) -> np.ndarray:
 def draw_channel(sigma: np.ndarray, rng: np.random.Generator) -> ChannelRealization:
     """One Rayleigh draw: entries H_ki = sigma_ki * CN(0, 1), independent.
 
-    sigma is pathloss_matrix's (K, K) array. The trial engine, the oracle
-    and the channel dump draw their unit channels with _unit_draws and scale
-    them by the sigma of each SNR point, built once: the draw and the product
-    formed here, so each of their channels equals this function's draw from
-    that trial's stream.
+    sigma is pathloss_matrix's (K, K) array. The CLI's channel dump calls it
+    on trial_rng's stream. The trial engine and the oracle draw their unit
+    channels with _unit_draws and scale them by the sigma of each SNR point,
+    built once: the draw and the product formed here, so each of their
+    channels equals this function's draw from that trial's stream.
     """
     return ChannelRealization(H=sigma * complex_gaussian(rng, sigma.shape))
 

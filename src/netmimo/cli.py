@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import PolicySpec, allocation_size, build_allocation, conventional
-from .channel import PURPOSE_CHANNEL, PURPOSE_LAYOUT, _trial_streams, _unit_draws, pathloss_matrix, trial_rng
+from .channel import PURPOSE_CHANNEL, PURPOSE_LAYOUT, draw_channel, pathloss_matrix, trial_rng
 from .evaluation import DEFAULT_MAX_REJECTION_RATE, RatePoint, RejectionRateError, _check_sweep, db_to_linear
 from .evaluation import dof_slope, evaluate_curves
 from .oracle import run_verification
@@ -335,13 +335,13 @@ def _dof_fits(config: ExperimentConfig, result: dict[PolicySpec, list[RatePoint]
 
 
 def _channel_csv(config: ExperimentConfig, layout: NodeLayout) -> str:
-    """The trial-0 channel draw at the first SNR point, drawn as the engine
-    draws it, one (rx, tx) entry per row."""
+    """The trial-0 channel draw at the first SNR point, the reference draw
+    the engine's equals, one (rx, tx) entry per row."""
     p = db_to_linear(config.snr_db[0])
     sigma = pathloss_matrix(interference_levels(pairwise_distance(layout), config.gamma), p)
-    unit = _unit_draws(_trial_streams(config.seed, [0], PURPOSE_CHANNEL), np.empty((1,) + sigma.shape, dtype=complex))
+    h = draw_channel(sigma, trial_rng(config.seed, 0, PURPOSE_CHANNEL)).H
     lines = ["rx,tx,re,im"]
-    lines += [f"{k + 1},{i + 1},{h.real:.17g},{h.imag:.17g}" for (k, i), h in np.ndenumerate(sigma * unit[0])]
+    lines += [f"{k + 1},{i + 1},{x.real:.17g},{x.imag:.17g}" for (k, i), x in np.ndenumerate(h)]
     return "\n".join(lines) + "\n"
 
 

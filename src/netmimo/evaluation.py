@@ -58,7 +58,7 @@ from .channel import (
     apply_estimate_noise,
     pathloss_matrix,
 )
-from .precoding import DEFAULT_COND_THRESHOLD, _precode, mask_from_sets
+from .precoding import DEFAULT_COND_THRESHOLD, _precode
 from .topology import NodeLayout, _check_cond_limit, _check_counts, _check_distinct, _check_gamma, _check_slope_points
 from .topology import _check_snr, data_sharing_sets, interference_levels, pairwise_distance
 
@@ -73,7 +73,6 @@ __all__ = [
     "evaluate_curves",
     "dof_slope",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 LN2 = float(np.log(2.0))
@@ -90,10 +89,6 @@ def db_to_linear(snr_db: float) -> float:
         return 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:
         return math.inf
-
-
-def linear_to_db(p: float) -> float:
-    return float(10.0 * np.log10(p))
 
 
 class RejectionRateError(RuntimeError):
@@ -313,10 +308,10 @@ def _drop(rejected, *stacks):
     return [None if s is None else s[keep] for s in stacks]
 
 
-# Tasks per worker in a round of a pooled sweep: enough that the last task to
-# finish is short, few enough that each task spans several engine chunks (every
-# engine call derives its streams and faults in its own workspace). On the
-# fig1-desk preset at two workers, 1 to 4 read within 5% of each other.
+# Tasks per worker in a round of a pooled sweep: enough that the last task to finish is short, few enough
+# that each task spans several engine chunks (every engine call derives its streams and faults in its own
+# workspace). At two workers, 1 to 4 read within 5% on fig1-desk (K = 16), but at K = 8 one whole-chunk block
+# per worker splits fig2-desk's 100 trials 72/28 and read slower in 21 of 34 pairs (median pair +9%).
 _TASKS_PER_WORKER = 3
 
 # A pool worker's engine, the sweep's. _init_worker sets it in the forked
@@ -508,7 +503,7 @@ def _engine(layout, gamma, policies, p_list, seed, cond_threshold, data_mask) ->
     interference-level matrix, so an engine call, in the parent or in a
     forked worker, builds nothing."""
     levels = interference_levels(pairwise_distance(layout), gamma)
-    mask = mask_from_sets(data_sharing_sets(layout, gamma), layout.K) if data_mask else None
+    mask = _data_mask(layout, gamma) if data_mask else None
     points = [
         (
             pathloss_matrix(levels, p),
@@ -518,6 +513,11 @@ def _engine(layout, gamma, policies, p_list, seed, cond_threshold, data_mask) ->
         for p in p_list
     ]
     return partial(_simulate_trials, points, seed, cond_threshold=cond_threshold, mask=mask)
+
+
+def _data_mask(layout: NodeLayout, gamma: float) -> np.ndarray:
+    """The 0/1 (K, K) matrix whose entry (j, i) is 1 iff TX j keeps user i's data (data_sharing_sets)."""
+    return np.array([[float(i in kept) for i in range(layout.K)] for kept in data_sharing_sets(layout, gamma)])
 
 
 def _point_result(
@@ -571,7 +571,7 @@ def evaluate_point(
     keep_samples (per-trial rates in PointResult.samples).
     """
     _check_snr("p", p)  # before log10 warns on it
-    return _evaluate(layout, gamma, policies, [(linear_to_db(p), p)], trials, seed, **opts)[0]
+    return _evaluate(layout, gamma, policies, [(float(10.0 * np.log10(p)), p)], trials, seed, **opts)[0]
 
 
 def evaluate_curves(

@@ -30,7 +30,6 @@ __all__ = [
     "IllConditionedError",
     "zf_precoder",
     "distributed_precoder",
-    "mask_from_sets",
 ]
 
 DEFAULT_COND_THRESHOLD = 1e12
@@ -204,10 +203,3 @@ def distributed_precoder(
         raise ValueError(f"estimates must have shape (..., K, K, K), got {stack.shape}")
     return _precoder(stack, p, cond_threshold, core=3)
 
-
-def mask_from_sets(sharing_sets: list[set[int]], k: int) -> np.ndarray:
-    """0/1 matrix with mask[j, i] = 1 iff TX j keeps user i's data."""
-    mask = np.zeros((k, k))
-    for j, kept in enumerate(sharing_sets):
-        mask[j, sorted(kept)] = 1.0
-    return mask

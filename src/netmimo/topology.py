@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,13 @@ __all__ = [
 
 
 def _check_counts(*counts: tuple[str, object, int]) -> None:
-    """ValueError unless each (name, value, low) has an integer value >= low; a bool is no count."""
+    """ValueError unless each (name, value, low) has an integer value >= low, and but for the seed at most
+    sys.maxsize, numpy's largest size, so no count fails later with another error; a bool is no count."""
     for name, value, low in counts:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if value > sys.maxsize and name != "seed":
+            raise ValueError(f"{name} must be at most {sys.maxsize}, got {value!r}")
 
 
 def _real(value):
@@ -117,7 +121,10 @@ class NodeLayout:
     positions: np.ndarray
 
     def __post_init__(self) -> None:
-        pos = np.array(self.positions, dtype=float)
+        try:
+            pos = np.array(self.positions, dtype=float)
+        except OverflowError:  # a Python int past the float range
+            raise ValueError("positions must be finite") from None
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError(f"positions must have shape (K, 2) with K >= 1, got {pos.shape}")
         if not np.all(np.isfinite(pos)):

@@ -33,7 +33,6 @@ from netmimo.evaluation import (
     evaluate_curves,
     evaluate_point,
     instantaneous_rates,
-    linear_to_db,
 )
 from netmimo.precoding import IllConditionedError, _precode, distributed_precoder, zf_precoder
 from netmimo.topology import (
@@ -46,7 +45,11 @@ from netmimo.topology import (
 
 def test_db_round_trip():
     assert db_to_linear(30.0) == pytest.approx(1000.0, rel=1e-12)
-    assert linear_to_db(db_to_linear(47.3)) == pytest.approx(47.3, rel=1e-12)
+    # evaluate_point labels its point 10 log10(p), as numpy computes it, a Python float.
+    p = db_to_linear(47.3)
+    point = evaluate_point(place_grid(2), 0.6, [PolicySpec("perfect")], p, 1, 0).rates[PolicySpec("perfect")]
+    assert type(point.snr_db) is float and point.snr_db == float(10.0 * np.log10(p))
+    assert point.snr_db == pytest.approx(47.3, rel=1e-12)
 
 
 def test_zero_precoder_zero_rates():

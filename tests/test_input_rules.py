@@ -12,6 +12,7 @@ import math
 import numbers
 import os
 import re
+import sys
 import tempfile
 import warnings
 from functools import partial
@@ -115,11 +116,19 @@ _NEAR = [1e300, 1e300 * (1 + 2e-13)]
         _hole("twice", "policies", evaluate_curves, place_grid(2), 0.6, [PolicySpec("perfect")] * 2, [20.0], 3, 1),
         _hole("cluster-misfit", "policy", evaluate_curves, place_grid(3), 0.6, [PolicySpec("cluster", cluster_size=4)],
               [20.0], 3, 1),
+        _hole("past-maxsize", "trials", evaluate_curves, place_grid(2), 0.6, [PolicySpec("perfect")], [20.0], 10**400, 1),
+        _hole("past-maxsize", "workers", evaluate_curves, place_grid(2), 0.6, [PolicySpec("perfect")], [20.0], 3, 1,
+              workers=10**400),
+        _hole("past-maxsize", "trials", run_verification, 7, 10**19),
+        _hole("past-maxsize", "side", place_grid, 10**400),
+        _hole("past-maxsize", "k", place_uniform_random, 10**400, 4.0, _RNG),
+        _hole("int-past-float", "positions", NodeLayout, [[10**400, 0.0]]),
     ],
 )
 def test_bad_input_raises_a_value_error_naming_its_field(field, call):
     """Each of these inputs once gave a result, a passing check, a numpy
-    warning or an error that did not name the input, or met one of two
+    warning or an error that did not name the input (a count past
+    sys.maxsize, a coordinate past the float range), or met one of two
     copies of its rule (cluster_size, the condition limit, distinct policies,
     a cluster policy's fit)."""
     with warnings.catch_warnings():
@@ -249,9 +258,11 @@ _POWERS = _half(
 )
 _THRESHOLDS = _half(st.floats(1.0, 1e12) | st.sampled_from([1, 3, 2**64, np.float64(1e300)]), _SCALARS)
 _SEEDS = _half(st.integers(0, 2**140) | st.integers(0, 2**64 - 1).map(np.uint64), _SCALARS)
+# Every count but the seed is at most sys.maxsize; a rule refuses a larger one before anything is allocated.
+_PAST_MAXSIZE = [sys.maxsize + 1, 10**19, 10**400]
 _TRIALS = _half(
     st.integers(1, 3) | st.integers(1, 3).map(np.int64) | st.integers(1, 3).map(np.uint8),
-    st.integers(max_value=0) | _FLOATS | _FLOATS.map(np.float64) | st.booleans(),
+    st.integers(max_value=0) | _FLOATS | _FLOATS.map(np.float64) | st.booleans() | st.sampled_from(_PAST_MAXSIZE),
 )
 # 2x2 estimates: two clean ones (kappa_2 1 and about 2.8), and the second with a NaN or infinite diagonal.
 _CLEAN = [np.eye(2, dtype=complex), np.array([[2.0, 0.5j], [0.25, 1.0 - 1.0j]])]
@@ -273,8 +284,8 @@ def _read(value):
     return value if not isinstance(value, int) or abs(value) < 2**1024 else (INF if value > 0 else -INF)
 
 
-def _is_count(value, low) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+def _is_count(value, low, high=sys.maxsize) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and low <= value <= high
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -282,6 +293,8 @@ def _is_count(value, low) -> bool:
 # A power or a threshold past the float range raised OverflowError.
 @example(zf_est=_CLEAN[1], p=10**400, cond_threshold=1e12, seed=0, trials=1)
 @example(zf_est=_CLEAN[1], p=1.0, cond_threshold=10**400, seed=10**400, trials=1)
+# A trials count past sys.maxsize failed with numpy's "Maximum allowed dimension exceeded".
+@example(zf_est=_CLEAN[1], p=1.0, cond_threshold=1e12, seed=0, trials=10**19)
 def test_precoder_and_verification_scalars_give_a_result_or_a_value_error_naming_the_field(
     zf_est, p, cond_threshold, seed, trials
 ):
@@ -304,7 +317,7 @@ def test_precoder_and_verification_scalars_give_a_result_or_a_value_error_naming
                 kappa = np.linalg.cond(a).max()
                 if not math.isclose(limit, kappa, rel_tol=1e-9):
                     assert isinstance(t, str) == (limit < kappa), (precoder.__name__, cond_threshold)
-        counts = set() if _is_count(seed, 0) else {"seed"}
+        counts = set() if _is_count(seed, 0, INF) else {"seed"}
         if not _is_count(trials, 1):
             counts.add("trials")
         results = _outcome(counts, run_verification, seed, trials)
@@ -317,14 +330,15 @@ def test_precoder_and_verification_scalars_give_a_result_or_a_value_error_naming
 # --workers never forks a pool: byte identity across worker counts is tested
 # in test_cli.py.
 _NO_COUNT = ["-9223372036854775809", "-1", "0", "2.5", "1e3", "nan"]
+_HUGE = [str(n) for n in _PAST_MAXSIZE]  # counts past sys.maxsize; only the seed may be one
 _NO_MEASURE = ["0", "-0", "-5e-324", "inf", "-inf", "nan", "-1e308", "-1e-308", "1e309"]
 _TINY = ["5e-324", "2.2250738585072014e-308", "1e-308"]
 _TOKENS = {
-    "seed": (["0", "1", "4294967296", str(2**128)], _NO_COUNT),
-    "trials": (["1", "2"], _NO_COUNT),
-    "workers": (["1"], _NO_COUNT),
-    "grid-side": (["1", "2"], _NO_COUNT),
-    "random-k": (["1", "2", "3"], _NO_COUNT),
+    "seed": (["0", "1", "4294967296", str(2**128), *_HUGE], _NO_COUNT),
+    "trials": (["1", "2"], _NO_COUNT + _HUGE),
+    "workers": (["1"], _NO_COUNT + _HUGE),
+    "grid-side": (["1", "2"], _NO_COUNT + _HUGE),
+    "random-k": (["1", "2", "3"], _NO_COUNT + _HUGE),
     "random-side": (_TINY + ["4", "1e308", "1.2e308"], _NO_MEASURE + ["1.5e308"]),
     "gamma": (_TINY + ["0.6", "1"], _NO_MEASURE + ["1e308", str(np.nextafter(1.0, 2.0))]),
 }
@@ -352,7 +366,10 @@ def _refused(command: str, flags: dict[str, str], show: bool) -> set[str]:
     if bad:
         return bad  # argparse refuses the token before anything runs
     low = {"seed": 0, "trials": 1, "workers": 1, "grid-side": 1, "random-k": 1}
-    bad = {flag.replace("-", "_") for flag, floor in low.items() if values.get(flag, floor) < floor}
+    bad = {
+        flag.replace("-", "_") for flag, floor in low.items()
+        if not floor <= values.get(flag, floor) <= (INF if flag == "seed" else sys.maxsize)
+    }
     # Every field is checked, whatever the layout kind in use.
     if not 0.0 < values.get("random-side", 4.0) <= _MAX_SIDE:
         bad.add("random_side")
@@ -381,6 +398,14 @@ def _stub_verification(seed, trials):
 @example(command="sizes", drawn={"random-k": "3", "random-side": "1.2e308"}, show=False)
 @example(command="run", drawn={"random-k": "3", "random-side": "1.2e308", "trials": "1"}, show=False)
 @example(command="layout", drawn={"gamma": "1e308"}, show=True)
+# Counts past sys.maxsize gave a traceback or an error that named no field; a seed may be one.
+@example(command="run", drawn={"trials": str(10**19)}, show=False)
+@example(command="verify", drawn={"trials": str(10**19)}, show=False)
+@example(command="run", drawn={"workers": str(10**400), "trials": "1"}, show=False)
+@example(command="sizes", drawn={"grid-side": str(10**400)}, show=False)
+@example(command="layout", drawn={"random-k": str(10**400)}, show=False)
+@example(command="run", drawn={"seed": str(10**400), "random-k": "2", "trials": "1"}, show=False)
+@example(command="verify", drawn={"seed": str(10**400), "trials": "1"}, show=False)
 def test_main_exits_0_or_2_with_one_error_line_naming_the_field(command, drawn, show):
     """Every count and measure flag of every subcommand: main exits 0, or 2
     with exactly one error line that names a flag breaking its rule, and
@@ -431,22 +456,22 @@ _GRID2 = [[1.0, 1.0], [2.0, 1.0], [1.0, 2.0], [2.0, 2.0]]  # place_grid(2)
 _CLUSTER4 = {"kind": "cluster", "cluster_size": 4}
 _UP, _DOWN = float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0))
 _CONFIG_VALUES = {
-    "seed": ([0, 1, 2**64], [-1, 2.5, 1.0, "1", True, None]),
+    "seed": ([0, 1, 2**64, 10**400], [-1, 2.5, 1.0, "1", True, None]),
     "layout_kind": (["grid", "random", "positions"], ["hex", "file", 1, None]),
-    "grid_side": ([1, 2, 3], [0, -1, 2.0, True, NAN]),
-    "random_k": ([1, 3], [0, -5, 3.0, False]),
+    "grid_side": ([1, 2, 3], [0, -1, 2.0, True, NAN, *_PAST_MAXSIZE]),
+    "random_k": ([1, 3], [0, -5, 3.0, False, *_PAST_MAXSIZE]),
     "random_side": ([4.0, 1, 5e-324, 2.2250738585072014e-308, 1e-308, 1e308, 1.2e308],
                     [0.0, -0.0, -5e-324, INF, -INF, NAN, -1e308, 1.5e308, "4"]),
     "positions": ([None, _GRID2, [[0.0, -0.0]], [[5e-324, 1e308], [-1e308, 0.0]]],
                   [[], [[NAN, 0.0]], [[0.0, INF]], [[1.7e308, 0.0], [-1.7e308, 0.0]], [[1.0]], [1.0, 2.0],
-                   [["0", 0.0]]]),
+                   [["0", 0.0]], [[10**400, 0.0]]]),
     "gamma": ([0.6, 1, 5e-324, 2.2250738585072014e-308, _DOWN],
               [0.0, -0.0, -5e-324, INF, -INF, NAN, 1e308, _UP, "0.6"]),
     "snr_db": ([[30.0, 50.0], [20], [1e-6, 3000.0], [10.0, 20.0, 30.0, 40.0, 50.0]],
                [[], [NAN], [INF], [-INF], [0.0], [-0.0], [5e-324], [1e-308], [1e308], [-1e308], [30.0, 30.0],
                 [30.0, 30.000000000001], [True], 30.0]),
-    "trials": ([1, 2], [0, -1, 1.5, "1", None]),
-    "fit_points": ([2, 4], [1, 0, 2.5, "4"]),
+    "trials": ([1, 2], [0, -1, 1.5, "1", None, *_PAST_MAXSIZE]),
+    "fit_points": ([2, 4], [1, 0, 2.5, "4", *_PAST_MAXSIZE]),
     "cond_threshold": ([1.0, 1, 1e12, 1e308, _UP],
                        [0.5, 0.0, -0.0, 5e-324, NAN, INF, -INF, -1e308, *_PAST_FLOAT, "1e12", None]),
     "max_rejection_rate": ([0.0, -0.0, 5e-324, 0.01, 0.5, _DOWN],
@@ -526,6 +551,11 @@ def _found(**fields):
 @example(drawn=_found(grid_side=3, trials=3, policies=[_CLUSTER4]))
 # A policy without a kind raised a TypeError.
 @example(drawn={**_found(trials=3), "policies": ([{"alpha": 1.0}], ("policies", "kind"))})
+# A trials count and a coordinate past their ranges raised OverflowError.
+@example(drawn={**_found(grid_side=2, snr_db=[20.0]), "trials": (10**400, ("trials",))})
+@example(drawn={**_found(layout_kind="positions", snr_db=[20.0], trials=3), "positions": ([[10**400, 0.0]], ("positions",))})
+# A seed past 2^128 and the float range runs.
+@example(drawn=_found(seed=10**400, layout_kind="random", random_k=3, snr_db=[20.0], trials=3))
 def test_run_config_exits_0_with_strict_json_or_2_naming_the_field(drawn):
     """Every field of a --config file, of the right type or not: `run` exits
     0 and writes a metadata.json that strict JSON parsing accepts, or exits 2

@@ -19,15 +19,13 @@ from netmimo.precoding import (
     IllConditionedError,
     _precode,
     distributed_precoder,
-    mask_from_sets,
     zf_precoder,
 )
 from netmimo.allocation import PolicySpec, build_allocation
-from netmimo.evaluation import instantaneous_rates
+from netmimo.evaluation import _data_mask, instantaneous_rates
 from netmimo.topology import (
     NodeLayout,
     cooperation_radius,
-    data_sharing_sets,
     interference_levels,
     pairwise_distance,
     place_grid,
@@ -458,16 +456,19 @@ def test_mask_patterns():
     rng = np.random.default_rng(20)
     h = complex_gaussian(rng, (4, 4))
     t = zf_precoder(h, 9.0)
-    np.testing.assert_array_equal(t * mask_from_sets([set(range(4))] * 4, 4), t)
-    singletons = t * mask_from_sets([{j} for j in range(4)], 4)
+    # At gamma = 1 every TX keeps every user's data.
+    np.testing.assert_array_equal(t * _data_mask(place_grid(2), 1.0), t)
+    # Nodes 10 apart, beyond the radius 2.5 at gamma 0.6: each TX keeps only its own user's data.
+    apart = NodeLayout(np.column_stack([10.0 * np.arange(4), np.zeros(4)]))
+    singletons = t * _data_mask(apart, 0.6)
     np.testing.assert_array_equal(singletons, np.diag(np.diagonal(t)))
 
 
 def test_mask_matches_radius_on_grid():
     layout = place_grid(6)
     gamma = 0.6
-    sets = data_sharing_sets(layout, gamma)
-    mask = mask_from_sets(sets, layout.K)
+    mask = _data_mask(layout, gamma)
+    assert mask.dtype == float and set(np.unique(mask).tolist()) == {0.0, 1.0}
     d = pairwise_distance(layout)
     np.testing.assert_array_equal(mask == 1.0, d <= cooperation_radius(gamma))
 
