@@ -613,10 +613,9 @@ def _command(args: argparse.Namespace) -> int:
         text = _size_table_csv(compute_size_table(layout, cfg.gamma, cfg.policies, cfg.snr_db))
         bits_dir = Path(args.export_bits) if args.export_bits else None
         files = _export_bits(cfg, layout, bits_dir) if bits_dir else {}
-        if args.output:
-            _distinct([*files, Path(args.output)])
-            files[Path(args.output)] = text
-        _write_all(files, bits_dir)
+        table = [Path(args.output)] if args.output else []
+        _check_targets([*files, *table])
+        _write_all(files | dict.fromkeys(table, text), bits_dir)
         if not args.output:
             sys.stdout.write(text)
         return 0
@@ -625,19 +624,21 @@ def _command(args: argparse.Namespace) -> int:
     if args.save_config:
         _write_all({Path(args.save_config): cfg.to_json() + "\n"})
         return 0
-    _distinct([Path(cfg.output), *_run_outputs(cfg.output, args.dump_channel)])
     return _cmd_run(cfg, args.workers, args.dump_channel)
 
 
-def _distinct(paths: list[Path]) -> None:
-    """A usage error naming the first of paths that resolves to the same file
-    as an earlier one, so that no output of a command overwrites another."""
-    seen = set()
-    for path in paths:
+def _check_targets(files: list[Path], directory: Path | None = None) -> None:
+    """Before any work: a usage error naming the first of files that resolves to directory or an earlier
+    file, so that no output of a command overwrites another, or an IsADirectoryError naming the first that
+    is a directory, which a file cannot replace (a symlink to one can be: the write replaces the link)."""
+    seen = {directory.resolve()} if directory else set()
+    for path in files:
         key = path.resolve()
         if key in seen:
             raise _UsageError(f"two outputs of this command name the same file: {path}")
         seen.add(key)
+        if path.is_dir() and not path.is_symlink():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def _read_input(label: str, path: str, parse):
@@ -687,6 +688,7 @@ def _translated(data, old_positions) -> ExperimentConfig:
 
 
 def _cmd_run(cfg: ExperimentConfig, workers: int, dump_channel: str | None) -> int:
+    _check_targets(_run_outputs(cfg.output, dump_channel), Path(cfg.output))
     try:
         curves = run_experiment(cfg, workers=workers, dump_channel=dump_channel).curves
     except RejectionRateError as exc:
@@ -719,7 +721,8 @@ def _export_bits(cfg: ExperimentConfig, layout: NodeLayout, outdir: Path) -> dic
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _validated(None, ("seed", args.seed, 0), ("trials", args.trials, 1))
-    if args.output and not Path(args.output).parent.is_dir():  # found before the suite runs, not after it
+    _check_targets([Path(args.output)] if args.output else [])  # found before the suite runs, not after it
+    if args.output and not Path(args.output).parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
     results = run_verification(seed=args.seed, trials=args.trials)
     width = max(len(r.name) for r in results)

@@ -198,8 +198,8 @@ def _simulate_trials(
     tensors, or None for perfect CSIT (whose precoder is the reference T*
     itself). A trial is rejected at a point when the kappa_2 of any of its
     solves there crosses cond_threshold. Returns, per range, per-trial rates, squared
-    precoder deviations (total and per TX row), acceptance flags and the
-    worst condition estimate seen per trial; rejected trials carry NaNs.
+    precoder deviations per TX row, acceptance flags and the worst condition
+    estimate of every solve each trial reached; rejected trials carry NaNs.
 
     Trials run in chunks of at most _CHUNK_BYTES / (16 K^3). A chunk's unit
     channels and noise are drawn once; each point scales its rows of them by
@@ -245,11 +245,8 @@ def _simulate_trials(
                 unit[a:b], noise, work, *points[point], cond_threshold, mask
             )
 
-    dev = row_dev.sum(axis=-1)
-    return [
-        (rates[j, lo:hi], dev[j, lo:hi], row_dev[j, lo:hi], accepted[j, lo:hi], worst_cond[j, lo:hi])
-        for j, (lo, hi) in enumerate(bounds)
-    ]
+    return [(rates[j, lo:hi], row_dev[j, lo:hi], accepted[j, lo:hi], worst_cond[j, lo:hi])
+            for j, (lo, hi) in enumerate(bounds)]
 
 
 def _solve_chunk(
@@ -272,27 +269,27 @@ def _solve_chunk(
     the first of its solves (zero-forcing on its channel, then each policy's
     distributed one) whose kappa_2 crosses the threshold, and is dropped
     from every later solve, with NaN rates and deviations. Every earlier
-    solve passed, so the kappa_2 that rejected it is its worst estimate.
+    solve passed, so the kappa_2 that rejected it is its worst estimate; an
+    accepted trial's is the worst of its zero-forcing and policy solves.
     Until a trial is rejected, no stack is indexed or copied.
     """
     h = sigma * unit  # the product draw_channel forms, so H is the point's own draw
     rates = np.full((len(h), len(bits_list), h.shape[-1]), np.nan)
     row_dev = np.full_like(rates, np.nan)
     rows = np.arange(len(h))  # the trials no solve has rejected
-    t_star, star_cond, rejected = _precode(h, p, cond_threshold)
-    worst = np.where(rejected, star_cond, 0.0)
+    t_star, worst, rejected = _precode(h, p, cond_threshold)
     if rejected.any():
-        rows, h, noise, t_star, star_cond = _drop(rejected, rows, h, noise, t_star, star_cond)
+        rows, h, noise, t_star = _drop(rejected, rows, h, noise, t_star)
     for pol, bits in enumerate(bits_list):
         if bits is None:
-            t, cond = t_star, star_cond
+            t = t_star
         else:
             out = work[1, : noise.size].reshape(noise.shape)
             est = apply_estimate_noise(ChannelRealization(H=h), sigma, bits, noise, _out=out)
             t, cond, rejected = _precode(est, p, cond_threshold, scratch=work[2])
-        worst[rows] = np.maximum(worst[rows], cond)
-        if bits is not None and rejected.any():
-            rows, h, noise, t_star, star_cond, t = _drop(rejected, rows, h, noise, t_star, star_cond, t)
+            worst[rows] = np.maximum(worst[rows], cond)
+            if rejected.any():
+                rows, h, noise, t_star, t = _drop(rejected, rows, h, noise, t_star, t)
         row_dev[rows, pol] = (np.abs(t - t_star) ** 2).sum(axis=-1)
         rates[rows, pol] = instantaneous_rates(h, t if mask is None else t * mask).rates
     accepted = np.zeros(len(worst), dtype=bool)
@@ -416,8 +413,8 @@ def _sweep(engine, n_points: int, k: int, trials: int, max_rejection_rate: float
             for per_range in results:
                 for (i, _, _), res in zip(ranges, per_range):
                     blocks[i].append(res)
-                    attempted[i] += len(res[3])
-                    accepted[i] += int(res[3].sum())
+                    attempted[i] += len(res[2])
+                    accepted[i] += int(res[2].sum())
             still = []
             for i in running:
                 short, rejected = trials - accepted[i], attempted[i] - accepted[i]
@@ -434,7 +431,7 @@ def _sweep(engine, n_points: int, k: int, trials: int, max_rejection_rate: float
 
 
 def _cond_stats(blocks) -> str:
-    conds = np.concatenate([b[4] for b in blocks])
+    conds = np.concatenate([b[3] for b in blocks])
     return (
         f"median {np.median(conds):.3e}, p99 {np.percentile(conds, 99):.3e}, "
         f"max {conds.max():.3e}"
@@ -460,9 +457,9 @@ def _evaluate(
     max_rejection_rate: float = DEFAULT_MAX_REJECTION_RATE,
     data_mask: bool = False,
     workers: int = 1,
-    keep_samples: bool = False,
-) -> list[PointResult]:
-    """Coupled evaluation of every policy at every (snr_db, p) point.
+) -> list[tuple[dict[PolicySpec, RatePoint], np.ndarray]]:
+    """Coupled evaluation of every policy at every (snr_db, p) point: per point, each policy's RatePoint
+    and the (trials, P, K) rates of the accepted trials.
 
     The sweep's engine, every point's sigma and allocation tables included,
     is built before a pool forks, so the workers inherit it.
@@ -470,7 +467,7 @@ def _evaluate(
     _check_sweep(layout, gamma, policies, points, trials, seed, cond_threshold, max_rejection_rate, workers)
     engine = _engine(layout, gamma, policies, [p for _, p in points], seed, cond_threshold, data_mask)
     swept = _sweep(engine, len(points), layout.K, trials, max_rejection_rate, workers)
-    return [_point_result(policies, pt, blocks, trials, keep_samples) for pt, blocks in zip(points, swept)]
+    return [_point_result(policies, pt, blocks, trials) for pt, blocks in zip(points, swept)]
 
 
 def _check_sweep(layout, gamma, policies, points, trials, seed, cond_threshold, max_rejection_rate, workers=1) -> None:
@@ -521,15 +518,15 @@ def _data_mask(layout: NodeLayout, gamma: float) -> np.ndarray:
 
 
 def _point_result(
-    policies: list[PolicySpec], point: tuple[float, float], blocks: list, trials: int, keep_samples: bool
-) -> PointResult:
+    policies: list[PolicySpec], point: tuple[float, float], blocks: list, trials: int
+) -> tuple[dict[PolicySpec, RatePoint], np.ndarray]:
     snr_db, p = point
-    rates, dev, row_dev, accepted = (np.concatenate([b[j] for b in blocks], axis=0) for j in range(4))
+    rates, row_dev, accepted = (np.concatenate([b[j] for b in blocks], axis=0) for j in range(3))
     keep = np.flatnonzero(accepted)
-    rates, dev, row_dev = rates[keep], dev[keep], row_dev[keep]
+    rates, row_dev = rates[keep], row_dev[keep]
+    dev = row_dev.sum(axis=-1)
     rejections = len(accepted) - trials
     rate_points: dict[PolicySpec, RatePoint] = {}
-    samples: dict[PolicySpec, np.ndarray] = {}
     for i, spec in enumerate(policies):
         per_user = rates[:, i, :]
         avg_series = per_user.mean(axis=1)
@@ -546,9 +543,7 @@ def _point_result(
             deviation_median=float(_trial_median(dev[:, i])),
             deviation_row_median=_trial_median(row_dev[:, i, :]),
         )
-        if keep_samples:
-            samples[spec] = per_user
-    return PointResult(rates=rate_points, samples=samples or None)
+    return rate_points, rates
 
 
 def evaluate_point(
@@ -558,6 +553,8 @@ def evaluate_point(
     p: float,
     trials: int,
     seed: int,
+    *,
+    keep_samples: bool = False,
     **opts,
 ) -> PointResult:
     """Coupled Monte-Carlo evaluation of several policies at one SNR point.
@@ -571,7 +568,8 @@ def evaluate_point(
     keep_samples (per-trial rates in PointResult.samples).
     """
     _check_snr("p", p)  # before log10 warns on it
-    return _evaluate(layout, gamma, policies, [(float(10.0 * np.log10(p)), p)], trials, seed, **opts)[0]
+    [(rate_points, rates)] = _evaluate(layout, gamma, policies, [(float(10.0 * np.log10(p)), p)], trials, seed, **opts)
+    return PointResult(rate_points, {spec: rates[:, i, :] for i, spec in enumerate(policies)} if keep_samples else None)
 
 
 def evaluate_curves(
@@ -592,10 +590,8 @@ def evaluate_curves(
     later. With workers > 1, one pool serves the whole sweep, and each of
     its rounds is one task queue over blocks of that index set.
     """
-    if "keep_samples" in opts:
-        raise TypeError("evaluate_curves() got an unexpected keyword argument 'keep_samples'")
     results = _evaluate(layout, gamma, policies, [(db, db_to_linear(db)) for db in snr_db], trials, seed, **opts)
-    return {spec: [point.rates[spec] for point in results] for spec in policies}
+    return {spec: [rate_points[spec] for rate_points, _ in results] for spec in policies}
 
 
 def dof_slope(points: list[RatePoint], fit_points: int = 4) -> DofEstimate:

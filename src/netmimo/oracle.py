@@ -452,7 +452,7 @@ def run_verification(seed: int = 7, trials: int = 800) -> list[CheckResult]:
 
     seed must be an integer >= 0 and trials an integer >= 1.
     """
-    from .topology import place_grid  # local import keeps module load light
+    from .topology import place_grid  # looked up per call: perfbench/spans.py wraps topology.place_grid to time it
 
     _check_counts(("seed", seed, 0), ("trials", trials, 1))
     results: list[CheckResult] = []

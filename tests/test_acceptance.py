@@ -7,11 +7,12 @@ derived at runtime.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from netmimo.allocation import PolicySpec, allocation_size, build_allocation, conventional
+from netmimo.allocation import PolicySpec, allocation_size, build_allocation, cluster_fit, conventional
 from netmimo.cli import ExperimentConfig, resolve_layout, run_experiment
 from netmimo.evaluation import db_to_linear, dof_slope, evaluate_curves
 from netmimo.oracle import (
@@ -337,3 +338,47 @@ def test_rate_gaps_to_perfect_csit_at_high_snr():
             span["distance"], span["conventional"], growth["cluster"], growth["uniform"]
         ),
     )
+
+
+def test_per_user_slopes_show_cluster_edge_interference_and_none_under_distance():
+    """The paper's claim that the distance policy overcomes clustering's edge
+    interference, user by user: on the 6x6 grid at 120-200 dB (where slopes
+    are GDoF values), distance's smallest per-user slope lies within 0.02 of
+    perfect's, while under each cluster policy every user with a grid
+    neighbour in another block (a facing user) fits a slope below every other
+    user's, by at least 0.35 for 2x2 blocks and 0.1 for 3x3 blocks. Blocks
+    are formed as build_allocation forms them.
+
+    Readings, 100 trials, seeds 1-8 and 9001: smallest distance minus
+    smallest perfect slope +0.0072 to +0.0094 (perfect 1.000 for every
+    user); cluster:4 facing 0.401-0.406 against the four corners'
+    0.803-0.807, gap 0.398-0.400; cluster:9 facing 0.404-0.428 against
+    0.553-0.564, gap 0.128-0.132."""
+    layout = place_grid(6)
+    specs = [
+        PolicySpec("perfect"),
+        PolicySpec("distance"),
+        PolicySpec("cluster", cluster_size=4),
+        PolicySpec("cluster", cluster_size=9),
+    ]
+    result = evaluate_curves(layout, 0.6, specs, [120.0, 140.0, 160.0, 180.0, 200.0], 100, SEED)
+    slopes = {
+        spec: np.array([
+            dof_slope([replace(pt, mean_avg=float(pt.mean_per_user[u])) for pt in result[spec]], 5).slope
+            for u in range(layout.K)
+        ])
+        for spec in specs
+    }
+    gap = float(slopes[specs[1]].min() - slopes[specs[0]].min())
+    ok = abs(gap) < 0.02
+    details = [f"smallest slope distance - perfect {gap:+.4f}, |.| < 0.02"]
+    neighbours = pairwise_distance(layout) == 1.0
+    x, y = layout.positions.astype(int).T - 1
+    for spec, margin in zip(specs[2:], (0.35, 0.1)):
+        side, c = cluster_fit(layout, spec.cluster_size)
+        block = y // c * (side // c) + x // c
+        facing = (neighbours & (block[:, None] != block[None, :])).any(axis=1)
+        split = float(slopes[spec][~facing].min() - slopes[spec][facing].max())
+        ok = ok and split >= margin
+        details.append(f"{spec.label()}: {facing.sum()} facing users below the rest by {split:.4f} >= {margin}")
+    _report("per-user edge interference", ok, "; ".join(details))

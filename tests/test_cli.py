@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netmimo import cli
 from netmimo.allocation import PolicySpec, build_allocation
 from netmimo.channel import PURPOSE_CHANNEL, draw_channel, pathloss_matrix, trial_rng
 from netmimo.cli import (
@@ -463,15 +464,22 @@ def test_failed_run_writes_no_file(tmp_path, capsys):
     assert (tmp_path / "chan.csv").exists()
 
 
-def test_failed_replacement_puts_back_every_replaced_file(tmp_path, capsys):
-    """chan.csv is a directory, so its replacement fails after the run's
-    other outputs were replaced: every one of them is put back."""
+def test_failed_replacement_puts_back_every_replaced_file(tmp_path, capsys, monkeypatch):
+    """chan.csv becomes a directory during the run, after the check of the
+    run's outputs, so its replacement fails after the run's other outputs
+    were replaced: every one of them is put back."""
     out = tmp_path / "out"
     argv = ["run", "--grid-side", "2", "--trials", "5", "--snr-db", "30", "--output", str(out)]
     assert main(argv + ["--seed", "1"]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     chan = tmp_path / "chan.csv"
-    chan.mkdir()
+    real_channel_csv = cli._channel_csv
+
+    def channel_csv_then_a_directory(*args):
+        chan.mkdir()
+        return real_channel_csv(*args)
+
+    monkeypatch.setattr(cli, "_channel_csv", channel_csv_then_a_directory)
     assert main(argv + ["--seed", "9", "--dump-channel", str(chan)]) == 2
     assert "Is a directory" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -681,6 +689,54 @@ def test_missing_input_file_is_a_usage_error(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert f"error: {flag}" in err and f"No such file or directory: '{missing}'" in err
     assert not (tmp_path / "out").exists()
+
+
+_RUN = ["run", "--grid-side", "2", "--snr-db", "20", "--trials", "4", "--output", "o"]
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["verify", "--trials", "50", "--output", "D"], "D"),
+        ([*_RUN, "--dump-channel", "D"], "D"),
+        (_RUN, "o/rates.csv"),
+        (["fig1-desk", "--trials", "4", "--output", "o"], "o/metadata.json"),
+        (["sizes", "--grid-side", "2", "--snr-db", "40", "--output", "D"], "D"),
+        (["sizes", "--grid-side", "2", "--snr-db", "40", "--policies", "distance", "--export-bits", "b"],
+         "b/bits_distance_a1_40dB.csv"),
+    ],
+    ids=["verify-output", "run-dump-channel", "run-rates", "preset-metadata", "sizes-output", "sizes-export-bits"],
+)
+def test_an_output_file_that_is_a_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, target):
+    """A directory cannot be replaced by an output file: exit 2 with one
+    error line naming it, before any check or trial runs, with nothing on
+    stdout and nothing written."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command's work ran")
+
+    monkeypatch.setattr(cli, "run_verification", no_work)
+    monkeypatch.setattr("netmimo.evaluation._engine", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / target).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    assert _exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error: ") == 1
+    assert f"error: [Errno 21] Is a directory: '{target}'" in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_an_output_symlink_to_a_directory_is_replaced(tmp_path, capsys):
+    """A symlink to a directory is a file target: the write replaces the
+    link and leaves the directory alone."""
+    (tmp_path / "d").mkdir()
+    link = tmp_path / "chan.csv"
+    link.symlink_to(tmp_path / "d", target_is_directory=True)
+    argv = ["run", "--grid-side", "2", "--snr-db", "20", "--trials", "4", "--output", str(tmp_path / "o")]
+    assert main(argv + ["--dump-channel", str(link)]) == 0
+    assert not link.is_symlink() and link.read_text().startswith("rx,tx,re,im\n")
+    assert (tmp_path / "d").is_dir() and not any((tmp_path / "d").iterdir())
 
 
 def test_failed_run_removes_only_the_directories_it_created(tmp_path, capsys):

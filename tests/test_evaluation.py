@@ -368,11 +368,13 @@ _FIG1_POLICIES = [
 ]
 
 
-def _engine_args(grid_side, dbs, trials, cond_threshold=1e12, seed=3):
+def _engine_args(grid_side, dbs, trials, cond_threshold=1e12, seed=3, specs=None):
     """_simulate_trials arguments for a grid at gamma 0.6, running every
-    point of dbs; cluster:4 only where the grid takes it."""
+    point of dbs; by default the fig1 policies, cluster:4 only where the
+    grid takes it."""
     layout = place_grid(grid_side)
-    specs = _FIG1_POLICIES if grid_side % 2 == 0 else _FIG1_POLICIES[:3]
+    if specs is None:
+        specs = _FIG1_POLICIES if grid_side % 2 == 0 else _FIG1_POLICIES[:3]
     levels = interference_levels(pairwise_distance(layout), 0.6)
     points = []
     for db in dbs:
@@ -418,13 +420,13 @@ def _replayed_point(positions, gamma, p, bits_list, seed, trial_indices, cond_th
             rates[row, pol] = instantaneous_rates(chan.H, prec).rates
             row_dev[row, pol] = (np.abs(prec - t_star) ** 2).sum(axis=-1)
         accepted[row] = True
-        # The condition estimate the precoding core gives each solve alone.
-        worst[row] = max(_precode(a[None], p, cond_threshold)[1][0] for a in solves)
-    return rates, row_dev.sum(axis=-1), row_dev, accepted, worst
+        # The condition estimate the precoding core gives each solve alone, zero-forcing's included.
+        worst[row] = max(_precode(a[None], p, cond_threshold)[1][0] for a in [chan.H, *solves])
+    return rates, row_dev, accepted, worst
 
 
 def _same_bytes(got, want):
-    """Per point, the same five result arrays, byte for byte."""
+    """Per point, the same four result arrays, byte for byte."""
     return [[a.tobytes() for a in res] for res in got] == [[b.tobytes() for b in res] for res in want]
 
 
@@ -437,7 +439,7 @@ def test_k16_chunks_with_rejected_trials_equal_one_trial_calls(db):
     assert evaluation._CHUNK_BYTES // (16 * 16**3) >= 2
     args = _engine_args(4, [db], 24, cond_threshold=300.0)
     got = evaluation._simulate_trials(*args)
-    assert 0 < (~got[0][3]).sum() < 12
+    assert 0 < (~got[0][2]).sum() < 12
     assert _same_bytes(got, _replayed(4, *args))
 
 
@@ -447,8 +449,31 @@ def test_multi_point_engine_call_equals_each_point_replayed():
     reject different trials."""
     args = _engine_args(4, [20.0, 60.0], 24, cond_threshold=300.0)
     got = evaluation._simulate_trials(*args)
-    assert not np.array_equal(got[0][3], got[1][3])
+    assert not np.array_equal(got[0][2], got[1][2])
     assert _same_bytes(got, _replayed(4, *args))
+
+
+def test_worst_condition_counts_the_zero_forcing_solve_without_perfect():
+    """A rejection-heavy K = 9 call at 40 and 60 dB, threshold 60, with
+    distance alone: no policy's precoder is T*, yet every trial's worst
+    condition estimate counts its zero-forcing solve, and the call equals
+    its replay. Some accepted trials' zero-forcing estimate exceeds their
+    distance estimate's, so a worst over the policy's solves alone would
+    differ."""
+    args = _engine_args(3, [40.0, 60.0], 48, cond_threshold=60.0, specs=[PolicySpec("distance")])
+    got = evaluation._simulate_trials(*args)
+    assert all((~res[2]).sum() > 0 for res in got)
+    assert _same_bytes(got, _replayed(3, *args))
+    points, seed, _, _, threshold, _ = args
+    zf_above = 0
+    for (sigma, p, [bits]), (_, _, accepted, worst) in zip(points, got):
+        for t in np.flatnonzero(accepted):
+            chan = draw_channel(sigma, trial_rng(seed, t, PURPOSE_CHANNEL))
+            noise = complex_gaussian(trial_rng(seed, t, PURPOSE_ESTIMATE), (9, 9, 9))
+            est = apply_estimate_noise(chan, sigma, bits, noise)
+            zf, dist = (_precode(a[None], p, threshold)[1][0] for a in (chan.H, est))
+            zf_above += bool(worst[t] == zf > dist)
+    assert zf_above > 0
 
 
 def test_disjoint_ranges_equal_each_point_replayed():
@@ -459,7 +484,7 @@ def test_disjoint_ranges_equal_each_point_replayed():
     points, seed, _, _, threshold, mask = _engine_args(4, [20.0, 60.0], 0, cond_threshold=300.0)
     ranges, idx = [(0, 0, 5), (1, 9, 14)], np.r_[0:5, 9:14]
     got = evaluation._simulate_trials(points, seed, ranges, idx, threshold, mask)
-    assert [len(res[3]) for res in got] == [5, 5]
+    assert [len(res[2]) for res in got] == [5, 5]
     assert _same_bytes(got, _replayed(4, points, seed, ranges, idx, threshold, mask))
 
 
@@ -498,10 +523,10 @@ def test_sweep_top_ups_equal_each_point_replayed(workers):
     layout = place_grid(4)
     engine = evaluation._engine(layout, 0.6, _FIG1_POLICIES, [db_to_linear(20.0), db_to_linear(60.0)], 3, 300.0, False)
     blocks = evaluation._sweep(engine, 2, 16, 24, 0.5, workers)
-    attempted = [sum(len(b[3]) for b in point) for point in blocks]
+    attempted = [sum(len(b[2]) for b in point) for point in blocks]
     assert attempted[0] > attempted[1] > 24
     for point, n in enumerate(attempted):
-        got = [np.concatenate([b[j] for b in blocks[point]]) for j in range(5)]
+        got = [np.concatenate([b[j] for b in blocks[point]]) for j in range(4)]
         want = _replayed(4, *_engine_args(4, [20.0, 60.0], n, cond_threshold=300.0))[point]
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
     assert multiprocessing.active_children() == []

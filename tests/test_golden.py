@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from netmimo import evaluation
 from netmimo.allocation import PolicySpec, build_allocation
 from netmimo.cli import ExperimentConfig, main, parse_policy, run_experiment
 from netmimo.evaluation import db_to_linear
@@ -104,15 +105,26 @@ GOLDEN = {
 }
 
 
-def _rates_csv(name: str, outdir: Path) -> bytes:
-    fields, workers = GOLDEN[name]
-    run_experiment(ExperimentConfig(output=str(outdir), **fields), workers=workers)
+def _rates_csv(name: str, outdir: Path, workers: int | None = None) -> bytes:
+    fields, golden_workers = GOLDEN[name]
+    run_experiment(ExperimentConfig(output=str(outdir), **fields), workers=workers or golden_workers)
     return (outdir / "rates.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_rates_csv_matches_golden(name, tmp_path):
-    assert _rates_csv(name, tmp_path) == (DATA / f"{name}_rates.csv").read_bytes()
+@pytest.mark.parametrize(
+    "name, workers",
+    [(name, None) for name in sorted(GOLDEN)] + [("grid2_mask", 2)],
+    ids=[*sorted(GOLDEN), "grid2_mask-w2"],
+)
+def test_rates_csv_matches_golden(name, workers, tmp_path, monkeypatch):
+    """Each golden config writes its file's bytes; grid2_mask also does so
+    on a pool of two workers, so the data mask runs in forked workers too."""
+    if workers:
+        # One chunk holds every trial at K = 4, and one task would run inline:
+        # one-trial chunks split the rounds into tasks, so the pool forks.
+        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", 1)
+        assert len(evaluation._round_tasks([(0, 0, GOLDEN[name][0]["trials"])], 4, workers)) > workers
+    assert _rates_csv(name, tmp_path, workers) == (DATA / f"{name}_rates.csv").read_bytes()
 
 
 # name: the --policies tokens of a `sizes` call on the 4x4 grid at gamma 0.6,

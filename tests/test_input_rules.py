@@ -165,7 +165,7 @@ def _zero_trials(ranges, idx, n_policies, k):
     for _, start, stop in ranges:
         n = int(np.count_nonzero((idx >= start) & (idx < stop)))
         zeros = np.zeros((n, n_policies, k))
-        out.append((zeros, zeros.sum(axis=-1), zeros, np.ones(n, dtype=bool), np.zeros(n)))
+        out.append((zeros, zeros, np.ones(n, dtype=bool), np.zeros(n)))
     return out
 
 
