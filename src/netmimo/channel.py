@@ -19,6 +19,13 @@ cell's own generator from its derived words), and _unit_draws, which fills
 a stack with one draw per stream. A pass whose seed, trials or purpose lie
 outside that derivation's range, or whose first generator's state differs
 from trial_rng's, takes trial_rng for every cell.
+
+A (k, k) complex_gaussian draw takes the first 2k^2 standard normals of its
+stream: k^2 real parts, then k^2 imaginary parts, each in row-major order,
+then divides by sqrt(2). So one draw of a stream's longer prefix serves
+every smaller k: _normal_draws draws each stream's prefix once, and
+_unit_stack assembles an (n, k, k) stack of complex_gaussian draws from the
+prefixes, byte for byte _unit_draws' stack of the same streams.
 """
 
 from __future__ import annotations
@@ -156,6 +163,25 @@ def _unit_draws(streams: Iterator[np.random.Generator], out: np.ndarray) -> np.n
     for i, rng in enumerate(islice(streams, len(out))):
         complex_gaussian(rng, out.shape[1:], out=out[i])
     return out
+
+
+def _normal_draws(streams: Iterator[np.random.Generator], out: np.ndarray) -> np.ndarray:
+    """Fill out, a float (n, m) array, with the first m standard normals of
+    the next n streams, one stream per row, and return it."""
+    for row, rng in zip(out, islice(streams, len(out))):
+        rng.standard_normal(out=row)
+    return out
+
+
+def _unit_stack(normals: np.ndarray, k: int) -> np.ndarray:
+    """The (n, k, k) complex_gaussian draws of the streams whose prefixes
+    are the rows of normals, a float (n, m) array with m >= 2k^2."""
+    n = len(normals)
+    z = np.empty((n, k, k), dtype=complex)
+    z.real = normals[:, :k * k].reshape(n, k, k)
+    z.imag = normals[:, k * k:2 * k * k].reshape(n, k, k)
+    z /= np.sqrt(2.0)
+    return z
 
 
 def complex_gaussian(rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:

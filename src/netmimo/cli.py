@@ -622,6 +622,7 @@ def _command(args: argparse.Namespace) -> int:
     if args.command in _PRESETS:
         return _cmd_run(cfg, args.workers, None)
     if args.save_config:
+        _check_targets([Path(args.save_config)])
         _write_all({Path(args.save_config): cfg.to_json() + "\n"})
         return 0
     return _cmd_run(cfg, args.workers, args.dump_channel)
@@ -756,6 +757,7 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     if not (args.out and (args.layout_file or args.random_k or args.grid_side)):
         print("error: to emit a layout, pass --out and --grid-side, --random-k or --layout-file", file=sys.stderr)
         return 2
+    _check_targets([Path(args.out)])
     _write_all({Path(args.out): format_layout(layout)})
     print(f"wrote {args.out} ({layout.K} nodes)")
     return 0

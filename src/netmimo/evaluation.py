@@ -554,8 +554,11 @@ def evaluate_point(
     trials: int,
     seed: int,
     *,
+    cond_threshold: float = DEFAULT_COND_THRESHOLD,
+    max_rejection_rate: float = DEFAULT_MAX_REJECTION_RATE,
+    data_mask: bool = False,
+    workers: int = 1,
     keep_samples: bool = False,
-    **opts,
 ) -> PointResult:
     """Coupled Monte-Carlo evaluation of several policies at one SNR point.
 
@@ -568,7 +571,10 @@ def evaluate_point(
     keep_samples (per-trial rates in PointResult.samples).
     """
     _check_snr("p", p)  # before log10 warns on it
-    [(rate_points, rates)] = _evaluate(layout, gamma, policies, [(float(10.0 * np.log10(p)), p)], trials, seed, **opts)
+    [(rate_points, rates)] = _evaluate(
+        layout, gamma, policies, [(float(10.0 * np.log10(p)), p)], trials, seed,
+        cond_threshold=cond_threshold, max_rejection_rate=max_rejection_rate, data_mask=data_mask, workers=workers,
+    )
     return PointResult(rate_points, {spec: rates[:, i, :] for i, spec in enumerate(policies)} if keep_samples else None)
 
 
@@ -579,7 +585,11 @@ def evaluate_curves(
     snr_db: list[float],
     trials: int,
     seed: int,
-    **opts,
+    *,
+    cond_threshold: float = DEFAULT_COND_THRESHOLD,
+    max_rejection_rate: float = DEFAULT_MAX_REJECTION_RATE,
+    data_mask: bool = False,
+    workers: int = 1,
 ) -> dict[PolicySpec, list[RatePoint]]:
     """evaluate_point over an SNR grid, every point in one sweep.
 
@@ -590,7 +600,10 @@ def evaluate_curves(
     later. With workers > 1, one pool serves the whole sweep, and each of
     its rounds is one task queue over blocks of that index set.
     """
-    results = _evaluate(layout, gamma, policies, [(db, db_to_linear(db)) for db in snr_db], trials, seed, **opts)
+    results = _evaluate(
+        layout, gamma, policies, [(db, db_to_linear(db)) for db in snr_db], trials, seed,
+        cond_threshold=cond_threshold, max_rejection_rate=max_rejection_rate, data_mask=data_mask, workers=workers,
+    )
     return {spec: [rate_points[spec] for rate_points, _ in results] for spec in policies}
 
 

@@ -7,16 +7,20 @@ off-diagonal entries, and the case-by-case exponent bookkeeping that must
 reproduce the policy formula entry by entry.
 
 The Monte-Carlo checks draw each trial's unit-variance channel once, through
-channel.py's draw path (one stream pass per check), and scale it by the link
-standard deviations of every SNR point; the inverses, powers, eigenvalues
-and condition numbers then run on stacks of trials (or pairs) of at most
-_STACK_BYTES each. Every result is bit-identical to drawing and solving one
-trial at a time: each unit draw is the complex_gaussian draw that
-draw_channel scales by sigma, each LAPACK and BLAS call sees the same
-matrix, and each stack's Frobenius norms take the dot products
-np.linalg.norm takes, in one call per stack. The expansion has one entry,
-_partial_sums, which gives a stack's partial sums, residuals and
-convergence radii.
+channel.py's draw path, and scale it by the link standard deviations of
+every SNR point; the inverses, powers, eigenvalues and condition numbers
+then run on stacks of trials of at most _STACK_BYTES each (of pairs, twice
+that). Every Monte-Carlo layout of run_verification draws trial t from the
+same stream, so one stream pass per call serves them all, and each stream
+is drawn once: by channel.py's prefix contract, the first 2k^2 normals of a
+stream are its (k, k) draw, so the tail check's 9-node draws also hold the
+first 32 normals that the 3- and 4-node lines' draws of that trial take.
+Every result is bit-identical to drawing and solving one trial at a time:
+each unit draw is the complex_gaussian draw that draw_channel scales by
+sigma, each LAPACK and BLAS call sees the same matrix, and each stack's
+Frobenius norms take the dot products np.linalg.norm takes, in one call per
+stack. The expansion has one entry, _partial_sums, which gives a stack's
+partial sums, residuals and convergence radii.
 
 Two cheap norm bounds settle most of the decisions that would otherwise
 take an SVD or an eigenvalue solve, and every decision comes out as the
@@ -38,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import distance_exponents
-from .channel import PURPOSE_CHANNEL, _trial_median, _trial_streams, _unit_draws, pathloss_matrix
+from .channel import PURPOSE_CHANNEL, _normal_draws, _trial_median, _trial_streams, _unit_draws, _unit_stack
+from .channel import pathloss_matrix
 from .precoding import _screened_inverse
 from .topology import NodeLayout, _check_cond_limit, _check_counts, _check_gamma, _check_slope_points
 from .topology import interference_levels, pairwise_distance
@@ -59,9 +64,13 @@ __all__ = [
 ]
 
 
-# One (n, K, K) complex stack of trials or pairs stays under this many bytes,
-# so the working set does not grow with the trials. It is small because a
-# partial sum keeps about ten such stacks alive at once.
+# One (n, K, K) complex stack of trials stays under this many bytes, so the
+# working set does not grow with the trials. It is small because a partial
+# sum keeps about ten such stacks alive at once. A resolvent stack holds
+# _stack_len pairs, twice this. On 1,000 8x8 pairs, 16 pairs a stack took
+# 27.4 ms, 32 took 24.6 ms and 64 took 23.8 ms (2-core Xeon); over 16, 64
+# raised the check's peak RSS by 0.55 MB and 32 by 0.16 MB, which replacing
+# each stack by its kept pairs wins back.
 _STACK_BYTES = 1 << 15
 
 # The tail check replaces divergent draws from a spare budget of one draw per
@@ -93,9 +102,9 @@ _TAIL_FACTOR = 10.0
 _RADIUS_SCREEN = 0.5
 
 
-def _stack_len(k: int, per_item: int = 1) -> int:
-    """Items per stack when each item holds per_item complex (k, k) matrices."""
-    return max(1, _STACK_BYTES // (16 * per_item * k * k))
+def _stack_len(k: int) -> int:
+    """Complex (k, k) matrices per stack."""
+    return max(1, _STACK_BYTES // (16 * k * k))
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -198,21 +207,17 @@ def resolvent_max_error(
     while done < pairs:
         if drawn >= 100 * pairs:
             raise RuntimeError(f"kept {done} of {pairs} pairs after drawing {drawn} at cond_limit {cond_limit}")
-        n = min(_stack_len(size, 2), pairs - done)
+        n = min(_stack_len(size), pairs - done)
         drawn += n
         # One draw per stack, in the order of complex_gaussian calls on a, then
-        # b, of each pair: axes (pair, matrix, real or imaginary part, row, column).
-        parts = rng.standard_normal((n, 2, 2, size, size))
-        ab = np.empty((n, 2, size, size), dtype=complex)
-        ab.real = parts[:, :, 0]
-        ab.imag = parts[:, :, 1]
-        ab /= np.sqrt(2.0)
+        # b, of each pair: one row of 2 size^2 normals per matrix.
+        ab = _unit_stack(rng.standard_normal((2 * n, 2 * size * size)), size).reshape(n, 2, size, size)
         inv, _, _, rejected = _screened_inverse(ab, cond_limit, _COND_MARGIN)
-        keep = ~rejected
-        if keep.any():
-            kept, kept_inv = ab[keep], inv[keep]
-            worst = max(worst, _resolvent_error(kept[:, 0], kept[:, 1], kept_inv[:, 0], kept_inv[:, 1]))
-        done += int(keep.sum())
+        if rejected.any():  # the kept pairs replace the stack, so that it is not held beside them
+            ab, inv = ab[~rejected], inv[~rejected]
+        if len(ab):
+            worst = max(worst, _resolvent_error(ab[:, 0], ab[:, 1], inv[:, 0], inv[:, 1]))
+        done += len(ab)
     return worst
 
 
@@ -369,7 +374,12 @@ def inverse_decay_estimate(layout: NodeLayout, gamma: float, p_list, trials: int
     trials must be an integer >= 1 and seed an integer >= 0.
     """
     _check_counts(("trials", trials, 1), ("seed", seed, 0))
-    slopes = _median_decay_slopes(layout, gamma, p_list, _trial_draws(seed, trials, layout.K), np.linalg.inv)
+    return _inverse_decay(layout, gamma, p_list, _trial_draws(seed, trials, layout.K))
+
+
+def _inverse_decay(layout: NodeLayout, gamma: float, p_list, unit: np.ndarray) -> DecayCheck:
+    """inverse_decay_estimate on the (trials, K, K) unit draws of trials 0..trials-1."""
+    slopes = _median_decay_slopes(layout, gamma, p_list, unit, np.linalg.inv)
     bounds = (gamma - 1.0) * pairwise_distance(layout) + _SLOPE_MARGIN
     valid = ~np.isnan(slopes)
     return DecayCheck(slopes=slopes, bounds=bounds, passed=bool(np.all(slopes[valid] <= bounds[valid])))
@@ -389,6 +399,25 @@ def truncation_tail_check(layout: NodeLayout, gamma: float, p: float, trials: in
     and seed an integer >= 0.
     """
     _check_counts(("trials", trials, 1), ("seed", seed, 0))
+    streams = _trial_streams(seed, range(_tail_budget(trials)), PURPOSE_CHANNEL)
+    measured, bound, _ = _tail_medians(layout, gamma, p, trials, streams, np.empty((0, 0)))
+    return measured, bound
+
+
+def _tail_budget(trials: int) -> int:
+    """The draws the tail check may make to find trials convergent ones."""
+    return trials + max(_TAIL_MIN_SPARE, trials // _TAIL_TRIALS_PER_SPARE)
+
+
+def _tail_medians(
+    layout: NodeLayout, gamma: float, p: float, trials: int, streams, prefixes: np.ndarray
+) -> tuple[float, float, int]:
+    """truncation_tail_check's (measured, bound) on the draws of streams,
+    which yields the cells of trials 0, 1, ..., in order, and the number of
+    draws made. Each draw takes the first 2K^2 normals of its stream, whose
+    first prefixes.shape[1] go to that trial's row of prefixes, if it has
+    one.
+    """
     dist = pairwise_distance(layout)
     order = truncation_order(dist, gamma)
     sigma = pathloss_matrix(interference_levels(dist, gamma), p)
@@ -396,11 +425,13 @@ def truncation_tail_check(layout: NodeLayout, gamma: float, p: float, trials: in
     resid_sq = []
     next_term_sq = []
     t = 0
-    budget = trials + max(_TAIL_MIN_SPARE, trials // _TAIL_TRIALS_PER_SPARE)
-    streams = _trial_streams(seed, range(budget), PURPOSE_CHANNEL)
+    budget = _tail_budget(trials)
     while len(resid_sq) < trials and t < budget:
         n = min(_stack_len(k), trials - len(resid_sq), budget - t)
-        h = sigma * _unit_draws(streams, np.empty((n, k, k), dtype=complex))
+        normals = _normal_draws(streams, np.empty((n, 2 * k * k)))
+        rows = prefixes[t:t + n]
+        rows[:] = normals[:len(rows), :prefixes.shape[1]]
+        h = sigma * _unit_stack(normals, k)
         t += n
         _, resid, radius = _partial_sums(h, order.n0)
         ok = radius < 1.0
@@ -412,7 +443,7 @@ def truncation_tail_check(layout: NodeLayout, gamma: float, p: float, trials: in
     if len(resid_sq) < trials:
         raise RuntimeError(f"only {len(resid_sq)} convergent draws out of {t}")
     predicted = float(_trial_median(next_term_sq))
-    return float(_trial_median(resid_sq)), float(_TAIL_FACTOR * predicted)
+    return float(_trial_median(resid_sq)), float(_TAIL_FACTOR * predicted), t
 
 
 def proof_exponent_table(distances: np.ndarray, gamma: float) -> np.ndarray:
@@ -463,14 +494,27 @@ def run_verification(seed: int = 7, trials: int = 800) -> list[CheckResult]:
         CheckResult("resolvent_identity", worst, 1e-10, worst < 1e-10, "1000 pairs, 8x8")
     )
 
-    line3 = _line_layout(3)
+    # The tail check runs first, on the 3x3 grid: its draws take the first
+    # 162 normals of each trial it reaches, made and dropped stack by stack,
+    # and keep the first 32 in prefixes. The trials it did not reach draw
+    # those 32 alone, and the colinear triple's and the 4-node line's draws
+    # are assembled from prefixes. It and the pass (its cells' derived
+    # words) are then dropped, so that no more than the two stacks is held.
+    line3, line4, grid3 = _line_layout(3), _line_layout(4), place_grid(3)
+    tail_trials = min(trials, 400)
+    streams = _trial_streams(seed, range(max(trials, _tail_budget(tail_trials))), PURPOSE_CHANNEL)
+    prefixes = np.empty((trials, 2 * line4.K ** 2))
+    tail_measured, tail_bound, drawn = _tail_medians(grid3, 0.5, 10.0**6.0, tail_trials, streams, prefixes)
+    _normal_draws(streams, prefixes[drawn:])
+    unit3, unit4 = _unit_stack(prefixes, line3.K), _unit_stack(prefixes, line4.K)
+    del prefixes, streams
+
     gamma = 0.6
     order = truncation_order(pairwise_distance(line3), gamma)
     # Both decay orders and the zero-diagonal check run on the same trials of
-    # the colinear triple, drawn once.
-    unit = _trial_draws(seed, trials, line3.K)
+    # the colinear triple.
     for n in (1, 2):
-        chk = term_decay_check(line3, gamma, p_list, trials, n, seed, unit=unit)
+        chk = term_decay_check(line3, gamma, p_list, trials, n, seed, unit=unit3)
         valid = ~np.isnan(chk.slopes)
         measured = float(chk.slopes[valid].max())
         bound = float(chk.bounds[0, 0])
@@ -485,21 +529,18 @@ def run_verification(seed: int = 7, trials: int = 800) -> list[CheckResult]:
         )
 
     sigma = pathloss_matrix(interference_levels(pairwise_distance(line3), gamma), p_list[0])
-    h = sigma * unit[:200]  # 29 KB at most
+    h = sigma * unit3[:200]  # 29 KB at most
     diag = np.abs(np.diagonal(neumann_term_matrix(h, 1), axis1=-2, axis2=-1))
     diag_max = max([0.0, *np.max(diag, axis=-1).tolist()])
     results.append(
         CheckResult("term_n1_zero_diagonal", diag_max, 0.0, diag_max == 0.0, "exact zeros")
     )
 
-    grid3 = place_grid(3)
-    measured, bound = truncation_tail_check(grid3, 0.5, 10.0**6.0, min(trials, 400), seed)
     results.append(
-        CheckResult("truncation_tail", measured, bound, measured <= bound, "3x3 grid, 60 dB")
+        CheckResult("truncation_tail", tail_measured, tail_bound, tail_measured <= tail_bound, "3x3 grid, 60 dB")
     )
 
-    line4 = _line_layout(4)
-    chk = inverse_decay_estimate(line4, gamma, p_list, trials, seed)
+    chk = _inverse_decay(line4, gamma, p_list, unit4)
     valid = ~np.isnan(chk.slopes)
     excess = float(np.max(chk.slopes[valid] - chk.bounds[valid]))
     results.append(

@@ -296,6 +296,26 @@ def test_trial_streams_cells_draw_in_any_order():
     assert first.standard_normal(20).tobytes() == trial_rng(3, 0, PURPOSE_CHANNEL).standard_normal(20).tobytes()
 
 
+@pytest.mark.parametrize("seed", [7, 2**128], ids=["bulk", "trial_rng"])
+def test_unit_stack_from_a_longer_prefix_equals_unit_draws(seed):
+    """A (k, k) complex_gaussian draw takes the first 2k^2 normals of its
+    stream, so a stack assembled from each stream's longer prefix is
+    _unit_draws' stack of the same streams byte for byte, on the bulk
+    derivation and on the trial_rng fallback alike."""
+    trials = [0, 1, 5, 40, 41]
+
+    def streams():
+        return channel._trial_streams(seed, trials, PURPOSE_CHANNEL)
+
+    for width in (32, 162):
+        normals = channel._normal_draws(streams(), np.empty((len(trials), width)))
+        for k in (3, 4, 9):
+            if 2 * k * k > width:
+                continue
+            want = channel._unit_draws(streams(), np.empty((len(trials), k, k), dtype=complex))
+            assert channel._unit_stack(normals, k).tobytes() == want.tobytes(), (width, k)
+
+
 @pytest.mark.parametrize("per_tx", [False, True], ids=["shared", "per-tx"])
 def test_estimate_batch_stacks_single_estimates(per_tx):
     sigma = _sigma(side=2, p=1e4)

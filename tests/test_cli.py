@@ -704,8 +704,11 @@ _RUN = ["run", "--grid-side", "2", "--snr-db", "20", "--trials", "4", "--output"
         (["sizes", "--grid-side", "2", "--snr-db", "40", "--output", "D"], "D"),
         (["sizes", "--grid-side", "2", "--snr-db", "40", "--policies", "distance", "--export-bits", "b"],
          "b/bits_distance_a1_40dB.csv"),
+        (["layout", "--grid-side", "2", "--out", "D"], "D"),
+        ([*_RUN, "--save-config", "D"], "D"),
     ],
-    ids=["verify-output", "run-dump-channel", "run-rates", "preset-metadata", "sizes-output", "sizes-export-bits"],
+    ids=["verify-output", "run-dump-channel", "run-rates", "preset-metadata", "sizes-output", "sizes-export-bits",
+         "layout-out", "run-save-config"],
 )
 def test_an_output_file_that_is_a_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, target):
     """A directory cannot be replaced by an output file: exit 2 with one

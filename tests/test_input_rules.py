@@ -145,8 +145,21 @@ def test_evaluate_curves_refuses_keep_samples(monkeypatch):
         raise AssertionError("an engine was built")
 
     monkeypatch.setattr(evaluation, "_engine", no_engine)
-    with pytest.raises(TypeError, match="keep_samples"):
+    with pytest.raises(TypeError, match="evaluate_curves.*keep_samples"):
         evaluate_curves(place_grid(2), 0.6, [PolicySpec("perfect")], [20.0], 3, 1, keep_samples=True)
+
+
+@pytest.mark.parametrize("fn, snr", [(evaluate_curves, [20.0]), (evaluate_point, 100.0)], ids=["curves", "point"])
+def test_an_unknown_option_names_the_public_function(monkeypatch, fn, snr):
+    """A misspelt option is refused naming the function called, not the
+    private sweep behind it, before an engine is built."""
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(evaluation, "_engine", no_engine)
+    with pytest.raises(TypeError, match=rf"^{fn.__name__}\(\) got an unexpected keyword argument 'worker'$"):
+        fn(place_grid(2), 0.6, [PolicySpec("perfect")], snr, 3, 1, worker=2)
 
 
 # Edge floats: signed zeros, subnormals, the smallest normal, infinities, NaN,

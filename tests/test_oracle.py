@@ -594,18 +594,64 @@ def test_run_verification_all_pass():
         assert r.passed, f"{r.name}: measured {r.measured} vs bound {r.bound}"
 
 
-def test_run_verification_draws_each_trial_once_per_check(monkeypatch):
-    """Each Monte-Carlo layout's trials are drawn once and scaled per SNR
-    point. The colinear triple's 200 trials serve both term decay checks and
-    the zero-diagonal check; the tail check and the inverse decay check draw
-    200 each (none of the tail's diverges at seed 7). Drawing per SNR point
-    took 3 * 5 * 200 + 200 + 200 = 3400, drawing per check 1000. Each draw
-    derives its streams in one pass, the tail check for its budget of
-    200 + 20 draws."""
+# A seed at which the tail check of run_verification meets a divergent draw
+# among its first 200 (and first 400) trials; seeds 0-81 meet none.
+_TAIL_DIVERGES_SEED = 82
+
+
+@pytest.mark.parametrize(
+    "seed, trials, cells, drawn",
+    [(7, 200, 220, 200), (7, 800, 800, 800), (_TAIL_DIVERGES_SEED, 200, 220, 201)],
+    ids=["200", "800", "200-tail-diverges"],
+)
+def test_run_verification_draws_each_trial_once(monkeypatch, seed, trials, cells, drawn):
+    """Every Monte-Carlo layout draws trial t from the same stream, so one
+    pass over max(trials, the tail check's budget) cells serves them all,
+    and each cell it reaches is drawn once: the tail check's 9-node draws
+    hold the 3- and 4-node lines' draws of the same trials, and the trials
+    past the tail check draw those alone. At seed 7 none of the tail's draws
+    diverges; at _TAIL_DIVERGES_SEED one does and is replaced by trial 200.
+    Drawing once per check took three passes and 600 draws at 200 trials."""
     passes, draws = _counting_trial_streams(monkeypatch)
-    run_verification(seed=7, trials=200)
-    assert len(draws) == 600
-    assert [len(p) for p in passes] == [200, 220, 200]
+    run_verification(seed=seed, trials=trials)
+    assert passes == [[(seed, t, PURPOSE_CHANNEL) for t in range(cells)]]
+    assert draws == passes[0][:drawn]
+
+
+def _checks_one_by_one(seed, trials):
+    """run_verification's Monte-Carlo rows, (measured, bound, passed) by
+    name, each from its public check called alone on the check's own draws."""
+    p_list = [10.0 ** (db / 10.0) for db in oracle._SNR_DB]
+    line3 = _line(3)
+    rows = {}
+    worst = resolvent_max_error(1000, 8, seed)
+    rows["resolvent_identity"] = (worst, 1e-10, worst < 1e-10)
+    for n in (1, 2):
+        chk = term_decay_check(line3, 0.6, p_list, trials, n, seed)
+        rows[f"term_decay_n{n}"] = (float(chk.slopes[~np.isnan(chk.slopes)].max()), chk.bounds[0, 0], chk.passed)
+    sigma = pathloss_matrix(interference_levels(pairwise_distance(line3), 0.6), p_list[0])
+    h = np.stack([draw_channel(sigma, trial_rng(seed, t, PURPOSE_CHANNEL)).H for t in range(min(trials, 200))])
+    diag_max = float(np.abs(np.diagonal(neumann_term_matrix(h, 1), axis1=-2, axis2=-1)).max())
+    rows["term_n1_zero_diagonal"] = (diag_max, 0.0, diag_max == 0.0)
+    measured, bound = truncation_tail_check(place_grid(3), 0.5, 1e6, min(trials, 400), seed)
+    rows["truncation_tail"] = (measured, bound, measured <= bound)
+    chk = inverse_decay_estimate(_line(4), 0.6, p_list, trials, seed)
+    valid = ~np.isnan(chk.slopes)
+    rows["inverse_decay"] = (float(np.max(chk.slopes[valid] - chk.bounds[valid])), 0.0, chk.passed)
+    return rows
+
+
+@pytest.mark.parametrize("seed", [7, _TAIL_DIVERGES_SEED])
+@pytest.mark.parametrize("trials", [1, 3, 200, 400, 439, 440, 441])
+def test_run_verification_equals_its_checks_one_by_one(seed, trials):
+    """Sharing one draw of each trial across the layouts moves no bit: each
+    row equals its check run alone, on both sides of the tail check's 400
+    trials and its budget of 440, and where the tail check replaces a
+    divergent draw."""
+    rows = {r.name: (r.measured, r.bound, r.passed) for r in run_verification(seed=seed, trials=trials)}
+    want = _checks_one_by_one(seed, trials)
+    assert {name: rows[name] for name in want} == want
+    assert list(rows) == [*want, "proof_exponent_table"]
 
 
 def test_run_verification_keeps_no_state_between_calls():
